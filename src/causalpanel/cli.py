@@ -291,10 +291,16 @@ def _continent_lookup(path: str) -> dict[str, str]:
                 raise SchemaError(
                     f"{path}: units file needs unit_id and continent columns"
                 ) from None
-            for line in fh:
+            width = max(id_col, cont_col) + 1
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 parts = line.rstrip("\n").split(",")
+                if len(parts) < width:
+                    raise ParseError(
+                        f"{path} line {lineno}: {len(parts)} cell(s), "
+                        f"need at least {width}"
+                    )
                 table[parts[id_col]] = parts[cont_col]
     except OSError as err:
         raise OSError(f"{path}: {err.strerror or err}") from None
@@ -770,8 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--donors", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
     p.add_argument("--covariates", help="comma-separated covariate names")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--max-iterations", type=int, help="cap on active-set steps")
+    p.add_argument(
+        "--tolerance", type=float, help="KKT tolerance relative to the worst donor fit"
+    )
     p.add_argument("--placebo", action="store_true", help="run randomization inference")
     p.set_defaults(handler=cmd_synth)
 

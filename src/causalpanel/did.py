@@ -20,8 +20,8 @@ from datetime import date
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import qr, solve_triangular
+from scipy.special import stdtr, stdtrit
 
 from .errors import (
     DiagnosticUnavailableError,
@@ -168,8 +168,8 @@ def _t_pvalue_and_ci(
         p = 1.0 if estimate == 0.0 else 0.0
         return p, (estimate, estimate)
     t_stat = estimate / stderr
-    p = 2.0 * float(stats.t.sf(abs(t_stat), dof))
-    half = float(stats.t.ppf(0.975, dof)) * stderr
+    p = 2.0 * float(stdtr(dof, -abs(t_stat)))
+    half = float(stdtrit(dof, 0.975)) * stderr
     return min(p, 1.0), (estimate - half, estimate + half)
 
 

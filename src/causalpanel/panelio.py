@@ -423,32 +423,45 @@ def read_panel(source) -> PanelDataset:
 
     units, dates, outcomes, mask = parse_matrix(sections["outcomes"], "outcomes")
 
+    def unit_rows(kind: str) -> tuple[list[str], list[list[str]]]:
+        """Column names and one row of cells per unit, in outcome order."""
+        header, *body = sections[kind]
+        by_unit = {row[0]: row[1:] for row in body}
+        rows = []
+        for u in units:
+            if u not in by_unit:
+                raise ParseError(f"{kind} section has no row for unit {u!r}")
+            if len(by_unit[u]) != len(header) - 1:
+                raise ParseError(
+                    f"{kind} row for {u!r}: {len(by_unit[u])} cells for "
+                    f"{len(header) - 1} columns"
+                )
+            rows.append(by_unit[u])
+        return header[1:], rows
+
     covariates = None
     covariate_names: tuple[str, ...] = ()
     if "covariates" in sections and len(sections["covariates"]) > 1:
-        header, *body = sections["covariates"]
-        covariate_names = tuple(header[1:])
-        by_unit = {row[0]: row[1:] for row in body}
+        names, rows = unit_rows("covariates")
+        covariate_names = tuple(names)
         covariates = np.array(
             [
-                [_parse_number(c, "covariates", u) for c in by_unit[u]]
-                for u in units
+                [_parse_number(c, "covariates", u) for c in row]
+                for u, row in zip(units, rows)
             ]
         )
 
     tags: dict[str, tuple[str, ...]] = {}
     if "tags" in sections and len(sections["tags"]) > 1:
-        header, *body = sections["tags"]
-        by_unit = {row[0]: row[1:] for row in body}
-        for k, name in enumerate(header[1:]):
-            tags[name] = tuple(by_unit[u][k] for u in units)
+        names, rows = unit_rows("tags")
+        for k, name in enumerate(names):
+            tags[name] = tuple(row[k] for row in rows)
 
     codes = None
     if "codes" in sections and len(sections["codes"]) > 1:
-        _, *body = sections["codes"]
-        by_unit = {row[0]: row[1:] for row in body}
+        _, rows = unit_rows("codes")
         codes = np.array(
-            [[-1 if c == NA else int(c) for c in by_unit[u]] for u in units],
+            [[-1 if c == NA else int(c) for c in row] for row in rows],
             dtype=np.int64,
         )
 

@@ -2,13 +2,13 @@
 
 Weights minimize the squared pre-treatment distance between the treated
 series and a convex combination of donor series, constrained to the
-probability simplex (non-negative, summing to one). The optimizer is
-projected gradient descent with an exact sort-based simplex projection;
-after iterating, the result is certified against every single-donor
-(vertex) solution, which convexity guarantees the optimum must not lose
-to. Inference is randomization-style: each donor is refit as a pseudo
-treated unit and the treated post/pre error ratio is ranked among the
-placebo ratios.
+probability simplex (non-negative, summing to one). The solver is an exact
+primal active-set method (Lawson-Hanson NNLS adapted to the simplex): it
+starts at the best single donor, solves the equality-constrained problem
+on a growing free set, and stops when the KKT conditions certify the
+optimum, so the result never loses to any vertex. Inference is
+randomization-style: each donor is refit as a pseudo treated unit and the
+treated post/pre error ratio is ranked among the placebo ratios.
 """
 
 from __future__ import annotations
@@ -29,10 +29,13 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Treated unit, ordered donor pool, and optimizer knobs.
+    """Treated unit, ordered donor pool, and solver limits.
 
-    ``tolerance`` is the relative per-step objective decrease below which
-    the weight fit is declared converged.
+    ``max_iterations`` caps the active-set steps of the weight fit.
+    ``tolerance`` is its KKT tolerance, in units of the largest single-donor
+    objective max_j ||A_j - b||^2 (no multiplier exceeds twice that): the
+    fit is converged when multipliers off the support are >= -tolerance and
+    those on it are within tolerance of zero.
     """
 
     treated_unit: str
@@ -116,76 +119,76 @@ def project_to_simplex(v: Sequence[float]) -> np.ndarray:
     return np.maximum(u - theta, 0.0)
 
 
-def _pgd_simplex(
-    A: np.ndarray,
-    b: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """Minimize ||A w - b||^2 over the simplex from the uniform start.
+def _face_minimizer(block: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm minimizer of ||block z - b|| subject to sum z = 1.
 
-    Returns (weights, objective, converged, objective_path). The step is
-    1/L with L an upper bound on the largest Gram eigenvalue from power
-    iteration; if a step ever increases the objective (possible only when
-    power iteration under-estimated), L is doubled and the step retried,
-    so the accepted objective path is non-increasing by construction.
-
-    The stop rule compares each decrease against ``tolerance`` times the
-    current objective. The relative form matters: on exactly
-    representable blends the objective heads to zero, and an absolute
-    threshold would freeze the weights at ~1e-4 accuracy instead of
-    letting them reach machine precision.
+    With Q the orthonormal Helmert basis of {sum z = 0}, z = 1/k + Q u has
+    ||z||^2 = 1/k + ||u||^2, so the minimum-norm least-squares u gives the
+    minimum-norm z when the Gram matrix is singular (duplicate donors, fewer
+    dates than donors). block @ Q ignores a level shared by all series.
     """
-    T0, J = A.shape
-    gram = A.T @ A
-    atb = A.T @ b
+    k = block.shape[1]
+    i = np.arange(1, k)
+    basis = np.triu(np.ones((k, k - 1)))
+    basis[i, i - 1] = -i
+    basis /= np.sqrt(i * (i + 1.0))
+    u = np.linalg.lstsq(block @ basis, b - block.mean(axis=1), rcond=None)[0]
+    return 1.0 / k + basis @ u
 
-    # power iteration for the top Gram eigenvalue; deterministic start
-    lam = 0.0
-    vec = np.full(J, 1.0 / np.sqrt(J))
-    for _ in range(200):
-        nxt = gram @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            break
-        nxt /= norm
-        new_lam = float(nxt @ gram @ nxt)
-        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam, vec = new_lam, nxt
-    L = lam * (1.0 + 1e-9)
-    if L <= 0.0:
-        # zero donor block: any feasible point is optimal
-        w = np.full(J, 1.0 / J)
-        obj = float(b @ b)
-        return w, obj, True, np.array([obj])
 
-    def objective(w: np.ndarray) -> float:
-        r = A @ w - b
-        return float(r @ r)
+def _multipliers(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Simplex KKT multipliers lam_j = (A_j - A w)'(A w - b): feasible w is
+    optimal iff lam is zero on its support and non-negative off it. Summed
+    per column, not by matrix product, so identical donors get identical
+    multipliers bit for bit and ties go to the lowest index."""
+    fitted = A @ w
+    return ((A - fitted[:, None]) * (fitted - b)[:, None]).sum(axis=0)
 
-    w = np.full(J, 1.0 / J)
-    path = [objective(w)]
-    converged = False
-    for _ in range(max_iterations):
-        prev = path[-1]
-        if prev == 0.0:
-            converged = True
+
+def _active_set_simplex(
+    A: np.ndarray, b: np.ndarray, max_steps: int, tolerance: float
+) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Minimize ||A w - b||^2 over the simplex: Lawson-Hanson's active-set
+    NNLS adapted to the sum-to-one constraint.
+
+    From the best vertex, each step frees the donor with the most negative
+    multiplier and moves to the minimizer on the free face; while that has a
+    non-positive weight, it steps back to the boundary and drops the donor
+    that hits it. Ties go to the lowest index. Each iterate lies on the
+    segment from the previous one to a face minimizer, so the objective
+    never rises. Returns (weights, converged, objective_path).
+    """
+    vertex_objs = np.sum((A - b[:, None]) ** 2, axis=0)
+    scale = float(vertex_objs.max())
+    w = np.zeros(A.shape[1])
+    w[int(np.argmin(vertex_objs))] = 1.0
+    path = [float(vertex_objs.min())]
+    while True:
+        lam = _multipliers(A, b, w)
+        off_support = np.where(w > 0, np.inf, lam)
+        entering = int(np.argmin(off_support))
+        if off_support[entering] >= -tolerance * scale or len(path) > max_steps:
             break
-        grad = gram @ w - atb
+        free = w > 0
+        free[entering] = True
         while True:
-            candidate = project_to_simplex(w - grad / L)
-            cand_obj = objective(candidate)
-            if cand_obj <= prev or L > 1e20 * lam:
+            idx = np.flatnonzero(free)
+            z = _face_minimizer(A[:, idx], b)
+            blocked = np.flatnonzero(z <= 0)
+            if blocked.size == 0 or (w[idx[blocked]] == 0.0).any():
                 break
-            L *= 2.0
-        w = candidate
-        path.append(cand_obj)
-        if 0.0 <= prev - cand_obj < tolerance * prev:
-            converged = True
-            break
-    return w, path[-1], converged, np.asarray(path)
+            # step back along w -> z to the first weight that reaches zero
+            ratios = w[idx[blocked]] / (w[idx[blocked]] - z[blocked])
+            w[idx] = np.maximum(w[idx] + float(ratios.min()) * (z - w[idx]), 0.0)
+            w[idx[blocked[int(np.argmin(ratios))]]] = 0.0
+            free = w > 0
+        if blocked.size:
+            break  # rounding leaves no descent through the entering donor
+        w = np.zeros(A.shape[1])
+        w[idx] = z
+        path.append(float(np.sum((A @ w - b) ** 2)))
+    residual = float(np.max(np.where(w > 0, np.abs(lam), -lam)))
+    return w, residual <= tolerance * scale, np.asarray(path)
 
 
 def fit_weights(
@@ -200,10 +203,12 @@ def fit_weights(
     """Simplex-constrained least squares of the treated pre-period on the
     donor pre-period block (dates x donors).
 
-    The returned weights are the better of the projected-gradient iterate
-    and the best vertex (single-donor) solution, so the objective can
-    never lose to any vertex. Non-convergence inside the iteration budget
-    emits a ConvergenceWarning rather than failing.
+    The solve starts at the best single donor, so it never loses to any
+    vertex. ``max_iterations`` and ``tolerance`` are as in SynthSpec;
+    without a KKT certificate when the steps run out, the last iterate is
+    returned with a ConvergenceWarning. ``return_objectives`` adds
+    ``converged`` and the non-increasing objective path: the starting
+    vertex, then one entry per active-set step.
     """
     b = np.asarray(pre_treated, dtype=float)
     A = np.asarray(pre_donors, dtype=float)
@@ -223,24 +228,15 @@ def fit_weights(
     if tolerance is None:
         tolerance = spec.tolerance if spec else DEFAULT_TOLERANCE
 
-    w, obj, converged, path = _pgd_simplex(A, b, max_iterations, tolerance)
-
-    # vertex certificate: convexity says no single donor may beat the fit
-    vertex_objs = np.sum((A - b[:, None]) ** 2, axis=0)
-    best_vertex = int(np.argmin(vertex_objs))
-    if vertex_objs[best_vertex] < obj:
-        w = np.zeros(A.shape[1])
-        w[best_vertex] = 1.0
-        obj = float(vertex_objs[best_vertex])
-
+    w, converged, path = _active_set_simplex(A, b, max_iterations, tolerance)
     if not converged:
         warnings.warn(
-            f"weight fit stopped after {max_iterations} iterations without "
-            f"meeting the decrease tolerance {tolerance}",
+            f"weight fit stopped after {path.size - 1} active-set steps "
+            f"without KKT certificate at tolerance {tolerance}",
             ConvergenceWarning,
             stacklevel=2,
         )
-    pre_rmse = float(np.sqrt(obj / b.size))
+    pre_rmse = float(np.sqrt(path[-1] / b.size))
     if return_objectives:
         return w, pre_rmse, converged, path
     return w, pre_rmse

@@ -196,6 +196,34 @@ class TestDidWorkflow:
         assert run(*argv) == 0
         assert (work / "did.json").read_bytes() == first
 
+    def test_short_units_row_exits_2(self, tmp_path, capsys):
+        data, _ = simulate_and_ingest(tmp_path, did_scenario())
+        units = data / "units.csv"
+        units.write_text(units.read_text() + "GHOST\n", encoding="utf-8")
+        code = run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--units", units,
+            "--out", tmp_path / "again", "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "units.csv line 4" in err and "Traceback" not in err
+
+    def test_panel_missing_tag_row_exits_2(self, tmp_path, capsys):
+        _, work = simulate_and_ingest(tmp_path, did_scenario(), with_units=True)
+        panel = work / "panel.txt"
+        head, tags = panel.read_text().split("#section tags\n")
+        kept = [line for line in tags.splitlines(True) if not line.startswith("CTRL\t")]
+        panel.write_text(head + "#section tags\n" + "".join(kept), encoding="utf-8")
+        code = run(
+            "did", "--panel", panel,
+            "--treated", "TREAT", "--control", "CTRL",
+            "--treatment-date", "2020-01-31", "--out", work, "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "panel.txt: tags section has no row for unit 'CTRL'" in err
+
     def test_unknown_unit_exits_3(self, tmp_path):
         _, work = simulate_and_ingest(tmp_path, did_scenario())
         assert (

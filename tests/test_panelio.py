@@ -249,6 +249,29 @@ class TestPanelFormat:
         back = read_panel(buf.getvalue().encode())
         assert back.policy_codes.tolist() == [[0, 3]]
 
+    @pytest.mark.parametrize("damage", ["drop_row", "drop_cell"])
+    @pytest.mark.parametrize("section", ["covariates", "tags", "codes"])
+    def test_damaged_unit_row_named(self, section, damage):
+        from causalpanel.paneldata import merge_panels
+
+        panel = self.full_panel()
+        panel = merge_panels(
+            panel, [PolicyTimeline(u, panel.dates, (0, 1, 2)) for u in panel.unit_ids]
+        )
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        start = lines.index(f"#section {section}\n")
+        row = next(
+            i for i in range(start, len(lines)) if lines[i].startswith("USA\t")
+        )
+        if damage == "drop_row":
+            del lines[row]
+        else:
+            lines[row] = lines[row].rsplit("\t", 1)[0] + "\n"
+        with pytest.raises(ParseError, match=f"{section} (section|row).*'USA'"):
+            read_panel("".join(lines).encode())
+
     def test_missing_magic(self):
         with pytest.raises(ParseError, match="magic"):
             read_panel(b"not a panel\n")

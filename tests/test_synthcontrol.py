@@ -147,11 +147,19 @@ class TestFitWeights:
         assert (diffs <= 1e-12 * (1.0 + np.abs(path[:-1]))).all()
 
     def test_non_convergence_warns_and_returns_feasible(self):
-        A, rng = donor_pool(6, J=6)
-        b = rng.normal(5.0, 1.0, A.shape[0])
-        with pytest.warns(ConvergenceWarning):
-            w, _ = fit_weights(b, A, max_iterations=1, tolerance=1e-16)
-        assert abs(w.sum() - 1.0) <= 1e-9
+        # a three-donor blend needs at least two steps from any vertex
+        A, _ = donor_pool(6, J=6)
+        b = A @ np.array([0.0, 0.5, 0.0, 0.3, 0.2, 0.0])
+        with pytest.warns(ConvergenceWarning, match="without KKT certificate"):
+            w, _, converged, path = fit_weights(
+                b, A, max_iterations=1, return_objectives=True
+            )
+        assert not converged
+        assert path.size == 2
+        assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9
+        *_, converged, full_path = fit_weights(b, A, return_objectives=True)
+        assert converged and full_path.size > 2
+        assert full_path[-1] < path[-1]
 
     def test_degenerate_constant_pre_period(self):
         # constant series: every simplex point fits equally; result must
@@ -161,6 +169,64 @@ class TestFitWeights:
         w, rmse = fit_weights(b, A)
         assert abs(w.sum() - 1.0) <= 1e-9
         assert rmse == pytest.approx(0.0, abs=1e-9)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        duplicates=st.integers(0, 2),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kkt_oracle(self, seed, duplicates, wide):
+        # optimality read off the returned weights alone: feasible, equal
+        # gradient on the support, and no descent direction off it
+        rng = np.random.default_rng(seed)
+        J = int(rng.integers(3 if wide else 1, 10))
+        T0 = int(rng.integers(2, J)) if wide else int(rng.integers(max(J, 2), 40))
+        A = rng.normal(5.0, float(10.0 ** rng.integers(-2, 2)), (T0, J))
+        for _ in range(duplicates if J > 1 else 0):
+            A[:, rng.integers(0, J)] = A[:, rng.integers(0, J)]
+        b = rng.normal(5.0, 1.0, T0)
+        w, _, converged, _ = fit_weights(b, A, return_objectives=True)
+        assert converged
+        assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9
+        grad = 2.0 * A.T @ (A @ w - b)
+        support = w > 0
+        level = grad[support] @ w[support]
+        slack = 1e-7 * max(1.0, float(np.max(np.sum((A - b[:, None]) ** 2, axis=0))))
+        assert np.all(np.abs(grad[support] - level) <= slack)
+        assert np.all(grad[~support] >= level - slack)
+
+    @pytest.mark.parametrize("case", ["duplicate_donors", "fewer_dates_than_donors"])
+    def test_degenerate_gram_deterministic_and_equivariant(self, case):
+        rng = np.random.default_rng(17)
+        n, t0 = 12, 8
+        if case == "fewer_dates_than_donors":
+            n, t0 = 7, 3
+        series = {f"d{j}": list(rng.normal(5.0, 1.0, n)) for j in range(6)}
+        if case == "duplicate_donors":
+            series["d4"] = list(series["d1"])
+            series["d5"] = list(series["d1"])
+        series["treated"] = list(
+            0.5 * np.array(series["d1"]) + 0.5 * np.array(series["d2"])
+            + rng.normal(0.0, 0.1, n)
+        )
+        panel = make_panel(series)
+        donors = tuple(f"d{j}" for j in range(6))
+        order = [3, 5, 0, 4, 2, 1]
+        fwd = fit_synth(panel, SynthSpec("treated", donors, day(t0)))
+        again = fit_synth(panel, SynthSpec("treated", donors, day(t0)))
+        perm = fit_synth(
+            panel, SynthSpec("treated", tuple(donors[i] for i in order), day(t0))
+        )
+        assert fwd.converged
+        np.testing.assert_array_equal(fwd.weights, again.weights)
+        np.testing.assert_array_equal(fwd.weights[order], perm.weights)
+        assert fwd.pre_rmse == again.pre_rmse == perm.pre_rmse
+        np.testing.assert_array_equal(fwd.counterfactual, perm.counterfactual)
+        if case == "duplicate_donors":
+            # the tie between identical donors goes to the lowest sorted id
+            assert fwd.weights[1] > 0.0
+            assert fwd.weights[4] == 0.0 and fwd.weights[5] == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -270,10 +336,9 @@ class TestFitSynth:
 
 
 class TestRandomizationInference:
-    @pytest.mark.filterwarnings("ignore::causalpanel.errors.ConvergenceWarning")
+    @pytest.mark.filterwarnings("error::causalpanel.errors.ConvergenceWarning")
     def test_strong_effect_minimum_p(self):
-        # near-duplicate donors make an ill-conditioned Gram; the fit warns
-        # about hitting its iteration budget, which is expected here
+        # near-duplicate donors: the fit and every placebo refit converge
         rng = np.random.default_rng(33)
         n, t0 = 40, 30
         t = np.arange(n, dtype=float)
@@ -285,6 +350,7 @@ class TestRandomizationInference:
         panel = make_panel(series)
         spec = SynthSpec("treated", ("d0", "d1", "d2", "d3"), day(t0))
         fit = fit_synth(panel, spec)
+        assert fit.converged
         p, gaps = randomization_inference(panel, spec, fit)
         assert p == pytest.approx(1.0 / 5.0)
         assert set(gaps) == {"d0", "d1", "d2", "d3"}

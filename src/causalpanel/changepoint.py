@@ -2,11 +2,13 @@
 
 Series are modelled as piecewise constant with squared-error cost per
 segment. For a known segment count the globally optimal segmentation is
-found by exact dynamic programming in O(K n^2); for an unknown count the
-segment cost is penalized linearly in K and the best K <= k_max is chosen.
-Exactness over approximate splitting is deliberate: the target series are
-daily aggregates with n in the hundreds, and the exact program doubles as
-its own correctness certificate against brute-force enumeration.
+found by exact dynamic programming (segment neighbourhood, Auger &
+Lawrence 1989): one recursion, O(K n^2) time, O(k_max n) memory, any n.
+For an unknown count the segment cost is penalized linearly in K and the
+best K <= k_max is chosen. Exactness over approximate splitting is
+deliberate: the target series are daily aggregates with n in the hundreds
+to thousands, and the exact program doubles as its own correctness
+certificate against brute-force enumeration.
 
 Ties between equal-cost segmentations are broken toward the
 lexicographically smallest breakpoint list, which keeps results identical
@@ -127,26 +129,6 @@ class SeriesCosts:
         costs = (self._s2[start + 1 :] - self._s2[start]) - totals * totals / lengths
         return np.maximum(costs, 0.0)
 
-    def cost_to_end(self) -> np.ndarray:
-        """Costs of [i, n) for every i in 0 .. n-1, as one vector."""
-        lengths = np.arange(self.n, 0, -1)
-        totals = self._s1[-1] - self._s1[:-1]
-        costs = (self._s2[-1] - self._s2[:-1]) - totals * totals / lengths
-        return np.maximum(costs, 0.0)
-
-    def cost_matrix(self) -> np.ndarray:
-        """(n+1, n+1) table with entry [i, b] = cost of [i, b); +inf where
-        b <= i. Element-for-element the same float operations as cost_row,
-        so the two routes agree bitwise."""
-        idx = np.arange(self.n + 1)
-        lengths = idx[None, :] - idx[:, None]
-        totals = self._s1[None, :] - self._s1[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            costs = (self._s2[None, :] - self._s2[:, None]) - totals * totals / lengths
-        costs = np.maximum(costs, 0.0)
-        costs[lengths <= 0] = np.inf
-        return costs
-
 
 def segment_cost(series: Sequence[float], start: int, end: int) -> tuple[float, float]:
     """(cost, mean) of the interval [start, end); see :class:`SeriesCosts`."""
@@ -156,27 +138,19 @@ def segment_cost(series: Sequence[float], start: int, end: int) -> tuple[float, 
 def _suffix_costs(costs: SeriesCosts, k_max: int) -> np.ndarray:
     """suffix[k][i] = optimal cost of splitting [i, n) into k segments.
 
-    Invalid (k, i) combinations hold +inf. Level k is computed from level
-    k-1, so one table serves every K <= k_max at once.
+    One recursion for any n: O(K n^2) time, O(k_max n) memory. Invalid
+    (k, i) combinations hold +inf. Columns fill right to left, so one
+    table serves every K <= k_max at once.
     """
     n = costs.n
     suffix = np.full((k_max + 1, n + 1), np.inf)
-    suffix[1, :n] = costs.cost_to_end()
-    if (n + 1) * (n + 1) <= 8_000_000:
-        # [i, n) splits as [i, b) + k-1 segments of [b, n). One vectorized
-        # (min, +) pass per level; +inf entries in the cost table (b <= i)
-        # and in the previous level (too few positions left) make invalid
-        # b drop out of the minimum on their own.
-        table = costs.cost_matrix()
-        for k in range(2, k_max + 1):
-            suffix[k, :] = np.min(table + suffix[k - 1][None, :], axis=1)
-    else:
-        for k in range(2, k_max + 1):
-            for i in range(n - k, -1, -1):
-                b_lo, b_hi = i + 1, n - (k - 1)
-                row = costs.cost_row(i)
-                cands = row[: b_hi - i] + suffix[k - 1, b_lo : b_hi + 1]
-                suffix[k, i] = cands.min()
+    for i in range(n - 1, -1, -1):
+        # [i, n) splits as [i, b) + k-1 segments of [b, n), b in i+1 .. n;
+        # +inf in the previous level (too few positions left after b)
+        # drops out of the minimum, which is taken for every k at once.
+        row = costs.cost_row(i)
+        suffix[1, i] = row[-1]
+        suffix[2:, i] = np.min(row + suffix[1:k_max, i + 1 :], axis=1)
     return suffix
 
 

@@ -156,9 +156,11 @@ def _load_json(path: str):
         raise OSError(f"{path}: {err.strerror or err}") from None
 
 
-def _load_panel(path: str) -> PanelDataset:
+def _load(parse, path: str, *args):
+    """Run a file reader, prefixing its parse or validation errors with the
+    file path (the readers name only the row, section or unit)."""
     try:
-        return read_panel(path)
+        return parse(path, *args)
     except (ParseError, ValidationError) as err:
         raise type(err)(f"{path}: {err}") from None
 
@@ -309,9 +311,9 @@ def _continent_lookup(path: str) -> dict[str, str]:
 
 def cmd_ingest(args, config) -> int:
     outdir = _outdir(args, config)
-    timelines = parse_policy_csv(args.policy, args.indicator)
+    timelines = _load(parse_policy_csv, args.policy, args.indicator)
     log.info("parsed %d policy timeline(s)", len(timelines))
-    records = parse_telemetry_csv(args.telemetry)
+    records = _load(parse_telemetry_csv, args.telemetry)
     log.info("parsed %d telemetry row(s)", len(records))
 
     panel = aggregate_telemetry(
@@ -349,7 +351,7 @@ def _panel_text(panel: PanelDataset) -> str:
 
 def cmd_did(args, config) -> int:
     outdir = _outdir(args, config)
-    panel = _load_panel(args.panel)
+    panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),
         control_units=frozenset(_split_list(args.control)),
@@ -420,7 +422,7 @@ def cmd_did(args, config) -> int:
 
 def cmd_synth(args, config) -> int:
     outdir = _outdir(args, config)
-    panel = _load_panel(args.panel)
+    panel = _load(read_panel, args.panel)
     spec_kwargs = dict(
         treated_unit=args.treated,
         donor_units=tuple(_split_list(args.donors)),
@@ -520,6 +522,10 @@ def _read_series_csv(path: str) -> tuple[np.ndarray, list[date] | None]:
                     raise ParseError(
                         f"{path} row {lineno}: bad value cell"
                     ) from None
+                if not np.isfinite(values[-1]):
+                    raise ParseError(
+                        f"{path} row {lineno}: non-finite value {row[v_col]!r}"
+                    )
                 if d_col is not None:
                     dates.append(_iso_date(row[d_col], f"{path} row {lineno}"))
     except OSError as err:
@@ -534,7 +540,7 @@ def cmd_cpd(args, config) -> int:
     if args.panel:
         if not args.unit:
             raise ValidationError("--panel requires --unit")
-        panel = _load_panel(args.panel)
+        panel = _load(read_panel, args.panel)
         values, mask = panel.unit_series(args.unit)
         if mask.any():
             raise ValidationError(
@@ -593,7 +599,7 @@ def cmd_cpd(args, config) -> int:
 
 def cmd_persona(args, config) -> int:
     outdir = _outdir(args, config)
-    records = parse_persona_csv(args.records)
+    records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
     fit_until = (

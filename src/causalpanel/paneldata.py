@@ -169,6 +169,13 @@ class PanelDataset:
                     f"covariate matrix {cov.shape} does not match "
                     f"{len(self.unit_ids)} units x {len(self.covariate_names)} names"
                 )
+            bad = np.argwhere(~np.isfinite(cov))
+            if bad.size:
+                i, c = bad[0]
+                raise ValidationError(
+                    f"covariate {self.covariate_names[c]!r} is non-finite "
+                    f"for unit {self.unit_ids[i]!r}"
+                )
         elif self.covariate_names:
             raise ValidationError("covariate names given without a matrix")
         object.__setattr__(

@@ -461,7 +461,10 @@ def read_panel(source) -> PanelDataset:
     if "codes" in sections and len(sections["codes"]) > 1:
         _, rows = unit_rows("codes")
         codes = np.array(
-            [[-1 if c == NA else int(c) for c in row] for row in rows],
+            [
+                [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
+                for u, row in zip(units, rows)
+            ],
             dtype=np.int64,
         )
 
@@ -478,8 +481,8 @@ def read_panel(source) -> PanelDataset:
     )
 
 
-def _parse_number(token: str, section: str, unit: str) -> float:
+def _parse_number(token: str, section: str, unit: str, kind=float):
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
         raise ParseError(f"{section} row for {unit!r}: bad number {token!r}") from None

@@ -212,6 +212,12 @@ class TestPenalized:
         with pytest.raises(ValueError):
             detect_penalized([1.0], PenaltyConfig(kind="bic"))
 
+    def test_k_max_one_is_single_segment(self):
+        y = [0.0] * 10 + [9.0] * 10
+        seg = detect_penalized(y, PenaltyConfig(kind="manual", lam=0.0), k_max=1)
+        assert seg.breakpoints == ()
+        assert seg.total_cost == float(exact_interval_cost(y))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -239,6 +245,26 @@ class TestPenalized:
             3.0 * sigma**2 * np.log(16)
         )
         assert effective_penalty(y, PenaltyConfig(kind="manual", lam=7.5)) == 7.5
+
+
+class TestLongSeries:
+    def test_known_steps_at_n_3000(self):
+        # uniform noise of unit sigma stays within +-sqrt(3) < 2, half the
+        # smallest step, so no point near a boundary fits the far side
+        # better and the true breakpoints are the unique optimum
+        rng = np.random.default_rng(3000)
+        n, breaks = 3000, (400, 950, 1500, 2100, 2650)
+        steps = (5.0, -4.0, 6.0, -5.0, 4.0)
+        y = rng.uniform(-1.0, 1.0, n) * np.sqrt(3.0)
+        for b, step in zip(breaks, steps):
+            y[b:] += step
+        seg = detect_known_k(y, 6)
+        assert seg.breakpoints == breaks
+        assert detect_penalized(y, PenaltyConfig(kind="bic")).breakpoints == breaks
+        exact = sum(exact_interval_cost(y[a:b]) for a, b in seg.segments())
+        assert seg.total_cost == pytest.approx(float(exact), rel=1e-9)
+        rev = detect_known_k(y[::-1], 6)
+        assert rev.total_cost == pytest.approx(seg.total_cost, rel=1e-9)
 
 
 class TestNoiseScale:

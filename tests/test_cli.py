@@ -104,6 +104,17 @@ def simulate_and_ingest(tmp_path, scenario, with_units=False):
     return data, work
 
 
+def edit_panel_row(panel, section, unit, column, value):
+    """Set one cell of a unit's row in a panel.txt section."""
+    head, body = panel.read_text().split(f"#section {section}\n")
+    lines = body.splitlines(True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(unit + "\t"))
+    cells = lines[row].rstrip("\n").split("\t")
+    cells[lines[0].rstrip("\n").split("\t").index(column)] = value
+    lines[row] = "\t".join(cells) + "\n"
+    panel.write_text(head + f"#section {section}\n" + "".join(lines), encoding="utf-8")
+
+
 class TestSimulate:
     def test_writes_scenario_files_and_truth(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "s.json", did_scenario())
@@ -224,6 +235,19 @@ class TestDidWorkflow:
         err = capsys.readouterr().err
         assert "panel.txt: tags section has no row for unit 'CTRL'" in err
 
+    def test_panel_bad_code_cell_exits_2(self, tmp_path, capsys):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        panel = work / "panel.txt"
+        edit_panel_row(panel, "codes", "CTRL", "2020-02-29", "x")
+        code = run(
+            "did", "--panel", panel,
+            "--treated", "TREAT", "--control", "CTRL",
+            "--treatment-date", "2020-01-31", "--out", work, "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "panel.txt: codes row for 'CTRL': bad number 'x'" in err
+
     def test_unknown_unit_exits_3(self, tmp_path):
         _, work = simulate_and_ingest(tmp_path, did_scenario())
         assert (
@@ -291,6 +315,22 @@ class TestSynthWorkflow:
         assert "ABSENT" in capsys.readouterr().err
 
 
+    def test_inf_covariate_exits_3(self, tmp_path, capsys):
+        _, work = simulate_and_ingest(tmp_path, synth_scenario())
+        panel = work / "panel.txt"
+        edit_panel_row(panel, "covariates", "D2", "system_count", "inf")
+        code = run(
+            "synth", "--panel", panel,
+            "--treated", "T", "--donors", "D1,D2,D3",
+            "--treatment-date", "2020-03-01", "--covariates", "system_count",
+            "--out", work, "--quiet",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "panel.txt: covariate 'system_count' is non-finite for unit 'D2'" in err
+        assert not (work / "synth.json").exists()
+
+
 class TestCpdWorkflow:
     def test_constant_series_reports_one_segment(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -333,6 +373,15 @@ class TestCpdWorkflow:
         payload = json.loads((tmp_path / "cpd.json").read_text())
         assert payload["breakpoints"] == []
         assert payload["lambda_eff"] == 1e9
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, token):
+        series = tmp_path / "series.csv"
+        series.write_text(f"value\n1.0\n2.0\n{token}\n3.0\n", encoding="utf-8")
+        assert run("cpd", "--series", series, "--out", tmp_path, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"series.csv row 4: non-finite value '{token}'" in err
+        assert not (tmp_path / "cpd.json").exists()
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
@@ -401,6 +450,44 @@ class TestPersonaWorkflow:
             )
             == 3
         )
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize(
+        "name,lineno,column,value,message",
+        [
+            ("policy.csv", 3, "Date", "x", "row 3: malformed date 'x'"),
+            ("telemetry.csv", 4, "vpro", "maybe", "row 4: bad vpro value 'maybe'"),
+            ("persona.csv", 5, None, "0.0", "row 5: expected"),
+        ],
+        ids=["policy", "telemetry", "persona"],
+    )
+    def test_bad_row_names_file_and_row(
+        self, tmp_path, capsys, name, lineno, column, value, message
+    ):
+        cfg = write_json(tmp_path / "scenario.json", persona_scenario())
+        data = tmp_path / "data"
+        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+        path = data / name
+        lines = path.read_text().splitlines(True)
+        cells = lines[lineno - 1].rstrip("\n").split(",")
+        if column is None:
+            cells.append(value)  # one cell too many
+        else:
+            cells[lines[0].rstrip("\n").split(",").index(column)] = value
+        lines[lineno - 1] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        if name == "persona.csv":
+            argv = ["persona", "--records", path]
+        else:
+            argv = [
+                "ingest", "--policy", data / "policy.csv",
+                "--telemetry", data / "telemetry.csv",
+            ]
+        assert run(*argv, "--out", tmp_path / "work", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"{name}: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestReport:

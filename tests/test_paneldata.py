@@ -155,6 +155,15 @@ class TestPanelDataset:
                 covariate_names=("only_one",),
             )
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_rejected(self, bad):
+        with pytest.raises(ValidationError, match="'vpro_percentage'.*'B'"):
+            make_panel(
+                {"A": [1.0], "B": [2.0]},
+                covariates=np.array([[3.0, 0.5], [4.0, bad]]),
+                covariate_names=("system_count", "vpro_percentage"),
+            )
+
     def test_tag_length_checked(self):
         with pytest.raises(ValidationError, match="tag"):
             make_panel({"A": [1.0]}, unit_tags={"continent": ("Europe", "Asia")})

@@ -249,8 +249,16 @@ class TestPanelFormat:
         back = read_panel(buf.getvalue().encode())
         assert back.policy_codes.tolist() == [[0, 3]]
 
-    @pytest.mark.parametrize("damage", ["drop_row", "drop_cell"])
-    @pytest.mark.parametrize("section", ["covariates", "tags", "codes"])
+    @pytest.mark.parametrize(
+        "section,damage",
+        [
+            (section, damage)
+            for section in ("covariates", "tags", "codes")
+            for damage in ("drop_row", "drop_cell")
+        ]
+        # any string is a valid tag, so a bad cell only fits numeric sections
+        + [("covariates", "bad_cell"), ("codes", "bad_cell")],
+    )
     def test_damaged_unit_row_named(self, section, damage):
         from causalpanel.paneldata import merge_panels
 
@@ -267,8 +275,10 @@ class TestPanelFormat:
         )
         if damage == "drop_row":
             del lines[row]
-        else:
+        elif damage == "drop_cell":
             lines[row] = lines[row].rsplit("\t", 1)[0] + "\n"
+        else:
+            lines[row] = lines[row].rsplit("\t", 1)[0] + "\tx\n"
         with pytest.raises(ParseError, match=f"{section} (section|row).*'USA'"):
             read_panel("".join(lines).encode())
 

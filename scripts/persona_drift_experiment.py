@@ -21,7 +21,7 @@ import numpy as np
 
 from causalpanel.persona import (
     CATEGORY_TO_PERSONA,
-    UsageFeatureVector,
+    device_means,
     fit_kmeans,
     persona_changepoint,
     rename_personas,
@@ -55,19 +55,6 @@ def scenario(seed: int, fraction: float) -> ScenarioConfig:
     )
 
 
-def device_means(records) -> list[UsageFeatureVector]:
-    by_device: dict[str, list] = {}
-    for r in records:
-        by_device.setdefault(r.device_id, []).append(r)
-    vectors = []
-    for device in sorted(by_device):
-        rows = by_device[device]
-        names = sorted(rows[0].features)
-        mean = {n: float(np.mean([r.features[n] for r in rows])) for n in names}
-        vectors.append(UsageFeatureVector(device, rows[0].window_start, mean))
-    return vectors
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=9)
@@ -85,7 +72,7 @@ def main(argv=None) -> int:
 
     # fit on pre-shift days only so the drift cannot contaminate the
     # centroids; the frozen model is what makes later counts comparable
-    pre = [r for r in records if r.window_start < SHIFT]
+    pre = records.take(records.day < SHIFT.toordinal())
     model = rename_personas(
         fit_kmeans(device_means(pre), k=6, seed=0), CATEGORY_TO_PERSONA
     )

@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -64,7 +65,7 @@ from .persona import (
     CATEGORY_TO_PERSONA,
     DEFAULT_FEATURE_CATEGORIES,
     DEFAULT_K,
-    UsageFeatureVector,
+    device_means,
     fit_kmeans,
     persona_changepoint,
     rename_personas,
@@ -602,29 +603,15 @@ def cmd_persona(args, config) -> int:
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
-    fit_until = (
-        _iso_date(args.fit_until, "--fit-until") if args.fit_until else None
-    )
-    fit_records = (
-        [r for r in records if r.window_start < fit_until] if fit_until else records
-    )
-    if not fit_records:
+    fit_records = records
+    if args.fit_until:
+        fit_until = _iso_date(args.fit_until, "--fit-until")
+        fit_records = records.take(records.day < fit_until.toordinal())
+    if not len(fit_records):
         raise ValidationError("no usage rows before --fit-until to fit on")
 
-    by_device: dict[str, list] = {}
-    for r in fit_records:
-        by_device.setdefault(r.device_id, []).append(r)
-    vectors = []
-    for device in sorted(by_device):
-        rows = by_device[device]
-        names = sorted(rows[0].features)
-        mean = {
-            n: float(np.mean([r.features[n] for r in rows])) for n in names
-        }
-        vectors.append(UsageFeatureVector(device, rows[0].window_start, mean))
-
     seed = _resolve(args, config, "seed", default=0)
-    model = fit_kmeans(vectors, k=args.k, seed=int(seed))
+    model = fit_kmeans(device_means(fit_records), k=args.k, seed=int(seed))
     if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
         model = rename_personas(model, CATEGORY_TO_PERSONA)
 
@@ -816,6 +803,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one log line, its category and message, in place
+    of Python's two-line form with the source line."""
+    log.warning("%s: %s", category.__name__, message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -824,6 +817,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(message)s",
         force=True,
     )
+    warnings.showwarning = _log_warning
     try:
         config: Mapping = {}
         if getattr(args, "config", None):

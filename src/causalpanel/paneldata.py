@@ -2,12 +2,23 @@
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions of their inputs.
+
+Device telemetry is held as columns (:class:`TelemetryColumns`): one
+int64 array of day ordinals, one tuple of strings per text field
+(device, unit, chassis, CPU family), a bool array for vPro and one
+float64 array per measurement. :class:`TelemetryRecord` is the per-row
+view of the same data; every function that accepts records converts
+them to columns once on entry, so each computation has one code path.
+Aggregation is bitwise equal to accumulating the records one by one in
+canonical order (group label, date, device, usage hours, watts): rows
+are put in that order with a stable ``np.lexsort`` and summed per cell
+with ``np.bincount``, which adds its weights in input order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
@@ -82,6 +93,32 @@ class TreatmentEvent:
     date: date
 
 
+def telemetry_violation(chassis, cpu_family, usage_hours, cpu_watts):
+    """The first row that breaks the telemetry schema, as (row index,
+    what is wrong), or None. Chassis and CPU family must be known names,
+    usage hours within [0, 24], watts finite and non-negative."""
+    hours = np.asarray(usage_hours, dtype=float)
+    watts = np.asarray(cpu_watts, dtype=float)
+    problems = []
+    for name, values, allowed in (
+        ("chassis", chassis, CHASSIS_TYPES),
+        ("cpu_family", cpu_family, CPU_FAMILIES),
+    ):
+        unknown = set(values) - allowed
+        if unknown:
+            i = next(i for i, v in enumerate(values) if v in unknown)
+            problems.append((i, f"unknown {name} {values[i]!r}"))
+    bad = np.flatnonzero(~((hours >= 0.0) & (hours <= 24.0)))
+    if bad.size:
+        i = int(bad[0])
+        problems.append((i, f"usage_hours {hours[i]} outside [0, 24]"))
+    bad = np.flatnonzero(~(np.isfinite(watts) & (watts >= 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        problems.append((i, f"cpu_watts {watts[i]} must be finite and non-negative"))
+    return min(problems, key=lambda p: p[0]) if problems else None
+
+
 @dataclass(frozen=True)
 class TelemetryRecord:
     """One device-day usage report."""
@@ -96,23 +133,12 @@ class TelemetryRecord:
     cpu_watts: float
 
     def __post_init__(self):
-        if self.chassis not in CHASSIS_TYPES:
+        problem = telemetry_violation(
+            (self.chassis,), (self.cpu_family,), [self.usage_hours], [self.cpu_watts]
+        )
+        if problem is not None:
             raise ValidationError(
-                f"device {self.device_id}: unknown chassis {self.chassis!r}"
-            )
-        if self.cpu_family not in CPU_FAMILIES:
-            raise ValidationError(
-                f"device {self.device_id}: unknown cpu_family {self.cpu_family!r}"
-            )
-        if not 0.0 <= self.usage_hours <= 24.0:
-            raise ValidationError(
-                f"device {self.device_id} on {self.date}: usage_hours "
-                f"{self.usage_hours} outside [0, 24]"
-            )
-        if not self.cpu_watts >= 0.0:
-            raise ValidationError(
-                f"device {self.device_id} on {self.date}: cpu_watts "
-                f"{self.cpu_watts} negative"
+                f"device {self.device_id} on {self.date}: {problem[1]}"
             )
 
 
@@ -120,6 +146,101 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def factorize(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct values in sorted order, and each value's index among them
+    (so index order is string order)."""
+    levels = sorted(set(values))
+    index = {v: i for i, v in enumerate(levels)}
+    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return tuple(levels), codes
+
+
+@dataclass(frozen=True, eq=False)
+class TelemetryColumns:
+    """Device-day usage reports as columns; row ``i`` of every field is one
+    report. ``day`` holds date ordinals (``date.toordinal()``).
+
+    Equality is field by field, floats bitwise. Iterating yields one
+    :class:`TelemetryRecord` per row.
+    """
+
+    day: np.ndarray
+    device_id: tuple[str, ...]
+    unit_id: tuple[str, ...]
+    chassis: tuple[str, ...]
+    cpu_family: tuple[str, ...]
+    vpro: np.ndarray
+    usage_hours: np.ndarray
+    cpu_watts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("device_id", "unit_id", "chassis", "cpu_family"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "day", _frozen_array(self.day, np.int64))
+        object.__setattr__(self, "vpro", _frozen_array(self.vpro, bool))
+        for name in ("usage_hours", "cpu_watts"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
+        n = len(self.device_id)
+        arrays = (self.day, self.vpro, self.usage_hours, self.cpu_watts)
+        texts = (self.unit_id, self.chassis, self.cpu_family)
+        if any(a.shape != (n,) for a in arrays) or any(len(t) != n for t in texts):
+            raise ValidationError("telemetry columns differ in length")
+        problem = telemetry_violation(
+            self.chassis, self.cpu_family, self.usage_hours, self.cpu_watts
+        )
+        if problem is not None:
+            i, what = problem
+            raise ValidationError(
+                f"device {self.device_id[i]} on {date.fromordinal(int(self.day[i]))}: "
+                f"{what}"
+            )
+
+    @classmethod
+    def from_records(cls, records: Iterable[TelemetryRecord]) -> TelemetryColumns:
+        records = list(records)
+        return cls(
+            day=[r.date.toordinal() for r in records],
+            device_id=[r.device_id for r in records],
+            unit_id=[r.unit_id for r in records],
+            chassis=[r.chassis for r in records],
+            cpu_family=[r.cpu_family for r in records],
+            vpro=[r.vpro for r in records],
+            usage_hours=[r.usage_hours for r in records],
+            cpu_watts=[r.cpu_watts for r in records],
+        )
+
+    def __len__(self) -> int:
+        return self.day.shape[0]
+
+    def __iter__(self):
+        columns = zip(
+            self.day.tolist(), self.device_id, self.unit_id, self.chassis,
+            self.cpu_family, self.vpro.tolist(), self.usage_hours.tolist(),
+            self.cpu_watts.tolist(),
+        )
+        for day, *rest in columns:
+            yield TelemetryRecord(date.fromordinal(day), *rest)
+
+    def __eq__(self, other):
+        if not isinstance(other, TelemetryColumns):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            a == b if isinstance(a, tuple) else a.tobytes() == b.tobytes()
+            for a, b in pairs
+        )
+
+    __hash__ = None
+
+
+def as_telemetry_columns(records) -> TelemetryColumns:
+    """``records`` as columns: a :class:`TelemetryColumns` as is, any
+    other iterable of :class:`TelemetryRecord` converted row by row."""
+    if isinstance(records, TelemetryColumns):
+        return records
+    return TelemetryColumns.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -263,35 +384,50 @@ def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:
     return events
 
 
-def _group_label(record: TelemetryRecord, fields: tuple[str, ...]) -> str:
-    parts = []
-    for f in fields:
-        value = getattr(record, f)
+def _group_index(rows: TelemetryColumns, group_fields: tuple[str, ...]):
+    """Sorted composite labels such as "CHN|Notebook|i7", and each row's
+    index among them."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    field_levels = []
+    for f in group_fields:
         if f == "vpro":
-            value = "vpro" if value else "novpro"
-        parts.append(str(value))
-    return "|".join(parts)
+            levels, codes = ("novpro", "vpro"), rows.vpro.astype(np.int64)
+        else:
+            levels, codes = factorize(getattr(rows, f))
+        key = key * len(levels) + codes
+        field_levels.append(levels)
+    combos, combo_of_row = np.unique(key, return_inverse=True)
+    combo_labels = []
+    for k in combos.tolist():
+        parts = []
+        for levels in reversed(field_levels):
+            k, digit = divmod(k, len(levels))
+            parts.append(levels[digit])
+        combo_labels.append("|".join(reversed(parts)))
+    labels, label_of_combo = factorize(combo_labels)
+    return labels, label_of_combo[combo_of_row]
 
 
 def aggregate_telemetry(
-    records: Iterable[TelemetryRecord],
+    records,
     group_by: Iterable[str] = ("unit_id",),
     outcome: str = "usage_hours",
     statistic: str = "mean",
 ) -> PanelDataset:
     """Aggregate device-day records to a (group x date) panel of outcome means.
 
-    Groups are composite units keyed by the requested fields in canonical
-    order. Cells with no records are masked. Two covariates are recorded per
-    group: the mean daily device count over the days the group reports
-    (``system_count``) and the share of its records with vPro enabled
-    (``vpro_percentage``).
+    ``records`` is a :class:`TelemetryColumns` or an iterable of
+    :class:`TelemetryRecord`. Groups are composite units keyed by the
+    requested fields in canonical order. Cells with no records are masked.
+    Two covariates are recorded per group: the mean daily device count over
+    the days the group reports (``system_count``) and the share of its
+    records with vPro enabled (``vpro_percentage``).
 
     Records are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
     """
-    records = list(records)
-    if not records:
+    rows = as_telemetry_columns(records)
+    if not len(rows):
         raise ValidationError("no telemetry records to aggregate")
     group_fields = tuple(f for f in GROUP_FIELD_ORDER if f in set(group_by))
     unknown = set(group_by) - set(GROUP_FIELD_ORDER)
@@ -302,57 +438,37 @@ def aggregate_telemetry(
     if statistic != "mean":
         raise SchemaError(f"unsupported statistic {statistic!r}")
 
-    records.sort(
-        key=lambda r: (
-            _group_label(r, group_fields),
-            r.date,
-            r.device_id,
-            r.usage_hours,
-            r.cpu_watts,
-        )
+    unit_ids, group = _group_index(rows, group_fields)
+    device_ids, device = factorize(rows.device_id)
+    first = int(rows.day.min())
+    n_dates = int(rows.day.max()) - first + 1
+    dates = tuple(date.fromordinal(first + t) for t in range(n_dates))
+    shape = (len(unit_ids), n_dates)
+
+    order = np.lexsort((rows.cpu_watts, rows.usage_hours, device, rows.day, group))
+    cell = group * n_dates + (rows.day - first)
+    sums = np.bincount(
+        cell[order], weights=getattr(rows, outcome)[order], minlength=shape[0] * shape[1]
     )
+    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+    present = counts > 0
+    outcomes = np.zeros(shape)
+    outcomes[present] = sums.reshape(shape)[present] / counts[present]
 
-    first = min(r.date for r in records)
-    last = max(r.date for r in records)
-    dates = tuple(first + timedelta(days=i) for i in range((last - first).days + 1))
-
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
-    devices: dict[str, list[set[str]]] = {}
-    vpro_hits: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for r in records:
-        label = _group_label(r, group_fields)
-        if label not in sums:
-            sums[label] = np.zeros(len(dates))
-            counts[label] = np.zeros(len(dates), dtype=np.int64)
-            devices[label] = [set() for _ in dates]
-            vpro_hits[label] = 0
-            totals[label] = 0
-        t = (r.date - first).days
-        sums[label][t] += getattr(r, outcome)
-        counts[label][t] += 1
-        devices[label][t].add(r.device_id)
-        vpro_hits[label] += int(r.vpro)
-        totals[label] += 1
-
-    unit_ids = tuple(sorted(sums))
-    outcomes = np.zeros((len(unit_ids), len(dates)))
-    mask = np.ones((len(unit_ids), len(dates)), dtype=bool)
-    cov = np.zeros((len(unit_ids), 2))
-    for i, label in enumerate(unit_ids):
-        present = counts[label] > 0
-        outcomes[i, present] = sums[label][present] / counts[label][present]
-        mask[i] = ~present
-        day_counts = [len(s) for s, p in zip(devices[label], present) if p]
-        cov[i, 0] = float(np.mean(day_counts))
-        cov[i, 1] = vpro_hits[label] / totals[label]
-
+    # Distinct devices per cell, averaged over the days each group reports.
+    cell_devices = np.unique(cell * len(device_ids) + device) // len(device_ids)
+    day_counts = np.bincount(cell_devices, minlength=shape[0] * shape[1]).reshape(shape)
+    cov = np.column_stack(
+        [
+            day_counts.sum(axis=1) / present.sum(axis=1),
+            np.bincount(group[rows.vpro], minlength=shape[0]) / np.bincount(group),
+        ]
+    )
     return PanelDataset(
         unit_ids=unit_ids,
         dates=dates,
         outcomes=outcomes,
-        missing_mask=mask,
+        missing_mask=~present,
         outcome_name=outcome,
         covariates=cov,
         covariate_names=(SYSTEM_COUNT, VPRO_PERCENTAGE),

@@ -8,27 +8,48 @@ Three formats live here:
   one ordinal indicator column named at parse time. Empty indicator cells
   are forward-filled; leading empties become 0.
 * telemetry CSV — columns (date, device_id, unit_id, chassis, cpu_family,
-  vpro, usage_hours, cpu_watts); unknown columns are ignored.
+  vpro, usage_hours, cpu_watts); unknown columns are ignored. Parsed into
+  :class:`~causalpanel.paneldata.TelemetryColumns`.
 * persona CSV — per-device-day category usage rows
-  (device_id, date, one column per feature category).
+  (device_id, date, one column per feature category). Parsed into
+  :class:`~causalpanel.persona.UsageColumns`.
 * panel file — a self-describing text interchange format for
   :class:`~causalpanel.paneldata.PanelDataset`: a header block naming the
   outcome, then tab-separated sections (``outcomes``, ``covariates``,
   ``tags``, ``codes``) with masked cells written as the sentinel ``NA``.
+
+The telemetry and persona readers parse a file in one pass into columns:
+the CSV body is read a block of rows at a time, transposed, and each
+column converted at once (dates and other text cells once per distinct
+value, numbers with ``float``) and validated at once. Every rejected cell
+is named by its row: unparseable or non-finite values are parse errors,
+values outside the schema validation errors. The writers format a block
+of rows at a time, floats with ``repr`` over ``tolist()`` values, so a
+file written from columns is byte-identical to one written row by row
+with ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
+from dataclasses import fields
 from datetime import date, datetime
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
-from .paneldata import PanelDataset, PolicyTimeline, TelemetryRecord
+from .paneldata import (
+    PanelDataset,
+    PolicyTimeline,
+    TelemetryColumns,
+    as_telemetry_columns,
+    telemetry_violation,
+)
+from .persona import UsageColumns, as_usage_columns
 
 PANEL_MAGIC = "#causalpanel-panel v1"
 NA = "NA"
@@ -63,14 +84,18 @@ def _detect_date_format(token: str) -> str:
     return "iso"
 
 
-def _parse_date(token: str, fmt: str, where: str) -> date:
+def _to_date(token: str, fmt: str) -> date:
     token = token.strip()
+    if fmt == "ymd8":
+        return datetime.strptime(token, "%Y%m%d").date()
+    return date.fromisoformat(token)
+
+
+def _parse_date(token: str, fmt: str, where: str) -> date:
     try:
-        if fmt == "ymd8":
-            return datetime.strptime(token, "%Y%m%d").date()
-        return date.fromisoformat(token)
+        return _to_date(token, fmt)
     except ValueError:
-        raise ParseError(f"{where}: malformed date {token!r}") from None
+        raise ParseError(f"{where}: malformed date {token.strip()!r}") from None
 
 
 def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
@@ -102,13 +127,14 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         if indicator_column not in cols:
             raise SchemaError(f"policy header has no column {indicator_column!r}")
         ind_col = cols[indicator_column]
+        used_cols = (unit_col, region_col, date_col, ind_col)
 
         rows: dict[str, list[tuple[date, str]]] = {}
         date_fmt = None
         for lineno, row in enumerate(csv.reader(stream, delimiter=delim), start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) <= max(unit_col, date_col, ind_col):
+            if len(row) <= max(c for c in used_cols if c is not None):
                 raise ParseError(f"row {lineno}: expected {len(header)} fields")
             unit = row[unit_col].strip()
             if region_col is not None and row[region_col].strip():
@@ -182,147 +208,303 @@ _TELEMETRY_COLUMNS = (
     "cpu_watts",
 )
 
+# Rows handled per read or write step: bounds the cells held as Python
+# strings at once.
+_BLOCK_ROWS = 2048
 
-def parse_telemetry_csv(source) -> list[TelemetryRecord]:
-    """Parse device-day telemetry rows; unknown columns are ignored."""
+
+def _read_header(stream, kind: str) -> tuple[list[str], str]:
+    header_line = stream.readline()
+    if not header_line:
+        raise ParseError(f"{kind} file is empty")
+    delim = _sniff_delimiter(header_line)
+    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+    return header, delim
+
+
+def _has_content(row: list[str]) -> bool:
+    return any(map(str.strip, row))
+
+
+def _body_blocks(reader, width: int, exact: bool = False):
+    """The non-blank rows of a CSV body, a block at a time, as columns
+    (tuples of cells) with each row's number (the header is row 1). A row
+    with fewer than ``width`` cells, or with ``exact`` any other count, is
+    a parse error."""
+    first = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        rownos = np.arange(first, first + len(rows))
+        first += len(rows)
+        keep = np.fromiter(map(_has_content, rows), bool, len(rows))
+        rows, rownos = list(itertools.compress(rows, keep)), rownos[keep]
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        short = np.flatnonzero(lengths != width if exact else lengths < width)
+        if short.size:
+            raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
+        if rows:
+            yield list(zip(*rows)), rownos
+
+
+def _join(blocks: list[dict], name: str, empty):
+    """One column from its per-block parts (``empty`` when no block)."""
+    parts = [b[name] for b in blocks]
+    if not parts:
+        return empty
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return list(itertools.chain.from_iterable(parts))
+
+
+def _map_distinct(cells, convert) -> list:
+    """``convert`` applied to every cell, once per distinct value, so
+    equal cells share one result object."""
+    table = {cell: convert(cell) for cell in set(cells)}
+    return list(map(table.__getitem__, cells))
+
+
+def _parse_distinct(cells, convert, rownos, describe) -> list:
+    """:func:`_map_distinct`, where the first cell ``convert`` rejects with
+    ValueError is a parse error naming its row."""
+    try:
+        return _map_distinct(cells, convert)
+    except ValueError:
+        for cell, rowno in zip(cells, rownos):
+            try:
+                convert(cell)
+            except ValueError:
+                raise ParseError(f"row {rowno}: {describe(cell)}") from None
+        raise
+
+
+def _finite_floats(cells, rownos, what: str) -> np.ndarray:
+    """Float value of every cell; a non-numeric or non-finite cell is a
+    parse error naming the row."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        _parse_distinct(cells, float, rownos, lambda c: f"non-numeric {what} {c.strip()!r}")
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(f"row {rownos[i]}: non-finite {what} {cells[i].strip()!r}")
+    return values
+
+
+def _vpro_flag(token: str) -> bool:
+    token = token.strip().lower()
+    if token in _TRUE_TOKENS:
+        return True
+    if token in _FALSE_TOKENS:
+        return False
+    raise ValueError(token)
+
+
+def _day_ordinals(cells, rownos, fmt: str) -> np.ndarray:
+    """Day ordinal of every date cell."""
+    days = _parse_distinct(
+        cells,
+        lambda c: _to_date(c, fmt).toordinal(),
+        rownos,
+        lambda c: f"malformed date {c.strip()!r}",
+    )
+    return np.array(days, dtype=np.int64)
+
+
+def _chassis(cell: str) -> str:
+    cell = cell.strip()
+    return _CHASSIS_ALIASES.get(cell, cell)
+
+
+def _cpu_family(cell: str) -> str:
+    cell = cell.strip()
+    return cell if cell == "Other" else cell.lower()
+
+
+def parse_telemetry_csv(source) -> TelemetryColumns:
+    """Parse device-day telemetry rows into columns; unknown columns are
+    ignored. Unparseable or non-finite cells are parse errors, rows that
+    break the telemetry schema validation errors, each naming its row."""
     stream, close = _open_text(source)
     try:
-        header_line = stream.readline()
-        if not header_line:
-            raise ParseError("telemetry file is empty")
-        delim = _sniff_delimiter(header_line)
-        header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+        header, delim = _read_header(stream, "telemetry")
         cols = {name: i for i, name in enumerate(header)}
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
-
-        records = []
+        blocks = []
         date_fmt = None
-        for lineno, row in enumerate(csv.reader(stream, delimiter=delim), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < len(header):
-                raise ParseError(f"row {lineno}: expected {len(header)} fields")
-            get = lambda name: row[cols[name]].strip()
-            if date_fmt is None:
-                date_fmt = _detect_date_format(get("date"))
-            day = _parse_date(get("date"), date_fmt, f"row {lineno}")
-            chassis = get("chassis")
-            chassis = _CHASSIS_ALIASES.get(chassis, chassis)
-            family = get("cpu_family")
-            family = family if family == "Other" else family.lower()
-            vtoken = get("vpro").lower()
-            if vtoken in _TRUE_TOKENS:
-                vpro = True
-            elif vtoken in _FALSE_TOKENS:
-                vpro = False
-            else:
-                raise ParseError(f"row {lineno}: bad vpro value {vtoken!r}")
-            try:
-                hours = float(get("usage_hours"))
-                watts = float(get("cpu_watts"))
-            except ValueError:
-                raise ParseError(f"row {lineno}: non-numeric usage value") from None
-            records.append(
-                TelemetryRecord(
-                    date=day,
-                    device_id=get("device_id"),
-                    unit_id=get("unit_id"),
-                    chassis=chassis,
-                    cpu_family=family,
-                    vpro=vpro,
-                    usage_hours=hours,
-                    cpu_watts=watts,
-                )
+        for columns, rownos in _body_blocks(
+            csv.reader(stream, delimiter=delim), len(header)
+        ):
+            block = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
+            date_fmt = date_fmt or _detect_date_format(block["date"][0])
+            block = {
+                "day": _day_ordinals(block["date"], rownos, date_fmt),
+                "device_id": _map_distinct(block["device_id"], str.strip),
+                "unit_id": _map_distinct(block["unit_id"], str.strip),
+                "chassis": _map_distinct(block["chassis"], _chassis),
+                "cpu_family": _map_distinct(block["cpu_family"], _cpu_family),
+                "vpro": np.array(
+                    _parse_distinct(
+                        block["vpro"], _vpro_flag, rownos,
+                        lambda c: f"bad vpro value {c.strip().lower()!r}",
+                    ),
+                    dtype=bool,
+                ),
+                "usage_hours": _finite_floats(block["usage_hours"], rownos, "usage_hours"),
+                "cpu_watts": _finite_floats(block["cpu_watts"], rownos, "cpu_watts"),
+            }
+            problem = telemetry_violation(
+                block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
             )
-        return records
+            if problem is not None:
+                raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
+            blocks.append(block)
     finally:
         if close:
             stream.close()
+    return TelemetryColumns(
+        **{f.name: _join(blocks, f.name, np.zeros(0)) for f in fields(TelemetryColumns)}
+    )
 
 
-def write_telemetry_csv(records: Iterable[TelemetryRecord], target) -> None:
+def _csv_cells(values) -> dict[str, str]:
+    """Each distinct text value as a cell written by ``csv.writer`` (quoted
+    only where the value needs it)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = {}
+    for value in set(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        cells[value] = buf.getvalue()[:-2]
+    return cells
+
+
+def _write_rows(stream, n_rows: int, block_columns) -> None:
+    """Write ``n_rows`` comma-joined lines, a block of rows at a time;
+    ``block_columns(lo, hi)`` returns the formatted cells of rows lo..hi
+    as one sequence per column."""
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_rows)
+        stream.write("\n".join(map(",".join, zip(*block_columns(lo, hi)))) + "\n")
+
+
+def _day_cells(days: np.ndarray) -> list[str]:
+    iso = {d: date.fromordinal(d).isoformat() for d in set(days.tolist())}
+    return [iso[d] for d in days.tolist()]
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.ravel().tolist()))
+
+
+def write_telemetry_csv(records, target) -> None:
+    """Write telemetry rows (a :class:`TelemetryColumns` or an iterable of
+    :class:`TelemetryRecord`) in the shape :func:`parse_telemetry_csv`
+    reads back; floats are written with ``repr``."""
+    rows = as_telemetry_columns(records)
+    text = {
+        name: _csv_cells(getattr(rows, name))
+        for name in ("device_id", "unit_id", "chassis", "cpu_family")
+    }
+
+    def block(lo, hi):
+        return [
+            _day_cells(rows.day[lo:hi]),
+            *(
+                [cells[v] for v in getattr(rows, name)[lo:hi]]
+                for name, cells in text.items()
+            ),
+            ["1" if v else "0" for v in rows.vpro[lo:hi].tolist()],
+            _float_cells(rows.usage_hours[lo:hi]),
+            _float_cells(rows.cpu_watts[lo:hi]),
+        ]
+
     stream, close = _open_text(target, "w")
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_TELEMETRY_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.date.isoformat(),
-                    r.device_id,
-                    r.unit_id,
-                    r.chassis,
-                    r.cpu_family,
-                    "1" if r.vpro else "0",
-                    repr(float(r.usage_hours)),
-                    repr(float(r.cpu_watts)),
-                ]
-            )
+        csv.writer(stream, lineterminator="\n").writerow(_TELEMETRY_COLUMNS)
+        _write_rows(stream, len(rows), block)
     finally:
         if close:
             stream.close()
 
 
 def write_persona_csv(records, target) -> None:
-    """Serialize usage-feature rows; one column per feature category."""
-    records = list(records)
-    if not records:
+    """Serialize usage-feature rows (a :class:`UsageColumns` or an iterable
+    of :class:`UsageFeatureVector`); one column per feature category, in
+    sorted name order, floats written with ``repr``."""
+    rows = as_usage_columns(records)
+    if not len(rows):
         raise ValidationError("no persona records to write")
-    names = sorted(records[0].features)
+    names = sorted(rows.feature_names)
+    values = rows.matrix(names)
+    ids = _csv_cells(rows.device_ids)
+    id_cells = [ids[v] for v in rows.device_ids]
+
+    def block(lo, hi):
+        floats = _float_cells(values[lo:hi])
+        return [
+            [id_cells[d] for d in rows.device[lo:hi].tolist()],
+            _day_cells(rows.day[lo:hi]),
+            *(floats[j :: len(names)] for j in range(len(names))),
+        ]
+
     stream, close = _open_text(target, "w")
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["device_id", "date"] + names)
-        for r in records:
-            if sorted(r.features) != names:
-                raise SchemaError(
-                    f"device {r.device_id}: feature names differ between rows"
-                )
-            writer.writerow(
-                [r.device_id, r.window_start.isoformat()]
-                + [repr(float(r.features[n])) for n in names]
-            )
+        csv.writer(stream, lineterminator="\n").writerow(["device_id", "date"] + names)
+        _write_rows(stream, len(rows), block)
     finally:
         if close:
             stream.close()
 
 
-def parse_persona_csv(source):
-    """Parse usage-feature rows written by :func:`write_persona_csv`."""
-    from .persona import UsageFeatureVector
-
+def parse_persona_csv(source) -> UsageColumns:
+    """Parse usage-feature rows written by :func:`write_persona_csv` into
+    columns. Unparseable or non-finite cells are parse errors, negative
+    ones validation errors, each naming its row."""
     stream, close = _open_text(source)
     try:
-        header_line = stream.readline()
-        if not header_line:
-            raise ParseError("persona file is empty")
-        delim = _sniff_delimiter(header_line)
-        header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+        header, delim = _read_header(stream, "persona")
         if header[:2] != ["device_id", "date"]:
             raise SchemaError("persona header must start with device_id, date")
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
-        records = []
-        for lineno, row in enumerate(csv.reader(stream, delimiter=delim), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"row {lineno}: expected {len(header)} fields")
-            day = _parse_date(row[1], "iso", f"row {lineno}")
-            try:
-                values = [float(c) for c in row[2:]]
-            except ValueError:
-                raise ParseError(f"row {lineno}: non-numeric feature value") from None
-            records.append(
-                UsageFeatureVector(row[0].strip(), day, dict(zip(names, values)))
+        blocks = []
+        for columns, rownos in _body_blocks(
+            csv.reader(stream, delimiter=delim), len(header), exact=True
+        ):
+            values = np.column_stack(
+                [
+                    _finite_floats(cells, rownos, f"feature {name!r}")
+                    for name, cells in zip(names, columns[2:])
+                ]
             )
-        return records
+            bad = np.argwhere(values < 0.0)
+            if bad.size:
+                i, j = bad[0]
+                raise ValidationError(
+                    f"row {rownos[i]}: feature {names[j]!r} = {values[i, j]} is negative"
+                )
+            blocks.append(
+                {
+                    "device_id": _map_distinct(columns[0], str.strip),
+                    "day": _day_ordinals(columns[1], rownos, "iso"),
+                    "values": values,
+                }
+            )
     finally:
         if close:
             stream.close()
+    return UsageColumns.from_rows(
+        _join(blocks, "device_id", []),
+        _join(blocks, "day", np.zeros(0, dtype=np.int64)),
+        _join(blocks, "values", np.zeros((0, len(names)))),
+        names,
+    )
 
 
 def _fmt(value: float) -> str:

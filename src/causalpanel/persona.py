@@ -7,6 +7,18 @@ data is only ever assigned, never refit, so count changes between windows
 reflect behavior change rather than cluster drift. Window-to-window count
 differences are z-scored per persona and fed to the change-point
 detector.
+
+Usage rows are held as columns (:class:`UsageColumns`): the sorted
+distinct device ids, an int64 device index and an int64 day ordinal per
+row, and one float64 matrix with a column per feature.
+:class:`UsageFeatureVector` is the per-row view of the same data; every
+function that accepts vectors converts them to columns once on entry, so
+each computation has one code path. The column code reproduces the
+per-row arithmetic bitwise: a window mean is a sum over each device's
+rows in day order, taken as ``X[rows].sum(axis=1) / m`` over blocks of
+devices with the same row count ``m`` (the sequential sum ``np.mean``
+does along axis 0), and a per-device fit mean is a contiguous per-feature
+row sum divided by ``m`` (the pairwise sum of a 1-D ``np.mean``).
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import numpy as np
 
 from .changepoint import PenaltyConfig, Segmentation, detect_penalized
 from .errors import SchemaError, ValidationError
+from .paneldata import factorize
 
 DEFAULT_K = 6
 MAX_LLOYD_ITERATIONS = 300
@@ -73,6 +86,168 @@ class UsageFeatureVector:
                 f"(mismatch on {sorted(missing)})"
             )
         return np.array([self.features[n] for n in feature_names], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class UsageColumns:
+    """Usage rows as columns. Row ``i`` is device ``device_ids[device[i]]``
+    on day ``date.fromordinal(day[i])`` with feature values ``values[i]``,
+    whose columns follow ``feature_names``. ``device_ids`` is sorted, so
+    device index order is device-id order.
+
+    Equality compares the rows, floats bitwise. Iterating yields one
+    :class:`UsageFeatureVector` per row.
+    """
+
+    device_ids: tuple[str, ...]
+    device: np.ndarray
+    day: np.ndarray
+    values: np.ndarray
+    feature_names: tuple[str, ...]
+
+    def __post_init__(self):
+        ids = tuple(self.device_ids)
+        names = tuple(self.feature_names)
+        device = np.asarray(self.device, dtype=np.int64)
+        day = np.asarray(self.day, dtype=np.int64)
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0:
+            values = values.reshape(len(device), len(names))
+        for arr in (device, day, values):
+            arr.setflags(write=False)
+        object.__setattr__(self, "device_ids", ids)
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "device", device)
+        object.__setattr__(self, "day", day)
+        object.__setattr__(self, "values", values)
+        if list(ids) != sorted(set(ids)):
+            raise ValidationError("device ids must be sorted and distinct")
+        if len(set(names)) != len(names):
+            raise SchemaError(f"duplicate feature names in {list(names)}")
+        if device.ndim != 1 or day.shape != device.shape:
+            raise ValidationError("device and day columns differ in length")
+        if values.shape != (len(device), len(names)):
+            raise ValidationError(
+                f"values matrix {values.shape} does not match {len(device)} rows "
+                f"x {len(names)} features"
+            )
+        if device.size and not (0 <= device.min() and device.max() < len(ids)):
+            raise ValidationError("device index outside the device id list")
+        bad = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))
+        if bad.size:
+            i, j = bad[0]
+            raise ValidationError(
+                f"device {ids[device[i]]}: feature {names[j]!r} = {values[i, j]} "
+                "must be finite and non-negative"
+            )
+
+    @classmethod
+    def from_rows(
+        cls, device_id: Sequence[str], day, values, feature_names: Sequence[str]
+    ) -> UsageColumns:
+        """Columns from one device id per row."""
+        ids, device = factorize(device_id)
+        return cls(ids, device, day, values, feature_names)
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[UsageFeatureVector]) -> UsageColumns:
+        """Columns from per-row vectors; features in sorted name order."""
+        vectors = list(vectors)
+        names = tuple(sorted(vectors[0].features)) if vectors else ()
+        for v in vectors:
+            mismatch = set(names) ^ set(v.features)
+            if mismatch:
+                raise SchemaError(
+                    f"device {v.device_id}: feature names differ between rows "
+                    f"(mismatch on {sorted(mismatch)})"
+                )
+        return cls.from_rows(
+            [v.device_id for v in vectors],
+            [v.window_start.toordinal() for v in vectors],
+            [[v.features[n] for n in names] for v in vectors],
+            names,
+        )
+
+    def __len__(self) -> int:
+        return self.device.shape[0]
+
+    def __iter__(self):
+        names = self.feature_names
+        for d, day, row in zip(self.device.tolist(), self.day.tolist(), self.values.tolist()):
+            yield UsageFeatureVector(
+                self.device_ids[d], date.fromordinal(day), dict(zip(names, row))
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, UsageColumns):
+            return NotImplemented
+        return (
+            self.feature_names == other.feature_names
+            and [self.device_ids[d] for d in self.device]
+            == [other.device_ids[d] for d in other.device]
+            and np.array_equal(self.day, other.day)
+            and self.values.tobytes() == other.values.tobytes()
+        )
+
+    __hash__ = None
+
+    def take(self, rows) -> UsageColumns:
+        """The rows selected by an index array or boolean mask."""
+        used, device = np.unique(self.device[rows], return_inverse=True)
+        return UsageColumns(
+            tuple(self.device_ids[d] for d in used.tolist()),
+            device,
+            self.day[rows],
+            self.values[rows],
+            self.feature_names,
+        )
+
+    def matrix(self, feature_names: Sequence[str]) -> np.ndarray:
+        """The values with columns in ``feature_names`` order."""
+        mismatch = set(feature_names) ^ set(self.feature_names)
+        if mismatch:
+            raise SchemaError(
+                f"feature names do not align (mismatch on {sorted(mismatch)})"
+            )
+        return self.values[:, [self.feature_names.index(n) for n in feature_names]]
+
+
+def as_usage_columns(records) -> UsageColumns:
+    """``records`` as columns: a :class:`UsageColumns` as is, any other
+    iterable of :class:`UsageFeatureVector` converted row by row."""
+    if isinstance(records, UsageColumns):
+        return records
+    return UsageColumns.from_vectors(records)
+
+
+def device_means(records) -> UsageColumns:
+    """One row per device: the mean of each feature over the device's
+    rows, dated on the device's first row. Features in sorted name order.
+
+    Each mean is bitwise equal to ``np.mean`` over the device's values of
+    that feature in row order.
+    """
+    rows = as_usage_columns(records)
+    names = tuple(sorted(rows.feature_names))
+    X = rows.matrix(names)
+    # rows device by device, input order kept within a device
+    order = np.argsort(rows.device, kind="stable")
+    counts = np.bincount(rows.device, minlength=len(rows.device_ids))
+    starts = np.cumsum(counts) - counts
+    present = np.flatnonzero(counts)
+    means = np.empty((present.size, len(names)))
+    for m in np.unique(counts[present]).tolist():
+        sel = np.flatnonzero(counts[present] == m)
+        block = X[order[starts[present[sel], None] + np.arange(m)]]
+        # (devices, features, m) contiguous: each feature sums as a 1-D run
+        means[sel] = np.ascontiguousarray(block.transpose(0, 2, 1)).sum(axis=2) / m
+    return UsageColumns(
+        tuple(rows.device_ids[d] for d in present.tolist()),
+        np.arange(present.size),
+        rows.day[order[starts[present]]],
+        means,
+        names,
+    )
 
 
 @dataclass(frozen=True)
@@ -183,24 +358,27 @@ def _derive_names(centroids: np.ndarray, feature_names: Sequence[str]) -> tuple[
 
 
 def fit_kmeans(
-    vectors: Sequence[UsageFeatureVector],
+    vectors,
     k: int = DEFAULT_K,
     seed: int = 0,
     *,
     persona_names: Sequence[str] | None = None,
     return_history: bool = False,
 ):
-    """Lloyd's k-means with deterministic seeded initialization.
+    """Lloyd's k-means with deterministic seeded initialization, one point
+    per row of ``vectors`` (a :class:`UsageColumns` or a sequence of
+    :class:`UsageFeatureVector`), features in sorted name order.
 
     Empty clusters are reseeded to the point currently farthest from its
     assigned centroid. Iteration stops when assignments repeat or after
     300 rounds. With ``return_history`` the per-iteration SSE path is
     returned alongside the model; it is non-increasing by construction.
     """
-    if not vectors:
+    rows = as_usage_columns(vectors)
+    if not len(rows):
         raise ValueError("no vectors to cluster")
-    feature_names = tuple(sorted(vectors[0].features))
-    X = np.vstack([v.as_array(feature_names) for v in vectors])
+    feature_names = tuple(sorted(rows.feature_names))
+    X = rows.matrix(feature_names)
     if k < 2:
         raise ValueError("k must be at least 2")
     if _distinct_rows(X) < k:
@@ -262,21 +440,24 @@ def rename_personas(model: PersonaModel, mapping: Mapping[str, str]) -> PersonaM
     )
 
 
-def assign_personas(
-    vectors: Sequence[UsageFeatureVector], model: PersonaModel
-) -> dict[str, int]:
-    """Nearest-centroid assignment against frozen centroids; ties go to
-    the lowest persona index."""
-    seen: set[str] = set()
-    for v in vectors:
-        if v.device_id in seen:
-            raise ValidationError(f"duplicate device id {v.device_id!r}")
-        seen.add(v.device_id)
-    if not vectors:
+def assign_personas(vectors, model: PersonaModel) -> dict[str, int]:
+    """Nearest-centroid assignment against frozen centroids, one device per
+    row of ``vectors`` (a :class:`UsageColumns` or a sequence of
+    :class:`UsageFeatureVector`); ties go to the lowest persona index."""
+    rows = as_usage_columns(vectors)
+    _, first = np.unique(rows.device, return_index=True)
+    repeats = np.setdiff1d(np.arange(len(rows)), first)
+    if repeats.size:
+        raise ValidationError(
+            f"duplicate device id {rows.device_ids[rows.device[repeats[0]]]!r}"
+        )
+    if not len(rows):
         return {}
-    X = np.vstack([v.as_array(model.feature_names) for v in vectors])
+    X = rows.matrix(model.feature_names)
     assign = np.argmin(_squared_distances(X, model.centroids), axis=1)
-    return {v.device_id: int(a) for v, a in zip(vectors, assign)}
+    return {
+        rows.device_ids[d]: int(a) for d, a in zip(rows.device.tolist(), assign)
+    }
 
 
 def _as_days(value) -> timedelta:
@@ -285,16 +466,41 @@ def _as_days(value) -> timedelta:
     return timedelta(days=int(value))
 
 
+def _window_means(rows: UsageColumns, X: np.ndarray, offsets: np.ndarray, width: int):
+    """Each device's mean row (of ``X``) in each window it has rows in, as
+    (window index, device index, mean) arrays; window ``w`` covers days
+    ``first + offsets[w]`` up to ``width`` days on. A device's rows are
+    summed in day order, ties in input order, one block of devices with
+    the same row count at a time."""
+    first = int(rows.day.min())
+    span = int(rows.day.max()) - first + 1
+    # Keyed device by device, then by day, so that one device's rows in
+    # one window are one contiguous run of the sorted rows.
+    order = np.lexsort((rows.day, rows.device))
+    key = rows.device[order] * span + (rows.day[order] - first)
+    base = np.arange(len(rows.device_ids))[None, :] * span
+    lo = np.searchsorted(key, base + offsets[:, None])
+    m = np.searchsorted(key, base + offsets[:, None] + width) - lo
+    windows, devices, means = [], [], []
+    for size in np.unique(m[m > 0]).tolist():
+        window, device = np.nonzero(m == size)
+        windows.append(window)
+        devices.append(device)
+        means.append(X[order[lo[window, device][:, None] + np.arange(size)]].sum(axis=1) / size)
+    return np.concatenate(windows), np.concatenate(devices), np.concatenate(means)
+
+
 def windowed_counts(
-    records: Iterable[UsageFeatureVector],
+    records,
     model: PersonaModel,
     width: timedelta | int = WINDOW_WIDTH,
     stride: timedelta | int = WINDOW_STRIDE,
 ) -> PersonaCountSeries:
     """Count devices per persona over sliding windows.
 
-    ``records`` are daily feature rows (``window_start`` is the record
-    day). Per window, each device's rows inside the window are averaged
+    ``records`` are daily feature rows, a :class:`UsageColumns` or a
+    sequence of :class:`UsageFeatureVector` whose ``window_start`` is the
+    record day. Per window, each device's rows inside the window are averaged
     to one vector, zero-usage devices are dropped, and the rest are
     assigned to their nearest frozen centroid. Diffs are consecutive
     count differences; z-scores standardize each persona's diff column
@@ -304,42 +510,25 @@ def windowed_counts(
     stride = _as_days(stride)
     if width <= timedelta(0) or stride <= timedelta(0):
         raise ValueError("width and stride must be positive durations")
-    records = sorted(
-        records, key=lambda r: (r.window_start, r.device_id)
-    )
-    if not records:
+    rows = as_usage_columns(records)
+    if not len(rows):
         raise ValueError("no usage records")
-    first = records[0].window_start
-    last = records[-1].window_start
-    if first + width > last + timedelta(days=1):
+    X = rows.matrix(model.feature_names)
+    first, last = int(rows.day.min()), int(rows.day.max())
+    span = last - first + 1
+    if width.days > span:
         raise ValueError(
-            f"records span {first}..{last}, less than one {width.days}-day window"
+            f"records span {date.fromordinal(first)}..{date.fromordinal(last)}, "
+            f"less than one {width.days}-day window"
         )
+    offsets = np.arange(0, span - width.days + 1, stride.days)
+    starts = tuple(date.fromordinal(first + int(o)) for o in offsets)
 
-    starts: list[date] = []
-    cursor = first
-    while cursor + width <= last + timedelta(days=1):
-        starts.append(cursor)
-        cursor += stride
-
-    k = model.k
-    counts = np.zeros((len(starts), k), dtype=np.int64)
-    for w, start in enumerate(starts):
-        end = start + width
-        per_device: dict[str, list[np.ndarray]] = {}
-        for r in records:
-            if start <= r.window_start < end:
-                per_device.setdefault(r.device_id, []).append(
-                    r.as_array(model.feature_names)
-                )
-        for device in sorted(per_device):
-            mean_vec = np.mean(per_device[device], axis=0)
-            if not mean_vec.any():
-                continue
-            idx = int(
-                np.argmin(_squared_distances(mean_vec[None, :], model.centroids)[0])
-            )
-            counts[w, idx] += 1
+    window, _, means = _window_means(rows, X, offsets, width.days)
+    active = means.any(axis=1)
+    persona = np.argmin(_squared_distances(means[active], model.centroids), axis=1)
+    counts = np.zeros((len(starts), model.k), dtype=np.int64)
+    np.add.at(counts, (window[active], persona), 1)
 
     diffs = counts[1:] - counts[:-1]
     z = np.zeros_like(diffs, dtype=float)
@@ -349,7 +538,7 @@ def windowed_counts(
         nonzero = stds > 0
         z[:, nonzero] = (diffs[:, nonzero] - means[nonzero]) / stds[nonzero]
     return PersonaCountSeries(
-        window_starts=tuple(starts),
+        window_starts=starts,
         counts=counts,
         diffs=diffs,
         zscores=z,

@@ -16,6 +16,15 @@ Per-unit draw order is fixed and documented on the generating functions;
 the unit-level panel route and the device-level telemetry route consume
 their streams independently and coincide exactly when ``noise_sigma`` is
 zero (and bitwise when ``devices_per_day`` is 1).
+
+Telemetry and the persona stream are generated as column blocks
+(:class:`~causalpanel.paneldata.TelemetryColumns`,
+:class:`~causalpanel.persona.UsageColumns`), one array operation per
+unit or per stream, with rows device by device and each device's days in
+order. The draws and the arithmetic are those of generating one row at a
+time (the persona block is one ``np.maximum(base + noise, 0)`` after
+the shifted-device choice), so every value, and every file written from
+them, is bitwise equal to a row-by-row build.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ from .paneldata import (
     VPRO_PERCENTAGE,
     PanelDataset,
     PolicyTimeline,
-    TelemetryRecord,
+    TelemetryColumns,
+    factorize,
 )
 from .panelio import (
     write_persona_csv,
@@ -48,7 +58,7 @@ from .persona import (
     DEFAULT_FEATURE_CATEGORIES,
     DEFAULT_PERSONA_NAMES,
     PersonaModel,
-    UsageFeatureVector,
+    UsageColumns,
 )
 
 DEFAULT_INDICATOR = "C6_Stay at home requirements"
@@ -266,8 +276,8 @@ class GroundTruthManifest:
 @dataclass(frozen=True)
 class SimulatedData:
     timelines: tuple[PolicyTimeline, ...]
-    telemetry: tuple[TelemetryRecord, ...]
-    persona_records: tuple[UsageFeatureVector, ...]
+    telemetry: TelemetryColumns
+    persona_records: UsageColumns
     manifest: GroundTruthManifest
 
 
@@ -428,49 +438,50 @@ def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> Pane
     )
 
 
-def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> list[TelemetryRecord]:
-    """Device-day records. Per-unit draw order: usage normals
-    (devices x days), watts normals (devices x days), outlier uniforms
-    (days). Usage is clipped to [0, 24] and watts to >= 0 so every row
-    passes schema validation."""
+def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> TelemetryColumns:
+    """Device-day rows, device by device within each unit, each device's
+    days in order. Per-unit draw order: usage normals (devices x days),
+    watts normals (devices x days), outlier uniforms (days). Usage is
+    clipped to [0, 24] and watts to >= 0 so every row passes schema
+    validation."""
     hours = mean_matrix(config, "usage_hours")
     watts = mean_matrix(config, "cpu_watts")
-    records: list[TelemetryRecord] = []
+    days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
+    hours_rows, watts_rows, vpro_rows = [], [], []
+    devices, units, chassis, families = [], [], [], []
     for i, u in enumerate(config.units):
         rng = unit_rngs[i]
         d = u.devices_per_day
         h_noise = rng.normal(0.0, config.noise_sigma, size=(d, config.n_days))
         w_noise = rng.normal(0.0, config.noise_sigma, size=(d, config.n_days))
         spikes = rng.uniform(size=config.n_days) < config.outlier_probability
+        spike = np.where(spikes, config.outlier_magnitude, 0.0)
         n_vpro = int(np.floor(u.vpro_fraction * d + 0.5))
+        hours_rows.append(np.clip(hours[i] + h_noise + spike, 0.0, 24.0).ravel())
+        watts_rows.append(np.maximum(watts[i] + w_noise + spike, 0.0).ravel())
+        vpro_rows.append(np.repeat(np.arange(d) < n_vpro, config.n_days))
         for k in range(d):
-            device = f"{u.unit_id}-{k:04d}"
-            vpro = k < n_vpro
-            for t, day in enumerate(config.dates):
-                spike = config.outlier_magnitude if spikes[t] else 0.0
-                records.append(
-                    TelemetryRecord(
-                        date=day,
-                        device_id=device,
-                        unit_id=u.unit_id,
-                        chassis=u.chassis,
-                        cpu_family=u.cpu_family,
-                        vpro=vpro,
-                        usage_hours=float(
-                            np.clip(hours[i, t] + h_noise[k, t] + spike, 0.0, 24.0)
-                        ),
-                        cpu_watts=float(
-                            max(watts[i, t] + w_noise[k, t] + spike, 0.0)
-                        ),
-                    )
-                )
-    return records
+            devices += [f"{u.unit_id}-{k:04d}"] * config.n_days
+        units += [u.unit_id] * (d * config.n_days)
+        chassis += [u.chassis] * (d * config.n_days)
+        families += [u.cpu_family] * (d * config.n_days)
+    return TelemetryColumns(
+        day=np.tile(days, len(devices) // config.n_days),
+        device_id=devices,
+        unit_id=units,
+        chassis=chassis,
+        cpu_family=families,
+        vpro=np.concatenate(vpro_rows),
+        usage_hours=np.concatenate(hours_rows),
+        cpu_watts=np.concatenate(watts_rows),
+    )
 
 
 def _generate_persona_stream(
     config: ScenarioConfig, rng: np.random.Generator
-) -> list[UsageFeatureVector]:
-    """Daily category-usage rows for ``persona_devices`` devices.
+) -> UsageColumns:
+    """Daily category-usage rows for ``persona_devices`` devices, device
+    by device, each device's days in order.
 
     Devices take home personas round-robin. If a shift is configured, a
     seeded sample of the source persona's devices switches to the damped
@@ -478,42 +489,31 @@ def _generate_persona_stream(
     choice first, then one (devices x days x categories) normal block.
     """
     n = config.persona_devices
-    if n == 0:
-        return []
     model = archetype_model()
     k = model.k
     home = np.arange(n) % k
-
-    shifted: set[int] = set()
-    shift_idx = None
-    to_row = None
+    rows = np.repeat(model.centroids[home][:, None, :], config.n_days, axis=1)
     if config.persona_shift is not None:
         s = config.persona_shift
         from_idx = DEFAULT_PERSONA_NAMES.index(s.from_persona)
         to_idx = DEFAULT_PERSONA_NAMES.index(s.to_persona)
         pool = np.flatnonzero(home == from_idx)
         count = int(np.floor(s.fraction * len(pool) + 1e-9))
-        shifted = set(int(v) for v in rng.choice(pool, size=count, replace=False))
-        shift_idx = (s.shift_date - config.start).days
+        shifted = rng.choice(pool, size=count, replace=False)
         to_row = np.full(k, ARCHETYPE_BASE_HOURS)
         to_row[to_idx] = SHIFTED_DOMINANT_HOURS
+        rows[shifted, (s.shift_date - config.start).days :] = to_row
 
     noise = rng.normal(0.0, config.persona_noise, size=(n, config.n_days, k))
-    records: list[UsageFeatureVector] = []
-    for dev in range(n):
-        device_id = f"p{dev:05d}"
-        base_row = model.centroids[home[dev]]
-        for t, day in enumerate(config.dates):
-            row = base_row
-            if dev in shifted and shift_idx is not None and t >= shift_idx:
-                row = to_row
-            values = np.maximum(row + noise[dev, t], 0.0)
-            records.append(
-                UsageFeatureVector(
-                    device_id, day, dict(zip(DEFAULT_FEATURE_CATEGORIES, values))
-                )
-            )
-    return records
+    days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
+    device_ids, device = factorize([f"p{dev:05d}" for dev in range(n)])
+    return UsageColumns(
+        device_ids=device_ids,
+        device=np.repeat(device, config.n_days),
+        day=np.tile(days, n),
+        values=np.maximum(rows + noise, 0.0).reshape(n * config.n_days, k),
+        feature_names=DEFAULT_FEATURE_CATEGORIES,
+    )
 
 
 def generate(config: ScenarioConfig) -> SimulatedData:
@@ -522,8 +522,8 @@ def generate(config: ScenarioConfig) -> SimulatedData:
     unit_rngs, persona_rng = _unit_streams(config)
     return SimulatedData(
         timelines=tuple(build_timelines(config)),
-        telemetry=tuple(_generate_telemetry(config, unit_rngs)),
-        persona_records=tuple(_generate_persona_stream(config, persona_rng)),
+        telemetry=_generate_telemetry(config, unit_rngs),
+        persona_records=_generate_persona_stream(config, persona_rng),
         manifest=build_manifest(config),
     )
 
@@ -544,7 +544,7 @@ def write_scenario(
     paths["telemetry"] = os.path.join(outdir, "telemetry.csv")
     write_telemetry_csv(data.telemetry, paths["telemetry"])
 
-    if data.persona_records:
+    if len(data.persona_records):
         paths["persona"] = os.path.join(outdir, "persona.csv")
         write_persona_csv(data.persona_records, paths["persona"])
 

@@ -4,9 +4,15 @@ checking artifacts, exit codes, and byte-level reproducibility."""
 import json
 import os
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from causalpanel.cli import main
+from causalpanel.panelio import write_panel
+
+from _builders import make_panel
 
 
 def write_json(path, payload):
@@ -304,6 +310,28 @@ class TestSynthWorkflow:
         placebo = (work / "synth_placebo.csv").read_text().splitlines()
         assert placebo[0] == "date,treated,D1,D2,D3"
 
+    def test_convergence_warning_is_one_log_line(self, tmp_path, capsys):
+        # the treated unit blends three donors: two active-set steps from
+        # any vertex, so a one-step cap stops without a certificate
+        rng = np.random.default_rng(6)
+        donors = rng.normal(5.0, 1.0, (6, 80))
+        series = {f"D{j}": donors[j].tolist() for j in range(6)}
+        series["T"] = (np.array([0.0, 0.5, 0.0, 0.3, 0.2, 0.0]) @ donors).tolist()
+        panel = tmp_path / "panel.txt"
+        write_panel(make_panel(series), str(panel))
+        code = run(
+            "synth", "--panel", panel, "--treated", "T",
+            "--donors", ",".join(f"D{j}" for j in range(6)),
+            "--treatment-date", "2020-03-01", "--max-iterations", "1",
+            "--out", tmp_path / "work", "--quiet",
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "WARNING ConvergenceWarning: weight fit stopped after 1 active-set "
+            "steps without KKT certificate at tolerance 1e-08"
+        ]
+
     def test_missing_unit_exits_3(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, synth_scenario())
         code = run(
@@ -452,41 +480,105 @@ class TestPersonaWorkflow:
         )
 
 
+def set_cell(column, value):
+    def edit(rows, i):
+        rows[i][rows[0].index(column)] = value
+
+    return edit
+
+
+def append_cell(value):
+    def edit(rows, i):
+        rows[i].append(value)  # one cell too many
+
+    return edit
+
+
+def drop_trailing_region(rows, i):
+    """Move RegionName to the last column, then leave it out of row i."""
+    col = rows[0].index("RegionName")
+    for row in rows:
+        row.append(row.pop(col))
+    rows[i].pop()
+
+
+def edit_data_file(tmp_path, name, lineno, edit):
+    """Simulate the persona scenario, edit one row of a data file, and
+    return the argv of the command that reads it."""
+    cfg = write_json(tmp_path / "scenario.json", persona_scenario())
+    data = tmp_path / "data"
+    assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+    path = data / name
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    edit(rows, lineno - 1)
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    if name == "persona.csv":
+        return ["persona", "--records", path]
+    return [
+        "ingest", "--policy", data / "policy.csv",
+        "--telemetry", data / "telemetry.csv",
+    ]
+
+
 class TestInputFileErrors:
     @pytest.mark.parametrize(
-        "name,lineno,column,value,message",
+        "name,lineno,edit,code,message",
         [
-            ("policy.csv", 3, "Date", "x", "row 3: malformed date 'x'"),
-            ("telemetry.csv", 4, "vpro", "maybe", "row 4: bad vpro value 'maybe'"),
-            ("persona.csv", 5, None, "0.0", "row 5: expected"),
+            ("policy.csv", 3, set_cell("Date", "x"), 2, "row 3: malformed date 'x'"),
+            ("policy.csv", 3, drop_trailing_region, 2, "row 3: expected 4 fields"),
+            (
+                "telemetry.csv", 4, set_cell("vpro", "maybe"), 2,
+                "row 4: bad vpro value 'maybe'",
+            ),
+            ("persona.csv", 5, append_cell("0.0"), 2, "row 5: expected"),
+            (
+                "persona.csv", 5, set_cell("gaming", "nan"), 2,
+                "row 5: non-finite feature 'gaming' 'nan'",
+            ),
+            (
+                "persona.csv", 5, set_cell("gaming", "-0.5"), 3,
+                "row 5: feature 'gaming' = -0.5 is negative",
+            ),
         ],
-        ids=["policy", "telemetry", "persona"],
+        ids=[
+            "policy", "policy-short_region", "telemetry", "persona",
+            "persona-nan", "persona-negative",
+        ],
     )
     def test_bad_row_names_file_and_row(
-        self, tmp_path, capsys, name, lineno, column, value, message
+        self, tmp_path, capsys, name, lineno, edit, code, message
     ):
-        cfg = write_json(tmp_path / "scenario.json", persona_scenario())
-        data = tmp_path / "data"
-        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
-        path = data / name
-        lines = path.read_text().splitlines(True)
-        cells = lines[lineno - 1].rstrip("\n").split(",")
-        if column is None:
-            cells.append(value)  # one cell too many
-        else:
-            cells[lines[0].rstrip("\n").split(",").index(column)] = value
-        lines[lineno - 1] = ",".join(cells) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        if name == "persona.csv":
-            argv = ["persona", "--records", path]
-        else:
-            argv = [
-                "ingest", "--policy", data / "policy.csv",
-                "--telemetry", data / "telemetry.csv",
-            ]
-        assert run(*argv, "--out", tmp_path / "work", "--quiet") == 2
+        argv = edit_data_file(tmp_path, name, lineno, edit)
+        assert run(*argv, "--out", tmp_path / "work", "--quiet") == code
         err = capsys.readouterr().err
         assert f"{name}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("column", ["usage_hours", "cpu_watts"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_telemetry_exits_2(self, tmp_path, capsys, column, token):
+        argv = edit_data_file(tmp_path, "telemetry.csv", 6, set_cell(column, token))
+        assert run(*argv, "--out", tmp_path / "work", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"telemetry.csv: row 6: non-finite {column} '{token}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("usage_hours", "24.5", "usage_hours 24.5 outside [0, 24]"),
+            ("usage_hours", "-1", "usage_hours -1.0 outside [0, 24]"),
+            ("cpu_watts", "-3.5", "cpu_watts -3.5 must be finite and non-negative"),
+            ("chassis", "Toaster", "unknown chassis 'Toaster'"),
+            ("cpu_family", "pentium", "unknown cpu_family 'pentium'"),
+        ],
+        ids=["hours_high", "hours_negative", "watts_negative", "chassis", "cpu_family"],
+    )
+    def test_invalid_telemetry_row_exits_3(self, tmp_path, capsys, column, value, message):
+        argv = edit_data_file(tmp_path, "telemetry.csv", 6, set_cell(column, value))
+        assert run(*argv, "--out", tmp_path / "work", "--quiet") == 3
+        err = capsys.readouterr().err
+        assert f"telemetry.csv: row 6: {message}" in err
         assert "Traceback" not in err
 
 
@@ -596,3 +688,72 @@ class TestOptionResolution:
         out = tmp_path / "out"
         assert run("cpd", "--series", series, "--out", out, "--quiet") == 0
         assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+
+
+class TestArtifactDigests:
+    """simulate -> ingest -> persona on a small seeded scenario must write
+    the same bytes as the row-by-row implementation the column layer
+    replaced; the digests were recorded from it. No seasonal term, so no
+    value depends on the platform's sine."""
+
+    SCENARIO = {
+        "units": [
+            {
+                "unit_id": "NORTH", "baseline_hours": 6.0,
+                "devices_per_day": 3, "vpro_fraction": 0.5,
+            },
+            {
+                "unit_id": "SOUTH", "baseline_hours": 4.5, "devices_per_day": 2,
+                "trend_per_day": 0.02, "chassis": "Desktop", "cpu_family": "i7",
+            },
+        ],
+        "n_days": 70,
+        "treatment": {
+            "treated_unit": "NORTH", "activation": "2020-02-05", "effect_hours": 1.5,
+        },
+        "noise_sigma": 0.4,
+        "outlier_probability": 0.05,
+        "outlier_magnitude": 3.0,
+        "persona_devices": 24,
+        "persona_noise": 0.3,
+        "persona_shift": {
+            "shift_date": "2020-02-12",
+            "from_persona": "Web Users",
+            "to_persona": "Content Creators",
+            "fraction": 0.5,
+        },
+        "seed": 17,
+    }
+
+    DIGESTS = {
+        ("data", "telemetry.csv"):
+            "4a13af00686acf870fb6fa7d153932f71f731d1c52d597787f644d82bc6dbec1",
+        ("data", "persona.csv"):
+            "3367cc4fbefcec64205c092d0ac3bf7381a1430728b5b8420d350948e7ad8b35",
+        ("work", "panel.txt"):
+            "218dc84f70d574c494efaa4e49b4bcb175538f10064bf506d96d96a408f69d96",
+        ("work", "persona_model.json"):
+            "9dcb71b283aff606a197f1de7242a6ab388d410f58cd119bcca02ea329347695",
+        ("work", "persona_counts.csv"):
+            "96b61400b3c1bf8b24559162a54e48070d5a082dceb2edbb22693768baf08eac",
+        ("work", "persona_zscores.csv"):
+            "0e3199260bc7ce93ad5b67b2aba74e3c68b3528fe89c37fdd330f2ca444893ee",
+        ("work", "persona_changepoints.json"):
+            "66447626a14b066e04cdd4b8bb1d71c741714e945ca98024314ea95449f74546",
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        cfg = write_json(tmp_path / "scenario.json", self.SCENARIO)
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+        assert run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--out", work, "--quiet",
+        ) == 0
+        assert run(
+            "persona", "--records", data / "persona.csv",
+            "--width", "14", "--stride", "7", "--out", work, "--quiet",
+        ) == 0
+        for (subdir, name), digest in self.DIGESTS.items():
+            content = (tmp_path / subdir / name).read_bytes()
+            assert hashlib.sha256(content).hexdigest() == digest, name

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpanel.errors import ParseError, SchemaError, ValidationError
-from causalpanel.paneldata import PanelDataset, PolicyTimeline, TelemetryRecord
+from causalpanel.paneldata import (
+    PanelDataset,
+    PolicyTimeline,
+    TelemetryColumns,
+    TelemetryRecord,
+)
 from causalpanel.panelio import (
     parse_persona_csv,
     parse_policy_csv,
@@ -20,7 +25,7 @@ from causalpanel.panelio import (
     write_policy_csv,
     write_telemetry_csv,
 )
-from causalpanel.persona import UsageFeatureVector
+from causalpanel.persona import UsageColumns, UsageFeatureVector
 
 from _builders import make_panel
 
@@ -144,7 +149,9 @@ class TestTelemetryCsv:
     def test_round_trip(self):
         buf = io.StringIO()
         write_telemetry_csv(self.rows(), buf)
-        assert parse_telemetry_csv(buf.getvalue().encode()) == self.rows()
+        parsed = parse_telemetry_csv(buf.getvalue().encode())
+        assert parsed == TelemetryColumns.from_records(self.rows())
+        assert list(parsed) == self.rows()
 
     def test_chassis_alias_and_family_case(self):
         text = (
@@ -190,7 +197,9 @@ class TestPersonaCsv:
         ]
         buf = io.StringIO()
         write_persona_csv(records, buf)
-        assert parse_persona_csv(buf.getvalue().encode()) == records
+        parsed = parse_persona_csv(buf.getvalue().encode())
+        assert parsed == UsageColumns.from_vectors(records)
+        assert list(parsed) == records
 
     def test_header_must_lead_with_keys(self):
         with pytest.raises(SchemaError, match="device_id"):

@@ -18,7 +18,6 @@ errors, 5 I/O errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -57,7 +56,9 @@ from .paneldata import (
 from .panelio import (
     parse_persona_csv,
     parse_policy_csv,
+    parse_series_csv,
     parse_telemetry_csv,
+    parse_units_csv,
     read_panel,
     write_panel,
 )
@@ -158,12 +159,14 @@ def _load_json(path: str):
 
 
 def _load(parse, path: str, *args):
-    """Run a file reader, prefixing its parse or validation errors with the
-    file path (the readers name only the row, section or unit)."""
+    """Run a file reader, prefixing its parse, validation and I/O errors
+    with the file path (the readers name only the row, section or unit)."""
     try:
         return parse(path, *args)
     except (ParseError, ValidationError) as err:
         raise type(err)(f"{path}: {err}") from None
+    except OSError as err:
+        raise OSError(f"{path}: {err.strerror or err}") from None
 
 
 def _resolve(args, config: Mapping, name: str, default=None, env: str | None = None):
@@ -282,34 +285,6 @@ def cmd_simulate(args, config) -> int:
 # ---------------------------------------------------------------- ingest
 
 
-def _continent_lookup(path: str) -> dict[str, str]:
-    table: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            try:
-                id_col = header.index("unit_id")
-                cont_col = header.index("continent")
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: units file needs unit_id and continent columns"
-                ) from None
-            width = max(id_col, cont_col) + 1
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                if len(parts) < width:
-                    raise ParseError(
-                        f"{path} line {lineno}: {len(parts)} cell(s), "
-                        f"need at least {width}"
-                    )
-                table[parts[id_col]] = parts[cont_col]
-    except OSError as err:
-        raise OSError(f"{path}: {err.strerror or err}") from None
-    return table
-
-
 def cmd_ingest(args, config) -> int:
     outdir = _outdir(args, config)
     timelines = _load(parse_policy_csv, args.policy, args.indicator)
@@ -323,7 +298,7 @@ def cmd_ingest(args, config) -> int:
     panel = merge_panels(panel, timelines)
 
     if args.units:
-        continents = _continent_lookup(args.units)
+        continents = _load(parse_units_csv, args.units)
 
         def continent_of(unit: str) -> str:
             return continents.get(unit, continents.get(unit.split("|", 1)[0], ""))
@@ -501,39 +476,6 @@ def cmd_synth(args, config) -> int:
 # ---------------------------------------------------------------- cpd
 
 
-def _read_series_csv(path: str) -> tuple[np.ndarray, list[date] | None]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise ParseError(f"{path}: series file is empty") from None
-            if "value" not in header:
-                raise SchemaError(f"{path}: series file needs a value column")
-            v_col = header.index("value")
-            d_col = header.index("date") if "date" in header else None
-            values, dates = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    values.append(float(row[v_col]))
-                except (ValueError, IndexError):
-                    raise ParseError(
-                        f"{path} row {lineno}: bad value cell"
-                    ) from None
-                if not np.isfinite(values[-1]):
-                    raise ParseError(
-                        f"{path} row {lineno}: non-finite value {row[v_col]!r}"
-                    )
-                if d_col is not None:
-                    dates.append(_iso_date(row[d_col], f"{path} row {lineno}"))
-    except OSError as err:
-        raise OSError(f"{path}: {err.strerror or err}") from None
-    return np.asarray(values), (dates if d_col is not None else None)
-
-
 def cmd_cpd(args, config) -> int:
     outdir = _outdir(args, config)
     if bool(args.series) == bool(args.panel):
@@ -550,7 +492,7 @@ def cmd_cpd(args, config) -> int:
             )
         series, dates = np.asarray(values, dtype=float), list(panel.dates)
     else:
-        series, dates = _read_series_csv(args.series)
+        series, dates = _load(parse_series_csv, args.series)
 
     penalty = PenaltyConfig(
         kind=args.penalty, lam=args.lam, noise_scale=args.noise_scale

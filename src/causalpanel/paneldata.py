@@ -412,7 +412,6 @@ def aggregate_telemetry(
     records,
     group_by: Iterable[str] = ("unit_id",),
     outcome: str = "usage_hours",
-    statistic: str = "mean",
 ) -> PanelDataset:
     """Aggregate device-day records to a (group x date) panel of outcome means.
 
@@ -435,8 +434,6 @@ def aggregate_telemetry(
         raise SchemaError(f"cannot group by {sorted(unknown)}")
     if outcome not in ("usage_hours", "cpu_watts"):
         raise SchemaError(f"no outcome field {outcome!r} in telemetry records")
-    if statistic != "mean":
-        raise SchemaError(f"unsupported statistic {statistic!r}")
 
     unit_ids, group = _group_index(rows, group_fields)
     device_ids, device = factorize(rows.device_id)

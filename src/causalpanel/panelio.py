@@ -1,8 +1,8 @@
 """File ingestion and interchange formats.
 
-Three formats live here:
+This is the one module that reads or writes CSV. The formats:
 
-* policy CSV — delimiter-separated, header-driven; a unit-name column
+* policy CSV — header-driven; a unit-name column
   (``CountryName`` plus optional ``RegionName``, or ``unit_id``), a ``Date``
   column in 8-digit ``YYYYMMDD`` or ISO form (auto-detected per file), and
   one ordinal indicator column named at parse time. Empty indicator cells
@@ -13,28 +13,35 @@ Three formats live here:
 * persona CSV — per-device-day category usage rows
   (device_id, date, one column per feature category). Parsed into
   :class:`~causalpanel.persona.UsageColumns`.
+* units CSV — unit descriptors (unit_id, continent, devices_per_day,
+  vpro_fraction); the reader takes the continent of each unit.
+* series CSV — a ``value`` column and an optional ISO ``date`` column.
 * panel file — a self-describing text interchange format for
   :class:`~causalpanel.paneldata.PanelDataset`: a header block naming the
   outcome, then tab-separated sections (``outcomes``, ``covariates``,
   ``tags``, ``codes``) with masked cells written as the sentinel ``NA``.
 
-The telemetry and persona readers parse a file in one pass into columns:
-the CSV body is read a block of rows at a time, transposed, and each
-column converted at once (dates and other text cells once per distinct
-value, numbers with ``float``) and validated at once. Every rejected cell
-is named by its row: unparseable or non-finite values are parse errors,
-values outside the schema validation errors. The writers format a block
-of rows at a time, floats with ``repr`` over ``tolist()`` values, so a
-file written from columns is byte-identical to one written row by row
-with ``csv.writer``.
+Every CSV table is read by :func:`_csv_table`, so all share one dialect:
+the delimiter (``,``, tab or ``;``) is sniffed from the header line,
+header names are stripped, blank rows are skipped, and rows are numbered
+from the header as row 1. The body is read a block of rows at a time,
+transposed, and each column converted at once (dates and other text cells
+once per distinct value, numbers with ``float``) and validated at once.
+Every rejected cell is named by its row: unparseable or non-finite values
+and short rows are parse errors, values outside the schema validation
+errors. The writers format a block of rows at a time, floats with
+``repr`` over ``tolist()`` values, so a file written from columns is
+byte-identical to one written row by row with ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import date, datetime
 from typing import IO, Iterable, Sequence
@@ -59,17 +66,25 @@ _TRUE_TOKENS = {"1", "true", "yes", "y"}
 _FALSE_TOKENS = {"0", "false", "no", "n"}
 
 
-def _open_text(source, mode: str = "r"):
-    """Accept a path, bytes, or file object; return (text stream, should_close)."""
+@contextmanager
+def _opened(source, mode: str = "r"):
+    """A text stream over a path, bytes, or file object; a path opened
+    here is closed on exit, a caller's stream is left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="utf-8", newline=""), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), False
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    if hasattr(source, "read"):  # binary stream
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    raise TypeError(f"cannot read from {type(source).__name__}")
+        with open(source, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif hasattr(source, "read"):  # binary stream
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes; a dropped wrapper would close source
+    else:
+        raise TypeError(f"cannot read from {type(source).__name__}")
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -91,135 +106,9 @@ def _to_date(token: str, fmt: str) -> date:
     return date.fromisoformat(token)
 
 
-def _parse_date(token: str, fmt: str, where: str) -> date:
-    try:
-        return _to_date(token, fmt)
-    except ValueError:
-        raise ParseError(f"{where}: malformed date {token.strip()!r}") from None
-
-
-def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
-    """Parse a policy table into one timeline per unit.
-
-    Region rows become first-class units keyed "CountryName/RegionName";
-    national rows keep the plain country name. Only the named ordinal column
-    is read; flag and other columns are ignored.
-    """
-    stream, close = _open_text(source)
-    try:
-        header_line = stream.readline()
-        if not header_line:
-            raise ParseError("policy file is empty")
-        delim = _sniff_delimiter(header_line)
-        header = next(csv.reader([header_line], delimiter=delim))
-        header = [h.strip() for h in header]
-        cols = {name: i for i, name in enumerate(header)}
-
-        if "CountryName" in cols:
-            unit_col, region_col = cols["CountryName"], cols.get("RegionName")
-        elif "unit_id" in cols:
-            unit_col, region_col = cols["unit_id"], None
-        else:
-            raise SchemaError("policy header has no CountryName or unit_id column")
-        date_col = cols.get("Date", cols.get("date"))
-        if date_col is None:
-            raise SchemaError("policy header has no Date column")
-        if indicator_column not in cols:
-            raise SchemaError(f"policy header has no column {indicator_column!r}")
-        ind_col = cols[indicator_column]
-        used_cols = (unit_col, region_col, date_col, ind_col)
-
-        rows: dict[str, list[tuple[date, str]]] = {}
-        date_fmt = None
-        for lineno, row in enumerate(csv.reader(stream, delimiter=delim), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= max(c for c in used_cols if c is not None):
-                raise ParseError(f"row {lineno}: expected {len(header)} fields")
-            unit = row[unit_col].strip()
-            if region_col is not None and row[region_col].strip():
-                unit = f"{unit}/{row[region_col].strip()}"
-            if date_fmt is None:
-                date_fmt = _detect_date_format(row[date_col])
-            day = _parse_date(row[date_col], date_fmt, f"row {lineno}")
-            rows.setdefault(unit, []).append((day, row[ind_col].strip()))
-
-        timelines = []
-        for unit in sorted(rows):
-            entries = sorted(rows[unit], key=lambda e: e[0])
-            for (d1, _), (d2, _) in zip(entries, entries[1:]):
-                if d1 == d2:
-                    raise ValidationError(f"unit {unit}: duplicate date {d1}")
-            dates = tuple(d for d, _ in entries)
-            codes = []
-            last = 0  # leading empties mean "no measures"
-            for d, raw in entries:
-                if raw == "":
-                    codes.append(last)
-                    continue
-                try:
-                    value = int(float(raw))
-                except ValueError:
-                    raise ParseError(
-                        f"unit {unit} on {d}: non-numeric code {raw!r}"
-                    ) from None
-                if value not in (0, 1, 2, 3):
-                    raise ValidationError(
-                        f"unit {unit} on {d}: code {value} outside 0..3"
-                    )
-                codes.append(value)
-                last = value
-            timelines.append(PolicyTimeline(unit, dates, tuple(codes)))
-        return timelines
-    finally:
-        if close:
-            stream.close()
-
-
-def write_policy_csv(
-    timelines: Iterable[PolicyTimeline],
-    target,
-    indicator_column: str,
-    date_format: str = "ymd8",
-) -> None:
-    """Serialize timelines in the shape :func:`parse_policy_csv` reads back."""
-    stream, close = _open_text(target, "w")
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["CountryName", "RegionName", "Date", indicator_column])
-        for tl in timelines:
-            country, _, region = tl.unit_id.partition("/")
-            for d, c in zip(tl.dates, tl.codes):
-                token = d.strftime("%Y%m%d") if date_format == "ymd8" else d.isoformat()
-                writer.writerow([country, region, token, c])
-    finally:
-        if close:
-            stream.close()
-
-
-_TELEMETRY_COLUMNS = (
-    "date",
-    "device_id",
-    "unit_id",
-    "chassis",
-    "cpu_family",
-    "vpro",
-    "usage_hours",
-    "cpu_watts",
-)
-
 # Rows handled per read or write step: bounds the cells held as Python
 # strings at once.
 _BLOCK_ROWS = 2048
-
-
-def _read_header(stream, kind: str) -> tuple[list[str], str]:
-    header_line = stream.readline()
-    if not header_line:
-        raise ParseError(f"{kind} file is empty")
-    delim = _sniff_delimiter(header_line)
-    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
-    return header, delim
 
 
 def _has_content(row: list[str]) -> bool:
@@ -244,6 +133,117 @@ def _body_blocks(reader, width: int, exact: bool = False):
         if rows:
             yield list(zip(*rows)), rownos
 
+
+@contextmanager
+def _csv_table(source, kind: str):
+    """Open a CSV table (a path, bytes, or stream) and yield its header
+    names, stripped, and ``body(width, exact=False)``, the
+    :func:`_body_blocks` of the rows below it. The delimiter is the one
+    of ``,``, tab and ``;`` that the header line holds most of."""
+    with _opened(source) as stream:
+        header_line = stream.readline()
+        if not header_line:
+            raise ParseError(f"{kind} file is empty")
+        delim = _sniff_delimiter(header_line)
+        header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+        yield header, functools.partial(
+            _body_blocks, csv.reader(stream, delimiter=delim)
+        )
+
+
+def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
+    """Parse a policy table into one timeline per unit.
+
+    Region rows become first-class units keyed "CountryName/RegionName";
+    national rows keep the plain country name. Only the named ordinal column
+    is read; flag and other columns are ignored.
+    """
+    rows: dict[str, list[tuple[int, str]]] = {}
+    with _csv_table(source, "policy") as (header, body):
+        cols = {name: i for i, name in enumerate(header)}
+        if "CountryName" in cols:
+            unit_col, region_col = cols["CountryName"], cols.get("RegionName")
+        elif "unit_id" in cols:
+            unit_col, region_col = cols["unit_id"], None
+        else:
+            raise SchemaError("policy header has no CountryName or unit_id column")
+        date_col = cols.get("Date", cols.get("date"))
+        if date_col is None:
+            raise SchemaError("policy header has no Date column")
+        if indicator_column not in cols:
+            raise SchemaError(f"policy header has no column {indicator_column!r}")
+        ind_col = cols[indicator_column]
+        used_cols = (unit_col, region_col, date_col, ind_col)
+
+        date_fmt = None
+        for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
+            units = map(str.strip, columns[unit_col])
+            if region_col is not None:
+                units = (
+                    f"{unit}/{region}" if region else unit
+                    for unit, region in zip(units, map(str.strip, columns[region_col]))
+                )
+            date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
+            days = _day_ordinals(columns[date_col], rownos, date_fmt).tolist()
+            for unit, day, raw in zip(units, days, map(str.strip, columns[ind_col])):
+                rows.setdefault(unit, []).append((day, raw))
+
+    timelines = []
+    for unit in sorted(rows):
+        entries = sorted(rows[unit], key=lambda e: e[0])
+        dates = tuple(date.fromordinal(d) for d, _ in entries)
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise ValidationError(f"unit {unit}: duplicate date {d1}")
+        codes = []
+        last = 0  # leading empties mean "no measures"
+        for d, (_, raw) in zip(dates, entries):
+            if raw == "":
+                codes.append(last)
+                continue
+            try:
+                value = int(float(raw))
+            except ValueError:
+                raise ParseError(
+                    f"unit {unit} on {d}: non-numeric code {raw!r}"
+                ) from None
+            if value not in (0, 1, 2, 3):
+                raise ValidationError(
+                    f"unit {unit} on {d}: code {value} outside 0..3"
+                )
+            codes.append(value)
+            last = value
+        timelines.append(PolicyTimeline(unit, dates, tuple(codes)))
+    return timelines
+
+
+def write_policy_csv(
+    timelines: Iterable[PolicyTimeline],
+    target,
+    indicator_column: str,
+    date_format: str = "ymd8",
+) -> None:
+    """Serialize timelines in the shape :func:`parse_policy_csv` reads back."""
+    with _opened(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["CountryName", "RegionName", "Date", indicator_column])
+        for tl in timelines:
+            country, _, region = tl.unit_id.partition("/")
+            for d, c in zip(tl.dates, tl.codes):
+                token = d.strftime("%Y%m%d") if date_format == "ymd8" else d.isoformat()
+                writer.writerow([country, region, token, c])
+
+
+_TELEMETRY_COLUMNS = (
+    "date",
+    "device_id",
+    "unit_id",
+    "chassis",
+    "cpu_family",
+    "vpro",
+    "usage_hours",
+    "cpu_watts",
+)
 
 def _join(blocks: list[dict], name: str, empty):
     """One column from its per-block parts (``empty`` when no block)."""
@@ -325,18 +325,14 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
     """Parse device-day telemetry rows into columns; unknown columns are
     ignored. Unparseable or non-finite cells are parse errors, rows that
     break the telemetry schema validation errors, each naming its row."""
-    stream, close = _open_text(source)
-    try:
-        header, delim = _read_header(stream, "telemetry")
+    with _csv_table(source, "telemetry") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
         blocks = []
         date_fmt = None
-        for columns, rownos in _body_blocks(
-            csv.reader(stream, delimiter=delim), len(header)
-        ):
+        for columns, rownos in body(len(header)):
             block = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
             date_fmt = date_fmt or _detect_date_format(block["date"][0])
             block = {
@@ -361,9 +357,6 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
             if problem is not None:
                 raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
             blocks.append(block)
-    finally:
-        if close:
-            stream.close()
     return TelemetryColumns(
         **{f.name: _join(blocks, f.name, np.zeros(0)) for f in fields(TelemetryColumns)}
     )
@@ -423,13 +416,9 @@ def write_telemetry_csv(records, target) -> None:
             _float_cells(rows.cpu_watts[lo:hi]),
         ]
 
-    stream, close = _open_text(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         csv.writer(stream, lineterminator="\n").writerow(_TELEMETRY_COLUMNS)
         _write_rows(stream, len(rows), block)
-    finally:
-        if close:
-            stream.close()
 
 
 def write_persona_csv(records, target) -> None:
@@ -452,31 +441,23 @@ def write_persona_csv(records, target) -> None:
             *(floats[j :: len(names)] for j in range(len(names))),
         ]
 
-    stream, close = _open_text(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         csv.writer(stream, lineterminator="\n").writerow(["device_id", "date"] + names)
         _write_rows(stream, len(rows), block)
-    finally:
-        if close:
-            stream.close()
 
 
 def parse_persona_csv(source) -> UsageColumns:
     """Parse usage-feature rows written by :func:`write_persona_csv` into
     columns. Unparseable or non-finite cells are parse errors, negative
     ones validation errors, each naming its row."""
-    stream, close = _open_text(source)
-    try:
-        header, delim = _read_header(stream, "persona")
+    with _csv_table(source, "persona") as (header, body):
         if header[:2] != ["device_id", "date"]:
             raise SchemaError("persona header must start with device_id, date")
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
         blocks = []
-        for columns, rownos in _body_blocks(
-            csv.reader(stream, delimiter=delim), len(header), exact=True
-        ):
+        for columns, rownos in body(len(header), exact=True):
             values = np.column_stack(
                 [
                     _finite_floats(cells, rownos, f"feature {name!r}")
@@ -496,15 +477,56 @@ def parse_persona_csv(source) -> UsageColumns:
                     "values": values,
                 }
             )
-    finally:
-        if close:
-            stream.close()
     return UsageColumns.from_rows(
         _join(blocks, "device_id", []),
         _join(blocks, "day", np.zeros(0, dtype=np.int64)),
         _join(blocks, "values", np.zeros((0, len(names)))),
         names,
     )
+
+
+def write_units_csv(rows: Iterable[Sequence], target) -> None:
+    """Write unit descriptors, one sequence of cells per unit in the
+    order unit_id, continent, devices_per_day, vpro_fraction; a cell that
+    holds the delimiter or a quote is quoted."""
+    with _opened(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(("unit_id", "continent", "devices_per_day", "vpro_fraction"))
+        writer.writerows(rows)
+
+
+def parse_units_csv(source) -> dict[str, str]:
+    """The continent of each unit id in a units table; other columns are
+    ignored and a later row for the same unit wins."""
+    continents: dict[str, str] = {}
+    with _csv_table(source, "units") as (header, body):
+        if "unit_id" not in header or "continent" not in header:
+            raise SchemaError("units header needs unit_id and continent columns")
+        id_col, cont_col = header.index("unit_id"), header.index("continent")
+        for columns, _ in body(max(id_col, cont_col) + 1):
+            continents.update(
+                zip(map(str.strip, columns[id_col]), map(str.strip, columns[cont_col]))
+            )
+    return continents
+
+
+def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
+    """The ``value`` column of a series table, and its ``date`` column of
+    ISO dates when it has one. A non-numeric or non-finite value or a
+    malformed date is a parse error naming its row."""
+    values, dates = [], []
+    with _csv_table(source, "series") as (header, body):
+        if "value" not in header:
+            raise SchemaError("series file needs a value column")
+        v_col = header.index("value")
+        d_col = header.index("date") if "date" in header else None
+        for columns, rownos in body(max(v_col, d_col or 0) + 1):
+            values.append(_finite_floats(columns[v_col], rownos, "value"))
+            if d_col is not None:
+                days = _day_ordinals(columns[d_col], rownos, "iso")
+                dates.extend(map(date.fromordinal, days.tolist()))
+    series = np.concatenate(values) if values else np.zeros(0)
+    return series, (dates if d_col is not None else None)
 
 
 def _fmt(value: float) -> str:
@@ -516,8 +538,7 @@ def write_panel(panel: PanelDataset, target) -> None:
     for u in panel.unit_ids:
         if "\t" in u:
             raise ValidationError(f"unit id {u!r} contains a tab")
-    stream, close = _open_text(target, "w")
-    try:
+    with _opened(target, "w") as stream:
         w = stream.write
         w(PANEL_MAGIC + "\n")
         w(f"#outcome {panel.outcome_name}\n")
@@ -548,19 +569,12 @@ def write_panel(panel: PanelDataset, target) -> None:
                     NA if c < 0 else str(int(c)) for c in panel.policy_codes[i]
                 ]
                 w("\t".join([u] + cells) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def read_panel(source) -> PanelDataset:
     """Read a panel written by :func:`write_panel`."""
-    stream, close = _open_text(source)
-    try:
+    with _opened(source) as stream:
         lines = stream.read().splitlines()
-    finally:
-        if close:
-            stream.close()
     if not lines or lines[0] != PANEL_MAGIC:
         raise ParseError("not a panel file (missing magic header)")
     if len(lines) < 2 or not lines[1].startswith("#outcome "):
@@ -641,7 +655,9 @@ def read_panel(source) -> PanelDataset:
 
     codes = None
     if "codes" in sections and len(sections["codes"]) > 1:
-        _, rows = unit_rows("codes")
+        names, rows = unit_rows("codes")
+        if names != sections["outcomes"][0][1:]:
+            raise ParseError("codes section: date header differs from the outcomes'")
         codes = np.array(
             [
                 [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]

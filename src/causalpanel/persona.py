@@ -252,13 +252,11 @@ def device_means(records) -> UsageColumns:
 
 @dataclass(frozen=True)
 class PersonaModel:
-    """k centroids with stable names; ``frozen`` marks a model whose
-    centroids are reference anchors rather than a fresh fit."""
+    """k distinct centroids with stable names."""
 
     centroids: np.ndarray
     persona_names: tuple[str, ...]
     feature_names: tuple[str, ...]
-    frozen: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=float)
@@ -319,10 +317,6 @@ class PersonaCountSeries:
             raise ValidationError("diffs do not match count differences")
 
 
-def _distinct_rows(X: np.ndarray) -> int:
-    return np.unique(X, axis=0).shape[0]
-
-
 def _squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances, computed by explicit expansion
     so ties are exact for identical coordinates."""
@@ -331,13 +325,18 @@ def _squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _farthest_point_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """First center drawn by the seeded RNG; the rest greedily maximize the
-    distance to the nearest chosen center (ties to the lowest index)."""
+    distance to the nearest chosen center (ties to the lowest index).
+    When every remaining point sits at squared distance 0 from a chosen
+    center (equal, or apart by so little that the square underflows),
+    fewer than ``k`` distinct vectors exist and this raises ValueError."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
     min_d2 = _squared_distances(X, X[chosen])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(min_d2))
+        if min_d2[nxt] == 0.0:
+            raise ValueError(f"need at least {k} distinct vectors, have {len(chosen)}")
         chosen.append(nxt)
         min_d2 = np.minimum(min_d2, _squared_distances(X, X[[nxt]])[:, 0])
     return X[chosen].copy()
@@ -381,10 +380,6 @@ def fit_kmeans(
     X = rows.matrix(feature_names)
     if k < 2:
         raise ValueError("k must be at least 2")
-    if _distinct_rows(X) < k:
-        raise ValueError(
-            f"need at least {k} distinct vectors, have {_distinct_rows(X)}"
-        )
 
     C = _farthest_point_init(X, k, seed)
     previous_assign = None
@@ -420,9 +415,7 @@ def fit_kmeans(
         if persona_names is not None
         else _derive_names(C, feature_names)
     )
-    model = PersonaModel(
-        centroids=C, persona_names=names, feature_names=feature_names, frozen=True
-    )
+    model = PersonaModel(centroids=C, persona_names=names, feature_names=feature_names)
     if return_history:
         return model, np.asarray(sse_path)
     return model
@@ -436,7 +429,6 @@ def rename_personas(model: PersonaModel, mapping: Mapping[str, str]) -> PersonaM
         centroids=model.centroids,
         persona_names=names,
         feature_names=model.feature_names,
-        frozen=model.frozen,
     )
 
 

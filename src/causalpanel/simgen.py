@@ -53,6 +53,7 @@ from .panelio import (
     write_persona_csv,
     write_policy_csv,
     write_telemetry_csv,
+    write_units_csv,
 )
 from .persona import (
     DEFAULT_FEATURE_CATEGORIES,
@@ -83,7 +84,6 @@ def archetype_model() -> PersonaModel:
         centroids=centroids,
         persona_names=DEFAULT_PERSONA_NAMES,
         feature_names=DEFAULT_FEATURE_CATEGORIES,
-        frozen=True,
     )
 
 
@@ -549,12 +549,10 @@ def write_scenario(
         write_persona_csv(data.persona_records, paths["persona"])
 
     paths["units"] = os.path.join(outdir, "units.csv")
-    with open(paths["units"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("unit_id,continent,devices_per_day,vpro_fraction\n")
-        for u in config.units:
-            fh.write(
-                f"{u.unit_id},{u.continent},{u.devices_per_day},{u.vpro_fraction!r}\n"
-            )
+    write_units_csv(
+        [(u.unit_id, u.continent, u.devices_per_day, u.vpro_fraction) for u in config.units],
+        paths["units"],
+    )
 
     manifest = data.manifest
     paths["manifest"] = os.path.join(outdir, "manifest.json")

@@ -194,10 +194,9 @@ def _active_set_simplex(
 def fit_weights(
     pre_treated: np.ndarray,
     pre_donors: np.ndarray,
-    spec: SynthSpec | None = None,
     *,
-    max_iterations: int | None = None,
-    tolerance: float | None = None,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    tolerance: float = DEFAULT_TOLERANCE,
     return_objectives: bool = False,
 ):
     """Simplex-constrained least squares of the treated pre-period on the
@@ -222,11 +221,6 @@ def fit_weights(
         raise ValidationError("empty donor pool")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValidationError("non-finite values in pre-period block")
-
-    if max_iterations is None:
-        max_iterations = spec.max_iterations if spec else DEFAULT_MAX_ITERATIONS
-    if tolerance is None:
-        tolerance = spec.tolerance if spec else DEFAULT_TOLERANCE
 
     w, converged, path = _active_set_simplex(A, b, max_iterations, tolerance)
     if not converged:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from causalpanel.cli import main
-from causalpanel.panelio import write_panel
+from causalpanel.panelio import read_panel, write_panel
 
 from _builders import make_panel
 
@@ -224,7 +224,30 @@ class TestDidWorkflow:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "units.csv line 4" in err and "Traceback" not in err
+        assert "units.csv: row 4: expected 2 fields" in err and "Traceback" not in err
+
+    def continents(self, work):
+        panel = read_panel(str(work / "panel.txt"))
+        return dict(zip(panel.unit_ids, panel.unit_tags["continent"]))
+
+    def test_units_cells_with_commas_round_trip(self, tmp_path):
+        scenario = did_scenario()
+        scenario["units"][0]["continent"] = "Asia, East"
+        scenario["units"][1]["unit_id"] = "DE,U"
+        _, work = simulate_and_ingest(tmp_path, scenario, with_units=True)
+        assert self.continents(work) == {"TREAT": "Asia, East", "DE,U": "Europe"}
+
+    def test_units_header_with_spaces(self, tmp_path):
+        data, _ = simulate_and_ingest(tmp_path, did_scenario())
+        units = data / "units.csv"
+        units.write_text("unit_id, continent\nTREAT, Asia\nCTRL, Europe\n", encoding="utf-8")
+        work = tmp_path / "again"
+        assert run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--units", units,
+            "--out", work, "--quiet",
+        ) == 0
+        assert self.continents(work) == {"TREAT": "Asia", "CTRL": "Europe"}
 
     def test_panel_missing_tag_row_exits_2(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, did_scenario(), with_units=True)
@@ -408,8 +431,28 @@ class TestCpdWorkflow:
         series.write_text(f"value\n1.0\n2.0\n{token}\n3.0\n", encoding="utf-8")
         assert run("cpd", "--series", series, "--out", tmp_path, "--quiet") == 2
         err = capsys.readouterr().err
-        assert f"series.csv row 4: non-finite value '{token}'" in err
+        assert f"series.csv: row 4: non-finite value '{token}'" in err
         assert not (tmp_path / "cpd.json").exists()
+
+    def test_short_series_row_exits_2(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("value,date\n1.0,2020-01-01\n2.0\n", encoding="utf-8")
+        assert run("cpd", "--series", series, "--out", tmp_path, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "series.csv: row 3: expected 2 fields" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("delimiter", ["\t", ";"], ids=["tab", "semicolon"])
+    def test_series_delimiter_sniffed(self, tmp_path, delimiter):
+        rows = [f"date{delimiter}value"] + [
+            f"2020-01-{1 + i:02d}{delimiter}{0.0 if i < 10 else 8.0}" for i in range(20)
+        ]
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run("cpd", "--series", series, "--out", tmp_path, "--quiet") == 0
+        payload = json.loads((tmp_path / "cpd.json").read_text())
+        assert payload["n"] == 20
+        assert payload["breakpoint_dates"] == ["2020-01-11"]
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
@@ -468,6 +511,23 @@ class TestPersonaWorkflow:
         )
         counts = (work / "persona_counts.csv").read_text().splitlines()
         assert len(counts) == 1 + 7  # header + 7 windows of 112 days
+
+    def test_subnormal_near_duplicate_devices_exit_3(self, tmp_path, capsys):
+        # the first two device means differ by a subnormal amount whose
+        # square underflows to 0, so they are one vector to k-means
+        records = tmp_path / "persona.csv"
+        records.write_text(
+            "device_id,date,a,b\n"
+            "d0,2020-01-01,0.0,0.0\n"
+            "d1,2020-01-01,0.0,6.3e-218\n"
+            "d2,2020-01-01,0.0,0.5\n",
+            encoding="utf-8",
+        )
+        code = run("persona", "--records", records, "--k", "3", "--out", tmp_path, "--quiet")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "need at least 3 distinct vectors, have 2" in err
+        assert "Traceback" not in err
 
     def test_fit_until_before_data_exits_3(self, tmp_path):
         data, work = simulate_and_ingest(tmp_path, persona_scenario())

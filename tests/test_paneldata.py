@@ -278,10 +278,6 @@ class TestAggregateTelemetry:
         with pytest.raises(SchemaError, match="outcome"):
             aggregate_telemetry([record(date(2020, 1, 1))], outcome="fan_speed")
 
-    def test_unsupported_statistic(self):
-        with pytest.raises(SchemaError, match="statistic"):
-            aggregate_telemetry([record(date(2020, 1, 1))], statistic="median")
-
     def test_no_records(self):
         with pytest.raises(ValidationError, match="no telemetry"):
             aggregate_telemetry([])

@@ -1,13 +1,16 @@
 """I/O tests: policy/telemetry/persona CSV parsing and the panel format."""
 
+import ast
 import io
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalpanel
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.paneldata import (
     PanelDataset,
@@ -100,6 +103,14 @@ class TestPolicyCsv:
     def test_empty_file(self):
         with pytest.raises(ParseError, match="empty"):
             parse_policy_csv(b"", "C6")
+
+    def test_binary_streams_stay_open(self):
+        source = io.BytesIO(b"unit_id,Date,C6\nA,20200101,1\n")
+        (tl,) = parse_policy_csv(source, "C6")
+        assert not source.closed
+        target = io.BytesIO()
+        write_policy_csv([tl], target, "C6")
+        assert target.getvalue() == b"CountryName,RegionName,Date,C6\nA,,20200101,1\n"
 
     def test_write_parse_round_trip(self):
         start = date(2020, 2, 1)
@@ -266,7 +277,9 @@ class TestPanelFormat:
             for damage in ("drop_row", "drop_cell")
         ]
         # any string is a valid tag, so a bad cell only fits numeric sections
-        + [("covariates", "bad_cell"), ("codes", "bad_cell")],
+        + [("covariates", "bad_cell"), ("codes", "bad_cell")]
+        # only the codes section repeats the outcomes' date header
+        + [("codes", "bad_header")],
     )
     def test_damaged_unit_row_named(self, section, damage):
         from causalpanel.paneldata import merge_panels
@@ -282,13 +295,17 @@ class TestPanelFormat:
         row = next(
             i for i in range(start, len(lines)) if lines[i].startswith("USA\t")
         )
+        expected = f"{section} (section|row).*'USA'"
         if damage == "drop_row":
             del lines[row]
         elif damage == "drop_cell":
             lines[row] = lines[row].rsplit("\t", 1)[0] + "\n"
-        else:
+        elif damage == "bad_cell":
             lines[row] = lines[row].rsplit("\t", 1)[0] + "\tx\n"
-        with pytest.raises(ParseError, match=f"{section} (section|row).*'USA'"):
+        else:
+            lines[start + 1] = lines[start + 1].rsplit("\t", 1)[0] + "\t1999-01-01\n"
+            expected = "codes section: date header differs from the outcomes'"
+        with pytest.raises(ParseError, match=expected):
             read_panel("".join(lines).encode())
 
     def test_missing_magic(self):
@@ -339,3 +356,21 @@ class TestPanelFormat:
         assert np.array_equal(
             back.outcomes[~back.missing_mask], panel.outcomes[~panel.missing_mask]
         )
+
+
+def test_only_panelio_imports_csv():
+    # one module decides the CSV dialect: every other module reads and
+    # writes tables through panelio
+    package = Path(causalpanel.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["panelio.py"]

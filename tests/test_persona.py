@@ -107,6 +107,14 @@ class TestFitKmeans:
         with pytest.raises(ValueError, match="distinct"):
             fit_kmeans(same + [vec("x", [0.0, 0.0, 0.0])], k=3)
 
+    def test_subnormal_near_duplicates_are_not_distinct(self):
+        # (0, 6.3e-218) differs from (0, 0) but its squared distance
+        # underflows to 0, so only two distinct vectors exist
+        X = np.array([[0.0, 0.0], [0.0, 6.3e-218], [0.0, 0.5]])
+        for seed in range(3):
+            with pytest.raises(ValueError, match="need at least 3 distinct vectors, have 2"):
+                fit_kmeans(vectors_from_matrix(X, names=("a", "b")), k=3, seed=seed)
+
     def test_explicit_persona_names(self):
         X = np.array([[0.0, 0, 0], [9, 0, 0], [0, 9, 0]])
         model = fit_kmeans(vectors_from_matrix(X), k=3, seed=0, persona_names=("a", "b", "c"))

@@ -61,6 +61,7 @@ from .panelio import (
     parse_units_csv,
     read_panel,
     write_panel,
+    write_result_csv,
 )
 from .persona import (
     CATEGORY_TO_PERSONA,
@@ -124,17 +125,11 @@ def _json_text(payload) -> str:
     return json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return "" if np.isnan(v) else repr(v)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _text(write, *args) -> str:
+    """What a panelio writer, called as ``write(*args, stream)``, writes."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
 
 
 def _iso_date(token: str, what: str) -> date:
@@ -308,18 +303,12 @@ def cmd_ingest(args, config) -> int:
             unit_tags={"continent": tuple(continent_of(u) for u in panel.unit_ids)},
         )
 
-    path = _emit(outdir, "panel.txt", _panel_text(panel))
+    path = _emit(outdir, "panel.txt", _text(write_panel, panel))
     print(
         f"ingest: {panel.n_units} unit(s) x {panel.n_dates} day(s) "
         f"[{panel.dates[0]}..{panel.dates[-1]}] -> {path}"
     )
     return EXIT_OK
-
-
-def _panel_text(panel: PanelDataset) -> str:
-    buf = io.StringIO()
-    write_panel(panel, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- did
@@ -381,11 +370,8 @@ def cmd_did(args, config) -> int:
     for j, d in enumerate(panel.dates):
         tm, cm = group_mean(t_idx, j), group_mean(c_idx, j)
         rows.append([d.isoformat(), tm, cm, tm - cm])
-    _emit(
-        outdir,
-        "did_plot.csv",
-        _csv_text(["date", "treated_mean", "control_mean", "difference"], rows),
-    )
+    header = ["date", "treated_mean", "control_mean", "difference"]
+    _emit(outdir, "did_plot.csv", _text(write_result_csv, header, rows))
     print(
         f"did: beta0={fit.beta0:.6f} stderr={fit.stderr_beta0:.6g} "
         f"p={fit.p_value:.3g} -> {path}"
@@ -448,7 +434,7 @@ def cmd_synth(args, config) -> int:
     _emit(
         outdir,
         "synth_plot.csv",
-        _csv_text(["date", "actual", "counterfactual", "gap"], rows),
+        _text(write_result_csv, ["date", "actual", "counterfactual", "gap"], rows),
     )
 
     if placebo_gaps is not None:
@@ -462,7 +448,7 @@ def cmd_synth(args, config) -> int:
         _emit(
             outdir,
             "synth_placebo.csv",
-            _csv_text(["date", "treated"] + donors, rows),
+            _text(write_result_csv, ["date", "treated"] + donors, rows),
         )
 
     ptxt = "n/a" if p_value is None else f"{p_value:.4g}"
@@ -528,11 +514,8 @@ def cmd_cpd(args, config) -> int:
     for i, (v, m) in enumerate(zip(series, fitted)):
         label = dates[i].isoformat() if dates is not None else i
         rows.append([label, float(v), float(m)])
-    _emit(
-        outdir,
-        "cpd_plot.csv",
-        _csv_text(["date" if dates is not None else "index", "value", "segment_mean"], rows),
-    )
+    header = ["date" if dates is not None else "index", "value", "segment_mean"]
+    _emit(outdir, "cpd_plot.csv", _text(write_result_csv, header, rows))
     print(f"cpd: {summary} (lambda_eff={lam_eff:.6g}) -> {path}")
     return EXIT_OK
 
@@ -578,7 +561,7 @@ def cmd_persona(args, config) -> int:
     _emit(
         outdir,
         "persona_counts.csv",
-        _csv_text(["window_start"] + names, count_rows),
+        _text(write_result_csv, ["window_start"] + names, count_rows),
     )
     z_rows = [
         [series.window_starts[w + 1].isoformat()]
@@ -588,7 +571,7 @@ def cmd_persona(args, config) -> int:
     _emit(
         outdir,
         "persona_zscores.csv",
-        _csv_text(["transition_into"] + names, z_rows),
+        _text(write_result_csv, ["transition_into"] + names, z_rows),
     )
 
     changepoints = {}
@@ -652,7 +635,7 @@ def cmd_report(args, config) -> int:
 
     fmt = _resolve(args, config, "format", default="json")
     if fmt == "csv":
-        text = _csv_text(header, rows)
+        text = _text(write_result_csv, header, rows)
         path = _emit(outdir, "report.csv", text)
     else:
         payload = {

@@ -15,16 +15,17 @@ are exact only under i.i.d. errors.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import stdtr, stdtrit
 
 from .errors import (
     DiagnosticUnavailableError,
+    NumericalError,
     SchemaError,
     SingularDesignError,
     SpecError,
@@ -91,14 +92,15 @@ def solve_ols(
     response: np.ndarray,
     column_names: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares via QR with a rank guard.
+    """Least squares via one thin SVD with a rank guard.
 
-    Returns (coefficients, residuals, stderrs); stderrs come from the
-    classical homoskedastic covariance s^2 (X'X)^-1 and are NaN when
-    there are no residual degrees of freedom. Rank deficiency (smallest
-    singular value below RANK_TOLERANCE times the largest) raises
-    SingularDesignError naming the dependent columns, identified from
-    the small diagonal entries of a pivoted QR.
+    With X = U diag(s) V', the coefficients are V diag(1/s) U'y and the
+    diagonal of (X'X)^-1 is the row sums of (V diag(1/s))^2. Returns
+    (coefficients, residuals, stderrs); stderrs come from the classical
+    homoskedastic covariance s^2 (X'X)^-1 and are NaN when there are no
+    residual degrees of freedom. Rank deficiency (smallest singular value
+    below RANK_TOLERANCE times the largest) raises SingularDesignError
+    naming the dependent columns (see :func:`_dependent_columns`).
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -112,22 +114,21 @@ def solve_ols(
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValidationError("design or response contains non-finite values")
 
-    singular_values = np.linalg.svd(X, compute_uv=False)
+    U, singular_values, Vt = np.linalg.svd(X, full_matrices=False)
     if singular_values[0] == 0.0 or singular_values[-1] < RANK_TOLERANCE * singular_values[0]:
         raise SingularDesignError(
             _describe_dependent_columns(X, column_names),
             columns=_dependent_columns(X, column_names),
         )
 
-    Q, R = np.linalg.qr(X)
-    coefficients = solve_triangular(R, Q.T @ y, lower=False)
+    v_scaled = Vt.T / singular_values
+    coefficients = v_scaled @ (U.T @ y)
     residuals = y - X @ coefficients
 
     dof = n - p
     if dof > 0:
         sigma2 = float(residuals @ residuals) / dof
-        r_inv = solve_triangular(R, np.eye(p), lower=False)
-        stderrs = np.sqrt(sigma2 * np.sum(r_inv * r_inv, axis=1))
+        stderrs = np.sqrt(sigma2 * np.sum(v_scaled * v_scaled, axis=1))
     else:
         stderrs = np.full(p, np.nan)
     return coefficients, residuals, stderrs
@@ -136,14 +137,32 @@ def solve_ols(
 def _dependent_columns(
     X: np.ndarray, column_names: Sequence[str] | None
 ) -> tuple[str, ...]:
-    """Columns whose pivoted-QR diagonal collapses, i.e. the ones that are
-    (numerically) linear combinations of earlier pivots."""
-    _, R, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    scale = diag[0] if diag.size and diag[0] > 0 else 1.0
-    bad = [int(piv[i]) for i in range(diag.size) if diag[i] < RANK_TOLERANCE * scale]
-    if not bad:
-        bad = [int(piv[-1])]
+    """Columns that are (numerically) linear combinations of others.
+
+    Greedy column pivoting with modified Gram-Schmidt, the pivot rule of
+    LAPACK's pivoted QR (geqp3): each step takes the column whose residual
+    norm is largest, the first in the current order on a tie, swaps it
+    into place and projects it out of the rest. Once the largest residual
+    norm falls below RANK_TOLERANCE times the first pivot's, every column
+    not yet pivoted is dependent; if none does, the last pivot is named.
+    """
+    residual = np.array(X, dtype=float)
+    order = list(range(residual.shape[1]))
+    scale = None
+    for i in range(len(order)):
+        norms = np.linalg.norm(residual[:, order[i:]], axis=0)
+        k = int(np.argmax(norms))
+        if scale is None:
+            scale = norms[k] if norms[k] > 0 else 1.0
+        if norms[k] < RANK_TOLERANCE * scale:
+            bad = order[i:]
+            break
+        order[i], order[i + k] = order[i + k], order[i]
+        q = residual[:, order[i]] / norms[k]
+        rest = order[i + 1 :]
+        residual[:, rest] -= np.outer(q, q @ residual[:, rest])
+    else:
+        bad = order[-1:]
     if column_names is None:
         return tuple(f"column {j}" for j in sorted(bad))
     return tuple(column_names[j] for j in sorted(bad))
@@ -154,6 +173,113 @@ def _describe_dependent_columns(
 ) -> str:
     names = _dependent_columns(X, column_names)
     return "design is rank deficient; dependent columns: " + ", ".join(names)
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)). For large a the difference of two
+    lgamma values loses digits to cancellation (2e-11 absolute at a = 5e4),
+    so there it comes from Stirling's series, whose leading terms cancel
+    analytically."""
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+
+    def series(z: float) -> float:  # log Gamma(z) minus its Stirling terms
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+    return a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5 + series(a + 0.5) - series(a)
+
+
+# Safety caps, far above need: the continued fraction takes under 200 terms
+# for any dof up to 1e12, and Newton's method 16 steps at q = 0.975
+# and about 55 at q = 1 - 1e-15
+_FRACTION_MAX_TERMS = 10_000
+_NEWTON_MAX_STEPS = 100
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) * B(a, b) / (x^a y^b), y = 1 - x, by the continued
+    fraction of DiDonato and Morris (1992, algorithm 708, BFRAC), for
+    x < a / (a + b). ``lam`` is (a + b) * y - b, which the caller forms
+    from whichever of x and y avoids cancellation."""
+    c = 1.0 + lam
+    c0, c1 = b / a, 1.0 + 1.0 / a
+    p, s = 1.0, a + 1.0
+    an, bn, an1, bn1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, _FRACTION_MAX_TERMS + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * w * x
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * (1.0 + y))
+        p, s = 1.0 + t, s + 2.0
+        an, an1 = an1, alpha * an + beta * an1
+        bn, bn1 = bn1, alpha * bn + beta * bn1
+        r_prev, r = r, an1 / bn1
+        if abs(r - r_prev) <= sys.float_info.epsilon * r:
+            return r
+        an, bn, an1, bn1 = an / bn1, bn / bn1, r, 1.0  # rescale
+    raise NumericalError(f"incomplete beta fraction did not converge at a={a}, b={b}")
+
+
+def _t_two_sided(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom:
+    the regularized incomplete beta I_x(dof/2, 1/2) at x = dof/(dof+t^2),
+    with x and 1 - x = t^2/(dof+t^2) each formed without cancellation.
+    dof 1 (Cauchy) and 2 have closed forms."""
+    t = abs(float(t))
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if dof == 1:
+        return 2.0 * math.atan2(1.0, t) / math.pi
+    if dof == 2:
+        root = math.sqrt(2.0 + t2)
+        return 2.0 / (root * (root + t))
+    a, b = 0.5 * dof, 0.5
+    x, y = 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2)
+    # x^a y^b / B(a, 1/2)
+    front = math.exp(
+        _log_gamma_half_ratio(a) - a * math.log1p(t2 / dof) - b * math.log1p(dof / t2)
+    ) / math.sqrt(math.pi)
+    if x < a / (a + b):
+        return front * _beta_fraction(a, b, x, y, (a + b) * y - b)
+    return 1.0 - front * _beta_fraction(b, a, y, x, b - (a + b) * y)
+
+
+def _t_density(t: float, dof: int) -> float:
+    return math.exp(
+        _log_gamma_half_ratio(0.5 * dof) - 0.5 * (dof + 1) * math.log1p(t * t / dof)
+    ) / math.sqrt(math.pi * dof)
+
+
+def _t_quantile(dof: int, q: float) -> float:
+    """The t with P(T <= t) = q, for 1/2 < q < 1. dof 1 and 2 have closed
+    forms. Otherwise Newton's method on the upper tail from t = 0, kept
+    in the bracket [lo, hi] of points known to lie left and right of the
+    root (hi starts at the dof-2 quantile, which bounds every higher dof).
+    The tail is convex, so the iterates rise monotonically to the root; a
+    step that would leave the bracket only comes from rounding once the
+    root is resolved, and ends the search."""
+    tail = 1.0 - q
+    if dof == 1:
+        return 1.0 / math.tan(math.pi * tail)
+    if dof == 2:
+        return (1.0 - 2.0 * tail) / math.sqrt(2.0 * tail * q)
+    lo, hi = 0.0, _t_quantile(2, q)
+    t = lo
+    for _ in range(_NEWTON_MAX_STEPS):
+        excess = 0.5 * _t_two_sided(t, dof) - tail
+        if excess > 0.0:
+            lo = t
+        else:
+            hi = t
+        nxt = t + excess / _t_density(t, dof)
+        if not lo < nxt < hi:
+            return t
+        t = nxt
+    raise NumericalError(f"t quantile did not converge at dof={dof}, q={q}")
 
 
 def _t_pvalue_and_ci(
@@ -167,9 +293,8 @@ def _t_pvalue_and_ci(
     if stderr == 0.0:
         p = 1.0 if estimate == 0.0 else 0.0
         return p, (estimate, estimate)
-    t_stat = estimate / stderr
-    p = 2.0 * float(stdtr(dof, -abs(t_stat)))
-    half = float(stdtrit(dof, 0.975)) * stderr
+    p = _t_two_sided(estimate / stderr, dof)
+    half = _t_quantile(dof, 0.975) * stderr
     return min(p, 1.0), (estimate - half, estimate + half)
 
 

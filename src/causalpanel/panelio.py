@@ -16,6 +16,8 @@ This is the one module that reads or writes CSV. The formats:
 * units CSV — unit descriptors (unit_id, continent, devices_per_day,
   vpro_fraction); the reader takes the continent of each unit.
 * series CSV — a ``value`` column and an optional ISO ``date`` column.
+* result CSV — a header row over one row per result (the CLI's plot,
+  count and report tables); written only.
 * panel file — a self-describing text interchange format for
   :class:`~causalpanel.paneldata.PanelDataset`: a header block naming the
   outcome, then tab-separated sections (``outcomes``, ``covariates``,
@@ -493,6 +495,19 @@ def write_units_csv(rows: Iterable[Sequence], target) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("unit_id", "continent", "devices_per_day", "vpro_fraction"))
         writer.writerows(rows)
+
+
+def write_result_csv(header: Sequence[str], rows: Iterable[Sequence], target) -> None:
+    """Write a result table: floats with ``repr``, None and NaN as empty
+    cells, other values with ``str``; a cell that holds the delimiter or a
+    quote is quoted."""
+    with _opened(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [None if isinstance(v, float) and np.isnan(v) else v for v in row]
+            for row in rows
+        )
 
 
 def parse_units_csv(source) -> dict[str, str]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from causalpanel.cli import main
-from causalpanel.panelio import read_panel, write_panel
+from causalpanel.panelio import _csv_table, read_panel, write_panel
 
 from _builders import make_panel
 
@@ -528,6 +528,26 @@ class TestPersonaWorkflow:
         err = capsys.readouterr().err
         assert "need at least 3 distinct vectors, have 2" in err
         assert "Traceback" not in err
+
+    def test_feature_name_with_comma_round_trips(self, tmp_path):
+        records = tmp_path / "persona.csv"
+        records.write_text(
+            'device_id,date,gaming,"web, mail"\n'
+            "d0,2020-01-01,1.0,0.0\n"
+            "d1,2020-01-01,0.0,1.0\n"
+            "d0,2020-01-02,1.0,0.0\n"
+            "d1,2020-01-02,0.0,1.0\n",
+            encoding="utf-8",
+        )
+        assert run(
+            "persona", "--records", records, "--k", "2", "--width", "1",
+            "--stride", "1", "--out", tmp_path, "--quiet",
+        ) == 0
+        with _csv_table(tmp_path / "persona_counts.csv", "counts") as (header, body):
+            assert header[0] == "window_start"
+            assert sorted(header[1:]) == ["gaming", "web, mail"]
+            blocks = list(body(len(header), exact=True))
+        assert sum(len(rownos) for _, rownos in blocks) == 2
 
     def test_fit_until_before_data_exits_3(self, tmp_path):
         data, work = simulate_and_ingest(tmp_path, persona_scenario())

@@ -1,15 +1,26 @@
 """OLS core and the two-way DiD design on hand-built panels."""
 
+import ast
+import math
+import os
+import subprocess
+import sys
 from datetime import date
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr, stdtrit
 
+import causalpanel
 from causalpanel.did import (
     DidFit,
     DidSpec,
+    _t_quantile,
+    _t_two_sided,
     fit_did,
     parallel_trends_diagnostic,
     solve_ols,
@@ -90,8 +101,10 @@ class TestSolveOls:
         X = np.column_stack([np.ones(6), x, x])
         with pytest.raises(SingularDesignError) as err:
             solve_ols(X, np.arange(6.0), column_names=["intercept", "t", "t_copy"])
-        assert "t_copy" in str(err.value) or "t" in str(err.value)
-        assert err.value.columns
+        # t and t_copy tie on norm; the pivot rule takes the first, so the
+        # copy is the dependent one (as LAPACK's pivoted QR reports it)
+        assert err.value.columns == ("t_copy",)
+        assert str(err.value).endswith("dependent columns: t_copy")
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValidationError):
@@ -106,6 +119,87 @@ class TestSolveOls:
     def test_zero_dof_stderrs_are_nan(self):
         _, _, stderrs = solve_ols(np.eye(2), np.array([1.0, 2.0]))
         assert np.isnan(stderrs).all()
+
+
+DOF = st.one_of(st.integers(3, 200), st.sampled_from([1000, 100_000]))
+
+
+class TestStudentT:
+    """The numpy-free t distribution against scipy.special as an oracle,
+    and dof 1 and 2 against their closed forms."""
+
+    @given(dof=DOF, log_t=st.floats(-8.0, 3.0), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_two_sided_p_matches_scipy(self, dof, log_t, sign):
+        t = sign * 10.0**log_t
+        # 1e-12 relative holds down to p ~ 1e-300; the largest errors
+        # (~2e-13) come from exp() of exponents near -700
+        assert math.isclose(
+            _t_two_sided(t, dof), 2.0 * stdtr(dof, -abs(t)), rel_tol=1e-12, abs_tol=1e-300
+        )
+
+    def test_quantile_matches_scipy(self):
+        off = [
+            dof
+            for dof in [*range(3, 201), 1000, 100_000]
+            if not math.isclose(_t_quantile(dof, 0.975), stdtrit(dof, 0.975), rel_tol=1e-13)
+        ]
+        assert off == []
+
+    @given(log_t=st.floats(-8.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_forms(self, log_t):
+        # scipy's stdtr(1, t) is off by up to 3e-9 relative near t = 1e-8,
+        # so dof 1 and 2 are checked against the textbook formulas instead
+        t = 10.0**log_t
+        cauchy = 2.0 / math.pi * math.atan(1.0 / t)
+        assert math.isclose(_t_two_sided(t, 1), cauchy, rel_tol=1e-14)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = 1 - Decimal(t) / (2 + Decimal(t) ** 2).sqrt()
+        assert math.isclose(_t_two_sided(t, 2), float(exact), rel_tol=1e-14)
+
+    def test_closed_form_quantiles(self):
+        assert math.isclose(_t_quantile(1, 0.975), math.tan(math.pi * 0.475), rel_tol=1e-14)
+        two = (2 * 0.975 - 1) / math.sqrt(2 * 0.975 * 0.025)
+        assert math.isclose(_t_quantile(2, 0.975), two, rel_tol=1e-14)
+
+    @given(
+        dof=st.one_of(st.integers(1, 300), st.sampled_from([1000, 100_000, 10**9])),
+        t=st.floats(0.0, 1e300),
+        factor=st.floats(1.0, 1e6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_p_in_unit_interval_and_falls_with_t(self, dof, t, factor):
+        near, far = _t_two_sided(t, dof), _t_two_sided(t * factor, dof)
+        assert 0.0 <= far <= near <= 1.0
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test-only oracle
+    package = Path(causalpanel.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(causalpanel.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, causalpanel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def flat_effect_panel(tau=2.0, n=10, t0=5, base=5.0):
@@ -203,13 +297,15 @@ class TestFitDid:
         }
         tags = {"continent": ("Asia", "Asia", "Europe", "Europe")}
         panel = make_panel(series, unit_tags=tags)
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError) as err:
             fit_did(
                 panel,
                 DidSpec(
                     {"T1", "T2"}, {"C1", "C2"}, day(t0), covariate_names=("continent",)
                 ),
             )
+        # the name LAPACK's pivoted QR reported for this design
+        assert err.value.columns == ("continent=Europe",)
 
     def test_unknown_covariate(self):
         panel, t0 = flat_effect_panel()

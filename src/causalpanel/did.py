@@ -191,8 +191,8 @@ def _log_gamma_half_ratio(a: float) -> float:
 
 
 # Safety caps, far above need: the continued fraction takes under 200 terms
-# for any dof up to 1e12, and Newton's method 16 steps at q = 0.975
-# and about 55 at q = 1 - 1e-15
+# for any dof up to 1e12, and Newton's method under 10 steps at q = 0.975
+# and about 50 at q = 1 - 1e-15
 _FRACTION_MAX_TERMS = 10_000
 _NEWTON_MAX_STEPS = 100
 
@@ -256,30 +256,46 @@ def _t_density(t: float, dof: int) -> float:
 
 def _t_quantile(dof: int, q: float) -> float:
     """The t with P(T <= t) = q, for 1/2 < q < 1. dof 1 and 2 have closed
-    forms. Otherwise Newton's method on the upper tail from t = 0, kept
-    in the bracket [lo, hi] of points known to lie left and right of the
-    root (hi starts at the dof-2 quantile, which bounds every higher dof).
-    The tail is convex, so the iterates rise monotonically to the root; a
-    step that would leave the bracket only comes from rounding once the
-    root is resolved, and ends the search."""
+    forms. Otherwise the upper tail is inverted from the normal quantile,
+    which lies left of every t quantile, with the dof-2 quantile, which
+    lies right of every higher dof's, as the other end of the bracket."""
     tail = 1.0 - q
     if dof == 1:
         return 1.0 / math.tan(math.pi * tail)
     if dof == 2:
         return (1.0 - 2.0 * tail) / math.sqrt(2.0 * tail * q)
-    lo, hi = 0.0, _t_quantile(2, q)
+    hi = _t_quantile(2, q)
+    z = _invert_tail(
+        lambda u: 0.5 * math.erfc(u / math.sqrt(2.0)),
+        lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi),
+        tail, 0.0, hi,
+    )
+    return _invert_tail(
+        lambda u: 0.5 * _t_two_sided(u, dof), lambda u: _t_density(u, dof), tail, z, hi
+    )
+
+
+def _invert_tail(upper_tail, density, target: float, lo: float, hi: float) -> float:
+    """The point in [lo, hi] where a convex, falling upper tail equals
+    ``target``, by Newton's method from lo, which lies left of it. On a
+    convex tail the iterates rise monotonically to the root. The search
+    ends when a step moves the point by a few ulps, or when it would leave
+    the bracket of points known to lie left and right of the root, which
+    only rounding can cause once the root is resolved."""
     t = lo
     for _ in range(_NEWTON_MAX_STEPS):
-        excess = 0.5 * _t_two_sided(t, dof) - tail
+        excess = upper_tail(t) - target
         if excess > 0.0:
             lo = t
         else:
             hi = t
-        nxt = t + excess / _t_density(t, dof)
+        nxt = t + excess / density(t)
         if not lo < nxt < hi:
             return t
+        if abs(nxt - t) <= 4.0 * sys.float_info.epsilon * nxt:
+            return nxt
         t = nxt
-    raise NumericalError(f"t quantile did not converge at dof={dof}, q={q}")
+    raise NumericalError(f"Newton's method did not settle on tail {target}")
 
 
 def _t_pvalue_and_ci(

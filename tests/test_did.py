@@ -121,14 +121,15 @@ class TestSolveOls:
         assert np.isnan(stderrs).all()
 
 
-DOF = st.one_of(st.integers(3, 200), st.sampled_from([1000, 100_000]))
-
-
 class TestStudentT:
     """The numpy-free t distribution against scipy.special as an oracle,
     and dof 1 and 2 against their closed forms."""
 
-    @given(dof=DOF, log_t=st.floats(-8.0, 3.0), sign=st.sampled_from([-1.0, 1.0]))
+    @given(
+        dof=st.one_of(st.integers(3, 200), st.sampled_from([1000, 100_000])),
+        log_t=st.floats(-8.0, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
     @settings(max_examples=400, deadline=None)
     def test_two_sided_p_matches_scipy(self, dof, log_t, sign):
         t = sign * 10.0**log_t
@@ -167,10 +168,13 @@ class TestStudentT:
     @given(
         dof=st.one_of(st.integers(1, 300), st.sampled_from([1000, 100_000, 10**9])),
         t=st.floats(0.0, 1e300),
-        factor=st.floats(1.0, 1e6),
+        factor=st.floats(1.001, 1e6),
     )
     @settings(max_examples=400, deadline=None)
     def test_p_in_unit_interval_and_falls_with_t(self, dof, t, factor):
+        # between adjacent floats p wiggles by rounding (up to 5e-14
+        # relative, inside the 1e-12 bound above), so the two points are
+        # at least a factor 1.001 apart
         near, far = _t_two_sided(t, dof), _t_two_sided(t * factor, dof)
         assert 0.0 <= far <= near <= 1.0
 

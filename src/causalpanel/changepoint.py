@@ -22,6 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Median |successive difference| of i.i.d. N(0, sigma^2) noise is
 # inv_Phi(0.75) * sqrt(2) * sigma; dividing by this constant turns the
 # median absolute difference into a jump-robust noise-scale estimate.
@@ -263,8 +265,10 @@ def detect_penalized(
     """Pick the segment count minimizing cost + penalty * k over k <= k_max.
 
     Ties go to the smaller k, so a zero penalty on a constant series still
-    returns a single segment.
+    returns a single segment. A ``k_max`` below 1 is a validation error.
     """
+    if k_max < 1:
+        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {k_max}")
     costs = SeriesCosts(series)
     if costs.n < 2:
         raise ValueError("need at least 2 points to segment")

@@ -523,20 +523,28 @@ def cmd_cpd(args, config) -> int:
 # ---------------------------------------------------------------- persona
 
 
+def _fit_rows(records, fit_until: str | None):
+    """The usage rows the personas are fitted on: those before
+    ``--fit-until`` when it is given, else all."""
+    if fit_until:
+        records = records.take(
+            records.day < _iso_date(fit_until, "--fit-until").toordinal()
+        )
+    if not len(records):
+        raise ValidationError("no usage rows before --fit-until to fit on")
+    return records
+
+
 def cmd_persona(args, config) -> int:
     outdir = _outdir(args, config)
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
-    fit_records = records
-    if args.fit_until:
-        fit_until = _iso_date(args.fit_until, "--fit-until")
-        fit_records = records.take(records.day < fit_until.toordinal())
-    if not len(fit_records):
-        raise ValidationError("no usage rows before --fit-until to fit on")
-
     seed = _resolve(args, config, "seed", default=0)
-    model = fit_kmeans(device_means(fit_records), k=args.k, seed=int(seed))
+    # the fit rows are a copy; only their per-device means outlive the fit
+    model = fit_kmeans(
+        device_means(_fit_rows(records, args.fit_until)), k=args.k, seed=int(seed)
+    )
     if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
         model = rename_personas(model, CATEGORY_TO_PERSONA)
 

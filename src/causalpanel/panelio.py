@@ -27,11 +27,14 @@ Every CSV table is read by :func:`_csv_table`, so all share one dialect:
 the delimiter (``,``, tab or ``;``) is sniffed from the header line,
 header names are stripped, blank rows are skipped, and rows are numbered
 from the header as row 1. The body is read a block of rows at a time,
-transposed, and each column converted at once (dates and other text cells
-once per distinct value, numbers with ``float``) and validated at once.
-Every rejected cell is named by its row: unparseable or non-finite values
-and short rows are parse errors, values outside the schema validation
-errors. The writers format a block of rows at a time, floats with
+transposed, and each column converted at once (text cells once per
+distinct value, dates once per file, numbers with ``float``) and
+validated at once. Each block is copied into columns allocated once for
+as many rows as the file has lines left (:func:`_stacked`), so a table is
+held once, not once in blocks and again joined. Every rejected cell is
+named by its row: unparseable or non-finite values and short rows are
+parse errors, values outside the schema validation errors. The writers
+format a block of rows at a time (each date once per file), floats with
 ``repr`` over ``tolist()`` values, so a file written from columns is
 byte-identical to one written row by row with ``csv.writer``.
 """
@@ -39,12 +42,10 @@ byte-identical to one written row by row with ``csv.writer``.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import os
 from contextlib import contextmanager
-from dataclasses import fields
 from datetime import date, datetime
 from typing import IO, Iterable, Sequence
 
@@ -76,7 +77,7 @@ def _opened(source, mode: str = "r"):
         with open(source, mode, encoding="utf-8", newline="") as stream:
             yield stream
     elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
+        yield io.StringIO(source.decode("utf-8"), newline="")
     elif isinstance(source, io.TextIOBase):
         yield source
     elif hasattr(source, "read"):  # binary stream
@@ -136,21 +137,69 @@ def _body_blocks(reader, width: int, exact: bool = False):
             yield list(zip(*rows)), rownos
 
 
+def _lines_left(stream) -> int:
+    """The lines from the stream's position to its end, an unterminated
+    last one included: a bound on the CSV rows there. The position is
+    kept."""
+    start = stream.tell()
+    lines = 1
+    while chunk := stream.read(1 << 20):
+        lines += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+    stream.seek(start)
+    return lines
+
+
+class _Body:
+    """The rows below a CSV header. ``body(width, exact=False)`` yields
+    their :func:`_body_blocks`; ``body.max_rows`` bounds their number, so
+    a reader can allocate each column once (see :func:`_stacked`)."""
+
+    def __init__(self, stream, delim: str):
+        self.max_rows = _lines_left(stream)
+        self._reader = csv.reader(stream, delimiter=delim)
+
+    def __call__(self, width: int, exact: bool = False):
+        return _body_blocks(self._reader, width, exact)
+
+
 @contextmanager
 def _csv_table(source, kind: str):
     """Open a CSV table (a path, bytes, or stream) and yield its header
-    names, stripped, and ``body(width, exact=False)``, the
-    :func:`_body_blocks` of the rows below it. The delimiter is the one
-    of ``,``, tab and ``;`` that the header line holds most of."""
+    names, stripped, and the :class:`_Body` of the rows below it. The
+    delimiter is the one of ``,``, tab and ``;`` that the header line
+    holds most of. A stream that cannot seek (a pipe) is read to its end
+    first, so that its rows can be counted."""
     with _opened(source) as stream:
         header_line = stream.readline()
         if not header_line:
             raise ParseError(f"{kind} file is empty")
         delim = _sniff_delimiter(header_line)
         header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
-        yield header, functools.partial(
-            _body_blocks, csv.reader(stream, delimiter=delim)
-        )
+        if not stream.seekable():
+            stream = io.StringIO(stream.read(), newline="")
+        yield header, _Body(stream, delim)
+
+
+def _stacked(blocks, columns: dict) -> dict:
+    """Whole columns from the per-block parts that ``blocks`` yields (one
+    dict of parts per block, in row order). ``columns`` maps each name to
+    its output: a list, extended by each part, or an array allocated once
+    with room for every row, each part copied in as it comes, then cut
+    in place to the rows read. No block outlives its copy, so a column is
+    held once, not once in blocks and again joined."""
+    n = 0
+    for block in blocks:
+        for name, part in block.items():
+            out = columns[name]
+            if isinstance(out, list):
+                out.extend(part)
+            else:
+                out[n : n + len(part)] = part
+        n += len(part)
+    for out in columns.values():
+        if isinstance(out, np.ndarray) and len(out) != n:
+            out.resize((n, *out.shape[1:]), refcheck=False)  # no views exist
+    return columns
 
 
 def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
@@ -177,7 +226,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         ind_col = cols[indicator_column]
         used_cols = (unit_col, region_col, date_col, ind_col)
 
-        date_fmt = None
+        date_fmt, day_table = None, {}
         for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
             units = map(str.strip, columns[unit_col])
             if region_col is not None:
@@ -186,7 +235,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
                     for unit, region in zip(units, map(str.strip, columns[region_col]))
                 )
             date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
-            days = _day_ordinals(columns[date_col], rownos, date_fmt).tolist()
+            days = _day_ordinals(columns[date_col], rownos, date_fmt, day_table).tolist()
             for unit, day, raw in zip(units, days, map(str.strip, columns[ind_col])):
                 rows.setdefault(unit, []).append((day, raw))
 
@@ -247,28 +296,23 @@ _TELEMETRY_COLUMNS = (
     "cpu_watts",
 )
 
-def _join(blocks: list[dict], name: str, empty):
-    """One column from its per-block parts (``empty`` when no block)."""
-    parts = [b[name] for b in blocks]
-    if not parts:
-        return empty
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return list(itertools.chain.from_iterable(parts))
-
-
-def _map_distinct(cells, convert) -> list:
+def _map_distinct(cells, convert, table: dict | None = None) -> list:
     """``convert`` applied to every cell, once per distinct value, so
-    equal cells share one result object."""
-    table = {cell: convert(cell) for cell in set(cells)}
+    equal cells share one result object. A ``table`` (cell -> result)
+    passed in keeps the results from one block of a file to the next, so
+    that a column of few distinct values, such as dates, is converted
+    once per file."""
+    table = {} if table is None else table
+    for cell in set(cells).difference(table):
+        table[cell] = convert(cell)
     return list(map(table.__getitem__, cells))
 
 
-def _parse_distinct(cells, convert, rownos, describe) -> list:
+def _parse_distinct(cells, convert, rownos, describe, table: dict | None = None) -> list:
     """:func:`_map_distinct`, where the first cell ``convert`` rejects with
     ValueError is a parse error naming its row."""
     try:
-        return _map_distinct(cells, convert)
+        return _map_distinct(cells, convert, table)
     except ValueError:
         for cell, rowno in zip(cells, rownos):
             try:
@@ -302,13 +346,15 @@ def _vpro_flag(token: str) -> bool:
     raise ValueError(token)
 
 
-def _day_ordinals(cells, rownos, fmt: str) -> np.ndarray:
-    """Day ordinal of every date cell."""
+def _day_ordinals(cells, rownos, fmt: str, table: dict) -> np.ndarray:
+    """Day ordinal of every date cell; ``table`` keeps the file's parsed
+    dates (see :func:`_map_distinct`)."""
     days = _parse_distinct(
         cells,
         lambda c: _to_date(c, fmt).toordinal(),
         rownos,
         lambda c: f"malformed date {c.strip()!r}",
+        table,
     )
     return np.array(days, dtype=np.int64)
 
@@ -332,36 +378,51 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
-        blocks = []
-        date_fmt = None
-        for columns, rownos in body(len(header)):
-            block = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
-            date_fmt = date_fmt or _detect_date_format(block["date"][0])
-            block = {
-                "day": _day_ordinals(block["date"], rownos, date_fmt),
-                "device_id": _map_distinct(block["device_id"], str.strip),
-                "unit_id": _map_distinct(block["unit_id"], str.strip),
-                "chassis": _map_distinct(block["chassis"], _chassis),
-                "cpu_family": _map_distinct(block["cpu_family"], _cpu_family),
-                "vpro": np.array(
-                    _parse_distinct(
-                        block["vpro"], _vpro_flag, rownos,
-                        lambda c: f"bad vpro value {c.strip().lower()!r}",
+        day_table = {}
+
+        def blocks():
+            date_fmt = None
+            for columns, rownos in body(len(header)):
+                cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
+                date_fmt = date_fmt or _detect_date_format(cells["date"][0])
+                block = {
+                    "day": _day_ordinals(cells["date"], rownos, date_fmt, day_table),
+                    "device_id": _map_distinct(cells["device_id"], str.strip),
+                    "unit_id": _map_distinct(cells["unit_id"], str.strip),
+                    "chassis": _map_distinct(cells["chassis"], _chassis),
+                    "cpu_family": _map_distinct(cells["cpu_family"], _cpu_family),
+                    "vpro": np.array(
+                        _parse_distinct(
+                            cells["vpro"], _vpro_flag, rownos,
+                            lambda c: f"bad vpro value {c.strip().lower()!r}",
+                        ),
+                        dtype=bool,
                     ),
-                    dtype=bool,
-                ),
-                "usage_hours": _finite_floats(block["usage_hours"], rownos, "usage_hours"),
-                "cpu_watts": _finite_floats(block["cpu_watts"], rownos, "cpu_watts"),
-            }
-            problem = telemetry_violation(
-                block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
-            )
-            if problem is not None:
-                raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
-            blocks.append(block)
-    return TelemetryColumns(
-        **{f.name: _join(blocks, f.name, np.zeros(0)) for f in fields(TelemetryColumns)}
-    )
+                    "usage_hours": _finite_floats(cells["usage_hours"], rownos, "usage_hours"),
+                    "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
+                }
+                problem = telemetry_violation(
+                    block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
+                )
+                if problem is not None:
+                    raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
+                yield block
+
+        n = body.max_rows
+        columns = _stacked(
+            blocks(),
+            {
+                "day": np.empty(n, np.int64),
+                "device_id": [],
+                "unit_id": [],
+                "chassis": [],
+                "cpu_family": [],
+                "vpro": np.empty(n, bool),
+                "usage_hours": np.empty(n),
+                "cpu_watts": np.empty(n),
+            },
+        )
+    return TelemetryColumns(**columns)
 
 
 def _csv_cells(values) -> dict[str, str]:
@@ -387,9 +448,10 @@ def _write_rows(stream, n_rows: int, block_columns) -> None:
         stream.write("\n".join(map(",".join, zip(*block_columns(lo, hi)))) + "\n")
 
 
-def _day_cells(days: np.ndarray) -> list[str]:
-    iso = {d: date.fromordinal(d).isoformat() for d in set(days.tolist())}
-    return [iso[d] for d in days.tolist()]
+def _day_cells(days: np.ndarray, iso: dict[int, str]) -> list[str]:
+    """The ISO date cell of every day ordinal; ``iso`` keeps the cells of
+    the file's earlier blocks, so each date is formatted once per file."""
+    return _map_distinct(days.tolist(), lambda d: date.fromordinal(d).isoformat(), iso)
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -405,10 +467,11 @@ def write_telemetry_csv(records, target) -> None:
         name: _csv_cells(getattr(rows, name))
         for name in ("device_id", "unit_id", "chassis", "cpu_family")
     }
+    iso = {}
 
     def block(lo, hi):
         return [
-            _day_cells(rows.day[lo:hi]),
+            _day_cells(rows.day[lo:hi], iso),
             *(
                 [cells[v] for v in getattr(rows, name)[lo:hi]]
                 for name, cells in text.items()
@@ -431,16 +494,19 @@ def write_persona_csv(records, target) -> None:
     if not len(rows):
         raise ValidationError("no persona records to write")
     names = sorted(rows.feature_names)
-    values = rows.matrix(names)
+    # the stored column of each written one: each block's cells are
+    # reordered, so the value matrix is never copied in written order
+    cols = [rows.feature_names.index(n) for n in names]
     ids = _csv_cells(rows.device_ids)
     id_cells = [ids[v] for v in rows.device_ids]
+    iso = {}
 
     def block(lo, hi):
-        floats = _float_cells(values[lo:hi])
+        floats = _float_cells(rows.values[lo:hi])
         return [
             [id_cells[d] for d in rows.device[lo:hi].tolist()],
-            _day_cells(rows.day[lo:hi]),
-            *(floats[j :: len(names)] for j in range(len(names))),
+            _day_cells(rows.day[lo:hi], iso),
+            *(floats[j :: len(names)] for j in cols),
         ]
 
     with _opened(target, "w") as stream:
@@ -458,32 +524,39 @@ def parse_persona_csv(source) -> UsageColumns:
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
-        blocks = []
-        for columns, rownos in body(len(header), exact=True):
-            values = np.column_stack(
-                [
-                    _finite_floats(cells, rownos, f"feature {name!r}")
-                    for name, cells in zip(names, columns[2:])
-                ]
-            )
-            bad = np.argwhere(values < 0.0)
-            if bad.size:
-                i, j = bad[0]
-                raise ValidationError(
-                    f"row {rownos[i]}: feature {names[j]!r} = {values[i, j]} is negative"
+        day_table = {}
+
+        def blocks():
+            for columns, rownos in body(len(header), exact=True):
+                values = np.column_stack(
+                    [
+                        _finite_floats(cells, rownos, f"feature {name!r}")
+                        for name, cells in zip(names, columns[2:])
+                    ]
                 )
-            blocks.append(
-                {
+                bad = np.argwhere(values < 0.0)
+                if bad.size:
+                    i, j = bad[0]
+                    raise ValidationError(
+                        f"row {rownos[i]}: feature {names[j]!r} = {values[i, j]} is negative"
+                    )
+                yield {
                     "device_id": _map_distinct(columns[0], str.strip),
-                    "day": _day_ordinals(columns[1], rownos, "iso"),
+                    "day": _day_ordinals(columns[1], rownos, "iso", day_table),
                     "values": values,
                 }
-            )
+
+        n = body.max_rows
+        columns = _stacked(
+            blocks(),
+            {
+                "device_id": [],
+                "day": np.empty(n, np.int64),
+                "values": np.empty((n, len(names))),
+            },
+        )
     return UsageColumns.from_rows(
-        _join(blocks, "device_id", []),
-        _join(blocks, "day", np.zeros(0, dtype=np.int64)),
-        _join(blocks, "values", np.zeros((0, len(names)))),
-        names,
+        columns["device_id"], columns["day"], columns["values"], names
     )
 
 
@@ -529,19 +602,23 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     """The ``value`` column of a series table, and its ``date`` column of
     ISO dates when it has one. A non-numeric or non-finite value or a
     malformed date is a parse error naming its row."""
-    values, dates = [], []
     with _csv_table(source, "series") as (header, body):
         if "value" not in header:
             raise SchemaError("series file needs a value column")
         v_col = header.index("value")
         d_col = header.index("date") if "date" in header else None
-        for columns, rownos in body(max(v_col, d_col or 0) + 1):
-            values.append(_finite_floats(columns[v_col], rownos, "value"))
-            if d_col is not None:
-                days = _day_ordinals(columns[d_col], rownos, "iso")
-                dates.extend(map(date.fromordinal, days.tolist()))
-    series = np.concatenate(values) if values else np.zeros(0)
-    return series, (dates if d_col is not None else None)
+        day_table = {}
+
+        def blocks():
+            for columns, rownos in body(max(v_col, d_col or 0) + 1):
+                block = {"value": _finite_floats(columns[v_col], rownos, "value")}
+                if d_col is not None:
+                    days = _day_ordinals(columns[d_col], rownos, "iso", day_table)
+                    block["date"] = list(map(date.fromordinal, days.tolist()))
+                yield block
+
+        columns = _stacked(blocks(), {"value": np.empty(body.max_rows), "date": []})
+    return columns["value"], (columns["date"] if d_col is not None else None)
 
 
 def _fmt(value: float) -> str:

@@ -18,7 +18,9 @@ per-row arithmetic bitwise: a window mean is a sum over each device's
 rows in day order, taken as ``X[rows].sum(axis=1) / m`` over blocks of
 devices with the same row count ``m`` (the sequential sum ``np.mean``
 does along axis 0), and a per-device fit mean is a contiguous per-feature
-row sum divided by ``m`` (the pairwise sum of a 1-D ``np.mean``).
+row sum divided by ``m`` (the pairwise sum of a 1-D ``np.mean``). Each
+block is gathered at most ``_GATHER_ROWS`` rows at a time; every mean is
+summed alone, so the split does not change a bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ MAX_LLOYD_ITERATIONS = 300
 
 WINDOW_WIDTH = timedelta(days=28)
 WINDOW_STRIDE = timedelta(days=14)
+
+# Rows gathered at once when runs of rows are averaged (per-device and
+# per-window means).
+_GATHER_ROWS = 8192
 
 # Stand-in 6-category feature space; the label set follows the published
 # persona taxonomy, and each category is the usage domain its persona is
@@ -133,9 +139,9 @@ class UsageColumns:
             )
         if device.size and not (0 <= device.min() and device.max() < len(ids)):
             raise ValidationError("device index outside the device id list")
-        bad = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))
-        if bad.size:
-            i, j = bad[0]
+        # min and max propagate NaN, and neither makes a temporary array
+        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+            i, j = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
             raise ValidationError(
                 f"device {ids[device[i]]}: feature {names[j]!r} = {values[i, j]} "
                 "must be finite and non-negative"
@@ -193,22 +199,27 @@ class UsageColumns:
 
     def take(self, rows) -> UsageColumns:
         """The rows selected by an index array or boolean mask."""
-        used, device = np.unique(self.device[rows], return_inverse=True)
+        device = self.device[rows]
+        present = np.bincount(device, minlength=len(self.device_ids)) > 0
         return UsageColumns(
-            tuple(self.device_ids[d] for d in used.tolist()),
-            device,
+            tuple(self.device_ids[d] for d in np.flatnonzero(present).tolist()),
+            (np.cumsum(present) - 1)[device],
             self.day[rows],
             self.values[rows],
             self.feature_names,
         )
 
     def matrix(self, feature_names: Sequence[str]) -> np.ndarray:
-        """The values with columns in ``feature_names`` order."""
+        """The values with columns in ``feature_names`` order. When that is
+        the stored order, this is :attr:`values` itself, read-only and not
+        a copy; otherwise a new array."""
         mismatch = set(feature_names) ^ set(self.feature_names)
         if mismatch:
             raise SchemaError(
                 f"feature names do not align (mismatch on {sorted(mismatch)})"
             )
+        if tuple(feature_names) == self.feature_names:
+            return self.values
         return self.values[:, [self.feature_names.index(n) for n in feature_names]]
 
 
@@ -218,6 +229,15 @@ def as_usage_columns(records) -> UsageColumns:
     if isinstance(records, UsageColumns):
         return records
     return UsageColumns.from_vectors(records)
+
+
+def _gather_slices(n_runs: int, run_length: int):
+    """Slices over ``n_runs`` runs of ``run_length`` rows each, taking at
+    most :data:`_GATHER_ROWS` rows a slice (one run when a run is longer),
+    so that averaging the runs one slice at a time needs working memory
+    that does not grow with the row count."""
+    step = max(1, _GATHER_ROWS // run_length)
+    return (slice(lo, lo + step) for lo in range(0, n_runs, step))
 
 
 def device_means(records) -> UsageColumns:
@@ -237,10 +257,12 @@ def device_means(records) -> UsageColumns:
     present = np.flatnonzero(counts)
     means = np.empty((present.size, len(names)))
     for m in np.unique(counts[present]).tolist():
-        sel = np.flatnonzero(counts[present] == m)
-        block = X[order[starts[present[sel], None] + np.arange(m)]]
-        # (devices, features, m) contiguous: each feature sums as a 1-D run
-        means[sel] = np.ascontiguousarray(block.transpose(0, 2, 1)).sum(axis=2) / m
+        group = np.flatnonzero(counts[present] == m)
+        for part in _gather_slices(group.size, m):
+            sel = group[part]
+            block = X[order[starts[present[sel], None] + np.arange(m)]]
+            # (devices, features, m) contiguous: each feature sums as a 1-D run
+            means[sel] = np.ascontiguousarray(block.transpose(0, 2, 1)).sum(axis=2) / m
     return UsageColumns(
         tuple(rows.device_ids[d] for d in present.tolist()),
         np.arange(present.size),
@@ -463,22 +485,29 @@ def _window_means(rows: UsageColumns, X: np.ndarray, offsets: np.ndarray, width:
     (window index, device index, mean) arrays; window ``w`` covers days
     ``first + offsets[w]`` up to ``width`` days on. A device's rows are
     summed in day order, ties in input order, one block of devices with
-    the same row count at a time."""
+    the same row count at a time, gathered a slice at a time."""
     first = int(rows.day.min())
     span = int(rows.day.max()) - first + 1
     # Keyed device by device, then by day, so that one device's rows in
     # one window are one contiguous run of the sorted rows.
     order = np.lexsort((rows.day, rows.device))
-    key = rows.device[order] * span + (rows.day[order] - first)
+    key = rows.device[order]
+    key *= span
+    key += rows.day[order]
+    key -= first
     base = np.arange(len(rows.device_ids))[None, :] * span
     lo = np.searchsorted(key, base + offsets[:, None])
     m = np.searchsorted(key, base + offsets[:, None] + width) - lo
     windows, devices, means = [], [], []
     for size in np.unique(m[m > 0]).tolist():
         window, device = np.nonzero(m == size)
+        run_starts = lo[window, device]
+        group = np.empty((run_starts.size, X.shape[1]))
+        for part in _gather_slices(run_starts.size, size):
+            group[part] = X[order[run_starts[part, None] + np.arange(size)]].sum(axis=1) / size
         windows.append(window)
         devices.append(device)
-        means.append(X[order[lo[window, device][:, None] + np.arange(size)]].sum(axis=1) / size)
+        means.append(group)
     return np.concatenate(windows), np.concatenate(devices), np.concatenate(means)
 
 

@@ -22,9 +22,10 @@ Telemetry and the persona stream are generated as column blocks
 :class:`~causalpanel.persona.UsageColumns`), one array operation per
 unit or per stream, with rows device by device and each device's days in
 order. The draws and the arithmetic are those of generating one row at a
-time (the persona block is one ``np.maximum(base + noise, 0)`` after
-the shifted-device choice), so every value, and every file written from
-them, is bitwise equal to a row-by-row build.
+time (the persona block is ``np.maximum(base + noise, 0)`` after the
+shifted-device choice, with the noise added and the clip taken in place),
+so every value, and every file written from them, is bitwise equal to a
+row-by-row build.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ DEFAULT_INDICATOR = "C6_Stay at home requirements"
 ARCHETYPE_BASE_HOURS = 0.5
 ARCHETYPE_DOMINANT_HOURS = 4.0
 SHIFTED_DOMINANT_HOURS = 3.0
+
+# Persona noise rows drawn per step: bounds the noise held beside the
+# stream's one value array.
+_NOISE_ROWS = 8192
 
 
 def archetype_model() -> PersonaModel:
@@ -486,13 +491,15 @@ def _generate_persona_stream(
     Devices take home personas round-robin. If a shift is configured, a
     seeded sample of the source persona's devices switches to the damped
     target archetype from the shift date on. Draw order: shifted-device
-    choice first, then one (devices x days x categories) normal block.
+    choice first, then the (devices x days x categories) normals in device
+    order, added to the one value array a few devices at a time.
     """
     n = config.persona_devices
     model = archetype_model()
     k = model.k
     home = np.arange(n) % k
-    rows = np.repeat(model.centroids[home][:, None, :], config.n_days, axis=1)
+    rows = np.empty((n, config.n_days, k))
+    rows[:] = model.centroids[home][:, None, :]
     if config.persona_shift is not None:
         s = config.persona_shift
         from_idx = DEFAULT_PERSONA_NAMES.index(s.from_persona)
@@ -504,14 +511,20 @@ def _generate_persona_stream(
         to_row[to_idx] = SHIFTED_DOMINANT_HOURS
         rows[shifted, (s.shift_date - config.start).days :] = to_row
 
-    noise = rng.normal(0.0, config.persona_noise, size=(n, config.n_days, k))
+    # Consecutive draws continue one stream, so drawing the noise a few
+    # devices at a time gives the values of one (n, days, k) draw.
+    step = max(1, _NOISE_ROWS // config.n_days)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows[lo:hi] += rng.normal(0.0, config.persona_noise, size=(hi - lo, config.n_days, k))
+    np.maximum(rows, 0.0, out=rows)
     days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
     device_ids, device = factorize([f"p{dev:05d}" for dev in range(n)])
     return UsageColumns(
         device_ids=device_ids,
         device=np.repeat(device, config.n_days),
         day=np.tile(days, n),
-        values=np.maximum(rows + noise, 0.0).reshape(n * config.n_days, k),
+        values=rows.reshape(n * config.n_days, k),
         feature_names=DEFAULT_FEATURE_CATEGORIES,
     )
 
@@ -533,20 +546,24 @@ def write_scenario(
 ) -> dict[str, str]:
     """Emit the scenario as the files the ingestion layer consumes:
     policy.csv, telemetry.csv, persona.csv (when devices exist),
-    units.csv (unit descriptors), and manifest.json. Returns the paths."""
-    data = generate(config)
+    units.csv (unit descriptors), and manifest.json. Returns the paths.
+
+    The files hold what :func:`generate` returns, but each table is
+    generated just before it is written, so only one is held at a time.
+    """
+    unit_rngs, persona_rng = _unit_streams(config)
     os.makedirs(outdir, exist_ok=True)
     paths: dict[str, str] = {}
 
     paths["policy"] = os.path.join(outdir, "policy.csv")
-    write_policy_csv(data.timelines, paths["policy"], indicator_column)
+    write_policy_csv(build_timelines(config), paths["policy"], indicator_column)
 
     paths["telemetry"] = os.path.join(outdir, "telemetry.csv")
-    write_telemetry_csv(data.telemetry, paths["telemetry"])
+    write_telemetry_csv(_generate_telemetry(config, unit_rngs), paths["telemetry"])
 
-    if len(data.persona_records):
+    if config.persona_devices:
         paths["persona"] = os.path.join(outdir, "persona.csv")
-        write_persona_csv(data.persona_records, paths["persona"])
+        write_persona_csv(_generate_persona_stream(config, persona_rng), paths["persona"])
 
     paths["units"] = os.path.join(outdir, "units.csv")
     write_units_csv(
@@ -554,7 +571,7 @@ def write_scenario(
         paths["units"],
     )
 
-    manifest = data.manifest
+    manifest = build_manifest(config)
     paths["manifest"] = os.path.join(outdir, "manifest.json")
     payload = {
         "true_effect_hours": manifest.true_effect_hours,

@@ -454,6 +454,16 @@ class TestCpdWorkflow:
         assert payload["n"] == 20
         assert payload["breakpoint_dates"] == ["2020-01-11"]
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one_exits_3(self, tmp_path, capsys, k_max):
+        series = tmp_path / "series.csv"
+        series.write_text("value\n" + "".join(f"{v}\n" for v in [0, 0, 9, 9]), encoding="utf-8")
+        assert run("cpd", "--series", series, "--k-max", k_max, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "--k-max" in err and f"got {k_max}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cpd.json").exists()
+
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
 

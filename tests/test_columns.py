@@ -18,6 +18,7 @@ from causalpanel.paneldata import (
     TelemetryRecord,
     aggregate_telemetry,
 )
+from causalpanel import persona
 from causalpanel.persona import (
     PersonaModel,
     _window_means,
@@ -186,6 +187,76 @@ class TestPersonaAgainstReference:
             )
             for w, d, mean in zip(window.tolist(), device.tolist(), means):
                 assert bits(mean) == bits(reference[(w, cols.device_ids[d])])
+
+
+def uneven_vectors(n_devices, n_days, counts, seed):
+    """Daily rows, shuffled: device ``d`` has rows on ``counts[d %
+    len(counts)]`` of the ``n_days`` days, the rest missing, so devices
+    differ in row count and windows in coverage."""
+    rng = np.random.default_rng(seed)
+    vectors = [
+        UsageFeatureVector(
+            f"d{dev:03d}",
+            START + timedelta(days=day),
+            dict(zip(NAMES[:3], rng.uniform(0.0, 1e3, 3).tolist())),
+        )
+        for dev in range(n_devices)
+        for day in sorted(
+            rng.choice(n_days, counts[dev % len(counts)], replace=False).tolist()
+        )
+    ]
+    rng.shuffle(vectors)
+    return vectors
+
+
+class TestGatherPieces:
+    """The per-device and per-window means gather their rows
+    ``persona._GATHER_ROWS`` at a time; results must not depend on where
+    a piece ends."""
+
+    @pytest.mark.parametrize("gather_rows", [1, 7, 64])
+    def test_window_means_match_reference(self, monkeypatch, gather_rows):
+        monkeypatch.setattr(persona, "_GATHER_ROWS", gather_rows)
+        vectors = uneven_vectors(40, 30, (30, 24, 17, 9), seed=5)
+        cols = UsageColumns.from_vectors(vectors)
+        names = cols.feature_names
+        for width, stride in ((5, 2), (12, 3)):
+            offsets = np.arange(0, 30 - width + 1, stride)
+            window, device, means = _window_means(cols, cols.matrix(names), offsets, width)
+            reference = ref.window_means(
+                vectors, names, timedelta(days=width), timedelta(days=stride)
+            )
+            assert sorted(reference) == sorted(
+                (w, cols.device_ids[d]) for w, d in zip(window.tolist(), device.tolist())
+            )
+            for w, d, mean in zip(window.tolist(), device.tolist(), means):
+                assert bits(mean) == bits(reference[(w, cols.device_ids[d])])
+            # some run length has more (window, device) pairs than a piece holds
+            day = cols.day - cols.day.min()
+            pairs = np.bincount(
+                [
+                    np.count_nonzero(
+                        (cols.device == d) & (day >= offsets[w]) & (day < offsets[w] + width)
+                    )
+                    for w, d in zip(window.tolist(), device.tolist())
+                ]
+            )
+            assert any(pairs[m] > max(1, gather_rows // m) for m in range(1, len(pairs)))
+
+    @pytest.mark.parametrize("gather_rows", [1, 7, persona._GATHER_ROWS])
+    def test_device_means_match_reference(self, monkeypatch, gather_rows):
+        monkeypatch.setattr(persona, "_GATHER_ROWS", gather_rows)
+        # 450 devices with 20 of 24 days and 450 with 21: more devices of
+        # one row count than a piece of _GATHER_ROWS rows holds
+        vectors = uneven_vectors(900, 24, (20, 21), seed=6)
+        assert 450 > persona._GATHER_ROWS // 20
+        got = device_means(vectors)
+        expected = ref.device_means(vectors)
+        assert list(got) == expected
+        names = sorted(expected[0].features)
+        assert bits(got.matrix(names)) == bits(
+            [[v.features[n] for n in names] for v in expected]
+        )
 
 
 telemetry_rows = st.lists(

@@ -2,6 +2,7 @@
 
 import ast
 import io
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -211,6 +212,42 @@ class TestPersonaCsv:
         parsed = parse_persona_csv(buf.getvalue().encode())
         assert parsed == UsageColumns.from_vectors(records)
         assert list(parsed) == records
+
+    @pytest.mark.parametrize("source", ["path", "bytes", "text", "binary", "pipe"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_source_reads_alike(self, tmp_path, source, newline):
+        # blank rows and an unterminated last row: fewer rows than lines
+        text = newline.join(
+            ["device_id,date,a,b", "p1,2020-01-01,1.5,0.25", "", "  ",
+             "p2,2020-01-02,0.0,4.0", "p1,2020-01-02,2.0,1.0"]
+        )
+        data = text.encode()
+        if source == "path":
+            (tmp_path / "p.csv").write_bytes(data)
+            arg = tmp_path / "p.csv"
+        elif source == "bytes":
+            arg = data
+        elif source == "text":
+            arg = io.StringIO(text, newline="")
+        elif source == "binary":
+            arg = io.BytesIO(data)
+        else:
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)
+            os.close(write_end)
+            arg = os.fdopen(read_end, "rb")
+        parsed = parse_persona_csv(arg)
+        assert parsed == UsageColumns.from_rows(
+            ["p1", "p2", "p1"],
+            [date(2020, 1, d).toordinal() for d in (1, 2, 2)],
+            [[1.5, 0.25], [0.0, 4.0], [2.0, 1.0]],
+            ("a", "b"),
+        )
+        assert parsed.values.shape == (3, 2)
+
+    def test_header_only_gives_no_rows(self):
+        parsed = parse_persona_csv(b"device_id,date,a,b\n")
+        assert len(parsed) == 0 and parsed.values.shape == (0, 2)
 
     def test_header_must_lead_with_keys(self):
         with pytest.raises(SchemaError, match="device_id"):

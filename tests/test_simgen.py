@@ -1,6 +1,7 @@
 """Generator tests: determinism, exact truth injection, route agreement,
 and file round-trips."""
 
+import hashlib
 import json
 from datetime import date, timedelta
 
@@ -480,3 +481,58 @@ class TestValidation:
     def test_manifest_equality(self):
         m = GroundTruthManifest(2.0, 0.0, (), None, "abc")
         assert m == GroundTruthManifest(2.0, 0.0, (), None, "abc")
+
+
+class TestScenarioFileDigests:
+    """write_scenario must keep writing the same bytes. The scenario is
+    large enough that the persona noise is drawn in two pieces and every
+    table is written in several blocks; the digests were recorded before
+    the noise was drawn in pieces and the dates were cached per file. No
+    seasonal term, so no value depends on the platform's sine."""
+
+    CONFIG = ScenarioConfig(
+        units=(
+            UnitConfig("NORTH", baseline_hours=6.0, devices_per_day=20, vpro_fraction=0.5),
+            UnitConfig(
+                "SOUTH", baseline_hours=4.5, devices_per_day=15, trend_per_day=0.02,
+                chassis="Desktop", cpu_family="i7",
+            ),
+        ),
+        start=START,
+        n_days=70,
+        treatment=TreatmentConfig(
+            treated_unit="NORTH", activation=START + timedelta(days=35), effect_hours=1.5,
+        ),
+        noise_sigma=0.4,
+        outlier_probability=0.05,
+        outlier_magnitude=3.0,
+        persona_devices=130,
+        persona_noise=0.3,
+        persona_shift=PersonaShiftConfig(
+            shift_date=START + timedelta(days=42),
+            from_persona="Web Users",
+            to_persona="Content Creators",
+            fraction=0.5,
+        ),
+        seed=23,
+    )
+
+    DIGESTS = {
+        "policy":
+            "8054303c7bc99979c8f00d66223a5ba6de27f084683801397307d4778507404a",
+        "telemetry":
+            "4ef305de9d9bf89e1671d06b77ec90d5fdf8802eb9b9eb3236b884330251a513",
+        "persona":
+            "38ead39caaa46e835c7b762f2d1ca32deb57145c0172cbc4ca538e6673a222bd",
+        "units":
+            "2dc1404312b7d913a3f8fa118cef3f4902f928767c367b84dca3fdf525165a04",
+        "manifest":
+            "5f4058cc528029e028a4ae4d9cc1449658061e718eabcaad33eb631f14ea7393",
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        paths = write_scenario(self.CONFIG, tmp_path / "s")
+        assert sorted(paths) == sorted(self.DIGESTS)
+        for key, digest in self.DIGESTS.items():
+            with open(paths[key], "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, key

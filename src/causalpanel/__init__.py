@@ -8,144 +8,100 @@ verification.
 
 __version__ = "0.1.0"
 
-from .changepoint import (
-    PenaltyConfig,
-    Segmentation,
-    detect_known_k,
-    detect_penalized,
-    effective_penalty,
-    robust_noise_scale,
-    stability_scan,
-)
-from .did import DidFit, DidSpec, fit_did, parallel_trends_diagnostic
-from .errors import (
-    CausalPanelError,
-    ConvergenceWarning,
-    DiagnosticUnavailableError,
-    NumericalError,
-    ParseError,
-    SchemaError,
-    SingularDesignError,
-    SpecError,
-    ValidationError,
-)
-from .paneldata import (
-    PanelDataset,
-    PolicyTimeline,
-    TelemetryColumns,
-    TelemetryRecord,
-    TreatmentEvent,
-    aggregate_telemetry,
-    extract_treatment_events,
-    merge_panels,
-)
-from .panelio import (
-    parse_persona_csv,
-    parse_policy_csv,
-    parse_telemetry_csv,
-    read_panel,
-    write_panel,
-    write_persona_csv,
-    write_policy_csv,
-    write_telemetry_csv,
-)
-from .persona import (
-    PersonaCountSeries,
-    PersonaModel,
-    UsageColumns,
-    UsageFeatureVector,
-    assign_personas,
-    device_means,
-    fit_kmeans,
-    persona_changepoint,
-    rename_personas,
-    windowed_counts,
-)
-from .simgen import (
-    GroundTruthManifest,
-    PersonaShiftConfig,
-    ScenarioConfig,
-    SimulatedData,
-    TreatmentConfig,
-    UnitConfig,
-    build_manifest,
-    generate,
-    generate_panel,
-    scenario_hash,
-    write_scenario,
-)
-from .synthcontrol import (
-    SynthFit,
-    SynthSpec,
-    fit_synth,
-    fit_weights,
-    project_to_simplex,
-    randomization_inference,
-)
+import importlib
 
-__all__ = [
-    "CausalPanelError",
-    "ParseError",
-    "ValidationError",
-    "SchemaError",
-    "SpecError",
-    "NumericalError",
-    "SingularDesignError",
-    "DiagnosticUnavailableError",
-    "ConvergenceWarning",
-    "PanelDataset",
-    "PolicyTimeline",
-    "TelemetryColumns",
-    "TelemetryRecord",
-    "TreatmentEvent",
-    "aggregate_telemetry",
-    "extract_treatment_events",
-    "merge_panels",
-    "parse_policy_csv",
-    "write_policy_csv",
-    "parse_telemetry_csv",
-    "write_telemetry_csv",
-    "parse_persona_csv",
-    "write_persona_csv",
-    "read_panel",
-    "write_panel",
-    "DidSpec",
-    "DidFit",
-    "fit_did",
-    "parallel_trends_diagnostic",
-    "SynthSpec",
-    "SynthFit",
-    "project_to_simplex",
-    "fit_weights",
-    "fit_synth",
-    "randomization_inference",
-    "PenaltyConfig",
-    "Segmentation",
-    "robust_noise_scale",
-    "effective_penalty",
-    "detect_known_k",
-    "detect_penalized",
-    "stability_scan",
-    "UsageColumns",
-    "UsageFeatureVector",
-    "PersonaModel",
-    "PersonaCountSeries",
-    "fit_kmeans",
-    "rename_personas",
-    "assign_personas",
-    "device_means",
-    "windowed_counts",
-    "persona_changepoint",
-    "UnitConfig",
-    "TreatmentConfig",
-    "PersonaShiftConfig",
-    "ScenarioConfig",
-    "GroundTruthManifest",
-    "SimulatedData",
-    "scenario_hash",
-    "build_manifest",
-    "generate_panel",
-    "generate",
-    "write_scenario",
-    "__version__",
-]
+# Each public name, by the module that defines it. The package imports a
+# module only when one of its names is first used (PEP 562), so importing
+# the package, or any one module of it, loads no other module of it.
+_EXPORTS = {
+    "errors": (
+        "CausalPanelError",
+        "ParseError",
+        "ValidationError",
+        "SchemaError",
+        "SpecError",
+        "NumericalError",
+        "SingularDesignError",
+        "DiagnosticUnavailableError",
+        "ConvergenceWarning",
+    ),
+    "paneldata": (
+        "PanelDataset",
+        "PolicyTimeline",
+        "TelemetryColumns",
+        "TelemetryRecord",
+        "TreatmentEvent",
+        "aggregate_telemetry",
+        "extract_treatment_events",
+        "merge_panels",
+    ),
+    "panelio": (
+        "parse_policy_csv",
+        "write_policy_csv",
+        "parse_telemetry_csv",
+        "write_telemetry_csv",
+        "parse_persona_csv",
+        "write_persona_csv",
+        "read_panel",
+        "write_panel",
+    ),
+    "did": ("DidSpec", "DidFit", "fit_did", "parallel_trends_diagnostic"),
+    "synthcontrol": (
+        "SynthSpec",
+        "SynthFit",
+        "project_to_simplex",
+        "fit_weights",
+        "fit_synth",
+        "randomization_inference",
+    ),
+    "changepoint": (
+        "PenaltyConfig",
+        "Segmentation",
+        "robust_noise_scale",
+        "effective_penalty",
+        "detect_known_k",
+        "detect_penalized",
+        "stability_scan",
+    ),
+    "persona": (
+        "UsageColumns",
+        "UsageFeatureVector",
+        "PersonaModel",
+        "PersonaCountSeries",
+        "fit_kmeans",
+        "rename_personas",
+        "assign_personas",
+        "device_means",
+        "windowed_counts",
+        "persona_changepoint",
+    ),
+    "simgen": (
+        "UnitConfig",
+        "TreatmentConfig",
+        "PersonaShiftConfig",
+        "ScenarioConfig",
+        "GroundTruthManifest",
+        "SimulatedData",
+        "scenario_hash",
+        "build_manifest",
+        "generate_panel",
+        "generate",
+        "write_scenario",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

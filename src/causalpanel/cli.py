@@ -1,8 +1,13 @@
 """Command-line front end: ingestion, estimation, inference, reports.
 
-Option precedence: command-line flag > --config file entry > environment
-(``CAUSALPANEL_OUT`` for the output directory) > built-in default.
-Boolean flags combine with the config file by OR.
+Option precedence, for every option: command-line flag > --config file
+entry > environment (``CAUSALPANEL_OUT`` for the output directory) >
+built-in default. Each command's defaults are one table in its handler
+(see :func:`_options`); argparse itself defaults every option to None, so
+that a flag that is not given leaves the choice to the config file.
+
+Each handler imports the modules its command runs, so a command's process
+loads only those: ``did`` reads no simulator and ``cpd`` no estimator.
 
 Every command logs to stderr and writes its results only to files in the
 output directory (plus a short deterministic summary on stdout). Result
@@ -26,17 +31,11 @@ import os
 import sys
 import warnings
 from datetime import date
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .changepoint import (
-    PenaltyConfig,
-    Segmentation,
-    detect_penalized,
-    effective_penalty,
-)
-from .did import DidSpec, fit_did, parallel_trends_diagnostic
 from .errors import (
     CausalPanelError,
     DiagnosticUnavailableError,
@@ -45,45 +44,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .paneldata import (
-    CHASSIS_TYPES,
-    CPU_FAMILIES,
-    SYSTEM_COUNT,
-    PanelDataset,
-    aggregate_telemetry,
-    merge_panels,
-)
-from .panelio import (
-    parse_persona_csv,
-    parse_policy_csv,
-    parse_series_csv,
-    parse_telemetry_csv,
-    parse_units_csv,
-    read_panel,
-    write_panel,
-    write_result_csv,
-)
-from .persona import (
-    CATEGORY_TO_PERSONA,
-    DEFAULT_FEATURE_CATEGORIES,
-    DEFAULT_K,
-    device_means,
-    fit_kmeans,
-    persona_changepoint,
-    rename_personas,
-    windowed_counts,
-)
-from .simgen import (
-    DEFAULT_INDICATOR,
-    PersonaShiftConfig,
-    ScenarioConfig,
-    TreatmentConfig,
-    UnitConfig,
-    build_manifest,
-    describe,
-    write_scenario,
-)
-from .synthcontrol import SynthSpec, fit_synth, randomization_inference
 
 log = logging.getLogger("causalpanel")
 
@@ -166,21 +126,67 @@ def _load(parse, path: str, *args):
 
 def _resolve(args, config: Mapping, name: str, default=None, env: str | None = None):
     value = getattr(args, name, None)
-    if value not in (None, False):
+    if value is not None:
         return value
     if name in config:
         return config[name]
     if env is not None and os.environ.get(env):
         return os.environ[env]
-    if value is False:
-        return bool(default)
     return default
 
 
-def _outdir(args, config) -> str:
-    out = _resolve(args, config, "out", default=".", env=OUT_ENV)
-    os.makedirs(out, exist_ok=True)
-    return out
+# The options every command takes, with their defaults.
+_COMMON = {"out": ".", "quiet": False}
+
+
+def _config_value(path: str, key: str, value, action: argparse.Action):
+    """A config file's value for an option, checked as the flag's argument
+    would be: a JSON string, integer or number as the flag's type, one of
+    its choices, or true/false for a switch."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif action.type is int:
+        ok = type(value) is int  # not a bool
+    elif action.type is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = isinstance(value, str)
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise SchemaError(
+            f"{path}: {key}: {json.dumps(value)} is not a value of {action.option_strings[0]}"
+        )
+    return action.type(value) if action.type is float else value
+
+
+def _options(args, config: Mapping, defaults: Mapping) -> SimpleNamespace:
+    """Every option of ``args.command``, each the first there is of its
+    flag, its ``--config`` key, ``$CAUSALPANEL_OUT`` (for ``out``) and its
+    entry in ``defaults`` or ``_COMMON``. The command takes exactly those
+    options from a config file; any other key is a validation error
+    naming the file and the key. Required flags are never config keys."""
+    defaults = {**_COMMON, **defaults}
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise SchemaError(
+            f"{args.config}: not a config key of {args.command}: "
+            + ", ".join(map(repr, unknown))
+        )
+    actions = {a.dest: a for a in args.command_parser._actions}
+    config = {
+        key: _config_value(args.config, key, value, actions[key])
+        for key, value in config.items()
+    }
+    return SimpleNamespace(
+        **{
+            name: _resolve(args, config, name, default, OUT_ENV if name == "out" else None)
+            for name, default in defaults.items()
+        }
+    )
+
+
+def _outdir(opts: SimpleNamespace) -> str:
+    os.makedirs(opts.out, exist_ok=True)
+    return opts.out
 
 
 def _emit(outdir: str, name: str, text: str) -> str:
@@ -193,6 +199,8 @@ def _emit(outdir: str, name: str, text: str) -> str:
 def _grid_labels(units: Sequence[str]) -> tuple[str, str]:
     """Derive (chassis, cpu_family) for the report grid from composite unit
     labels like "CHN|Notebook|i7". Disagreeing or absent parts give "all"."""
+    from .paneldata import CHASSIS_TYPES, CPU_FAMILIES
+
     chassis, families = set(), set()
     for u in units:
         parts = u.split("|")
@@ -202,7 +210,9 @@ def _grid_labels(units: Sequence[str]) -> tuple[str, str]:
     return pick(chassis), pick(families)
 
 
-def _mean_system_count(panel: PanelDataset, units: Sequence[str]) -> float | None:
+def _mean_system_count(panel, units: Sequence[str]) -> float | None:
+    from .paneldata import SYSTEM_COUNT
+
     if SYSTEM_COUNT not in panel.covariate_names:
         return None
     col = panel.covariate(SYSTEM_COUNT)
@@ -228,7 +238,9 @@ _SCENARIO_KEYS = {
 }
 
 
-def _scenario_from_payload(payload, where: str) -> ScenarioConfig:
+def _scenario_from_payload(payload, where: str):
+    from .simgen import PersonaShiftConfig, ScenarioConfig, TreatmentConfig, UnitConfig
+
     if not isinstance(payload, dict):
         raise SchemaError(f"{where}: scenario must be a JSON object")
     unknown = set(payload) - _SCENARIO_KEYS
@@ -263,12 +275,15 @@ def _scenario_from_payload(payload, where: str) -> ScenarioConfig:
 
 
 def cmd_simulate(args, config) -> int:
-    outdir = _outdir(args, config)
+    from .paneldata import DEFAULT_INDICATOR
+    from .simgen import build_manifest, describe, write_scenario
+
+    opts = _options(args, config, {"seed": None, "indicator": DEFAULT_INDICATOR})
+    outdir = _outdir(opts)
     scenario = _scenario_from_payload(_load_json(args.scenario), args.scenario)
-    seed = _resolve(args, config, "seed")
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=int(seed))
-    paths = write_scenario(scenario, outdir, indicator_column=args.indicator)
+    if opts.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=opts.seed)
+    paths = write_scenario(scenario, outdir, indicator_column=opts.indicator)
     manifest = build_manifest(scenario)
     _emit(outdir, "truth.txt", describe(manifest))
     for key in sorted(paths):
@@ -281,19 +296,32 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_ingest(args, config) -> int:
-    outdir = _outdir(args, config)
-    timelines = _load(parse_policy_csv, args.policy, args.indicator)
+    from .paneldata import DEFAULT_INDICATOR, aggregate_telemetry, merge_panels
+    from .panelio import parse_policy_csv, parse_telemetry_csv, parse_units_csv, write_panel
+
+    opts = _options(
+        args,
+        config,
+        {
+            "indicator": DEFAULT_INDICATOR,
+            "group_by": "unit_id",
+            "outcome": "usage_hours",
+            "units": None,
+        },
+    )
+    outdir = _outdir(opts)
+    timelines = _load(parse_policy_csv, args.policy, opts.indicator)
     log.info("parsed %d policy timeline(s)", len(timelines))
     records = _load(parse_telemetry_csv, args.telemetry)
     log.info("parsed %d telemetry row(s)", len(records))
 
     panel = aggregate_telemetry(
-        records, group_by=tuple(_split_list(args.group_by)), outcome=args.outcome
+        records, group_by=tuple(_split_list(opts.group_by)), outcome=opts.outcome
     )
     panel = merge_panels(panel, timelines)
 
-    if args.units:
-        continents = _load(parse_units_csv, args.units)
+    if opts.units:
+        continents = _load(parse_units_csv, opts.units)
 
         def continent_of(unit: str) -> str:
             return continents.get(unit, continents.get(unit.split("|", 1)[0], ""))
@@ -315,14 +343,18 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_did(args, config) -> int:
-    outdir = _outdir(args, config)
+    from .did import DidSpec, fit_did, parallel_trends_diagnostic
+    from .panelio import read_panel, write_result_csv
+
+    opts = _options(args, config, {"covariates": None, "time_trend": False})
+    outdir = _outdir(opts)
     panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),
         control_units=frozenset(_split_list(args.control)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
-        covariate_names=tuple(_split_list(args.covariates)) if args.covariates else (),
-        time_trend=bool(args.time_trend),
+        covariate_names=tuple(_split_list(opts.covariates)) if opts.covariates else (),
+        time_trend=opts.time_trend,
     )
     fit = fit_did(panel, spec)
 
@@ -383,25 +415,40 @@ def cmd_did(args, config) -> int:
 
 
 def cmd_synth(args, config) -> int:
-    outdir = _outdir(args, config)
+    from .panelio import read_panel, write_result_csv
+    from .synthcontrol import (
+        DEFAULT_MAX_ITERATIONS,
+        DEFAULT_TOLERANCE,
+        SynthSpec,
+        fit_synth,
+        randomization_inference,
+    )
+
+    opts = _options(
+        args,
+        config,
+        {
+            "covariates": None,
+            "max_iterations": DEFAULT_MAX_ITERATIONS,
+            "tolerance": DEFAULT_TOLERANCE,
+            "placebo": False,
+        },
+    )
+    outdir = _outdir(opts)
     panel = _load(read_panel, args.panel)
-    spec_kwargs = dict(
+    spec = SynthSpec(
         treated_unit=args.treated,
         donor_units=tuple(_split_list(args.donors)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
+        max_iterations=opts.max_iterations,
+        tolerance=opts.tolerance,
+        covariate_names=tuple(_split_list(opts.covariates)) if opts.covariates else (),
     )
-    if args.max_iterations is not None:
-        spec_kwargs["max_iterations"] = args.max_iterations
-    if args.tolerance is not None:
-        spec_kwargs["tolerance"] = args.tolerance
-    if args.covariates:
-        spec_kwargs["covariate_names"] = tuple(_split_list(args.covariates))
-    spec = SynthSpec(**spec_kwargs)
     fit = fit_synth(panel, spec)
 
     placebo_gaps = None
     p_value = None
-    if args.placebo:
+    if opts.placebo:
         p_value, placebo_gaps = randomization_inference(panel, spec, fit)
         log.info("randomization inference over %d donors", len(spec.donor_units))
 
@@ -463,27 +510,48 @@ def cmd_synth(args, config) -> int:
 
 
 def cmd_cpd(args, config) -> int:
-    outdir = _outdir(args, config)
-    if bool(args.series) == bool(args.panel):
+    from .changepoint import (
+        DEFAULT_K_MAX,
+        PenaltyConfig,
+        detect_penalized,
+        effective_penalty,
+    )
+    from .panelio import parse_series_csv, read_panel, write_result_csv
+
+    opts = _options(
+        args,
+        config,
+        {
+            "series": None,
+            "panel": None,
+            "unit": None,
+            "penalty": "bic",
+            "lam": None,
+            "noise_scale": None,
+            "k_max": DEFAULT_K_MAX,
+        },
+    )
+    outdir = _outdir(opts)
+    if bool(opts.series) == bool(opts.panel):
         raise ValidationError("cpd needs exactly one of --series or --panel")
-    if args.panel:
-        if not args.unit:
+    if opts.panel:
+        if not opts.unit:
             raise ValidationError("--panel requires --unit")
-        panel = _load(read_panel, args.panel)
-        values, mask = panel.unit_series(args.unit)
+        panel = _load(read_panel, opts.panel)
+        values, mask = panel.unit_series(opts.unit)
         if mask.any():
             raise ValidationError(
-                f"unit {args.unit!r} has missing days; change-point detection "
+                f"unit {opts.unit!r} has missing days; change-point detection "
                 "needs a complete series"
             )
         series, dates = np.asarray(values, dtype=float), list(panel.dates)
     else:
-        series, dates = _load(parse_series_csv, args.series)
+        series, dates = _load(parse_series_csv, opts.series)
 
     penalty = PenaltyConfig(
-        kind=args.penalty, lam=args.lam, noise_scale=args.noise_scale
+        kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
     )
-    seg = detect_penalized(series, penalty, k_max=args.k_max)
+    seg = detect_penalized(series, penalty, k_max=opts.k_max)
     lam_eff = effective_penalty(series, penalty)
 
     def bp_date(b: int) -> str | None:
@@ -495,7 +563,7 @@ def cmd_cpd(args, config) -> int:
     )
     payload = {
         "estimator": "cpd",
-        "penalty": args.penalty,
+        "penalty": opts.penalty,
         "lambda_eff": lam_eff,
         "n": seg.n,
         "k": seg.k,
@@ -536,24 +604,48 @@ def _fit_rows(records, fit_until: str | None):
 
 
 def cmd_persona(args, config) -> int:
-    outdir = _outdir(args, config)
+    from .panelio import parse_persona_csv, write_result_csv
+    from .persona import (
+        CATEGORY_TO_PERSONA,
+        DEFAULT_FEATURE_CATEGORIES,
+        DEFAULT_K,
+        WINDOW_STRIDE,
+        WINDOW_WIDTH,
+        device_means,
+        fit_kmeans,
+        persona_changepoint,
+        rename_personas,
+        windowed_counts,
+    )
+
+    opts = _options(
+        args,
+        config,
+        {
+            "seed": 0,
+            "k": DEFAULT_K,
+            "width": WINDOW_WIDTH.days,
+            "stride": WINDOW_STRIDE.days,
+            "fit_until": None,
+        },
+    )
+    outdir = _outdir(opts)
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
-    seed = _resolve(args, config, "seed", default=0)
     # the fit rows are a copy; only their per-device means outlive the fit
     model = fit_kmeans(
-        device_means(_fit_rows(records, args.fit_until)), k=args.k, seed=int(seed)
+        device_means(_fit_rows(records, opts.fit_until)), k=opts.k, seed=opts.seed
     )
     if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
         model = rename_personas(model, CATEGORY_TO_PERSONA)
 
-    series = windowed_counts(records, model, width=args.width, stride=args.stride)
+    series = windowed_counts(records, model, width=opts.width, stride=opts.stride)
 
     payload = {
         "estimator": "persona",
         "k": model.k,
-        "seed": int(seed),
+        "seed": opts.seed,
         "persona_names": list(model.persona_names),
         "feature_names": list(model.feature_names),
         "centroids": [[float(v) for v in row] for row in model.centroids],
@@ -611,7 +703,10 @@ _REPORT_KEYS = ("estimator", "outcome", "effect", "p_value")
 
 
 def cmd_report(args, config) -> int:
-    outdir = _outdir(args, config)
+    from .panelio import write_result_csv
+
+    opts = _options(args, config, {"format": "json"})
+    outdir = _outdir(opts)
     if not args.artifacts:
         raise ValidationError("report needs at least one artifact file")
     rows = []
@@ -641,8 +736,7 @@ def cmd_report(args, config) -> int:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     header = ["chassis", "cpu_family", "estimator", "effect", "system_count", "p_value"]
 
-    fmt = _resolve(args, config, "format", default="json")
-    if fmt == "csv":
+    if opts.format == "csv":
         text = _text(write_result_csv, header, rows)
         path = _emit(outdir, "report.csv", text)
     else:
@@ -659,11 +753,16 @@ def cmd_report(args, config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. No option has a default here (a switch is
+    None unless given): each handler resolves its options through
+    :func:`_options`, so a config file can set any of them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: $CAUSALPANEL_OUT or .)")
     common.add_argument("--format", choices=("json", "csv"), help="report format")
     common.add_argument("--seed", type=int, help="seed override where applicable")
-    common.add_argument("--quiet", action="store_true", help="suppress info logging")
+    common.add_argument(
+        "--quiet", action="store_true", default=None, help="suppress info logging"
+    )
     common.add_argument("--config", help="JSON file with default option values")
 
     parser = argparse.ArgumentParser(
@@ -675,15 +774,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="generate a scenario")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
-    p.add_argument("--indicator", default=DEFAULT_INDICATOR)
+    p.add_argument("--indicator")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("ingest", parents=[common], help="build a panel from files")
     p.add_argument("--policy", required=True)
     p.add_argument("--telemetry", required=True)
-    p.add_argument("--indicator", default=DEFAULT_INDICATOR)
-    p.add_argument("--group-by", default="unit_id")
-    p.add_argument("--outcome", default="usage_hours")
+    p.add_argument("--indicator")
+    p.add_argument("--group-by")
+    p.add_argument("--outcome")
     p.add_argument("--units", help="units.csv with continent tags")
     p.set_defaults(handler=cmd_ingest)
 
@@ -693,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
     p.add_argument("--covariates", help="comma-separated covariate/tag names")
-    p.add_argument("--time-trend", action="store_true")
+    p.add_argument("--time-trend", action="store_true", default=None)
     p.set_defaults(handler=cmd_did)
 
     p = sub.add_parser("synth", parents=[common], help="synthetic control")
@@ -706,24 +805,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance", type=float, help="KKT tolerance relative to the worst donor fit"
     )
-    p.add_argument("--placebo", action="store_true", help="run randomization inference")
+    p.add_argument(
+        "--placebo", action="store_true", default=None, help="run randomization inference"
+    )
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("cpd", parents=[common], help="offline change-point detection")
     p.add_argument("--series", help="CSV with a value column (optional date column)")
     p.add_argument("--panel", help="panel file (use with --unit)")
     p.add_argument("--unit")
-    p.add_argument("--penalty", choices=("aic", "bic", "manual"), default="bic")
+    p.add_argument("--penalty", choices=("aic", "bic", "manual"))
     p.add_argument("--lam", type=float, help="manual penalty value")
     p.add_argument("--noise-scale", type=float, help="override noise scale estimate")
-    p.add_argument("--k-max", type=int, default=20)
+    p.add_argument("--k-max", type=int)
     p.set_defaults(handler=cmd_cpd)
 
     p = sub.add_parser("persona", parents=[common], help="persona pipeline")
     p.add_argument("--records", required=True, help="persona usage CSV")
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--width", type=int, default=28, help="window width in days")
-    p.add_argument("--stride", type=int, default=14, help="window stride in days")
+    p.add_argument("--k", type=int)
+    p.add_argument("--width", type=int, help="window width in days")
+    p.add_argument("--stride", type=int, help="window stride in days")
     p.add_argument(
         "--fit-until", help="fit centroids only on rows before this ISO date"
     )
@@ -733,6 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifacts", nargs="*", help="estimation artifact JSON files")
     p.set_defaults(handler=cmd_report)
 
+    for p in sub.choices.values():  # for _options, which checks config values
+        p.set_defaults(command_parser=p)
     return parser
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .paneldata import PanelDataset
+from .paneldata import PanelDataset, distinct
 
 # relative singular-value cutoff below which a design is reported as
 # rank deficient rather than solved
@@ -439,7 +439,7 @@ def parallel_trends_diagnostic(
     """
     units, row_unit, y, t, group_post = _stack_cells(panel, spec)
     pre = group_post[:, 1] == 0.0
-    if np.unique(t[pre]).size < 3:
+    if distinct(t[pre]).size < 3:
         raise DiagnosticUnavailableError(
             "parallel-trends diagnostic needs at least 3 pre-period dates"
         )

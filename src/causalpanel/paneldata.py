@@ -27,6 +27,8 @@ import numpy as np
 from .errors import SchemaError, ValidationError
 
 POLICY_CODES = (0, 1, 2, 3)
+# The OxCGRT indicator a policy table is read by when none is named.
+DEFAULT_INDICATOR = "C6_Stay at home requirements"
 CHASSIS_TYPES = frozenset({"Notebook", "Desktop", "TwoInOne", "NUC"})
 CPU_FAMILIES = frozenset({"i3", "i5", "i7", "i9", "Other"})
 
@@ -146,6 +148,16 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in sorted order: ``np.unique``
+    without its options, which under numpy 2 imports ``numpy.ma`` on its
+    first call (about 1 MB and 10 ms)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def factorize(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -453,7 +465,7 @@ def aggregate_telemetry(
     outcomes[present] = sums.reshape(shape)[present] / counts[present]
 
     # Distinct devices per cell, averaged over the days each group reports.
-    cell_devices = np.unique(cell * len(device_ids) + device) // len(device_ids)
+    cell_devices = distinct(cell * len(device_ids) + device) // len(device_ids)
     day_counts = np.bincount(cell_devices, minlength=shape[0] * shape[1]).reshape(shape)
     cov = np.column_stack(
         [

@@ -12,7 +12,8 @@ This is the one module that reads or writes CSV. The formats:
   :class:`~causalpanel.paneldata.TelemetryColumns`.
 * persona CSV — per-device-day category usage rows
   (device_id, date, one column per feature category). Parsed into
-  :class:`~causalpanel.persona.UsageColumns`.
+  :class:`~causalpanel.persona.UsageColumns`; only the persona reader
+  and writer import :mod:`causalpanel.persona`.
 * units CSV — unit descriptors (unit_id, continent, devices_per_day,
   vpro_fraction); the reader takes the continent of each unit.
 * series CSV — a ``value`` column and an optional ISO ``date`` column.
@@ -31,12 +32,13 @@ transposed, and each column converted at once (text cells once per
 distinct value, dates once per file, numbers with ``float``) and
 validated at once. Each block is copied into columns allocated once for
 as many rows as the file has lines left (:func:`_stacked`), so a table is
-held once, not once in blocks and again joined. Every rejected cell is
-named by its row: unparseable or non-finite values and short rows are
-parse errors, values outside the schema validation errors. The writers
-format a block of rows at a time (each date once per file), floats with
-``repr`` over ``tolist()`` values, so a file written from columns is
-byte-identical to one written row by row with ``csv.writer``.
+held once, not once in blocks and again joined; the cell strings of one
+block only are alive at a time (:func:`_body_blocks`). Every rejected
+cell is named by its row: unparseable or non-finite values and short
+rows are parse errors, values outside the schema validation errors. The
+writers format a block of rows at a time (each date once per file),
+floats with ``repr`` over ``tolist()`` values, so a file written from
+columns is byte-identical to one written row by row with ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .paneldata import (
     as_telemetry_columns,
     telemetry_violation,
 )
-from .persona import UsageColumns, as_usage_columns
 
 PANEL_MAGIC = "#causalpanel-panel v1"
 NA = "NA"
@@ -119,10 +120,14 @@ def _has_content(row: list[str]) -> bool:
 
 
 def _body_blocks(reader, width: int, exact: bool = False):
-    """The non-blank rows of a CSV body, a block at a time, as columns
-    (tuples of cells) with each row's number (the header is row 1). A row
-    with fewer than ``width`` cells, or with ``exact`` any other count, is
-    a parse error."""
+    """The non-blank rows of a CSV body, a block at a time, as a list of
+    columns (tuples of cells) with each row's number (the header is row 1).
+    A row with fewer than ``width`` cells, or with ``exact`` any other
+    count, is a parse error.
+
+    The list is emptied before the next block is read, so the cells of one
+    block only are alive at a time; a consumer keeps no other reference to
+    the columns past its loop body."""
     first = 2
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
         rownos = np.arange(first, first + len(rows))
@@ -134,7 +139,10 @@ def _body_blocks(reader, width: int, exact: bool = False):
         if short.size:
             raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
         if rows:
-            yield list(zip(*rows)), rownos
+            columns = list(zip(*rows))
+            rows = None  # the cells are held by the columns alone
+            yield columns, rownos
+            columns.clear()
 
 
 def _lines_left(stream) -> int:
@@ -401,6 +409,7 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
                     "usage_hours": _finite_floats(cells["usage_hours"], rownos, "usage_hours"),
                     "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
                 }
+                del cells  # see _body_blocks
                 problem = telemetry_violation(
                     block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
                 )
@@ -490,6 +499,8 @@ def write_persona_csv(records, target) -> None:
     """Serialize usage-feature rows (a :class:`UsageColumns` or an iterable
     of :class:`UsageFeatureVector`); one column per feature category, in
     sorted name order, floats written with ``repr``."""
+    from .persona import as_usage_columns
+
     rows = as_usage_columns(records)
     if not len(rows):
         raise ValidationError("no persona records to write")
@@ -518,6 +529,8 @@ def parse_persona_csv(source) -> UsageColumns:
     """Parse usage-feature rows written by :func:`write_persona_csv` into
     columns. Unparseable or non-finite cells are parse errors, negative
     ones validation errors, each naming its row."""
+    from .persona import UsageColumns
+
     with _csv_table(source, "persona") as (header, body):
         if header[:2] != ["device_id", "date"]:
             raise SchemaError("persona header must start with device_id, date")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .changepoint import PenaltyConfig, Segmentation, detect_penalized
 from .errors import SchemaError, ValidationError
-from .paneldata import factorize
+from .paneldata import distinct, factorize
 
 DEFAULT_K = 6
 MAX_LLOYD_ITERATIONS = 300
@@ -256,7 +256,7 @@ def device_means(records) -> UsageColumns:
     starts = np.cumsum(counts) - counts
     present = np.flatnonzero(counts)
     means = np.empty((present.size, len(names)))
-    for m in np.unique(counts[present]).tolist():
+    for m in distinct(counts[present]).tolist():
         group = np.flatnonzero(counts[present] == m)
         for part in _gather_slices(group.size, m):
             sel = group[part]
@@ -499,7 +499,7 @@ def _window_means(rows: UsageColumns, X: np.ndarray, offsets: np.ndarray, width:
     lo = np.searchsorted(key, base + offsets[:, None])
     m = np.searchsorted(key, base + offsets[:, None] + width) - lo
     windows, devices, means = [], [], []
-    for size in np.unique(m[m > 0]).tolist():
+    for size in distinct(m[m > 0]).tolist():
         window, device = np.nonzero(m == size)
         run_starts = lo[window, device]
         group = np.empty((run_starts.size, X.shape[1]))

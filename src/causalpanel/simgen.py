@@ -43,6 +43,7 @@ from .errors import ValidationError
 from .paneldata import (
     CHASSIS_TYPES,
     CPU_FAMILIES,
+    DEFAULT_INDICATOR,
     SYSTEM_COUNT,
     VPRO_PERCENTAGE,
     PanelDataset,
@@ -62,8 +63,6 @@ from .persona import (
     PersonaModel,
     UsageColumns,
 )
-
-DEFAULT_INDICATOR = "C6_Stay at home requirements"
 
 # Persona archetypes: hours per category per day. Every persona spends a
 # small background amount in each category and most of its time in the

@@ -5,6 +5,8 @@ import json
 import os
 
 import hashlib
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -778,6 +780,198 @@ class TestOptionResolution:
         out = tmp_path / "out"
         assert run("cpd", "--series", series, "--out", out, "--quiet") == 0
         assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+
+    def test_unknown_config_key_exits_3(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "cfg.json", {"k_maxx": 1, "format": "csv"})
+        assert run("cpd", "--series", series, "--config", cfg, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}: not a config key of cpd: 'format', 'k_maxx'" in err
+        assert not (tmp_path / "cpd.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k_max", "1"), ("k_max", 1.5), ("k_max", True), ("lam", "x"),
+         ("penalty", "mdl"), ("series", 3), ("quiet", "yes")],
+    )
+    def test_bad_config_value_exits_3(self, tmp_path, capsys, key, value):
+        series = tmp_path / "series.csv"
+        series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "cfg.json", {key: value})
+        assert run("cpd", "--series", series, "--config", cfg, "--out", tmp_path) == 3
+        flag = "--" + key.replace("_", "-")
+        assert f"{cfg}: {key}: {json.dumps(value)} is not a value of {flag}" in (
+            capsys.readouterr().err
+        )
+
+
+# A run of each command on the ``config_inputs`` fixture's files ("{root}",
+# "{data}", "{c1}", "{work}" and "{series}" name them).
+COMMAND_ARGS = {
+    "simulate": ["--scenario", "{root}/scenario.json"],
+    "ingest": ["--policy", "{data}/policy.csv", "--telemetry", "{data}/telemetry.csv"],
+    "did": [
+        "--panel", "{work}/panel.txt", "--treated", "T", "--control", "D1,D2,D3",
+        "--treatment-date", "2020-03-01",
+    ],
+    "synth": [
+        "--panel", "{work}/panel.txt", "--treated", "T", "--donors", "D1,D2,D3",
+        "--treatment-date", "2020-03-01",
+    ],
+    "cpd": ["--series", "{series}"],
+    "persona": ["--records", "{data}/persona.csv"],
+    "report": ["{work}/did.json", "{work}/synth.json"],
+}
+
+# Each option each command takes from a config file: a value that changes
+# the command's outcome, and the other arguments of the run (those of
+# COMMAND_ARGS when None).
+CONFIG_CASES = [
+    *((command, "out", "sub", None) for command in COMMAND_ARGS),
+    *((command, "quiet", True, None) for command in COMMAND_ARGS),
+    ("simulate", "seed", 99, None),
+    ("simulate", "indicator", "C1_School closing", None),
+    ("ingest", "indicator", "C1_School closing",
+     ["--policy", "{c1}/policy.csv", "--telemetry", "{data}/telemetry.csv"]),
+    ("ingest", "group_by", "unit_id,chassis", None),
+    ("ingest", "outcome", "cpu_watts", None),
+    ("ingest", "units", "{data}/units.csv", None),
+    ("did", "covariates", "system_count", None),
+    ("did", "time_trend", True, None),
+    ("synth", "covariates", "system_count", None),
+    ("synth", "max_iterations", 1, None),
+    ("synth", "tolerance", 0.5, None),
+    ("synth", "placebo", True, None),
+    ("cpd", "series", "{series}", []),
+    ("cpd", "panel", "{work}/panel.txt", ["--unit", "T"]),
+    ("cpd", "unit", "T", ["--panel", "{work}/panel.txt"]),
+    ("cpd", "penalty", "aic", None),
+    ("cpd", "lam", 1e9, ["--series", "{series}", "--penalty", "manual"]),
+    ("cpd", "noise_scale", 100, None),  # an integer for a float option
+    ("cpd", "k_max", 1, None),
+    ("persona", "seed", 5, None),
+    ("persona", "k", 3, None),
+    ("persona", "width", 21, None),
+    ("persona", "stride", 7, None),
+    ("persona", "fit_until", "2020-02-15", None),
+    ("report", "format", "csv", None),
+]
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory):
+    """Inputs for every command: a simulated scenario (also written with
+    the indicator C1), its panel, a did and a synth result, and a series
+    with three clear steps."""
+    root = tmp_path_factory.mktemp("config_inputs")
+    scenario = synth_scenario()
+    scenario["units"][3]["devices_per_day"] = 2  # system_count varies by unit
+    scenario.update(persona_devices=24, persona_noise=0.2)
+    cfg = write_json(root / "scenario.json", scenario)
+    data, c1, work = root / "data", root / "c1", root / "work"
+    assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+    assert run(
+        "simulate", "--scenario", cfg, "--indicator", "C1_School closing",
+        "--out", c1, "--quiet",
+    ) == 0
+    assert run(
+        "ingest", "--policy", data / "policy.csv", "--telemetry", data / "telemetry.csv",
+        "--out", work, "--quiet",
+    ) == 0
+    for command in ("did", "synth"):
+        argv = [a.format(work=work) for a in COMMAND_ARGS[command]]
+        assert run(command, *argv, "--out", work, "--quiet") == 0
+    series = root / "series.csv"
+    rng = np.random.default_rng(0)
+    values = np.repeat([0.0, 5.0, 1.0, 6.0], 30) + rng.normal(0, 0.3, 120)
+    series.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()), encoding="utf-8")
+    return {"root": root, "data": data, "c1": c1, "work": work, "series": series}
+
+
+class TestConfigKeys:
+    @staticmethod
+    def outcome(run_dir, monkeypatch, capsys, command, argv, config=None):
+        """Exit code, every file written, stdout and stderr of one run in
+        ``run_dir``, a new directory."""
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if config is not None:
+            argv = [*argv, "--config", write_json(run_dir.with_suffix(".json"), config)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # each run logs its own warnings
+            code = run(command, *argv)
+        out, err = capsys.readouterr()
+        files = {
+            str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()
+        }
+        return code, files, out, err
+
+    @pytest.mark.parametrize(
+        "command, option, value, argv", CONFIG_CASES, ids=[f"{c}-{o}" for c, o, *_ in CONFIG_CASES]
+    )
+    def test_config_key_acts_as_its_flag(
+        self, tmp_path, monkeypatch, capsys, config_inputs, command, option, value, argv
+    ):
+        """Run with the option as a flag, as a config key, and not at all:
+        the exit code, the files, stdout and stderr are the same the first
+        two ways and differ the third."""
+        monkeypatch.delenv("CAUSALPANEL_OUT", raising=False)
+        if isinstance(value, str):
+            value = value.format(**config_inputs)
+        argv = COMMAND_ARGS[command] if argv is None else argv
+        argv = [a.format(**config_inputs) for a in argv]
+        if option != "quiet":
+            argv.append("--quiet")
+        flag = ["--" + option.replace("_", "-")] + ([] if value is True else [str(value)])
+
+        by_flag = self.outcome(tmp_path / "flag", monkeypatch, capsys, command, [*argv, *flag])
+        by_config = self.outcome(
+            tmp_path / "config", monkeypatch, capsys, command, argv, {option: value}
+        )
+        neither = self.outcome(tmp_path / "neither", monkeypatch, capsys, command, argv)
+        assert by_flag[0] == 0
+        assert by_config == by_flag
+        assert neither != by_flag
+
+    def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
+        """Each flag of a command is a config key of it, with a case in
+        CONFIG_CASES, or a config key for it exits 3: the required flags,
+        and the flags all commands share that only some use, such as
+        --format."""
+        from causalpanel.cli import build_parser
+
+        cases = {(c, o) for c, o, *_ in CONFIG_CASES}
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                name = action.dest
+                if not action.option_strings or name in ("help", "config"):
+                    continue
+                if (command, name) in cases:
+                    continue
+                cfg = write_json(tmp_path / "cfg.json", {name: None})
+                argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
+                assert run(command, *argv, "--config", cfg, "--out", tmp_path) == 3
+                assert f"not a config key of {command}: '{name}'" in capsys.readouterr().err
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    """The text of ``causalpanel --help`` and of each command's ``--help``
+    (as argparse formats it for Python 3.11, at 80 columns), recorded in
+    cli_help.txt before the parser's defaults moved into the handlers."""
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),
+                    ("persona",), ("report",)):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        texts.append(f"$ causalpanel {' '.join([*command, '--help'])}\n{capsys.readouterr().out}")
+    expected = (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+    assert "\n".join(texts) == expected
 
 
 class TestArtifactDigests:

@@ -72,9 +72,10 @@ def traced_peak(step, *args) -> int:
 # fixed row count. Before the columns were filled in place and gathered
 # in pieces, the four peaks were 3.2, 3.2, 3.6 and 4.4.
 #
-#   parse_persona_csv  2.30, bound 2.6: the result (values, device and
+#   parse_persona_csv  1.93, bound 2.2: the result (values, device and
 #                      day columns: 1.33), the device id of each row, and
-#                      the row strings of two blocks
+#                      the row strings of one block (2.30 while the
+#                      previous block's strings lived on into the next read)
 #   device_means       0.44, bound 0.6: the row order and one gathered
 #                      piece with its transpose
 #   windowed_counts    0.64, bound 0.8: the row order, its sort key and
@@ -86,7 +87,7 @@ def traced_peak(step, *args) -> int:
 def test_parse_persona_holds_one_copy(fleet):
     _, persona_csv, records, _ = fleet
     peak = traced_peak(parse_persona_csv, persona_csv)
-    assert peak <= 2.6 * records.values.nbytes
+    assert peak <= 2.2 * records.values.nbytes
 
 
 def test_device_means_gathers_in_pieces(fleet):

@@ -1,18 +1,28 @@
 """Offline change-point detection for univariate series.
 
 Series are modelled as piecewise constant with squared-error cost per
-segment. For a known segment count the globally optimal segmentation is
-found by exact dynamic programming (segment neighbourhood, Auger &
-Lawrence 1989): one recursion, O(K n^2) time, O(k_max n) memory, any n.
-For an unknown count the segment cost is penalized linearly in K and the
-best K <= k_max is chosen. Exactness over approximate splitting is
-deliberate: the target series are daily aggregates with n in the hundreds
-to thousands, and the exact program doubles as its own correctness
-certificate against brute-force enumeration.
+segment, each segment's cost O(1) from prefix sums. Two exact solvers:
 
-Ties between equal-cost segmentations are broken toward the
-lexicographically smallest breakpoint list, which keeps results identical
-across platforms.
+- ``detect_known_k``, exactly K segments: the segment-neighbourhood
+  dynamic program (Auger & Lawrence 1989), one recursion over a K x n
+  table, O(K n^2) time and O(K n) memory.
+- ``detect_penalized``, unknown count: the least cost + lambda * k over
+  every k, by optimal partitioning (Jackson et al. 2005) with PELT pruning
+  (Killick, Fearnhead & Eckley 2012). It runs backward over n starts with
+  one O(n) buffer of candidate boundaries; pruning keeps that set near one
+  segment's length, so a series with changes throughout costs about
+  O(n), and one with none O(n^2) in the worst case.
+
+Exactness over approximate splitting is deliberate: the target series are
+daily aggregates with n in the hundreds to thousands, and the exact
+programs double as their own correctness certificate against brute-force
+enumeration.
+
+Ties go to the fewest segments, then to the lexicographically smallest
+breakpoint list, which keeps results identical across platforms. Both
+solvers take values within the costs' round-off bound of each other as
+equal, so ties that are exact in rational arithmetic (a run of 0.1s, or
+segment costs in thirds) stay ties in floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .errors import ValidationError
 
 # Median |successive difference| of i.i.d. N(0, sigma^2) noise is
 # inv_Phi(0.75) * sqrt(2) * sigma; dividing by this constant turns the
@@ -101,6 +109,9 @@ class SeriesCosts:
     integer-valued series exactly integer after centering, which in turn
     keeps mathematically tied segment costs bitwise equal so the
     lexicographic tie rule behaves exactly.
+
+    ``round_off`` bounds the absolute round-off of a segment cost, or of a
+    sum of them: the prefix sums reach n * max|y - shift|^2.
     """
 
     def __init__(self, series: Sequence[float]):
@@ -114,6 +125,8 @@ class SeriesCosts:
         centered = y - self._shift
         self._s1 = np.concatenate([[0.0], np.cumsum(centered)])
         self._s2 = np.concatenate([[0.0], np.cumsum(centered * centered)])
+        spread = float(np.max(np.abs(centered))) if y.size else 0.0
+        self.round_off = 1024.0 * float(np.finfo(float).eps) * self.n * spread * spread
 
     def cost(self, start: int, end: int) -> tuple[float, float]:
         """Sum of squared deviations from the mean over [start, end)."""
@@ -159,7 +172,8 @@ def _suffix_costs(costs: SeriesCosts, k_max: int) -> np.ndarray:
 def _reconstruct(costs: SeriesCosts, suffix: np.ndarray, K: int) -> tuple[int, ...]:
     """Walk the suffix table left to right, taking the smallest boundary that
     achieves the optimal cost at each step; this yields the lexicographically
-    smallest optimal breakpoint list."""
+    smallest optimal breakpoint list. A cost within the costs' round-off
+    bound of the optimum achieves it."""
     n = costs.n
     breakpoints = []
     i = 0
@@ -167,7 +181,7 @@ def _reconstruct(costs: SeriesCosts, suffix: np.ndarray, K: int) -> tuple[int, .
         b_lo, b_hi = i + 1, n - (k - 1)
         row = costs.cost_row(i)
         cands = row[: b_hi - i] + suffix[k - 1, b_lo : b_hi + 1]
-        b = b_lo + int(np.flatnonzero(cands == suffix[k, i])[0])
+        b = b_lo + int(np.flatnonzero(cands <= suffix[k, i] + costs.round_off)[0])
         breakpoints.append(b)
         i = b
     return tuple(breakpoints)
@@ -268,30 +282,80 @@ def effective_penalty(series: Sequence[float], penalty: PenaltyConfig) -> float:
     return 3.0 * sigma * sigma * float(np.log(n))
 
 
-def detect_penalized(
-    series: Sequence[float],
-    penalty: PenaltyConfig = PenaltyConfig(),
-    k_max: int = DEFAULT_K_MAX,
-) -> Segmentation:
-    """Pick the segment count minimizing cost + penalty * k over k <= k_max.
+def _optimal_partition(costs: SeriesCosts, lam: float, slack: float) -> tuple[int, ...]:
+    """Breakpoints minimizing cost + lam * k over every k.
 
-    Ties go to the smaller k, so a zero penalty on a constant series still
-    returns a single segment. A ``k_max`` below 1 is a validation error.
+    Backward optimal partitioning, G(n) = 0 and
+    G(i) = min over b in (i, n] of [C(i, b) + G(b)] + lam, with PELT
+    pruning: splitting never raises the cost, so a boundary b whose value
+    at i is above G(i) loses to i itself at every earlier start and is
+    dropped. It is dropped only when above by more than ``slack``, the
+    round-off bound, so no exact tie is lost.
+
+    Values within ``slack`` of the minimum are equal: an equal value goes
+    to the fewer segments, then to the smaller next boundary. Following
+    the next boundaries from 0 then gives the fewest segments and the
+    lexicographically smallest breakpoints among all optima. Comparing
+    with ``==`` instead would let round-off in mathematically tied sums
+    (segment costs in thirds, say) pick a later boundary.
+
+    With C(i, b) = s2[b] - s2[i] - (s1[b] - s1[i])^2 / (b - i) from the
+    prefix sums, each boundary carries H(b) = s2[b] + G(b), and the values
+    at i, less the common s2[i], are H(b) - (s1[b] - s1[i])^2 / (b - i).
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {k_max}")
+    n = costs.n
+    s1, s2 = costs._s1, costs._s2
+    count = np.zeros(n + 1, dtype=np.int64)  # segments of G(i)'s optimum
+    nxt = np.zeros(n + 1, dtype=np.int64)  # its first boundary after i
+    # the live boundaries b, descending, with s1[b] and H(b)
+    live_b, live_s1, live_h = live = np.empty((3, n + 1))
+    live[:, 0] = n, s1[n], s2[n]
+    m = 1
+    for i in range(n - 1, -1, -1):
+        vals = live_s1[:m] - s1[i]
+        vals *= vals
+        vals /= live_b[:m] - i
+        np.subtract(live_h[:m], vals, out=vals)
+        j = int(vals.argmin())
+        best = vals[j]
+        near = vals <= best + slack
+        if np.count_nonzero(near) > 1:  # fewest segments, then the smallest b
+            ties = np.flatnonzero(near)
+            tied = live_b[ties].astype(np.int64)
+            j = ties[np.argmin(count[tied] * (n + 1) + tied)]
+        nxt[i] = live_b[j]
+        count[i] = count[nxt[i]] + 1
+        h_i = best + lam  # s2[i] + G(i)
+        if vals.max() > h_i + slack:
+            keep = vals <= h_i + slack
+            m = int(np.count_nonzero(keep))
+            live[:, :m] = live[:, : keep.size][:, keep]
+        live_b[m], live_s1[m], live_h[m] = i, s1[i], h_i
+        m += 1
+    breakpoints, i = [], int(nxt[0])
+    while i < n:
+        breakpoints.append(i)
+        i = int(nxt[i])
+    return tuple(breakpoints)
+
+
+def detect_penalized(
+    series: Sequence[float], penalty: PenaltyConfig = PenaltyConfig()
+) -> Segmentation:
+    """The segmentation minimizing cost + penalty * k over every k.
+
+    Ties go to the smaller k, then to the lexicographically smallest
+    breakpoints, so a zero penalty on a constant series still returns a
+    single segment.
+    """
     costs = SeriesCosts(series)
     if costs.n < 2:
         raise ValueError("need at least 2 points to segment")
-    k_cap = min(costs.n, k_max)
     lam = effective_penalty(series, penalty)
-    suffix = _suffix_costs(costs, k_cap)
-    totals = suffix[1:, 0]
-    penalized = totals + lam * np.arange(1, k_cap + 1)
-    best_k = 1 + int(np.argmin(penalized))  # argmin takes the first, smallest k
-    if best_k == 1:
-        return _build_segmentation(costs, ())
-    return _build_segmentation(costs, _reconstruct(costs, suffix, best_k))
+    # the round-off bound of the penalized values: the costs' own, plus
+    # the same scale on the penalty, which each segment adds once
+    slack = costs.round_off + 1024.0 * float(np.finfo(float).eps) * costs.n * lam
+    return _build_segmentation(costs, _optimal_partition(costs, lam, slack))
 
 
 def stability_scan(

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     CausalPanelError,
+    ConvergenceWarning,
     DiagnosticUnavailableError,
     NumericalError,
     ParseError,
@@ -548,11 +549,19 @@ def cmd_cpd(args, config) -> int:
     else:
         series, dates = _load(parse_series_csv, opts.series)
 
+    if opts.k_max < 1:
+        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {opts.k_max}")
     penalty = PenaltyConfig(
         kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
     )
-    seg = detect_penalized(series, penalty, k_max=opts.k_max)
+    seg = detect_penalized(series, penalty)
     lam_eff = effective_penalty(series, penalty)
+    if seg.k > opts.k_max:
+        raise ValidationError(
+            f"the optimal segmentation has {seg.k} segments at penalty "
+            f"lambda_eff={lam_eff:.6g}, more than --k-max {opts.k_max}; "
+            "raise --k-max or the penalty"
+        )
 
     def bp_date(b: int) -> str | None:
         return dates[b].isoformat() if dates is not None else None
@@ -758,8 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     :func:`_options`, so a config file can set any of them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: $CAUSALPANEL_OUT or .)")
-    common.add_argument("--format", choices=("json", "csv"), help="report format")
-    common.add_argument("--seed", type=int, help="seed override where applicable")
     common.add_argument(
         "--quiet", action="store_true", default=None, help="suppress info logging"
     )
@@ -775,6 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="generate a scenario")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
     p.add_argument("--indicator")
+    p.add_argument("--seed", type=int, help="override the scenario's seed")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("ingest", parents=[common], help="build a panel from files")
@@ -817,7 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", choices=("aic", "bic", "manual"))
     p.add_argument("--lam", type=float, help="manual penalty value")
     p.add_argument("--noise-scale", type=float, help="override noise scale estimate")
-    p.add_argument("--k-max", type=int)
+    p.add_argument(
+        "--k-max", type=int, help="most segments accepted (exit 3 above it)"
+    )
     p.set_defaults(handler=cmd_cpd)
 
     p = sub.add_parser("persona", parents=[common], help="persona pipeline")
@@ -828,10 +838,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fit-until", help="fit centroids only on rows before this ISO date"
     )
+    p.add_argument("--seed", type=int, help="k-means seed")
     p.set_defaults(handler=cmd_persona)
 
     p = sub.add_parser("report", parents=[common], help="consolidate artifacts")
     p.add_argument("artifacts", nargs="*", help="estimation artifact JSON files")
+    p.add_argument("--format", choices=("json", "csv"), help="report format")
     p.set_defaults(handler=cmd_report)
 
     for p in sub.choices.values():  # for _options, which checks config values
@@ -853,38 +865,42 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(message)s",
         force=True,
     )
-    warnings.showwarning = _log_warning
-    try:
-        config: Mapping = {}
-        if getattr(args, "config", None):
-            loaded = _load_json(args.config)
-            if not isinstance(loaded, dict):
-                raise SchemaError(f"{args.config}: config file must be a JSON object")
-            config = loaded
-        if _resolve(args, config, "quiet", default=False):
-            logging.getLogger().setLevel(logging.WARNING)
-        return args.handler(args, config)
-    except ParseError as err:
-        log.error("parse error: %s", err)
-        return EXIT_PARSE
-    except (ValidationError, SchemaError) as err:
-        log.error("validation error: %s", err)
-        return EXIT_VALIDATION
-    except NumericalError as err:
-        log.error("numerical error: %s", err)
-        return EXIT_NUMERICAL
-    except json.JSONDecodeError as err:
-        log.error("parse error: %s", err)
-        return EXIT_PARSE
-    except ValueError as err:
-        log.error("validation error: %s", err)
-        return EXIT_VALIDATION
-    except OSError as err:
-        log.error("io error: %s", err)
-        return EXIT_IO
-    except CausalPanelError as err:
-        log.error("error: %s", err)
-        return EXIT_VALIDATION
+    # a fresh warning registry per call: each call logs the toolkit's
+    # warnings as a new process would, once per location
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", ConvergenceWarning)
+        warnings.showwarning = _log_warning
+        try:
+            config: Mapping = {}
+            if getattr(args, "config", None):
+                loaded = _load_json(args.config)
+                if not isinstance(loaded, dict):
+                    raise SchemaError(f"{args.config}: config file must be a JSON object")
+                config = loaded
+            if _resolve(args, config, "quiet", default=False):
+                logging.getLogger().setLevel(logging.WARNING)
+            return args.handler(args, config)
+        except ParseError as err:
+            log.error("parse error: %s", err)
+            return EXIT_PARSE
+        except (ValidationError, SchemaError) as err:
+            log.error("validation error: %s", err)
+            return EXIT_VALIDATION
+        except NumericalError as err:
+            log.error("numerical error: %s", err)
+            return EXIT_NUMERICAL
+        except json.JSONDecodeError as err:
+            log.error("parse error: %s", err)
+            return EXIT_PARSE
+        except ValueError as err:
+            log.error("validation error: %s", err)
+            return EXIT_VALIDATION
+        except OSError as err:
+            log.error("io error: %s", err)
+            return EXIT_IO
+        except CausalPanelError as err:
+            log.error("error: %s", err)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -282,14 +282,22 @@ def write_policy_csv(
     indicator_column: str,
     date_format: str = "ymd8",
 ) -> None:
-    """Serialize timelines in the shape :func:`parse_policy_csv` reads back."""
+    """Serialize timelines in the shape :func:`parse_policy_csv` reads back.
+    Each date is formatted once per file, however many timelines hold it."""
+    if date_format == "ymd8":
+        fmt = lambda d: d.strftime("%Y%m%d")
+    else:
+        fmt = date.isoformat
+    tokens: dict = {}  # date -> its cell
     with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["CountryName", "RegionName", "Date", indicator_column])
         for tl in timelines:
             country, _, region = tl.unit_id.partition("/")
             for d, c in zip(tl.dates, tl.codes):
-                token = d.strftime("%Y%m%d") if date_format == "ymd8" else d.isoformat()
+                token = tokens.get(d)
+                if token is None:
+                    token = tokens[d] = fmt(d)
                 writer.writerow([country, region, token, c])
 
 
@@ -591,7 +599,7 @@ def write_result_csv(header: Sequence[str], rows: Iterable[Sequence], target) ->
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(
-            [None if isinstance(v, float) and np.isnan(v) else v for v in row]
+            [None if isinstance(v, float) and v != v else v for v in row]  # NaN
             for row in rows
         )
 

@@ -6,6 +6,10 @@ means, and the telemetry aggregation. They are kept verbatim (apart from
 imports and names) so tests can require the column code to agree with
 them bitwise. They take lists of ``UsageFeatureVector`` and
 ``TelemetryRecord``.
+
+Also kept: the penalized change-point selection over k <= k_max by the
+segment-neighbourhood table, which the exact optimal partitioning of
+``detect_penalized`` replaced.
 """
 
 from datetime import date, timedelta
@@ -13,6 +17,15 @@ from typing import Iterable
 
 import numpy as np
 
+from causalpanel.changepoint import (
+    PenaltyConfig,
+    SeriesCosts,
+    Segmentation,
+    _build_segmentation,
+    _reconstruct,
+    _suffix_costs,
+    effective_penalty,
+)
 from causalpanel.paneldata import (
     GROUP_FIELD_ORDER,
     SYSTEM_COUNT,
@@ -239,3 +252,25 @@ def aggregate_telemetry(
         covariates=cov,
         covariate_names=(SYSTEM_COUNT, VPRO_PERCENTAGE),
     )
+
+
+def detect_penalized_capped(
+    series, penalty: PenaltyConfig = PenaltyConfig(), k_max: int = 20
+) -> Segmentation:
+    """Pick the segment count minimizing cost + penalty * k over k <= k_max.
+
+    Ties go to the smaller k, so a zero penalty on a constant series still
+    returns a single segment.
+    """
+    costs = SeriesCosts(series)
+    if costs.n < 2:
+        raise ValueError("need at least 2 points to segment")
+    k_cap = min(costs.n, k_max)
+    lam = effective_penalty(series, penalty)
+    suffix = _suffix_costs(costs, k_cap)
+    totals = suffix[1:, 0]
+    penalized = totals + lam * np.arange(1, k_cap + 1)
+    best_k = 1 + int(np.argmin(penalized))  # argmin takes the first, smallest k
+    if best_k == 1:
+        return _build_segmentation(costs, ())
+    return _build_segmentation(costs, _reconstruct(costs, suffix, best_k))

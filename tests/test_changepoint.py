@@ -1,10 +1,13 @@
-"""Segment costs and the exact segmentation DP against brute-force oracles.
+"""Segment costs and the exact segmentation solvers against brute-force oracles.
 
 The oracle enumerates every breakpoint placement in lexicographic order and
 scores it in exact rational arithmetic (Fraction(float) is lossless), keeping
 only strictly better costs, so the first optimum kept is the
 lexicographically smallest one. This checks both optimality and the
-documented tie rule without sharing any code with the DP.
+documented tie rule without sharing any code with the DP. The penalized
+oracles score cost + lambda * k the same way, with lambda the float penalty
+taken exactly, and keep the fewest segments, then the lexicographically
+smallest breakpoints, among equal scores.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import detect_penalized_capped
 from causalpanel.changepoint import (
     DEFAULT_K_MAX,
     MEDIAN_DIFF_TO_SIGMA,
@@ -49,6 +53,61 @@ def brute_force(series, K):
         if best_cost is None or cost < best_cost:
             best_bps, best_cost = bps, cost
     return best_bps, best_cost
+
+
+def brute_force_penalized(series, lams):
+    """For each penalty in ``lams``, the breakpoints of the oracle's choice
+    over all 2^(n-1) segmentations: the least exact cost + lambda * k, then
+    the fewest segments, then the lexicographically smallest breakpoints."""
+    n = len(series)
+    cost = {
+        (a, b): exact_interval_cost(series[a:b])
+        for a in range(n)
+        for b in range(a + 1, n + 1)
+    }
+    # with k fixed, the score ranks as the cost: keep each k's best
+    best_by_k = [
+        min(
+            (sum(cost[ab] for ab in zip((0,) + bps, bps + (n,))), bps)
+            for bps in itertools.combinations(range(1, n), k - 1)
+        )
+        for k in range(1, n + 1)
+    ]
+    return [
+        min((c + Fraction(lam) * (len(bps) + 1), len(bps), bps) for c, bps in best_by_k)[2]
+        for lam in lams
+    ]
+
+
+def exact_penalized(series, lam):
+    """The oracle's choice of :func:`brute_force_penalized` by an exact
+    optimal-partitioning DP in Fractions, for series too long to enumerate:
+    best[i] is the (score, segments, breakpoints) key of the best
+    segmentation of [i, n), and keys compare as the oracle ranks them."""
+    n = len(series)
+    fr = [Fraction(float(v)) for v in series]
+    s1, s2 = [Fraction(0)], [Fraction(0)]
+    for f in fr:
+        s1.append(s1[-1] + f)
+        s2.append(s2[-1] + f * f)
+    lam = Fraction(lam)
+    best = [None] * n + [(Fraction(0), 0, ())]
+    for i in range(n - 1, -1, -1):
+        best[i] = min(
+            (
+                (s2[b] - s2[i]) - (s1[b] - s1[i]) ** 2 / (b - i) + best[b][0] + lam,
+                best[b][1] + 1,
+                ((b,) if b < n else ()) + best[b][2],
+            )
+            for b in range(i + 1, n + 1)
+        )
+    return best[0][2]
+
+
+def penalized_score(seg, series, lam):
+    """Exact cost + lambda * k of a segmentation."""
+    cost = sum(exact_interval_cost(series[a:b]) for a, b in seg.segments())
+    return cost + Fraction(lam) * seg.k
 
 
 def two_pass_cost(values):
@@ -162,6 +221,23 @@ class TestKnownK:
                 assert seg.breakpoints == bps
                 assert seg.total_cost == pytest.approx(float(cost), abs=1e-9)
 
+    def test_constant_runs_resolve_to_leftmost(self):
+        # runs of non-integer levels tie in exact arithmetic, not in the
+        # float prefix sums: [1.25]*4 + [-1.72]*3 + [0.27]*4 in 4 segments
+        # splits one run anywhere, and the first place is after index 0
+        rng = np.random.default_rng(3)
+        cases = 0
+        for _ in range(150):
+            runs = int(rng.integers(1, 5))
+            levels = np.round(rng.uniform(-3.0, 3.0, runs), int(rng.integers(1, 3)))
+            y = np.repeat(levels, rng.integers(1, 5, runs)) * rng.choice([1.0, 0.1, 7.3])
+            if not 2 <= len(y) <= 11:
+                continue
+            for K in range(1, min(4, len(y)) + 1):
+                assert detect_known_k(y, K).breakpoints == brute_force(list(y), K)[0]
+                cases += 1
+        assert cases >= 400
+
     def test_all_zero_ties_resolve_to_leftmost(self):
         seg = detect_known_k([0.0] * 6, 3)
         assert seg.breakpoints == (1, 2)
@@ -185,9 +261,13 @@ class TestPenalized:
             assert seg.breakpoints == ()
 
     def test_manual_zero_penalty_overfits_to_cap(self):
+        # no k_max caps the solve: a zero penalty on a ramp with no two
+        # equal values fits one segment per point, above DEFAULT_K_MAX
         y = np.arange(30.0)
         seg = detect_penalized(y, PenaltyConfig(kind="manual", lam=0.0))
-        assert seg.k == min(30, DEFAULT_K_MAX)
+        assert seg.k == 30 > DEFAULT_K_MAX
+        assert seg.breakpoints == tuple(range(1, 30))
+        assert seg.total_cost == 0.0
 
     def test_step_signal_bic(self):
         rng = np.random.default_rng(11)
@@ -213,10 +293,17 @@ class TestPenalized:
             detect_penalized([1.0], PenaltyConfig(kind="bic"))
 
     def test_k_max_one_is_single_segment(self):
+        # the solver takes no k_max (cpd --k-max is a limit on its answer):
+        # one segment comes from a penalty above what the split saves
         y = [0.0] * 10 + [9.0] * 10
-        seg = detect_penalized(y, PenaltyConfig(kind="manual", lam=0.0), k_max=1)
+        one = exact_interval_cost(y)
+        seg = detect_penalized(y, PenaltyConfig(kind="manual", lam=float(one) + 1.0))
         assert seg.breakpoints == ()
-        assert seg.total_cost == float(exact_interval_cost(y))
+        assert seg.total_cost == float(one)
+        split = detect_penalized(y, PenaltyConfig(kind="manual", lam=float(one) - 1.0))
+        assert split.breakpoints == (10,)
+        with pytest.raises(TypeError):
+            detect_penalized(y, PenaltyConfig(kind="manual", lam=0.0), k_max=1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -245,6 +332,126 @@ class TestPenalized:
             3.0 * sigma**2 * np.log(16)
         )
         assert effective_penalty(y, PenaltyConfig(kind="manual", lam=7.5)) == 7.5
+
+
+class TestExactPenalized:
+    """The optimal-partitioning solve against exact oracles and against the
+    penalized selection it replaced (``_reference.detect_penalized_capped``,
+    the least cost + lambda * k over the k <= k_max of the
+    segment-neighbourhood table)."""
+
+    def test_matches_brute_force_over_all_segmentations(self):
+        rng = np.random.default_rng(20261018)
+        lams = (0.0, 0.5, 1.0, 2.0, 3.7)
+        cases = 0
+        while cases < 540:
+            n = int(rng.integers(2, 13))
+            if rng.integers(0, 2):
+                y = rng.normal(0.0, 1.0, n)
+            else:
+                y = rng.integers(0, 3, n).astype(float)  # many exact ties
+            penalties = [PenaltyConfig(kind="manual", lam=lam) for lam in lams]
+            penalties.append(PenaltyConfig(kind="bic"))
+            lam_eff = [effective_penalty(y, p) for p in penalties]
+            oracle = brute_force_penalized(list(y), lam_eff)
+            for penalty, bps in zip(penalties, oracle):
+                seg = detect_penalized(y, penalty)
+                assert seg.breakpoints == bps, (list(y), penalty)
+                exact = sum(exact_interval_cost(y[a:b]) for a, b in seg.segments())
+                assert seg.total_cost == pytest.approx(float(exact), abs=1e-9)
+                cases += 1
+
+    @pytest.mark.parametrize(
+        "series, lam",
+        [
+            # equal scores across k: the capped table's float sums take 15
+            # segments, the exact optimum with the fewest has 14
+            ([12, 11, 6, 9, 18, 8, 9, 8, 5, 7, 14, 14, 14, 9, 13, 14, 15, 7, 11,
+              12, 11, 8], 0.5),
+            ([9, 8, 9, 14, 9, 11, 7, 8, 5, 8, 9, 9, 10, 10, 12], 2.0),
+            # equal scores within one k, which differ in the last bit: an
+            # exact == on the float values takes a later boundary
+            ([11, 7, 10, 12, 12, 10, 14, 13, 13, 8, 4, 12, 8, 9, 10], "aic"),
+            ([11, 9, 8, 8, 7, 11, 10, 10, 10, 5, 10, 8, 7, 10, 12, 9], 1.0),
+        ],
+    )
+    def test_round_off_ties_resolve_as_exact_ties(self, series, lam):
+        y = [float(v) for v in series]
+        if lam == "aic":
+            penalty = PenaltyConfig(kind="aic")
+        else:
+            penalty = PenaltyConfig(kind="manual", lam=lam)
+        seg = detect_penalized(y, penalty)
+        assert seg.breakpoints == exact_penalized(y, effective_penalty(y, penalty))
+
+    def test_constant_runs_split_exactly_at_level_changes(self):
+        # runs of non-integer levels: a run's cost is zero in exact
+        # arithmetic but float dust of either sign in the prefix sums, so
+        # only a round-off tolerance finds the fewest segments
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            runs = int(rng.integers(1, 6))
+            levels = np.round(rng.uniform(-3.0, 3.0, runs), int(rng.integers(1, 3)))
+            y = np.repeat(levels, rng.integers(2, 9, runs)) * rng.choice([1.0, 0.1, 7.3])
+            for lam in (0.0, 1e-9, 0.5):
+                seg = detect_penalized(y, PenaltyConfig(kind="manual", lam=lam))
+                assert seg.breakpoints == exact_penalized(list(y), lam)
+
+    def test_matches_exact_dp_on_mid_length_integer_series(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            n = int(rng.integers(13, 40))
+            y = rng.integers(0, 3, n).astype(float)
+            for penalty in (
+                PenaltyConfig(kind="aic"),
+                PenaltyConfig(kind="manual", lam=0.5),
+                PenaltyConfig(kind="manual", lam=1.0),
+            ):
+                seg = detect_penalized(y, penalty)
+                assert seg.breakpoints == exact_penalized(
+                    list(y), effective_penalty(y, penalty)
+                )
+
+    def test_agrees_bitwise_with_capped_selection(self):
+        # wherever the exact optimum has at most DEFAULT_K_MAX segments the
+        # capped selection saw it and must return it bit for bit; elsewhere
+        # the cap hid a segmentation with a strictly lower exact score. The
+        # series sit at levels far from their spread, too, where a
+        # round-off bound from max|y| instead of the centered values would
+        # take real differences for ties.
+        rng = np.random.default_rng(4242)
+        compared = beaten = 0
+        for t in range(200):
+            n = int(rng.integers(2, 401))
+            y = rng.normal(0.0, 1.0, n)
+            for b in rng.integers(1, n, int(rng.integers(0, 6))):
+                y[b:] += rng.normal(0.0, 4.0)
+            y = y * rng.choice([1e-3, 1.0, 100.0]) + rng.choice([0.0, 15.3, 1e4, -2e5])
+            penalty = (
+                PenaltyConfig(kind="bic"),
+                PenaltyConfig(kind="aic"),
+                PenaltyConfig(kind="manual", lam=float(rng.choice([0.5, 2.0, 3.7, 10.0]))),
+            )[t % 3]
+            capped = detect_penalized_capped(y, penalty, k_max=DEFAULT_K_MAX)
+            seg = detect_penalized(y, penalty)
+            if seg.k <= DEFAULT_K_MAX:
+                assert seg == capped
+                compared += 1
+            else:
+                lam = effective_penalty(y, penalty)
+                assert penalized_score(seg, list(y), lam) < penalized_score(
+                    capped, list(y), lam
+                )
+                beaten += 1
+        assert compared >= 100 and beaten > 0
+
+    def test_more_segments_than_the_old_cap(self):
+        # 30 alternating 20-point segments, steps of 10, noise sigma 0.5
+        rng = np.random.default_rng(600)
+        y = np.tile(np.repeat([0.0, 10.0], 20), 15) + rng.normal(0.0, 0.5, 600)
+        seg = detect_penalized(y, PenaltyConfig(kind="bic"))
+        assert seg.k == 30
+        assert seg.breakpoints == tuple(range(20, 600, 20))
 
 
 class TestLongSeries:

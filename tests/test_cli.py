@@ -5,7 +5,6 @@ import json
 import os
 
 import hashlib
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,27 +334,39 @@ class TestSynthWorkflow:
         placebo = (work / "synth_placebo.csv").read_text().splitlines()
         assert placebo[0] == "date,treated,D1,D2,D3"
 
-    def test_convergence_warning_is_one_log_line(self, tmp_path, capsys):
-        # the treated unit blends three donors: two active-set steps from
-        # any vertex, so a one-step cap stops without a certificate
+    @staticmethod
+    def one_step_synth(tmp_path):
+        """Arguments of a synth run whose weight fit stops uncertified: the
+        treated unit blends three donors, two active-set steps from any
+        vertex, and the run allows one."""
         rng = np.random.default_rng(6)
         donors = rng.normal(5.0, 1.0, (6, 80))
         series = {f"D{j}": donors[j].tolist() for j in range(6)}
         series["T"] = (np.array([0.0, 0.5, 0.0, 0.3, 0.2, 0.0]) @ donors).tolist()
         panel = tmp_path / "panel.txt"
         write_panel(make_panel(series), str(panel))
-        code = run(
+        return [
             "synth", "--panel", panel, "--treated", "T",
             "--donors", ",".join(f"D{j}" for j in range(6)),
             "--treatment-date", "2020-03-01", "--max-iterations", "1",
             "--out", tmp_path / "work", "--quiet",
-        )
-        assert code == 0
+        ]
+
+    def test_convergence_warning_is_one_log_line(self, tmp_path, capsys):
+        assert run(*self.one_step_synth(tmp_path)) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
             "WARNING ConvergenceWarning: weight fit stopped after 1 active-set "
             "steps without KKT certificate at tolerance 1e-08"
         ]
+
+    def test_convergence_warning_logged_on_every_call(self, tmp_path, capsys):
+        # two runs in one process: the second logs its warning too, as a
+        # new process would
+        argv = self.one_step_synth(tmp_path)
+        for _ in range(2):
+            assert run(*argv) == 0
+            assert capsys.readouterr().err.startswith("WARNING ConvergenceWarning: ")
 
     def test_missing_unit_exits_3(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, synth_scenario())
@@ -465,6 +476,26 @@ class TestCpdWorkflow:
         assert "--k-max" in err and f"got {k_max}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "cpd.json").exists()
+
+    def test_k_max_is_a_limit_not_a_cap(self, tmp_path, capsys):
+        # 30 alternating 20-point segments, steps of 10, noise sigma 0.5
+        rng = np.random.default_rng(600)
+        values = np.tile(np.repeat([0.0, 10.0], 20), 15) + rng.normal(0.0, 0.5, 600)
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "value\n" + "".join(f"{v!r}\n" for v in values.tolist()), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert run("cpd", "--series", series, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "30 segments" in err and "more than --k-max 20" in err
+        assert "lambda_eff=" in err and "Traceback" not in err
+        assert not (out / "cpd.json").exists()
+        assert run("cpd", "--series", series, "--k-max", "40", "--out", out, "--quiet") == 0
+        payload = json.loads((out / "cpd.json").read_text())
+        assert payload["k"] == 30
+        assert payload["breakpoints"] == list(range(20, 600, 20))
+        assert run("cpd", "--series", series, "--k-max", "30", "--out", out, "--quiet") == 0
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
@@ -846,10 +877,13 @@ CONFIG_CASES = [
     ("cpd", "series", "{series}", []),
     ("cpd", "panel", "{work}/panel.txt", ["--unit", "T"]),
     ("cpd", "unit", "T", ["--panel", "{work}/panel.txt"]),
-    ("cpd", "penalty", "aic", None),
+    # the weak aic penalty fits the three-step series 33 segments
+    ("cpd", "penalty", "aic", ["--series", "{series}", "--k-max", "40"]),
     ("cpd", "lam", 1e9, ["--series", "{series}", "--penalty", "manual"]),
     ("cpd", "noise_scale", 100, None),  # an integer for a float option
-    ("cpd", "k_max", 1, None),
+    # a zero penalty fits each of the 120 noisy points its own segment,
+    # more than the default limit of 20
+    ("cpd", "k_max", 200, ["--series", "{series}", "--penalty", "manual", "--lam", "0"]),
     ("persona", "seed", 5, None),
     ("persona", "k", 3, None),
     ("persona", "width", 21, None),
@@ -889,6 +923,22 @@ def config_inputs(tmp_path_factory):
     return {"root": root, "data": data, "c1": c1, "work": work, "series": series}
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--format") for c in COMMAND_ARGS if c != "report"]
+    + [(c, "--seed") for c in COMMAND_ARGS if c not in ("simulate", "persona")],
+)
+def test_format_and_seed_only_where_read(capsys, command, flag):
+    """--format is an option of report only, --seed of simulate and
+    persona only; any other command refuses them as unknown flags."""
+    names = dict(root="r", data="d", c1="c", work="w", series="s")
+    argv = [a.format(**names) for a in COMMAND_ARGS[command]]
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, *argv, flag, "csv" if flag == "--format" else "5")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestConfigKeys:
     @staticmethod
     def outcome(run_dir, monkeypatch, capsys, command, argv, config=None):
@@ -899,9 +949,7 @@ class TestConfigKeys:
         if config is not None:
             argv = [*argv, "--config", write_json(run_dir.with_suffix(".json"), config)]
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")  # each run logs its own warnings
-            code = run(command, *argv)
+        code = run(command, *argv)
         out, err = capsys.readouterr()
         files = {
             str(p.relative_to(run_dir)): p.read_bytes()
@@ -938,9 +986,7 @@ class TestConfigKeys:
 
     def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
         """Each flag of a command is a config key of it, with a case in
-        CONFIG_CASES, or a config key for it exits 3: the required flags,
-        and the flags all commands share that only some use, such as
-        --format."""
+        CONFIG_CASES, or a config key for it exits 3: the required flags."""
         from causalpanel.cli import build_parser
 
         cases = {(c, o) for c, o, *_ in CONFIG_CASES}
@@ -961,7 +1007,9 @@ class TestConfigKeys:
 def test_help_text_is_pinned(monkeypatch, capsys):
     """The text of ``causalpanel --help`` and of each command's ``--help``
     (as argparse formats it for Python 3.11, at 80 columns), recorded in
-    cli_help.txt before the parser's defaults moved into the handlers."""
+    cli_help.txt. It was recorded before the parser's defaults moved into
+    the handlers, and again when --format moved to report and --seed to
+    simulate and persona."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),

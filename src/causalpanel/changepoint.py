@@ -32,6 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Median |successive difference| of i.i.d. N(0, sigma^2) noise is
 # inv_Phi(0.75) * sqrt(2) * sigma; dividing by this constant turns the
 # median absolute difference into a jump-robust noise-scale estimate.
@@ -56,12 +58,12 @@ class PenaltyConfig:
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
-            raise ValueError(f"penalty kind must be one of {PENALTY_KINDS}")
+            raise ValidationError(f"penalty kind must be one of {PENALTY_KINDS}")
         if self.kind == "manual":
             if self.lam is None or self.lam < 0:
-                raise ValueError("manual penalty requires lam >= 0")
+                raise ValidationError("manual penalty requires lam >= 0")
         if self.noise_scale is not None and self.noise_scale <= 0:
-            raise ValueError("noise_scale override must be positive")
+            raise ValidationError("noise_scale override must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,25 @@ class SeriesCosts:
     lexicographic tie rule behaves exactly.
 
     ``round_off`` bounds the absolute round-off of a segment cost, or of a
-    sum of them: the prefix sums reach n * max|y - shift|^2.
+    sum of them: the prefix sums reach n * spread^2, where ``spread`` is
+    max|y - shift|.
     """
 
     def __init__(self, series: Sequence[float]):
         y = np.asarray(series, dtype=float)
         if y.ndim != 1:
-            raise ValueError("series must be one-dimensional")
+            raise ValidationError("series must be one-dimensional")
         if y.size and not np.isfinite(y).all():
-            raise ValueError("series contains non-finite values")
+            raise ValidationError("series contains non-finite values")
         self.n = y.size
         self._shift = float(np.round(y.mean())) if y.size else 0.0
         centered = y - self._shift
         self._s1 = np.concatenate([[0.0], np.cumsum(centered)])
         self._s2 = np.concatenate([[0.0], np.cumsum(centered * centered)])
-        spread = float(np.max(np.abs(centered))) if y.size else 0.0
-        self.round_off = 1024.0 * float(np.finfo(float).eps) * self.n * spread * spread
+        self.spread = float(np.max(np.abs(centered))) if y.size else 0.0
+        self.round_off = (
+            1024.0 * float(np.finfo(float).eps) * self.n * self.spread * self.spread
+        )
 
     def cost(self, start: int, end: int) -> tuple[float, float]:
         """Sum of squared deviations from the mean over [start, end)."""
@@ -208,7 +213,7 @@ def detect_known_k(series: Sequence[float], K: int) -> Segmentation:
     """Globally optimal segmentation into exactly K constant segments."""
     costs = SeriesCosts(series)
     if not 1 <= K <= costs.n:
-        raise ValueError(f"segment count {K} outside 1..{costs.n}")
+        raise ValidationError(f"segment count {K} outside 1..{costs.n}")
     if K == 1:
         return _build_segmentation(costs, ())
     suffix = _suffix_costs(costs, K)
@@ -220,7 +225,7 @@ def robust_noise_scale(series: Sequence[float]) -> float:
     insensitive to the level jumps being detected."""
     y = np.asarray(series, dtype=float)
     if y.size < 2:
-        raise ValueError("need at least 2 points to estimate noise scale")
+        raise ValidationError("need at least 2 points to estimate noise scale")
     return _median(np.abs(np.diff(y))) / MEDIAN_DIFF_TO_SIGMA
 
 
@@ -238,15 +243,18 @@ def _median(x: np.ndarray) -> float:
 def _round_off_penalty_floor(series: Sequence[float]) -> float:
     """Penalty at the round-off scale of the prefix-sum segment costs.
 
-    The costs carry absolute error of order eps * n * |y|^2, so with a
-    literal zero penalty that dust can make phantom splits of an exactly
-    constant run look strictly better than the tie the smaller-k rule
-    would resolve. Any real structure on a noiseless series clears this
-    floor by many orders of magnitude.
+    The costs are computed from the series less its rounded mean and carry
+    absolute error of order eps * n * spread^2 (see :class:`SeriesCosts`),
+    so with a literal zero penalty that dust can make phantom splits of an
+    exactly constant run look strictly better than the tie the smaller-k
+    rule would resolve. The scale is 1 + spread, so the floor stays
+    positive on a constant series. Any real structure on a noiseless
+    series clears this floor by many orders of magnitude, at any level:
+    the level itself is centered away, as in the costs.
     """
-    y = np.asarray(series, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-    return 1024.0 * float(np.finfo(float).eps) * y.size * scale * scale
+    costs = SeriesCosts(series)
+    scale = 1.0 + costs.spread
+    return 1024.0 * float(np.finfo(float).eps) * costs.n * scale * scale
 
 
 def effective_penalty(series: Sequence[float], penalty: PenaltyConfig) -> float:
@@ -350,7 +358,7 @@ def detect_penalized(
     """
     costs = SeriesCosts(series)
     if costs.n < 2:
-        raise ValueError("need at least 2 points to segment")
+        raise ValidationError("need at least 2 points to segment")
     lam = effective_penalty(series, penalty)
     # the round-off bound of the penalized values: the costs' own, plus
     # the same scale on the penalty, which each segment adds once
@@ -365,7 +373,7 @@ def stability_scan(
     checks of detected breakpoints."""
     lams = list(lambdas)
     if not lams:
-        raise ValueError("stability scan needs at least one penalty value")
+        raise ValidationError("stability scan needs at least one penalty value")
     return {
         lam: detect_penalized(series, PenaltyConfig(kind="manual", lam=lam))
         for lam in lams

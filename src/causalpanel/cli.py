@@ -892,9 +892,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         except json.JSONDecodeError as err:
             log.error("parse error: %s", err)
             return EXIT_PARSE
-        except ValueError as err:
-            log.error("validation error: %s", err)
-            return EXIT_VALIDATION
         except OSError as err:
             log.error("io error: %s", err)
             return EXIT_IO

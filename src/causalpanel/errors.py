@@ -14,8 +14,12 @@ class ParseError(CausalPanelError):
     """A source file could not be parsed (bad delimiter, date, or number)."""
 
 
-class ValidationError(CausalPanelError):
-    """Inputs parsed but violate a documented invariant or precondition."""
+class ValidationError(CausalPanelError, ValueError):
+    """Inputs parsed but violate a documented invariant or precondition.
+
+    It is also a ValueError: a check rejects a value, and a caller that
+    catches ValueError from the estimators catches it too. The CLI maps it
+    to exit 3; a bare ValueError is a fault of the program, not mapped."""
 
 
 class SchemaError(ValidationError):

@@ -27,18 +27,22 @@ This is the one module that reads or writes CSV. The formats:
 Every CSV table is read by :func:`_csv_table`, so all share one dialect:
 the delimiter (``,``, tab or ``;``) is sniffed from the header line,
 header names are stripped, blank rows are skipped, and rows are numbered
-from the header as row 1. The body is read a block of rows at a time,
-transposed, and each column converted at once (text cells once per
-distinct value, dates once per file, numbers with ``float``) and
-validated at once. Each block is copied into columns allocated once for
-as many rows as the file has lines left (:func:`_stacked`), so a table is
-held once, not once in blocks and again joined; the cell strings of one
-block only are alive at a time (:func:`_body_blocks`). Every rejected
-cell is named by its row: unparseable or non-finite values and short
-rows are parse errors, values outside the schema validation errors. The
-writers format a block of rows at a time (each date once per file),
-floats with ``repr`` over ``tolist()`` values, so a file written from
-columns is byte-identical to one written row by row with ``csv.writer``.
+from the header as row 1. The body is read a block of lines at a time
+(:func:`_body_blocks`): numpy's C tokenizer splits a quote-free block
+into columns and converts its numbers in one ``np.loadtxt`` call, and
+``csv.reader`` splits a block that holds a quote, or one loadtxt
+refuses, so that the refused block's first bad cell is named as before.
+Each column is then converted at once (text cells once per distinct
+value, dates once per file) and validated at once. Each block is copied
+into columns allocated once for as many rows as the file has lines left
+(:func:`_stacked`), so a table is held once, not once in blocks and again
+joined; the lines and cells of one block only are alive at a time. Every
+rejected cell is named by its row: unparseable or non-finite values and
+short rows are parse errors, values outside the schema validation
+errors. The writers format a block of rows at a time (each date once per
+file), floats with ``repr`` over ``tolist()`` values, so a file written
+from columns is byte-identical to one written row by row with
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -110,39 +114,133 @@ def _to_date(token: str, fmt: str) -> date:
     return date.fromisoformat(token)
 
 
-# Rows handled per read or write step: bounds the cells held as Python
-# strings at once.
+# Rows handled per read or write step: bounds the lines and cells held as
+# Python strings at once.
 _BLOCK_ROWS = 2048
+
+# Characters that send a block to csv.reader although it holds no quote:
+# NUL, which csv.reader refuses before Python 3.11, and \x1c-\x1f, which
+# loadtxt strips from around a number as whitespace where float() refuses
+# them.
+_UNTOKENIZED = ("\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _has_content(row: list[str]) -> bool:
     return any(map(str.strip, row))
 
 
-def _body_blocks(reader, width: int, exact: bool = False):
+def _csv_block(rows: list[list[str]], first: int, width: int, exact: bool):
+    """The non-blank ones of ``rows`` (split by ``csv.reader``, the first
+    numbered ``first``) as a list of columns, tuples of cells, and each
+    row's number. A row with fewer than ``width`` cells, or with ``exact``
+    any other count, is a parse error."""
+    rownos = np.arange(first, first + len(rows))
+    keep = np.fromiter(map(_has_content, rows), bool, len(rows))
+    rows, rownos = list(itertools.compress(rows, keep)), rownos[keep]
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    short = np.flatnonzero(lengths != width if exact else lengths < width)
+    if short.size:
+        raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
+    return list(zip(*rows)), rownos
+
+
+def _tokenized_block(lines: list[str], first: int, delim: str, fields: np.dtype, exact: bool):
+    """:func:`_csv_block` of quote-free ``lines`` by one ``np.loadtxt``
+    call: the float fields of ``fields`` as float arrays, the others as
+    lists of cells. None when loadtxt refuses a cell or a row's count, or
+    a float is not finite: then :func:`_csv_block` reads the lines and
+    the parser names the fault."""
+    rownos = np.arange(first, first + len(lines))
+    if all(fields[name] == object for name in fields.names):
+        # loadtxt would read a line of delimiters and whitespace only as a
+        # row of empty cells; it is a row _has_content drops. A float field
+        # cannot be blank, so with one loadtxt refuses such a line, or skips
+        # it when empty, and the row count shows that.
+        keep = np.fromiter(
+            (not line.replace(delim, " ").isspace() for line in lines), bool, len(lines)
+        )
+        if not keep.all():
+            lines, rownos = list(itertools.compress(lines, keep)), rownos[keep]
+        if not lines:
+            return [], rownos
+    try:
+        table = np.loadtxt(
+            lines,
+            delimiter=delim,
+            dtype=fields,
+            usecols=None if exact else tuple(range(len(fields))),
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if len(table) != len(lines):  # an empty line loadtxt skipped
+        return None
+    columns = []
+    for name in fields.names:
+        column = table[name]
+        if column.dtype == object:
+            columns.append(column.tolist())
+        elif np.isfinite(column).all():
+            columns.append(column)
+        else:
+            return None
+    return columns, rownos
+
+
+def _body_blocks(stream, delim: str, width: int, exact: bool = False, floats=()):
     """The non-blank rows of a CSV body, a block at a time, as a list of
-    columns (tuples of cells) with each row's number (the header is row 1).
-    A row with fewer than ``width`` cells, or with ``exact`` any other
-    count, is a parse error.
+    columns with each row's number (the header is row 1). A column named
+    in ``floats`` is a float array, checked finite, where the block was
+    tokenized, and like every other column a sequence of cells where it
+    was not. A row with fewer than ``width`` cells, or with ``exact`` any
+    other count, is a parse error.
 
     The list is emptied before the next block is read, so the cells of one
     block only are alive at a time; a consumer keeps no other reference to
     the columns past its loop body."""
-    first = 2
-    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-        rownos = np.arange(first, first + len(rows))
-        first += len(rows)
-        keep = np.fromiter(map(_has_content, rows), bool, len(rows))
-        rows, rownos = list(itertools.compress(rows, keep)), rownos[keep]
-        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-        short = np.flatnonzero(lengths != width if exact else lengths < width)
-        if short.size:
-            raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
-        if rows:
-            columns = list(zip(*rows))
-            rows = None  # the cells are held by the columns alone
+    for columns, rownos in _blocks(stream, delim, width, exact, floats):
+        if rownos.size:
             yield columns, rownos
             columns.clear()
+
+
+def _blocks(stream, delim: str, width: int, exact: bool, floats):
+    """The blocks of :func:`_body_blocks`, blank ones included. A block is
+    ``_BLOCK_ROWS`` lines, tokenized by numpy's C reader
+    (:func:`_tokenized_block`); one it refuses is read again by
+    ``csv.reader``, which splits it as before or names the fault. From the
+    first block that holds a quote on, ``csv.reader`` reads the rest of the
+    file: loadtxt does not unquote, and a quoted cell may hold line breaks
+    past the block's end. Up to there one line is one row, so the rows,
+    their blocks and their numbers are those of ``csv.reader`` throughout."""
+    fields = np.dtype(
+        [(f"f{j}", np.float64 if j in floats else object) for j in range(width)]
+    )
+    first = 2
+    while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
+        text = "".join(lines)
+        if '"' in text:
+            break
+        block = None
+        # a block of empty lines only is not tokenized: loadtxt would warn
+        # that it read no data
+        if not text.isspace() and not any(map(text.__contains__, _UNTOKENIZED)):
+            block = _tokenized_block(lines, first, delim, fields, exact)
+        if block is None:
+            block = _csv_block(list(csv.reader(lines, delimiter=delim)), first, width, exact)
+        first += len(lines)
+        lines = text = None
+        yield block
+    else:
+        return
+    reader = csv.reader(itertools.chain(lines, stream), delimiter=delim)
+    lines = text = None
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        block = _csv_block(rows, first, width, exact)
+        first += len(rows)
+        rows = None  # the cells are held by the columns alone
+        yield block
 
 
 def _lines_left(stream) -> int:
@@ -152,22 +250,25 @@ def _lines_left(stream) -> int:
     start = stream.tell()
     lines = 1
     while chunk := stream.read(1 << 20):
-        lines += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+        lines += chunk.count("\n")
+        if "\r" in chunk:
+            lines += chunk.count("\r") - chunk.count("\r\n")
     stream.seek(start)
     return lines
 
 
 class _Body:
-    """The rows below a CSV header. ``body(width, exact=False)`` yields
-    their :func:`_body_blocks`; ``body.max_rows`` bounds their number, so
-    a reader can allocate each column once (see :func:`_stacked`)."""
+    """The rows below a CSV header. ``body(width, exact=False, floats=())``
+    yields their :func:`_body_blocks`; ``body.max_rows`` bounds their
+    number, so a reader can allocate each column once (see
+    :func:`_stacked`)."""
 
     def __init__(self, stream, delim: str):
         self.max_rows = _lines_left(stream)
-        self._reader = csv.reader(stream, delimiter=delim)
+        self._stream, self._delim = stream, delim
 
-    def __call__(self, width: int, exact: bool = False):
-        return _body_blocks(self._reader, width, exact)
+    def __call__(self, width: int, exact: bool = False, floats=()):
+        return _body_blocks(self._stream, self._delim, width, exact, floats)
 
 
 @contextmanager
@@ -340,7 +441,13 @@ def _parse_distinct(cells, convert, rownos, describe, table: dict | None = None)
 
 def _finite_floats(cells, rownos, what: str) -> np.ndarray:
     """Float value of every cell; a non-numeric or non-finite cell is a
-    parse error naming the row."""
+    parse error naming the row. A column the reader tokenized is a float
+    array already checked, and is returned as it is. The cells of a block
+    it refused are converted here, in the parser's order of checks, so a
+    block with several faults names the same one it named when
+    ``csv.reader`` split every block."""
+    if isinstance(cells, np.ndarray):
+        return cells
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
@@ -398,7 +505,8 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
 
         def blocks():
             date_fmt = None
-            for columns, rownos in body(len(header)):
+            floats = (cols["usage_hours"], cols["cpu_watts"])
+            for columns, rownos in body(len(header), floats=floats):
                 cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
                 date_fmt = date_fmt or _detect_date_format(cells["date"][0])
                 block = {
@@ -548,7 +656,7 @@ def parse_persona_csv(source) -> UsageColumns:
         day_table = {}
 
         def blocks():
-            for columns, rownos in body(len(header), exact=True):
+            for columns, rownos in body(len(header), exact=True, floats=range(2, len(header))):
                 values = np.column_stack(
                     [
                         _finite_floats(cells, rownos, f"feature {name!r}")
@@ -631,7 +739,7 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
         day_table = {}
 
         def blocks():
-            for columns, rownos in body(max(v_col, d_col or 0) + 1):
+            for columns, rownos in body(max(v_col, d_col or 0) + 1, floats=(v_col,)):
                 block = {"value": _finite_floats(columns[v_col], rownos, "value")}
                 if d_col is not None:
                     days = _day_ordinals(columns[d_col], rownos, "iso", day_table)

@@ -209,18 +209,24 @@ class UsageColumns:
             self.feature_names,
         )
 
-    def matrix(self, feature_names: Sequence[str]) -> np.ndarray:
-        """The values with columns in ``feature_names`` order. When that is
-        the stored order, this is :attr:`values` itself, read-only and not
-        a copy; otherwise a new array."""
+    def columns_of(self, feature_names: Sequence[str]) -> list[int]:
+        """The stored column of each of ``feature_names``, which must be
+        the stored names in some order."""
         mismatch = set(feature_names) ^ set(self.feature_names)
         if mismatch:
             raise SchemaError(
                 f"feature names do not align (mismatch on {sorted(mismatch)})"
             )
+        return [self.feature_names.index(n) for n in feature_names]
+
+    def matrix(self, feature_names: Sequence[str]) -> np.ndarray:
+        """The values with columns in ``feature_names`` order. When that is
+        the stored order, this is :attr:`values` itself, read-only and not
+        a copy; otherwise a new array."""
+        columns = self.columns_of(feature_names)
         if tuple(feature_names) == self.feature_names:
             return self.values
-        return self.values[:, [self.feature_names.index(n) for n in feature_names]]
+        return self.values[:, columns]
 
 
 def as_usage_columns(records) -> UsageColumns:
@@ -350,7 +356,7 @@ def _farthest_point_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     distance to the nearest chosen center (ties to the lowest index).
     When every remaining point sits at squared distance 0 from a chosen
     center (equal, or apart by so little that the square underflows),
-    fewer than ``k`` distinct vectors exist and this raises ValueError."""
+    fewer than ``k`` distinct vectors exist and this raises ValidationError."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
@@ -358,7 +364,7 @@ def _farthest_point_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     while len(chosen) < k:
         nxt = int(np.argmax(min_d2))
         if min_d2[nxt] == 0.0:
-            raise ValueError(f"need at least {k} distinct vectors, have {len(chosen)}")
+            raise ValidationError(f"need at least {k} distinct vectors, have {len(chosen)}")
         chosen.append(nxt)
         min_d2 = np.minimum(min_d2, _squared_distances(X, X[[nxt]])[:, 0])
     return X[chosen].copy()
@@ -397,11 +403,11 @@ def fit_kmeans(
     """
     rows = as_usage_columns(vectors)
     if not len(rows):
-        raise ValueError("no vectors to cluster")
+        raise ValidationError("no vectors to cluster")
     feature_names = tuple(sorted(rows.feature_names))
     X = rows.matrix(feature_names)
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ValidationError("k must be at least 2")
 
     C = _farthest_point_init(X, k, seed)
     previous_assign = None
@@ -530,22 +536,25 @@ def windowed_counts(
     width = _as_days(width)
     stride = _as_days(stride)
     if width <= timedelta(0) or stride <= timedelta(0):
-        raise ValueError("width and stride must be positive durations")
+        raise ValidationError("width and stride must be positive durations")
     rows = as_usage_columns(records)
     if not len(rows):
-        raise ValueError("no usage records")
-    X = rows.matrix(model.feature_names)
+        raise ValidationError("no usage records")
+    columns = rows.columns_of(model.feature_names)
     first, last = int(rows.day.min()), int(rows.day.max())
     span = last - first + 1
     if width.days > span:
-        raise ValueError(
+        raise ValidationError(
             f"records span {date.fromordinal(first)}..{date.fromordinal(last)}, "
             f"less than one {width.days}-day window"
         )
     offsets = np.arange(0, span - width.days + 1, stride.days)
     starts = tuple(date.fromordinal(first + int(o)) for o in offsets)
 
-    window, _, means = _window_means(rows, X, offsets, width.days)
+    # means of the stored columns, then reordered: each column sums alike
+    # in either order, and the value matrix is not copied to reorder it
+    window, _, means = _window_means(rows, rows.values, offsets, width.days)
+    means = means[:, columns]
     active = means.any(axis=1)
     persona = np.argmin(_squared_distances(means[active], model.centroids), axis=1)
     counts = np.zeros((len(starts), model.k), dtype=np.int64)
@@ -573,7 +582,7 @@ def persona_changepoint(
 ) -> dict[str, Segmentation]:
     """Penalized change-point detection on each persona's z-score column."""
     if len(series.window_starts) < 4:
-        raise ValueError("need at least 4 windows for change-point analysis")
+        raise ValidationError("need at least 4 windows for change-point analysis")
     return {
         name: detect_penalized(series.zscores[:, j], penalty)
         for j, name in enumerate(series.persona_names)

@@ -9,9 +9,17 @@ them bitwise. They take lists of ``UsageFeatureVector`` and
 
 Also kept: the penalized change-point selection over k <= k_max by the
 segment-neighbourhood table, which the exact optimal partitioning of
-``detect_penalized`` replaced.
+``detect_penalized`` replaced; and the CSV table readers that split every
+row with ``csv.reader`` and convert every number with ``float``, which
+the block tokenizing of ``panelio._body_blocks`` replaced (their
+unchanged helpers are imported from ``panelio``; ``_BLOCK_ROWS`` is this
+module's own, so a test can set both block sizes).
 """
 
+import csv
+import io
+import itertools
+from contextlib import contextmanager
 from datetime import date, timedelta
 from typing import Iterable
 
@@ -33,12 +41,29 @@ from causalpanel.paneldata import (
     PanelDataset,
     TelemetryRecord,
 )
-from causalpanel.errors import SchemaError, ValidationError
+from causalpanel.errors import ParseError, SchemaError, ValidationError
+from causalpanel.panelio import (
+    _TELEMETRY_COLUMNS,
+    _chassis,
+    _cpu_family,
+    _day_ordinals,
+    _detect_date_format,
+    _has_content,
+    _lines_left,
+    _map_distinct,
+    _opened,
+    _parse_distinct,
+    _sniff_delimiter,
+    _stacked,
+    _vpro_flag,
+)
+from causalpanel.paneldata import PolicyTimeline, TelemetryColumns, telemetry_violation
 from causalpanel.persona import (
     WINDOW_STRIDE,
     WINDOW_WIDTH,
     PersonaCountSeries,
     PersonaModel,
+    UsageColumns,
     UsageFeatureVector,
     _squared_distances,
 )
@@ -274,3 +299,290 @@ def detect_penalized_capped(
     if best_k == 1:
         return _build_segmentation(costs, ())
     return _build_segmentation(costs, _reconstruct(costs, suffix, best_k))
+
+
+# ---------------------------------------------------------- CSV readers
+
+
+# Rows handled per read or write step: bounds the cells held as Python
+# strings at once.
+_BLOCK_ROWS = 2048
+
+
+def _body_blocks(reader, width: int, exact: bool = False):
+    """The non-blank rows of a CSV body, a block at a time, as a list of
+    columns (tuples of cells) with each row's number (the header is row 1).
+    A row with fewer than ``width`` cells, or with ``exact`` any other
+    count, is a parse error.
+
+    The list is emptied before the next block is read, so the cells of one
+    block only are alive at a time; a consumer keeps no other reference to
+    the columns past its loop body."""
+    first = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        rownos = np.arange(first, first + len(rows))
+        first += len(rows)
+        keep = np.fromiter(map(_has_content, rows), bool, len(rows))
+        rows, rownos = list(itertools.compress(rows, keep)), rownos[keep]
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        short = np.flatnonzero(lengths != width if exact else lengths < width)
+        if short.size:
+            raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
+        if rows:
+            columns = list(zip(*rows))
+            rows = None  # the cells are held by the columns alone
+            yield columns, rownos
+            columns.clear()
+
+
+class _Body:
+    """The rows below a CSV header. ``body(width, exact=False)`` yields
+    their :func:`_body_blocks`; ``body.max_rows`` bounds their number, so
+    a reader can allocate each column once (see :func:`_stacked`)."""
+
+    def __init__(self, stream, delim: str):
+        self.max_rows = _lines_left(stream)
+        self._reader = csv.reader(stream, delimiter=delim)
+
+    def __call__(self, width: int, exact: bool = False):
+        return _body_blocks(self._reader, width, exact)
+
+
+@contextmanager
+def _csv_table(source, kind: str):
+    """Open a CSV table (a path, bytes, or stream) and yield its header
+    names, stripped, and the :class:`_Body` of the rows below it. The
+    delimiter is the one of ``,``, tab and ``;`` that the header line
+    holds most of. A stream that cannot seek (a pipe) is read to its end
+    first, so that its rows can be counted."""
+    with _opened(source) as stream:
+        header_line = stream.readline()
+        if not header_line:
+            raise ParseError(f"{kind} file is empty")
+        delim = _sniff_delimiter(header_line)
+        header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+        if not stream.seekable():
+            stream = io.StringIO(stream.read(), newline="")
+        yield header, _Body(stream, delim)
+
+
+def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
+    """Parse a policy table into one timeline per unit.
+
+    Region rows become first-class units keyed "CountryName/RegionName";
+    national rows keep the plain country name. Only the named ordinal column
+    is read; flag and other columns are ignored.
+    """
+    rows: dict[str, list[tuple[int, str]]] = {}
+    with _csv_table(source, "policy") as (header, body):
+        cols = {name: i for i, name in enumerate(header)}
+        if "CountryName" in cols:
+            unit_col, region_col = cols["CountryName"], cols.get("RegionName")
+        elif "unit_id" in cols:
+            unit_col, region_col = cols["unit_id"], None
+        else:
+            raise SchemaError("policy header has no CountryName or unit_id column")
+        date_col = cols.get("Date", cols.get("date"))
+        if date_col is None:
+            raise SchemaError("policy header has no Date column")
+        if indicator_column not in cols:
+            raise SchemaError(f"policy header has no column {indicator_column!r}")
+        ind_col = cols[indicator_column]
+        used_cols = (unit_col, region_col, date_col, ind_col)
+
+        date_fmt, day_table = None, {}
+        for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
+            units = map(str.strip, columns[unit_col])
+            if region_col is not None:
+                units = (
+                    f"{unit}/{region}" if region else unit
+                    for unit, region in zip(units, map(str.strip, columns[region_col]))
+                )
+            date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
+            days = _day_ordinals(columns[date_col], rownos, date_fmt, day_table).tolist()
+            for unit, day, raw in zip(units, days, map(str.strip, columns[ind_col])):
+                rows.setdefault(unit, []).append((day, raw))
+
+    timelines = []
+    for unit in sorted(rows):
+        entries = sorted(rows[unit], key=lambda e: e[0])
+        dates = tuple(date.fromordinal(d) for d, _ in entries)
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise ValidationError(f"unit {unit}: duplicate date {d1}")
+        codes = []
+        last = 0  # leading empties mean "no measures"
+        for d, (_, raw) in zip(dates, entries):
+            if raw == "":
+                codes.append(last)
+                continue
+            try:
+                value = int(float(raw))
+            except ValueError:
+                raise ParseError(
+                    f"unit {unit} on {d}: non-numeric code {raw!r}"
+                ) from None
+            if value not in (0, 1, 2, 3):
+                raise ValidationError(
+                    f"unit {unit} on {d}: code {value} outside 0..3"
+                )
+            codes.append(value)
+            last = value
+        timelines.append(PolicyTimeline(unit, dates, tuple(codes)))
+    return timelines
+
+
+def _finite_floats(cells, rownos, what: str) -> np.ndarray:
+    """Float value of every cell; a non-numeric or non-finite cell is a
+    parse error naming the row."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        _parse_distinct(cells, float, rownos, lambda c: f"non-numeric {what} {c.strip()!r}")
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(f"row {rownos[i]}: non-finite {what} {cells[i].strip()!r}")
+    return values
+
+
+def parse_telemetry_csv(source) -> TelemetryColumns:
+    """Parse device-day telemetry rows into columns; unknown columns are
+    ignored. Unparseable or non-finite cells are parse errors, rows that
+    break the telemetry schema validation errors, each naming its row."""
+    with _csv_table(source, "telemetry") as (header, body):
+        cols = {name: i for i, name in enumerate(header)}
+        missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
+        if missing:
+            raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
+        day_table = {}
+
+        def blocks():
+            date_fmt = None
+            for columns, rownos in body(len(header)):
+                cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
+                date_fmt = date_fmt or _detect_date_format(cells["date"][0])
+                block = {
+                    "day": _day_ordinals(cells["date"], rownos, date_fmt, day_table),
+                    "device_id": _map_distinct(cells["device_id"], str.strip),
+                    "unit_id": _map_distinct(cells["unit_id"], str.strip),
+                    "chassis": _map_distinct(cells["chassis"], _chassis),
+                    "cpu_family": _map_distinct(cells["cpu_family"], _cpu_family),
+                    "vpro": np.array(
+                        _parse_distinct(
+                            cells["vpro"], _vpro_flag, rownos,
+                            lambda c: f"bad vpro value {c.strip().lower()!r}",
+                        ),
+                        dtype=bool,
+                    ),
+                    "usage_hours": _finite_floats(cells["usage_hours"], rownos, "usage_hours"),
+                    "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
+                }
+                del cells  # see _body_blocks
+                problem = telemetry_violation(
+                    block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
+                )
+                if problem is not None:
+                    raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
+                yield block
+
+        n = body.max_rows
+        columns = _stacked(
+            blocks(),
+            {
+                "day": np.empty(n, np.int64),
+                "device_id": [],
+                "unit_id": [],
+                "chassis": [],
+                "cpu_family": [],
+                "vpro": np.empty(n, bool),
+                "usage_hours": np.empty(n),
+                "cpu_watts": np.empty(n),
+            },
+        )
+    return TelemetryColumns(**columns)
+
+
+def parse_persona_csv(source) -> UsageColumns:
+    """Parse usage-feature rows written by :func:`write_persona_csv` into
+    columns. Unparseable or non-finite cells are parse errors, negative
+    ones validation errors, each naming its row."""
+    with _csv_table(source, "persona") as (header, body):
+        if header[:2] != ["device_id", "date"]:
+            raise SchemaError("persona header must start with device_id, date")
+        names = header[2:]
+        if not names:
+            raise SchemaError("persona header has no feature columns")
+        day_table = {}
+
+        def blocks():
+            for columns, rownos in body(len(header), exact=True):
+                values = np.column_stack(
+                    [
+                        _finite_floats(cells, rownos, f"feature {name!r}")
+                        for name, cells in zip(names, columns[2:])
+                    ]
+                )
+                bad = np.argwhere(values < 0.0)
+                if bad.size:
+                    i, j = bad[0]
+                    raise ValidationError(
+                        f"row {rownos[i]}: feature {names[j]!r} = {values[i, j]} is negative"
+                    )
+                yield {
+                    "device_id": _map_distinct(columns[0], str.strip),
+                    "day": _day_ordinals(columns[1], rownos, "iso", day_table),
+                    "values": values,
+                }
+
+        n = body.max_rows
+        columns = _stacked(
+            blocks(),
+            {
+                "device_id": [],
+                "day": np.empty(n, np.int64),
+                "values": np.empty((n, len(names))),
+            },
+        )
+    return UsageColumns.from_rows(
+        columns["device_id"], columns["day"], columns["values"], names
+    )
+
+
+def parse_units_csv(source) -> dict[str, str]:
+    """The continent of each unit id in a units table; other columns are
+    ignored and a later row for the same unit wins."""
+    continents: dict[str, str] = {}
+    with _csv_table(source, "units") as (header, body):
+        if "unit_id" not in header or "continent" not in header:
+            raise SchemaError("units header needs unit_id and continent columns")
+        id_col, cont_col = header.index("unit_id"), header.index("continent")
+        for columns, _ in body(max(id_col, cont_col) + 1):
+            continents.update(
+                zip(map(str.strip, columns[id_col]), map(str.strip, columns[cont_col]))
+            )
+    return continents
+
+
+def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
+    """The ``value`` column of a series table, and its ``date`` column of
+    ISO dates when it has one. A non-numeric or non-finite value or a
+    malformed date is a parse error naming its row."""
+    with _csv_table(source, "series") as (header, body):
+        if "value" not in header:
+            raise SchemaError("series file needs a value column")
+        v_col = header.index("value")
+        d_col = header.index("date") if "date" in header else None
+        day_table = {}
+
+        def blocks():
+            for columns, rownos in body(max(v_col, d_col or 0) + 1):
+                block = {"value": _finite_floats(columns[v_col], rownos, "value")}
+                if d_col is not None:
+                    days = _day_ordinals(columns[d_col], rownos, "iso", day_table)
+                    block["date"] = list(map(date.fromordinal, days.tolist()))
+                yield block
+
+        columns = _stacked(blocks(), {"value": np.empty(body.max_rows), "date": []})
+    return columns["value"], (columns["date"] if d_col is not None else None)

@@ -319,6 +319,19 @@ class TestPenalized:
         with pytest.raises(ValueError):
             PenaltyConfig(**kwargs)
 
+    @pytest.mark.parametrize("level", [0.0, 1e4, -1e4])
+    def test_noiseless_small_step_found_at_any_level(self, level):
+        # the noise estimate is 0, so the penalty is the round-off floor;
+        # it scales with the spread about the rounded mean, as the costs
+        # do, not with the level (at 1e4 the old floor, 4.5e-3, was above
+        # the split's saving of 5e-5)
+        y = [level] * 100 + [level + 0.001] * 100
+        lam = effective_penalty(y, PenaltyConfig(kind="bic"))
+        assert 0.0 < lam < 1e-10
+        seg = detect_penalized(y, PenaltyConfig(kind="bic"))
+        assert seg.breakpoints == (100,)
+        assert detect_penalized([level] * 200).breakpoints == ()
+
     def test_effective_penalty_formulas(self):
         # alternating 0/1: every successive difference is 1, so the robust
         # sigma-hat is exactly 1/0.9539

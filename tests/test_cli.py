@@ -500,6 +500,36 @@ class TestCpdWorkflow:
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--series", "one.csv"], "need at least 2 points to segment"),
+            (["--series", "two.csv", "--penalty", "manual"], "manual penalty requires lam >= 0"),
+            (["--series", "two.csv", "--noise-scale", "-1"], "noise_scale override must be positive"),
+        ],
+    )
+    def test_estimator_input_checks_exit_3(self, tmp_path, capsys, argv, message):
+        (tmp_path / "one.csv").write_text("value\n1.0\n", encoding="utf-8")
+        (tmp_path / "two.csv").write_text("value\n1.0\n2.0\n", encoding="utf-8")
+        argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+        assert run("cpd", *argv, "--out", tmp_path, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "Traceback" not in err
+
+    def test_value_error_of_the_program_is_not_exit_3(self, tmp_path, monkeypatch):
+        # an input-free ValueError is a fault to fix, not an input to name:
+        # main lets it out with its traceback
+        from causalpanel import changepoint
+
+        def broken(series, penalty):
+            raise ValueError("a fault of the program")
+
+        monkeypatch.setattr(changepoint, "detect_penalized", broken)
+        series = tmp_path / "series.csv"
+        series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="a fault of the program"):
+            run("cpd", "--series", series, "--out", tmp_path, "--quiet")
+
     def test_panel_unit_clean_step(self, tmp_path):
         _, work = simulate_and_ingest(tmp_path, did_scenario())
         code = run(

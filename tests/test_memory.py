@@ -21,6 +21,7 @@ from causalpanel.simgen import (
     PersonaShiftConfig,
     ScenarioConfig,
     UnitConfig,
+    archetype_model,
     write_scenario,
 )
 
@@ -72,14 +73,18 @@ def traced_peak(step, *args) -> int:
 # fixed row count. Before the columns were filled in place and gathered
 # in pieces, the four peaks were 3.2, 3.2, 3.6 and 4.4.
 #
-#   parse_persona_csv  1.93, bound 2.2: the result (values, device and
+#   parse_persona_csv  1.75, bound 2.2: the result (values, device and
 #                      day columns: 1.33), the device id of each row, and
-#                      the row strings of one block (2.30 while the
-#                      previous block's strings lived on into the next read)
+#                      the lines and cells of one block (1.93 when
+#                      csv.reader split every block into cell strings;
+#                      2.30 while the previous block's strings lived on
+#                      into the next read)
 #   device_means       0.44, bound 0.6: the row order and one gathered
 #                      piece with its transpose
 #   windowed_counts    0.64, bound 0.8: the row order, its sort key and
-#                      one gathered piece
+#                      one gathered piece; as much with the model's
+#                      features in another order than the stored one
+#                      (1.64 when the value matrix was copied to reorder)
 #   write_scenario     1.87, bound 2.2: the stream (1.33), one piece of
 #                      noise and one block of formatted rows
 
@@ -98,6 +103,16 @@ def test_device_means_gathers_in_pieces(fleet):
 
 def test_windowed_counts_gathers_in_pieces(fleet):
     _, _, records, model = fleet
+    peak = traced_peak(windowed_counts, records, model)
+    assert peak <= 0.8 * records.values.nbytes
+
+
+def test_windowed_counts_in_model_order_copies_no_matrix(fleet):
+    # the archetype model lists its features unsorted, the parsed file
+    # sorted: the means are reordered, not the value matrix
+    _, _, records, _ = fleet
+    model = archetype_model()
+    assert model.feature_names != records.feature_names
     peak = traced_peak(windowed_counts, records, model)
     assert peak <= 0.8 * records.values.nbytes
 

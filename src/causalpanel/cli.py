@@ -7,7 +7,9 @@ built-in default. Each command's defaults are one table in its handler
 that a flag that is not given leaves the choice to the config file.
 
 Each handler imports the modules its command runs, so a command's process
-loads only those: ``did`` reads no simulator and ``cpd`` no estimator.
+loads only those: ``did`` reads no simulator and ``cpd`` no estimator. This
+module itself does no array work and imports no numpy, so ``--help`` and
+``report``, which reads JSON artifacts only, start without it.
 
 Every command logs to stderr and writes its results only to files in the
 output directory (plus a short deterministic summary on stdout). Result
@@ -23,18 +25,17 @@ errors, 5 I/O errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import warnings
 from datetime import date
 from types import SimpleNamespace
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CausalPanelError,
@@ -69,12 +70,15 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _sanitize(obj):
     """Make a payload strictly JSON-representable: numpy scalars become
-    Python scalars and non-finite floats become null."""
-    if isinstance(obj, np.integer):
+    Python scalars, non-finite floats become null and tuples become lists.
+    A numpy scalar can only come from a process that has loaded numpy, so
+    numpy is looked up, never imported."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, float):
         value = float(obj)
-        return value if np.isfinite(value) else None
+        return value if math.isfinite(value) else None
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -93,7 +97,23 @@ def _text(write, *args) -> str:
     return buf.getvalue()
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A result table (plot, count and report CSVs): floats with ``repr``,
+    None and NaN as empty cells, other values with ``str``; a cell that
+    holds the delimiter or a quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [None if isinstance(v, float) and v != v else v for v in row]  # NaN
+        for row in rows
+    )
+    return buf.getvalue()
+
+
 def _iso_date(token: str, what: str) -> date:
+    if not isinstance(token, str):  # a JSON number or null, say
+        raise SchemaError(f"{what}: not an ISO date string: {json.dumps(token)}")
     try:
         return date.fromisoformat(token)
     except ValueError:
@@ -217,7 +237,7 @@ def _mean_system_count(panel, units: Sequence[str]) -> float | None:
     if SYSTEM_COUNT not in panel.covariate_names:
         return None
     col = panel.covariate(SYSTEM_COUNT)
-    return float(np.mean([col[panel.unit_index(u)] for u in units]))
+    return float(col[[panel.unit_index(u) for u in units]].mean())
 
 
 # ---------------------------------------------------------------- simulate
@@ -247,8 +267,10 @@ def _scenario_from_payload(payload, where: str):
     unknown = set(payload) - _SCENARIO_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown scenario key(s): {sorted(unknown)}")
-    if "units" not in payload:
+    if not isinstance(payload.get("units"), list):
         raise SchemaError(f"{where}: scenario needs a units list")
+
+    kwargs = dict(payload)
 
     def build(cls, fields, context):
         try:
@@ -256,26 +278,35 @@ def _scenario_from_payload(payload, where: str):
         except TypeError as err:
             raise SchemaError(f"{where}: {context}: {err}") from None
 
-    kwargs = dict(payload)
+    def section(key):
+        if not isinstance(kwargs[key], dict):
+            raise SchemaError(f"{where}: {key} must be a JSON object")
+        return dict(kwargs[key])
+
     kwargs["units"] = tuple(
         build(UnitConfig, u, f"units[{i}]") for i, u in enumerate(payload["units"])
     )
     if "start" in kwargs:
         kwargs["start"] = _iso_date(kwargs["start"], f"{where}: start")
+    # a missing date is left to build, which names the missing field
     if kwargs.get("treatment") is not None:
-        t = dict(kwargs["treatment"])
-        t["activation"] = _iso_date(t["activation"], f"{where}: activation")
+        t = section("treatment")
+        if "activation" in t:
+            t["activation"] = _iso_date(t["activation"], f"{where}: activation")
         if t.get("deactivation") is not None:
             t["deactivation"] = _iso_date(t["deactivation"], f"{where}: deactivation")
         kwargs["treatment"] = build(TreatmentConfig, t, "treatment")
     if kwargs.get("persona_shift") is not None:
-        s = dict(kwargs["persona_shift"])
-        s["shift_date"] = _iso_date(s["shift_date"], f"{where}: shift_date")
+        s = section("persona_shift")
+        if "shift_date" in s:
+            s["shift_date"] = _iso_date(s["shift_date"], f"{where}: shift_date")
         kwargs["persona_shift"] = build(PersonaShiftConfig, s, "persona_shift")
     return build(ScenarioConfig, kwargs, "scenario")
 
 
 def cmd_simulate(args, config) -> int:
+    from dataclasses import replace
+
     from .paneldata import DEFAULT_INDICATOR
     from .simgen import build_manifest, describe, write_scenario
 
@@ -283,7 +314,7 @@ def cmd_simulate(args, config) -> int:
     outdir = _outdir(opts)
     scenario = _scenario_from_payload(_load_json(args.scenario), args.scenario)
     if opts.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=opts.seed)
+        scenario = replace(scenario, seed=opts.seed)
     paths = write_scenario(scenario, outdir, indicator_column=opts.indicator)
     manifest = build_manifest(scenario)
     _emit(outdir, "truth.txt", describe(manifest))
@@ -297,6 +328,8 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_ingest(args, config) -> int:
+    from dataclasses import replace
+
     from .paneldata import DEFAULT_INDICATOR, aggregate_telemetry, merge_panels
     from .panelio import parse_policy_csv, parse_telemetry_csv, parse_units_csv, write_panel
 
@@ -327,7 +360,7 @@ def cmd_ingest(args, config) -> int:
         def continent_of(unit: str) -> str:
             return continents.get(unit, continents.get(unit.split("|", 1)[0], ""))
 
-        panel = dataclasses.replace(
+        panel = replace(
             panel,
             unit_tags={"continent": tuple(continent_of(u) for u in panel.unit_ids)},
         )
@@ -345,7 +378,7 @@ def cmd_ingest(args, config) -> int:
 
 def cmd_did(args, config) -> int:
     from .did import DidSpec, fit_did, parallel_trends_diagnostic
-    from .panelio import read_panel, write_result_csv
+    from .panelio import read_panel
 
     opts = _options(args, config, {"covariates": None, "time_trend": False})
     outdir = _outdir(opts)
@@ -395,16 +428,14 @@ def cmd_did(args, config) -> int:
     c_idx = [panel.unit_index(u) for u in sorted(spec.control_units)]
 
     def group_mean(indices, j):
-        values = [
-            panel.outcomes[i, j] for i in indices if not panel.missing_mask[i, j]
-        ]
-        return float(np.mean(values)) if values else float("nan")
+        present = [i for i in indices if not panel.missing_mask[i, j]]
+        return float(panel.outcomes[present, j].mean()) if present else float("nan")
 
     for j, d in enumerate(panel.dates):
         tm, cm = group_mean(t_idx, j), group_mean(c_idx, j)
         rows.append([d.isoformat(), tm, cm, tm - cm])
     header = ["date", "treated_mean", "control_mean", "difference"]
-    _emit(outdir, "did_plot.csv", _text(write_result_csv, header, rows))
+    _emit(outdir, "did_plot.csv", _csv_text(header, rows))
     print(
         f"did: beta0={fit.beta0:.6f} stderr={fit.stderr_beta0:.6g} "
         f"p={fit.p_value:.3g} -> {path}"
@@ -416,7 +447,9 @@ def cmd_did(args, config) -> int:
 
 
 def cmd_synth(args, config) -> int:
-    from .panelio import read_panel, write_result_csv
+    import numpy as np
+
+    from .panelio import read_panel
     from .synthcontrol import (
         DEFAULT_MAX_ITERATIONS,
         DEFAULT_TOLERANCE,
@@ -482,7 +515,7 @@ def cmd_synth(args, config) -> int:
     _emit(
         outdir,
         "synth_plot.csv",
-        _text(write_result_csv, ["date", "actual", "counterfactual", "gap"], rows),
+        _csv_text(["date", "actual", "counterfactual", "gap"], rows),
     )
 
     if placebo_gaps is not None:
@@ -496,7 +529,7 @@ def cmd_synth(args, config) -> int:
         _emit(
             outdir,
             "synth_placebo.csv",
-            _text(write_result_csv, ["date", "treated"] + donors, rows),
+            _csv_text(["date", "treated"] + donors, rows),
         )
 
     ptxt = "n/a" if p_value is None else f"{p_value:.4g}"
@@ -517,7 +550,7 @@ def cmd_cpd(args, config) -> int:
         detect_penalized,
         effective_penalty,
     )
-    from .panelio import parse_series_csv, read_panel, write_result_csv
+    from .panelio import parse_series_csv, read_panel
 
     opts = _options(
         args,
@@ -545,7 +578,7 @@ def cmd_cpd(args, config) -> int:
                 f"unit {opts.unit!r} has missing days; change-point detection "
                 "needs a complete series"
             )
-        series, dates = np.asarray(values, dtype=float), list(panel.dates)
+        series, dates = values, list(panel.dates)
     else:
         series, dates = _load(parse_series_csv, opts.series)
 
@@ -592,7 +625,7 @@ def cmd_cpd(args, config) -> int:
         label = dates[i].isoformat() if dates is not None else i
         rows.append([label, float(v), float(m)])
     header = ["date" if dates is not None else "index", "value", "segment_mean"]
-    _emit(outdir, "cpd_plot.csv", _text(write_result_csv, header, rows))
+    _emit(outdir, "cpd_plot.csv", _csv_text(header, rows))
     print(f"cpd: {summary} (lambda_eff={lam_eff:.6g}) -> {path}")
     return EXIT_OK
 
@@ -613,7 +646,7 @@ def _fit_rows(records, fit_until: str | None):
 
 
 def cmd_persona(args, config) -> int:
-    from .panelio import parse_persona_csv, write_result_csv
+    from .panelio import parse_persona_csv
     from .persona import (
         CATEGORY_TO_PERSONA,
         DEFAULT_FEATURE_CATEGORIES,
@@ -670,7 +703,7 @@ def cmd_persona(args, config) -> int:
     _emit(
         outdir,
         "persona_counts.csv",
-        _text(write_result_csv, ["window_start"] + names, count_rows),
+        _csv_text(["window_start"] + names, count_rows),
     )
     z_rows = [
         [series.window_starts[w + 1].isoformat()]
@@ -680,7 +713,7 @@ def cmd_persona(args, config) -> int:
     _emit(
         outdir,
         "persona_zscores.csv",
-        _text(write_result_csv, ["transition_into"] + names, z_rows),
+        _csv_text(["transition_into"] + names, z_rows),
     )
 
     changepoints = {}
@@ -712,8 +745,6 @@ _REPORT_KEYS = ("estimator", "outcome", "effect", "p_value")
 
 
 def cmd_report(args, config) -> int:
-    from .panelio import write_result_csv
-
     opts = _options(args, config, {"format": "json"})
     outdir = _outdir(opts)
     if not args.artifacts:
@@ -746,7 +777,7 @@ def cmd_report(args, config) -> int:
     header = ["chassis", "cpu_family", "estimator", "effect", "system_count", "p_value"]
 
     if opts.format == "csv":
-        text = _text(write_result_csv, header, rows)
+        text = _csv_text(header, rows)
         path = _emit(outdir, "report.csv", text)
     else:
         payload = {

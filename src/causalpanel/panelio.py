@@ -1,6 +1,7 @@
 """File ingestion and interchange formats.
 
-This is the one module that reads or writes CSV. The formats:
+This is the one module that reads CSV. It writes the input tables and the
+panel file; the CLI writes its own result tables. The formats:
 
 * policy CSV — header-driven; a unit-name column
   (``CountryName`` plus optional ``RegionName``, or ``unit_id``), a ``Date``
@@ -17,8 +18,6 @@ This is the one module that reads or writes CSV. The formats:
 * units CSV — unit descriptors (unit_id, continent, devices_per_day,
   vpro_fraction); the reader takes the continent of each unit.
 * series CSV — a ``value`` column and an optional ISO ``date`` column.
-* result CSV — a header row over one row per result (the CLI's plot,
-  count and report tables); written only.
 * panel file — a self-describing text interchange format for
   :class:`~causalpanel.paneldata.PanelDataset`: a header block naming the
   outcome, then tab-separated sections (``outcomes``, ``covariates``,
@@ -257,14 +256,29 @@ def _lines_left(stream) -> int:
     return lines
 
 
+def _file_lines(path) -> int:
+    """The lines of the file at ``path``, an unterminated last one included,
+    counted on its raw bytes. In UTF-8 a line feed or carriage return byte
+    is never part of another character, so this is :func:`_lines_left` of
+    the whole file without decoding it. numpy counts the line feeds about
+    three times as fast as ``bytes.count``."""
+    lines = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 18):
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return lines
+
+
 class _Body:
     """The rows below a CSV header. ``body(width, exact=False, floats=())``
     yields their :func:`_body_blocks`; ``body.max_rows`` bounds their
     number, so a reader can allocate each column once (see
     :func:`_stacked`)."""
 
-    def __init__(self, stream, delim: str):
-        self.max_rows = _lines_left(stream)
+    def __init__(self, stream, delim: str, max_rows: int):
+        self.max_rows = max_rows
         self._stream, self._delim = stream, delim
 
     def __call__(self, width: int, exact: bool = False, floats=()):
@@ -276,17 +290,23 @@ def _csv_table(source, kind: str):
     """Open a CSV table (a path, bytes, or stream) and yield its header
     names, stripped, and the :class:`_Body` of the rows below it. The
     delimiter is the one of ``,``, tab and ``;`` that the header line
-    holds most of. A stream that cannot seek (a pipe) is read to its end
-    first, so that its rows can be counted."""
+    holds most of. The rows of a file named by its path are counted on its
+    bytes, so the text is read once; a stream's are counted on its text,
+    and one that cannot seek (a pipe) is read to its end first."""
     with _opened(source) as stream:
         header_line = stream.readline()
         if not header_line:
             raise ParseError(f"{kind} file is empty")
         delim = _sniff_delimiter(header_line)
         header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
-        if not stream.seekable():
-            stream = io.StringIO(stream.read(), newline="")
-        yield header, _Body(stream, delim)
+        if isinstance(source, (str, os.PathLike)) and stream.seekable():
+            # every line but the header's, if it ended
+            max_rows = _file_lines(source) - header_line.endswith(("\n", "\r"))
+        else:
+            if not stream.seekable():
+                stream = io.StringIO(stream.read(), newline="")
+            max_rows = _lines_left(stream)
+        yield header, _Body(stream, delim, max_rows)
 
 
 def _stacked(blocks, columns: dict) -> dict:
@@ -697,19 +717,6 @@ def write_units_csv(rows: Iterable[Sequence], target) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("unit_id", "continent", "devices_per_day", "vpro_fraction"))
         writer.writerows(rows)
-
-
-def write_result_csv(header: Sequence[str], rows: Iterable[Sequence], target) -> None:
-    """Write a result table: floats with ``repr``, None and NaN as empty
-    cells, other values with ``str``; a cell that holds the delimiter or a
-    quote is quoted."""
-    with _opened(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [None if isinstance(v, float) and v != v else v for v in row]  # NaN
-            for row in rows
-        )
 
 
 def parse_units_csv(source) -> dict[str, str]:

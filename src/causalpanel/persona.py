@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .changepoint import PenaltyConfig, Segmentation, detect_penalized
 from .errors import SchemaError, ValidationError
 from .paneldata import distinct, factorize
+
+if TYPE_CHECKING:
+    from .changepoint import PenaltyConfig, Segmentation
 
 DEFAULT_K = 6
 MAX_LLOYD_ITERATIONS = 300
@@ -578,9 +580,14 @@ def windowed_counts(
 
 def persona_changepoint(
     series: PersonaCountSeries,
-    penalty: PenaltyConfig = PenaltyConfig(kind="bic"),
+    penalty: PenaltyConfig | None = None,
 ) -> dict[str, Segmentation]:
-    """Penalized change-point detection on each persona's z-score column."""
+    """Penalized change-point detection on each persona's z-score column,
+    with ``penalty`` (default BIC)."""
+    from .changepoint import PenaltyConfig, detect_penalized
+
+    if penalty is None:
+        penalty = PenaltyConfig(kind="bic")
     if len(series.window_starts) < 4:
         raise ValidationError("need at least 4 windows for change-point analysis")
     return {

@@ -168,6 +168,43 @@ class TestSimulate:
         cfg = write_json(tmp_path / "s.json", payload)
         assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "start", 5),
+            ("treatment", "activation", 20200131),
+            ("treatment", "deactivation", 7.5),
+            ("persona_shift", "shift_date", None),
+        ],
+        ids=["start", "activation", "deactivation", "shift_date"],
+    )
+    def test_non_string_date_exits_3_naming_file_and_key(
+        self, tmp_path, capsys, section, key, value
+    ):
+        payload = persona_scenario()
+        payload["treatment"] = {**did_scenario()["treatment"], "treated_unit": "X"}
+        (payload[section] if section else payload)[key] = value
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"s.json: {key}: not an ISO date string: {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(units=5), "scenario needs a units list"),
+            (lambda p: p.update(treatment=[1]), "treatment must be a JSON object"),
+            (lambda p: p["treatment"].pop("activation"), "'activation'"),
+        ],
+        ids=["units", "treatment", "no-activation"],
+    )
+    def test_malformed_section_exits_3(self, tmp_path, capsys, edit, message):
+        payload = did_scenario()
+        edit(payload)
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestDidWorkflow:
     def test_round_trip_recovers_effect(self, tmp_path, capsys):

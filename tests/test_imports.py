@@ -1,7 +1,8 @@
 """What a process loads: each CLI command imports only the package modules
-it runs, the package resolves its public names on first use, and no
-command pulls in ``numpy.ma`` (which ``np.unique`` without options and
-``np.median`` import on their first call under numpy 2).
+it runs, the package resolves its public names on first use, no command
+pulls in ``numpy.ma`` (which ``np.unique`` without options and
+``np.median`` import on their first call under numpy 2), and ``--help``
+and ``report`` load no numpy at all.
 
 Each command runs in a fresh child process, since ``sys.modules`` of this
 one already holds every module."""
@@ -18,14 +19,19 @@ import causalpanel
 
 SRC = str(Path(causalpanel.__file__).parents[1])
 
-# Runs ``cli.main`` on the arguments and prints, as its last line, the
-# exit code, the package modules loaded and whether numpy.ma was.
+# Runs ``cli.main`` on the arguments, if there are any, and prints, as its
+# last line, the exit code, the package modules loaded and whether numpy
+# and numpy.ma were.
 PROBE = (
     "import json, sys\n"
     "from causalpanel.cli import main\n"
-    "code = main(sys.argv[1:])\n"
+    "try:\n"
+    "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "except SystemExit as exc:  # --help\n"
+    "    code = exc.code\n"
     "print(json.dumps({'code': code, "
     "'package': sorted(m for m in sys.modules if m.startswith('causalpanel')), "
+    "'numpy': 'numpy' in sys.modules, "
     "'numpy.ma': 'numpy.ma' in sys.modules}))\n"
 )
 
@@ -51,13 +57,13 @@ BASE = {"causalpanel", "causalpanel.cli", "causalpanel.errors"}
 
 # The package modules each command may load beyond BASE.
 COMMAND_MODULES = {
-    "simulate": {"simgen", "paneldata", "panelio", "persona", "changepoint"},
+    "simulate": {"simgen", "paneldata", "panelio", "persona"},
     "ingest": {"paneldata", "panelio"},
     "did": {"did", "paneldata", "panelio"},
     "synth": {"synthcontrol", "paneldata", "panelio"},
     "cpd": {"changepoint", "paneldata", "panelio"},
     "persona": {"persona", "changepoint", "paneldata", "panelio"},
-    "report": {"paneldata", "panelio"},
+    "report": set(),
 }
 
 
@@ -68,6 +74,10 @@ def child(code: str, *args: str, cwd) -> str:
         cwd=cwd, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout
+
+
+def probe(*argv: str, cwd) -> dict:
+    return json.loads(child(PROBE, *argv, cwd=cwd).splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +108,7 @@ def loaded(tmp_path_factory):
     }
     records = {}
     for name, argv in commands.items():
-        out = child(PROBE, *argv, "--quiet", cwd=tmp)
-        records[name] = json.loads(out.splitlines()[-1])
+        records[name] = probe(*argv, "--quiet", cwd=tmp)
         assert records[name]["code"] == 0, name
     return records
 
@@ -142,3 +151,62 @@ def test_unknown_name_raises_attribute_error():
 def test_package_import_loads_no_module(tmp_path):
     code = "import sys, causalpanel; print(sorted(m for m in sys.modules if m.startswith('causalpanel')))"
     assert child(code, cwd=tmp_path).strip() == "['causalpanel']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["report", "did.json", "synth.json", "--format", "json"],
+        ["report", "did.json", "synth.json", "--format", "csv"],
+    ],
+    ids=["import", "help", "report-json", "report-csv"],
+)
+def test_help_and_report_load_no_numpy(tmp_path, argv):
+    for estimator in ("did", "synth"):
+        artifact = {"estimator": estimator, "outcome": "usage_hours", "effect": 1.5, "p_value": None}
+        (tmp_path / f"{estimator}.json").write_text(json.dumps(artifact), encoding="utf-8")
+    record = probe(*argv, cwd=tmp_path)
+    assert record["code"] == 0
+    assert record["package"] == sorted(BASE)
+    assert not record["numpy"]
+    if argv[:1] == ["report"]:
+        assert (tmp_path / f"report.{argv[-1]}").is_file()
+
+
+def test_probe_sees_numpy(loaded):
+    # the probe's numpy flag is live: an estimator command reads True
+    assert loaded["did"]["numpy"] and not loaded["report"]["numpy"]
+
+
+def test_sanitize():
+    import numpy as np
+
+    from causalpanel.cli import _sanitize
+
+    payload = {
+        "count": np.int64(3),
+        "values": (1.5, np.float64(2.5), float("nan"), np.float64("nan")),
+        "bounds": [float("inf"), -np.float64("inf"), (np.int32(-1), ("x", None, True))],
+    }
+    clean = _sanitize(payload)
+    assert clean == {
+        "count": 3,
+        "values": [1.5, 2.5, None, None],
+        "bounds": [None, None, [-1, ["x", None, True]]],
+    }
+    assert type(clean["count"]) is int and type(clean["bounds"][2][0]) is int
+    assert type(clean["values"][1]) is float
+
+
+def test_sanitize_runs_without_numpy(tmp_path):
+    code = (
+        "import json, math, sys\n"
+        "from causalpanel.cli import _sanitize\n"
+        "out = _sanitize({'a': (1, (2.0, math.nan)), 'b': -math.inf, 'c': [math.inf, 'x']})\n"
+        "print(json.dumps([out, 'numpy' in sys.modules]))\n"
+    )
+    out, numpy_loaded = json.loads(child(code, cwd=tmp_path))
+    assert out == {"a": [1, [2.0, None]], "b": None, "c": [None, "x"]}
+    assert not numpy_loaded

@@ -20,6 +20,7 @@ from causalpanel.paneldata import (
     TelemetryRecord,
 )
 from causalpanel.panelio import (
+    _csv_table,
     parse_persona_csv,
     parse_policy_csv,
     parse_telemetry_csv,
@@ -395,9 +396,29 @@ class TestPanelFormat:
         )
 
 
-def test_only_panelio_imports_csv():
-    # one module decides the CSV dialect: every other module reads and
-    # writes tables through panelio
+@pytest.mark.parametrize("final", [True, False], ids=["terminated", "unterminated"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_max_rows_of_a_path_bounds_its_rows(tmp_path, ending, final):
+    # a path's lines are counted on its bytes, a stream's on its text: the
+    # two counts agree, so a reader allocates as much for either
+    lines = ["device_id,date,web", *(f"dé{i},2020-01-0{i + 1},{i}.5" for i in range(7))]
+    lines[4:4] = ["", " ,"]  # blank rows are lines, not rows
+    text = ending.join(lines) + (ending if final else "")
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with _csv_table(path, "table") as (_, body):
+        max_rows = body.max_rows
+        rows = sum(len(rownos) for _, rownos in body(3))
+    with _csv_table(io.StringIO(text, newline=""), "table") as (_, body):
+        assert body.max_rows == max_rows
+    assert rows == 7
+    assert max_rows >= rows
+
+
+def test_only_panelio_and_cli_import_csv():
+    # panelio reads every CSV table and writes the input tables; the CLI
+    # writes its own result tables, so that a command that writes only
+    # those (report) loads no numpy. No other module touches CSV.
     package = Path(causalpanel.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -410,4 +431,4 @@ def test_only_panelio_imports_csv():
                 continue
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.append(path.name)
-    assert sorted(set(importers)) == ["panelio.py"]
+    assert sorted(set(importers)) == ["cli.py", "panelio.py"]

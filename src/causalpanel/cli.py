@@ -35,7 +35,7 @@ import sys
 import warnings
 from datetime import date
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import (
     CausalPanelError,
@@ -59,13 +59,6 @@ OUT_ENV = "CAUSALPANEL_OUT"
 
 
 # ---------------------------------------------------------------- helpers
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _sanitize(obj):
@@ -120,6 +113,63 @@ def _iso_date(token: str, what: str) -> date:
         raise ParseError(f"{what}: not an ISO date: {token!r}") from None
 
 
+def _is_kind(value, kind: type) -> bool:
+    """Whether a value read from JSON is of ``kind``: the one type rule of
+    every JSON input (scenario, config file, report artifact). An integer
+    is an int but not a bool; a number (``float``) may be an int that a
+    float holds exactly."""
+    if kind is int:
+        return type(value) is int
+    if kind is float:
+        return type(value) is float or type(value) is int and abs(value) <= 2**53
+    return isinstance(value, kind)
+
+
+_KIND_NAMES = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"
+}
+
+
+def _decode(value, kind, where: str):
+    """A JSON value checked against ``kind``, a type that simgen's config
+    dataclasses or ``_REPORT_KEYS`` declare: str, int, float, date (an ISO
+    string), X | None, a dataclass or Mapping (an object), tuple (a list).
+    Scalars pass unconverted. Errors name ``where``: the file and key path."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (kind,) = set(args) - {type(None)}
+        return _decode(value, kind, where)
+    if kind is date:
+        return _iso_date(value, where)
+    is_dataclass = hasattr(kind, "__dataclass_fields__")
+    json_kind = list if get_origin(kind) is tuple else dict if args or is_dataclass else kind
+    if not _is_kind(value, json_kind):
+        raise SchemaError(f"{where}: not {_KIND_NAMES[json_kind]}: {json.dumps(value)}")
+    if json_kind is list:  # tuple[X, ...]
+        return tuple(_decode(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if args:  # Mapping[str, X]
+        return {key: _decode(v, args[1], f"{where}: {key}") for key, v in value.items()}
+    if not is_dataclass:
+        return value
+
+    from dataclasses import MISSING, fields
+
+    hints = get_type_hints(kind)
+    for key in value:
+        if key not in hints:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+    for f in fields(kind):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise SchemaError(f"{where}: missing key {f.name!r}")
+    kwargs = {key: _decode(v, hints[key], f"{where}: {key}") for key, v in value.items()}
+    try:
+        return kind(**kwargs)
+    except ValidationError as err:
+        raise ValidationError(f"{where}: {err}") from None
+
+
 def _split_list(token: str) -> list[str]:
     return [t.strip() for t in token.split(",") if t.strip()]
 
@@ -162,21 +212,16 @@ _COMMON = {"out": ".", "quiet": False}
 
 def _config_value(path: str, key: str, value, action: argparse.Action):
     """A config file's value for an option, checked as the flag's argument
-    would be: a JSON string, integer or number as the flag's type, one of
-    its choices, or true/false for a switch."""
-    if action.nargs == 0:
-        ok = isinstance(value, bool)
-    elif action.type is int:
-        ok = type(value) is int  # not a bool
-    elif action.type is float:
-        ok = type(value) in (int, float)
-    else:
-        ok = isinstance(value, str)
-    if not ok or (action.choices is not None and value not in action.choices):
+    would be: a JSON string, integer or number as the flag's type (by
+    :func:`_is_kind`), one of its choices, or true/false for a switch."""
+    kind = bool if action.nargs == 0 else action.type or str
+    if not _is_kind(value, kind) or (
+        action.choices is not None and value not in action.choices
+    ):
         raise SchemaError(
             f"{path}: {key}: {json.dumps(value)} is not a value of {action.option_strings[0]}"
         )
-    return action.type(value) if action.type is float else value
+    return float(value) if kind is float else value
 
 
 def _options(args, config: Mapping, defaults: Mapping) -> SimpleNamespace:
@@ -212,7 +257,9 @@ def _outdir(opts: SimpleNamespace) -> str:
 
 def _emit(outdir: str, name: str, text: str) -> str:
     path = os.path.join(outdir, name)
-    _write_atomic(path, text)
+    with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
     log.info("wrote %s", path)
     return path
 
@@ -243,76 +290,15 @@ def _mean_system_count(panel, units: Sequence[str]) -> float | None:
 # ---------------------------------------------------------------- simulate
 
 
-_SCENARIO_KEYS = {
-    "units",
-    "start",
-    "n_days",
-    "treatment",
-    "donor_mixture",
-    "noise_sigma",
-    "outlier_probability",
-    "outlier_magnitude",
-    "persona_devices",
-    "persona_noise",
-    "persona_shift",
-    "seed",
-}
-
-
-def _scenario_from_payload(payload, where: str):
-    from .simgen import PersonaShiftConfig, ScenarioConfig, TreatmentConfig, UnitConfig
-
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{where}: scenario must be a JSON object")
-    unknown = set(payload) - _SCENARIO_KEYS
-    if unknown:
-        raise SchemaError(f"{where}: unknown scenario key(s): {sorted(unknown)}")
-    if not isinstance(payload.get("units"), list):
-        raise SchemaError(f"{where}: scenario needs a units list")
-
-    kwargs = dict(payload)
-
-    def build(cls, fields, context):
-        try:
-            return cls(**fields)
-        except TypeError as err:
-            raise SchemaError(f"{where}: {context}: {err}") from None
-
-    def section(key):
-        if not isinstance(kwargs[key], dict):
-            raise SchemaError(f"{where}: {key} must be a JSON object")
-        return dict(kwargs[key])
-
-    kwargs["units"] = tuple(
-        build(UnitConfig, u, f"units[{i}]") for i, u in enumerate(payload["units"])
-    )
-    if "start" in kwargs:
-        kwargs["start"] = _iso_date(kwargs["start"], f"{where}: start")
-    # a missing date is left to build, which names the missing field
-    if kwargs.get("treatment") is not None:
-        t = section("treatment")
-        if "activation" in t:
-            t["activation"] = _iso_date(t["activation"], f"{where}: activation")
-        if t.get("deactivation") is not None:
-            t["deactivation"] = _iso_date(t["deactivation"], f"{where}: deactivation")
-        kwargs["treatment"] = build(TreatmentConfig, t, "treatment")
-    if kwargs.get("persona_shift") is not None:
-        s = section("persona_shift")
-        if "shift_date" in s:
-            s["shift_date"] = _iso_date(s["shift_date"], f"{where}: shift_date")
-        kwargs["persona_shift"] = build(PersonaShiftConfig, s, "persona_shift")
-    return build(ScenarioConfig, kwargs, "scenario")
-
-
 def cmd_simulate(args, config) -> int:
     from dataclasses import replace
 
     from .paneldata import DEFAULT_INDICATOR
-    from .simgen import build_manifest, describe, write_scenario
+    from .simgen import ScenarioConfig, build_manifest, describe, write_scenario
 
     opts = _options(args, config, {"seed": None, "indicator": DEFAULT_INDICATOR})
     outdir = _outdir(opts)
-    scenario = _scenario_from_payload(_load_json(args.scenario), args.scenario)
+    scenario = _decode(_load_json(args.scenario), ScenarioConfig, args.scenario)
     if opts.seed is not None:
         scenario = replace(scenario, seed=opts.seed)
     paths = write_scenario(scenario, outdir, indicator_column=opts.indicator)
@@ -741,7 +727,9 @@ def cmd_persona(args, config) -> int:
 # ---------------------------------------------------------------- report
 
 
-_REPORT_KEYS = ("estimator", "outcome", "effect", "p_value")
+# The keys report reads from an artifact, with their kinds: required, then optional.
+_REPORT_KEYS = {"estimator": str, "outcome": str, "effect": float, "p_value": float | None}
+_REPORT_OPTIONAL = {"system_count": float | None, "chassis": str, "cpu_family": str}
 
 
 def cmd_report(args, config) -> int:
@@ -752,12 +740,15 @@ def cmd_report(args, config) -> int:
     rows = []
     outcomes = set()
     for path in args.artifacts:
-        payload = _load_json(path)
+        payload = _decode(_load_json(path), dict, path)
         missing = [k for k in _REPORT_KEYS if k not in payload]
         if missing:
             raise ValidationError(
                 f"{path}: artifact missing field(s): {', '.join(missing)}"
             )
+        for key, kind in {**_REPORT_KEYS, **_REPORT_OPTIONAL}.items():
+            if key in payload:
+                _decode(payload[key], kind, f"{path}: {key}")
         outcomes.add(payload["outcome"])
         rows.append(
             (
@@ -914,15 +905,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ParseError as err:
             log.error("parse error: %s", err)
             return EXIT_PARSE
-        except (ValidationError, SchemaError) as err:
+        except ValidationError as err:
             log.error("validation error: %s", err)
             return EXIT_VALIDATION
         except NumericalError as err:
             log.error("numerical error: %s", err)
             return EXIT_NUMERICAL
-        except json.JSONDecodeError as err:
-            log.error("parse error: %s", err)
-            return EXIT_PARSE
         except OSError as err:
             log.error("io error: %s", err)
             return EXIT_IO

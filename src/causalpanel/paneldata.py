@@ -292,8 +292,11 @@ class PanelDataset:
         if len(set(self.unit_ids)) != len(self.unit_ids):
             raise ValidationError("panel unit ids not unique")
         _check_contiguous(self.dates, "panel")
-        if not np.isfinite(out[~mask]).all():
-            raise ValidationError("panel has unmasked non-finite cells")
+        bad = np.argwhere(~(np.isfinite(out) | mask))
+        if bad.size:
+            i, j = bad[0]
+            where = f"unit {self.unit_ids[i]!r} on {self.dates[j]}"
+            raise ValidationError(f"panel has an unmasked non-finite outcome for {where}")
         if self.covariates is not None:
             cov = _frozen_array(self.covariates, float)
             object.__setattr__(self, "covariates", cov)

@@ -76,8 +76,19 @@ _FALSE_TOKENS = {"0", "false", "no", "n"}
 @contextmanager
 def _opened(source, mode: str = "r"):
     """A text stream over a path, bytes, or file object; a path opened
-    here is closed on exit, a caller's stream is left open."""
-    if isinstance(source, (str, os.PathLike)):
+    here is closed on exit, a caller's stream is left open. A path opened
+    to write is written as ``<path>.tmp`` and renamed to ``path`` when the
+    block succeeds, so a failed write leaves neither file."""
+    if isinstance(source, (str, os.PathLike)) and mode == "w":
+        tmp = f"{os.fspath(source)}.tmp"
+        try:
+            with open(tmp, mode, encoding="utf-8", newline="") as stream:
+                yield stream
+            os.replace(tmp, source)
+        finally:
+            if os.path.exists(tmp):  # the write failed
+                os.remove(tmp)
+    elif isinstance(source, (str, os.PathLike)):
         with open(source, mode, encoding="utf-8", newline="") as stream:
             yield stream
     elif isinstance(source, bytes):

@@ -52,6 +52,7 @@ from .paneldata import (
     factorize,
 )
 from .panelio import (
+    _opened,
     write_persona_csv,
     write_policy_csv,
     write_telemetry_csv,
@@ -218,6 +219,8 @@ class ScenarioConfig:
             raise ValidationError("outlier_magnitude must be finite")
         if self.persona_devices < 0:
             raise ValidationError("persona_devices must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if not (np.isfinite(self.persona_noise) and self.persona_noise >= 0.0):
             raise ValidationError("persona_noise must be finite and >= 0")
 
@@ -581,7 +584,7 @@ def write_scenario(
         ),
         "scenario_hash": manifest.scenario_hash,
     }
-    with open(paths["manifest"], "w", encoding="utf-8") as fh:
+    with _opened(paths["manifest"], "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class SynthFit:
 
     ``counterfactual`` and ``gap`` are full-length date series with NaN
     where the required cells are masked; norms never include those dates.
-    ``p_value`` and ``placebo_gaps`` stay None until randomization
-    inference fills them in.
     """
 
     weights: np.ndarray
@@ -78,8 +76,6 @@ class SynthFit:
     gap: np.ndarray
     post_pre_ratio: float
     converged: bool = True
-    p_value: float | None = None
-    placebo_gaps: Mapping[str, np.ndarray | None] | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -95,8 +91,6 @@ class SynthFit:
             raise ValidationError("weights do not sum to 1")
         if self.pre_rmse < 0:
             raise ValidationError("pre_rmse must be non-negative")
-        if self.p_value is not None and not 0.0 < self.p_value <= 1.0:
-            raise ValidationError("p-value outside (0, 1]")
 
 
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:

@@ -1,17 +1,28 @@
 """Command-line workflow tests: full pipelines run in-process via main(),
 checking artifacts, exit codes, and byte-level reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 
 import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from causalpanel.cli import main
 from causalpanel.panelio import _csv_table, read_panel, write_panel
+from causalpanel.simgen import (
+    PersonaShiftConfig,
+    ScenarioConfig,
+    TreatmentConfig,
+    UnitConfig,
+)
 
 from _builders import make_panel
 
@@ -187,16 +198,50 @@ class TestSimulate:
         cfg = write_json(tmp_path / "s.json", payload)
         assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
         err = capsys.readouterr().err
-        assert f"s.json: {key}: not an ISO date string: {json.dumps(value)}" in err
+        path = f"{section}: {key}" if section else key
+        assert f"s.json: {path}: not an ISO date string: {json.dumps(value)}" in err
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.update(units=5), "scenario needs a units list"),
-            (lambda p: p.update(treatment=[1]), "treatment must be a JSON object"),
+            (lambda p: p.update(units=5), "s.json: units: not a list: 5"),
+            (lambda p: p.update(treatment=[1]), "s.json: treatment: not an object: [1]"),
             (lambda p: p["treatment"].pop("activation"), "'activation'"),
+            (lambda p: p.update(seed="x"), 's.json: seed: not an integer: "x"'),
+            (lambda p: p.update(seed=True), "s.json: seed: not an integer: true"),
+            (lambda p: p.update(seed=-1), "s.json: seed must be >= 0"),
+            (
+                lambda p: p.update(persona_devices=2.5),
+                "s.json: persona_devices: not an integer: 2.5",
+            ),
+            (lambda p: p.update(n_days="x"), 's.json: n_days: not an integer: "x"'),
+            (lambda p: p.update(n_days=30.0), "s.json: n_days: not an integer: 30.0"),
+            (lambda p: p.update(noise_sigma="x"), 's.json: noise_sigma: not a number: "x"'),
+            (
+                lambda p: p.update(noise_sigma=2**53 + 1),
+                f"s.json: noise_sigma: not a number: {2**53 + 1}",
+            ),
+            (
+                lambda p: p["units"][1].update(baseline_hours="4"),
+                's.json: units[1]: baseline_hours: not a number: "4"',
+            ),
+            (
+                lambda p: p.update(donor_mixture={"TREAT": {"CTRL": "1"}}),
+                's.json: donor_mixture: TREAT: CTRL: not a number: "1"',
+            ),
+            (lambda p: p["units"][0].update(typo=1), "s.json: units[0]: unknown key 'typo'"),
+            (
+                lambda p: p["treatment"].update(treated_unit="GHOST"),
+                "s.json: treated unit 'GHOST' not in units",
+            ),
         ],
-        ids=["units", "treatment", "no-activation"],
+        ids=[
+            "units", "treatment", "no-activation", "seed-string", "seed-bool",
+            "seed-negative", "persona-devices-float", "n-days-string",
+            "n-days-float", "noise-sigma-string", "noise-sigma-inexact",
+            "baseline-hours-string", "mixture-weight-string", "unit-key",
+            "treated-unit",
+        ],
     )
     def test_malformed_section_exits_3(self, tmp_path, capsys, edit, message):
         payload = did_scenario()
@@ -206,7 +251,137 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
 
+def full_scenario():
+    """A small valid scenario that sets every scenario key."""
+    return {
+        "units": [
+            {
+                "unit_id": "T",
+                "baseline_hours": 5.0,
+                "baseline_watts": 30.0,
+                "trend_per_day": 0.01,
+                "continent": "Asia",
+                "vpro_fraction": 0.5,
+                "devices_per_day": 2,
+                "chassis": "Desktop",
+                "cpu_family": "i7",
+                "seasonal_amplitude": 1.0,
+                "seasonal_period": 7.0,
+                "seasonal_phase": 0.5,
+            },
+            {"unit_id": "D", "baseline_hours": 4.0},
+        ],
+        "start": "2020-01-01",
+        "n_days": 20,
+        "treatment": {
+            "treated_unit": "T",
+            "activation": "2020-01-10",
+            "deactivation": "2020-01-15",
+            "effect_hours": 1.0,
+            "effect_watts": 2.0,
+            "effect_onset_days": 2,
+        },
+        "donor_mixture": {"T": {"D": 1.0}},
+        "noise_sigma": 0.1,
+        "outlier_probability": 0.1,
+        "outlier_magnitude": 2.0,
+        "persona_devices": 4,
+        "persona_noise": 0.2,
+        "persona_shift": {
+            "shift_date": "2020-01-12",
+            "from_persona": "Office/Productivity",
+            "to_persona": "Casual Gamers",
+            "fraction": 0.5,
+        },
+        "seed": 3,
+    }
+
+
+def scenario_targets(payload):
+    """The key paths the fuzz test replaces: each top-level key and each
+    key of a unit, of treatment, of persona_shift and of donor_mixture."""
+    paths = [(key,) for key in payload]
+    paths += [("units", i, key) for i, unit in enumerate(payload["units"]) for key in unit]
+    for section in ("treatment", "persona_shift", "donor_mixture"):
+        paths += [(section, key) for key in payload[section]]
+    return paths
+
+
+# A JSON value of each kind; a replacement is drawn from a kind other than
+# the replaced value's.
+JSON_KINDS = {
+    str: st.text(max_size=6),
+    int: st.integers(),
+    float: st.floats(),
+    bool: st.booleans(),
+    type(None): st.none(),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def test_full_scenario_sets_every_key():
+    payload = full_scenario()
+    for keys, cls in (
+        (payload, ScenarioConfig),
+        (payload["units"][0], UnitConfig),
+        (payload["treatment"], TreatmentConfig),
+        (payload["persona_shift"], PersonaShiftConfig),
+    ):
+        assert set(keys) == {f.name for f in fields(cls)}
+
+
+@given(data=st.data())
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_scenario_value_of_another_kind_exits_0_or_3_naming_key(tmp_path, data):
+    """simulate on a scenario with one value replaced by a JSON value of
+    another kind exits 0 (an int for a number, null for an optional key)
+    or 3, never with a traceback. Exit 3 names the file, the object that
+    holds the key and the key."""
+    payload = full_scenario()
+    path = data.draw(st.sampled_from(scenario_targets(payload)), label="path")
+    *head, key = path
+    holder = payload
+    for step in head:
+        holder = holder[step]
+    kind = data.draw(
+        st.sampled_from([k for k in JSON_KINDS if k is not type(holder[key])]),
+        label="kind",
+    )
+    holder[key] = data.draw(JSON_KINDS[kind], label="value")
+    cfg = write_json(tmp_path / "s.json", payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("simulate", "--scenario", cfg, "--out", tmp_path / "out", "--quiet")
+    assert code in (0, 3)
+    if code == 3:
+        where = "s.json" + "".join(
+            f"[{step}]" if isinstance(step, int) else f": {step}" for step in head
+        )
+        assert where in err.getvalue() and str(key) in err.getvalue()
+
+
 class TestDidWorkflow:
+    def test_nan_outcome_exits_3_naming_unit_and_date(self, tmp_path, capsys):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        panel = work / "panel.txt"
+        edit_panel_row(panel, "outcomes", "CTRL", "2020-01-05", "nan")
+        code = run(
+            "did", "--panel", panel, "--treated", "TREAT", "--control", "CTRL",
+            "--treatment-date", "2020-01-31", "--out", work, "--quiet",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (
+            "panel.txt: panel has an unmasked non-finite outcome "
+            "for unit 'CTRL' on 2020-01-05"
+        ) in err
+        assert not (work / "did.json").exists()
+
     def test_round_trip_recovers_effect(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, did_scenario(), with_units=True)
         assert (
@@ -834,6 +1009,41 @@ class TestReport:
         assert run("report", a, "--out", tmp_path, "--quiet") == 3
         assert "effect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("effect", "x", 'effect: not a number: "x"'),
+            ("effect", None, "effect: not a number: null"),
+            ("effect", True, "effect: not a number: true"),
+            ("outcome", ["u"], 'outcome: not a string: ["u"]'),
+            ("estimator", ["did"], 'estimator: not a string: ["did"]'),
+            ("p_value", "0.1", 'p_value: not a number: "0.1"'),
+            ("system_count", {}, "system_count: not a number: {}"),
+            ("chassis", 1, "chassis: not a string: 1"),
+            ("cpu_family", None, "cpu_family: not a string: null"),
+            (None, [1], "not an object: [1]"),
+        ],
+        ids=[
+            "effect-string", "effect-null", "effect-bool", "outcome-list",
+            "estimator-list", "p-value-string", "system-count-object",
+            "chassis-int", "cpu-family-null", "not-an-object",
+        ],
+    )
+    def test_malformed_artifact_exits_3(self, tmp_path, capsys, key, value, message):
+        payload = {"estimator": "did", "outcome": "u", "effect": 1.0, "p_value": 0.1}
+        if key is None:
+            payload = value
+        else:
+            payload[key] = value
+        a = write_json(tmp_path / "a.json", payload)
+        b = write_json(
+            tmp_path / "b.json",
+            {"estimator": "synth", "outcome": "u", "effect": 2, "p_value": None},
+        )
+        assert run("report", b, a, "--out", tmp_path, "--quiet") == 3
+        assert f"a.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestOptionResolution:
     def test_config_file_supplies_out(self, tmp_path, monkeypatch):
@@ -891,7 +1101,8 @@ class TestOptionResolution:
     @pytest.mark.parametrize(
         "key, value",
         [("k_max", "1"), ("k_max", 1.5), ("k_max", True), ("lam", "x"),
-         ("penalty", "mdl"), ("series", 3), ("quiet", "yes")],
+         ("penalty", "mdl"), ("series", 3), ("quiet", "yes"),
+         pytest.param("lam", 10**400, id="lam-beyond-float")],
     )
     def test_bad_config_value_exits_3(self, tmp_path, capsys, key, value):
         series = tmp_path / "series.csv"

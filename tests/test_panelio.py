@@ -114,6 +114,24 @@ class TestPolicyCsv:
         write_policy_csv([tl], target, "C6")
         assert target.getvalue() == b"CountryName,RegionName,Date,C6\nA,,20200101,1\n"
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        start = date(2020, 2, 1)
+        days = tuple(start + timedelta(days=i) for i in range(3000))
+
+        def timelines():  # a full write buffer, then a failure
+            yield PolicyTimeline("France", days, (1,) * len(days))
+            raise RuntimeError("generator failed")
+
+        target = tmp_path / "policy.csv"
+        with pytest.raises(RuntimeError):
+            write_policy_csv(timelines(), str(target), "C6")
+        assert os.listdir(tmp_path) == []
+        target.write_text("earlier run\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            write_policy_csv(timelines(), target, "C6")
+        assert os.listdir(tmp_path) == ["policy.csv"]
+        assert target.read_text(encoding="utf-8") == "earlier run\n"
+
     def test_write_parse_round_trip(self):
         start = date(2020, 2, 1)
         timelines = [

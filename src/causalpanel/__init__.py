@@ -29,7 +29,6 @@ _EXPORTS = {
         "PanelDataset",
         "PolicyTimeline",
         "TelemetryColumns",
-        "TelemetryRecord",
         "TreatmentEvent",
         "aggregate_telemetry",
         "extract_treatment_events",

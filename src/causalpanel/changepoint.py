@@ -27,6 +27,7 @@ segment costs in thirds) stay ties in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -59,11 +60,14 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValidationError(f"penalty kind must be one of {PENALTY_KINDS}")
-        if self.kind == "manual":
-            if self.lam is None or self.lam < 0:
-                raise ValidationError("manual penalty requires lam >= 0")
-        if self.noise_scale is not None and self.noise_scale <= 0:
-            raise ValidationError("noise_scale override must be positive")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ValidationError(f"lam must be finite, not {self.lam}")
+        if self.kind == "manual" and (self.lam is None or self.lam < 0):
+            raise ValidationError("manual penalty requires lam >= 0")
+        if self.noise_scale is not None and not 0 < self.noise_scale < math.inf:
+            raise ValidationError(
+                f"noise_scale override must be positive and finite, not {self.noise_scale}"
+            )
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,14 @@ def _iso_date(token: str, what: str) -> date:
 def _is_kind(value, kind: type) -> bool:
     """Whether a value read from JSON is of ``kind``: the one type rule of
     every JSON input (scenario, config file, report artifact). An integer
-    is an int but not a bool; a number (``float``) may be an int that a
-    float holds exactly."""
+    is an int but not a bool; a number (``float``) is finite, and may be
+    an int that a float holds exactly."""
     if kind is int:
         return type(value) is int
     if kind is float:
-        return type(value) is float or type(value) is int and abs(value) <= 2**53
+        if type(value) is float:
+            return math.isfinite(value)
+        return type(value) is int and abs(value) <= 2**53
     return isinstance(value, kind)
 
 
@@ -174,12 +176,22 @@ def _split_list(token: str) -> list[str]:
     return [t.strip() for t in token.split(",") if t.strip()]
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
+    """A file's undecodable bytes as a parse error naming the file. No
+    offset is given: ``err.start`` counts from the decoded chunk, not
+    from the start of the file."""
+    bad = " ".join(f"0x{b:02x}" for b in err.object[err.start : err.end])
+    return ParseError(f"{path}: not UTF-8 text: {err.reason} {bad}")
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     except OSError as err:
         raise OSError(f"{path}: {err.strerror or err}") from None
 
@@ -191,6 +203,8 @@ def _load(parse, path: str, *args):
         return parse(path, *args)
     except (ParseError, ValidationError) as err:
         raise type(err)(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     except OSError as err:
         raise OSError(f"{path}: {err.strerror or err}") from None
 

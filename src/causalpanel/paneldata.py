@@ -3,13 +3,11 @@
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions of their inputs.
 
-Device telemetry is held as columns (:class:`TelemetryColumns`): one
-int64 array of day ordinals, one tuple of strings per text field
+Device telemetry is held as columns only (:class:`TelemetryColumns`):
+one int64 array of day ordinals, one tuple of strings per text field
 (device, unit, chassis, CPU family), a bool array for vPro and one
-float64 array per measurement. :class:`TelemetryRecord` is the per-row
-view of the same data; every function that accepts records converts
-them to columns once on entry, so each computation has one code path.
-Aggregation is bitwise equal to accumulating the records one by one in
+float64 array per measurement. There is no per-row object.
+Aggregation is bitwise equal to accumulating the rows one by one in
 canonical order (group label, date, device, usage hours, watts): rows
 are put in that order with a stable ``np.lexsort`` and summed per cell
 with ``np.bincount``, which adds its weights in input order.
@@ -121,29 +119,6 @@ def telemetry_violation(chassis, cpu_family, usage_hours, cpu_watts):
     return min(problems, key=lambda p: p[0]) if problems else None
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One device-day usage report."""
-
-    date: date
-    device_id: str
-    unit_id: str
-    chassis: str
-    cpu_family: str
-    vpro: bool
-    usage_hours: float
-    cpu_watts: float
-
-    def __post_init__(self):
-        problem = telemetry_violation(
-            (self.chassis,), (self.cpu_family,), [self.usage_hours], [self.cpu_watts]
-        )
-        if problem is not None:
-            raise ValidationError(
-                f"device {self.device_id} on {self.date}: {problem[1]}"
-            )
-
-
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
@@ -174,8 +149,7 @@ class TelemetryColumns:
     """Device-day usage reports as columns; row ``i`` of every field is one
     report. ``day`` holds date ordinals (``date.toordinal()``).
 
-    Equality is field by field, floats bitwise. Iterating yields one
-    :class:`TelemetryRecord` per row.
+    Equality is field by field, floats bitwise.
     """
 
     day: np.ndarray
@@ -209,31 +183,8 @@ class TelemetryColumns:
                 f"{what}"
             )
 
-    @classmethod
-    def from_records(cls, records: Iterable[TelemetryRecord]) -> TelemetryColumns:
-        records = list(records)
-        return cls(
-            day=[r.date.toordinal() for r in records],
-            device_id=[r.device_id for r in records],
-            unit_id=[r.unit_id for r in records],
-            chassis=[r.chassis for r in records],
-            cpu_family=[r.cpu_family for r in records],
-            vpro=[r.vpro for r in records],
-            usage_hours=[r.usage_hours for r in records],
-            cpu_watts=[r.cpu_watts for r in records],
-        )
-
     def __len__(self) -> int:
         return self.day.shape[0]
-
-    def __iter__(self):
-        columns = zip(
-            self.day.tolist(), self.device_id, self.unit_id, self.chassis,
-            self.cpu_family, self.vpro.tolist(), self.usage_hours.tolist(),
-            self.cpu_watts.tolist(),
-        )
-        for day, *rest in columns:
-            yield TelemetryRecord(date.fromordinal(day), *rest)
 
     def __eq__(self, other):
         if not isinstance(other, TelemetryColumns):
@@ -245,14 +196,6 @@ class TelemetryColumns:
         )
 
     __hash__ = None
-
-
-def as_telemetry_columns(records) -> TelemetryColumns:
-    """``records`` as columns: a :class:`TelemetryColumns` as is, any
-    other iterable of :class:`TelemetryRecord` converted row by row."""
-    if isinstance(records, TelemetryColumns):
-        return records
-    return TelemetryColumns.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -424,23 +367,21 @@ def _group_index(rows: TelemetryColumns, group_fields: tuple[str, ...]):
 
 
 def aggregate_telemetry(
-    records,
+    rows: TelemetryColumns,
     group_by: Iterable[str] = ("unit_id",),
     outcome: str = "usage_hours",
 ) -> PanelDataset:
-    """Aggregate device-day records to a (group x date) panel of outcome means.
+    """Aggregate device-day rows to a (group x date) panel of outcome means.
 
-    ``records`` is a :class:`TelemetryColumns` or an iterable of
-    :class:`TelemetryRecord`. Groups are composite units keyed by the
-    requested fields in canonical order. Cells with no records are masked.
-    Two covariates are recorded per group: the mean daily device count over
-    the days the group reports (``system_count``) and the share of its
-    records with vPro enabled (``vpro_percentage``).
+    Groups are composite units keyed by the requested fields in canonical
+    order. Cells with no rows are masked. Two covariates are recorded per
+    group: the mean daily device count over the days the group reports
+    (``system_count``) and the share of its rows with vPro enabled
+    (``vpro_percentage``).
 
-    Records are canonically sorted before accumulation so that the output is
+    Rows are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
     """
-    rows = as_telemetry_columns(records)
     if not len(rows):
         raise ValidationError("no telemetry records to aggregate")
     group_fields = tuple(f for f in GROUP_FIELD_ORDER if f in set(group_by))

@@ -61,7 +61,6 @@ from .paneldata import (
     PanelDataset,
     PolicyTimeline,
     TelemetryColumns,
-    as_telemetry_columns,
     telemetry_violation,
 )
 
@@ -409,17 +408,11 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
 
 
 def write_policy_csv(
-    timelines: Iterable[PolicyTimeline],
-    target,
-    indicator_column: str,
-    date_format: str = "ymd8",
+    timelines: Iterable[PolicyTimeline], target, indicator_column: str
 ) -> None:
-    """Serialize timelines in the shape :func:`parse_policy_csv` reads back.
-    Each date is formatted once per file, however many timelines hold it."""
-    if date_format == "ymd8":
-        fmt = lambda d: d.strftime("%Y%m%d")
-    else:
-        fmt = date.isoformat
+    """Serialize timelines in the shape :func:`parse_policy_csv` reads back,
+    dates as 8-digit ``YYYYMMDD``. Each date is formatted once per file,
+    however many timelines hold it."""
     tokens: dict = {}  # date -> its cell
     with _opened(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -429,7 +422,7 @@ def write_policy_csv(
             for d, c in zip(tl.dates, tl.codes):
                 token = tokens.get(d)
                 if token is None:
-                    token = tokens[d] = fmt(d)
+                    token = tokens[d] = d.strftime("%Y%m%d")
                 writer.writerow([country, region, token, c])
 
 
@@ -614,11 +607,9 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return list(map(repr, values.ravel().tolist()))
 
 
-def write_telemetry_csv(records, target) -> None:
-    """Write telemetry rows (a :class:`TelemetryColumns` or an iterable of
-    :class:`TelemetryRecord`) in the shape :func:`parse_telemetry_csv`
+def write_telemetry_csv(rows: TelemetryColumns, target) -> None:
+    """Write telemetry columns in the shape :func:`parse_telemetry_csv`
     reads back; floats are written with ``repr``."""
-    rows = as_telemetry_columns(records)
     text = {
         name: _csv_cells(getattr(rows, name))
         for name in ("device_id", "unit_id", "chassis", "cpu_family")

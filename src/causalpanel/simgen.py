@@ -33,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from typing import Mapping
@@ -552,9 +554,27 @@ def write_scenario(
 
     The files hold what :func:`generate` returns, but each table is
     generated just before it is written, so only one is held at a time.
+    They are written into a staging directory inside ``outdir`` and moved
+    into place only once the last is written, so a run that fails leaves
+    the files of the previous run as they were.
     """
-    unit_rngs, persona_rng = _unit_streams(config)
     os.makedirs(outdir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix="staging-", dir=outdir)
+    try:
+        staged = _write_files(config, stage, indicator_column)
+        paths = {
+            key: os.path.join(outdir, os.path.basename(path)) for key, path in staged.items()
+        }
+        for key in staged:
+            os.replace(staged[key], paths[key])
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return paths
+
+
+def _write_files(config: ScenarioConfig, outdir, indicator_column: str) -> dict[str, str]:
+    """Write the scenario's files into ``outdir``; their paths, by key."""
+    unit_rngs, persona_rng = _unit_streams(config)
     paths: dict[str, str] = {}
 
     paths["policy"] = os.path.join(outdir, "policy.csv")

@@ -13,6 +13,7 @@ treated post/pre error ratio is ranked among the placebo ratios.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -58,8 +59,10 @@ class SynthSpec:
             )
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be positive")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValidationError(
+                f"tolerance must be positive and finite, not {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from causalpanel.paneldata import PanelDataset
+from causalpanel.paneldata import PanelDataset, TelemetryColumns
 
 
 def make_panel(
@@ -48,3 +48,11 @@ def make_panel(
 
 def day(offset, start=date(2020, 1, 1)):
     return start + timedelta(days=offset)
+
+
+def telemetry(rows):
+    """Build TelemetryColumns from rows of (date, device_id, unit_id,
+    chassis, cpu_family, vpro, usage_hours, cpu_watts), in row order."""
+    rows = list(rows)
+    day, *rest = zip(*rows) if rows else [()] * 8
+    return TelemetryColumns([d.toordinal() for d in day], *rest)

@@ -4,8 +4,10 @@ These are the row-by-row versions of computations the package now does
 on column arrays: the windowed persona counts, the CLI's per-device fit
 means, and the telemetry aggregation. They are kept verbatim (apart from
 imports and names) so tests can require the column code to agree with
-them bitwise. They take lists of ``UsageFeatureVector`` and
-``TelemetryRecord``.
+them bitwise. They take lists of ``UsageFeatureVector`` and of
+``TelemetryRow``, a named tuple with the fields of one telemetry row
+(the package holds telemetry as columns only, so the row type is this
+module's own).
 
 Also kept: the penalized change-point selection over k <= k_max by the
 segment-neighbourhood table, which the exact optimal partitioning of
@@ -19,6 +21,7 @@ module's own, so a test can set both block sizes).
 import csv
 import io
 import itertools
+from collections import namedtuple
 from contextlib import contextmanager
 from datetime import date, timedelta
 from typing import Iterable
@@ -39,7 +42,6 @@ from causalpanel.paneldata import (
     SYSTEM_COUNT,
     VPRO_PERCENTAGE,
     PanelDataset,
-    TelemetryRecord,
 )
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.panelio import (
@@ -183,7 +185,13 @@ def device_means(fit_records) -> list[UsageFeatureVector]:
     return vectors
 
 
-def _group_label(record: TelemetryRecord, fields: tuple[str, ...]) -> str:
+TelemetryRow = namedtuple(
+    "TelemetryRow",
+    "date device_id unit_id chassis cpu_family vpro usage_hours cpu_watts",
+)
+
+
+def _group_label(record: TelemetryRow, fields: tuple[str, ...]) -> str:
     parts = []
     for f in fields:
         value = getattr(record, f)
@@ -194,7 +202,7 @@ def _group_label(record: TelemetryRecord, fields: tuple[str, ...]) -> str:
 
 
 def aggregate_telemetry(
-    records: Iterable[TelemetryRecord],
+    records: Iterable[TelemetryRow],
     group_by: Iterable[str] = ("unit_id",),
     outcome: str = "usage_hours",
     statistic: str = "mean",

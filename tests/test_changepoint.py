@@ -313,6 +313,10 @@ class TestPenalized:
             {"kind": "manual", "lam": -0.5},
             {"kind": "bic", "noise_scale": 0.0},
             {"kind": "aic", "noise_scale": -1.0},
+            {"kind": "manual", "lam": float("nan")},
+            {"kind": "manual", "lam": float("inf")},
+            {"kind": "bic", "lam": float("nan")},
+            {"kind": "bic", "noise_scale": float("inf")},
         ],
     )
     def test_penalty_config_validation(self, kwargs):

@@ -234,13 +234,25 @@ class TestSimulate:
                 lambda p: p["treatment"].update(treated_unit="GHOST"),
                 "s.json: treated unit 'GHOST' not in units",
             ),
+            (
+                lambda p: p.update(noise_sigma=float("nan")),
+                "s.json: noise_sigma: not a number: NaN",
+            ),
+            (
+                lambda p: p["units"][0].update(trend_per_day=float("inf")),
+                "s.json: units[0]: trend_per_day: not a number: Infinity",
+            ),
+            (
+                lambda p: p["treatment"].update(effect_hours=float("-inf")),
+                "s.json: treatment: effect_hours: not a number: -Infinity",
+            ),
         ],
         ids=[
             "units", "treatment", "no-activation", "seed-string", "seed-bool",
             "seed-negative", "persona-devices-float", "n-days-string",
             "n-days-float", "noise-sigma-string", "noise-sigma-inexact",
             "baseline-hours-string", "mixture-weight-string", "unit-key",
-            "treated-unit",
+            "treated-unit", "noise-sigma-nan", "trend-inf", "effect-minus-inf",
         ],
     )
     def test_malformed_section_exits_3(self, tmp_path, capsys, edit, message):
@@ -249,6 +261,34 @@ class TestSimulate:
         cfg = write_json(tmp_path / "s.json", payload)
         assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
         assert message in capsys.readouterr().err
+
+    def test_number_beyond_float_exits_3(self, tmp_path, capsys):
+        # json reads 1e400 as inf
+        text = json.dumps(did_scenario()).replace('"seed": 11', '"noise_sigma": 1e400')
+        cfg = tmp_path / "s.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
+        assert "s.json: noise_sigma: not a number: Infinity" in capsys.readouterr().err
+
+    def test_failed_run_leaves_previous_files(self, tmp_path, monkeypatch):
+        from causalpanel import simgen
+
+        out = tmp_path / "out"
+        scenario = {**persona_scenario(), "noise_sigma": 0.5}  # telemetry varies by seed
+        cfg = write_json(tmp_path / "s.json", scenario)
+        assert run("simulate", "--scenario", cfg, "--out", out, "--quiet") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def broken(config, rng):
+            raise RuntimeError("persona stream failed")
+
+        # policy.csv and telemetry.csv of the new scenario are written
+        # before the persona stream fails
+        monkeypatch.setattr(simgen, "_generate_persona_stream", broken)
+        cfg = write_json(tmp_path / "s.json", {**scenario, "seed": 10})
+        with pytest.raises(RuntimeError, match="persona stream failed"):
+            run("simulate", "--scenario", cfg, "--out", out, "--quiet")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def full_scenario():
@@ -317,6 +357,10 @@ JSON_KINDS = {
     type(None): st.none(),
     list: st.lists(st.integers(), max_size=2),
     dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    # json writes these as NaN and Infinity and reads them back; no
+    # scenario key takes one
+    "NaN": st.just(float("nan")),
+    "Infinity": st.sampled_from([float("inf"), float("-inf")]),
 }
 
 
@@ -340,8 +384,8 @@ def test_full_scenario_sets_every_key():
 def test_scenario_value_of_another_kind_exits_0_or_3_naming_key(tmp_path, data):
     """simulate on a scenario with one value replaced by a JSON value of
     another kind exits 0 (an int for a number, null for an optional key)
-    or 3, never with a traceback. Exit 3 names the file, the object that
-    holds the key and the key."""
+    or 3, never with a traceback; a non-finite number always exits 3.
+    Exit 3 names the file, the object that holds the key and the key."""
     payload = full_scenario()
     path = data.draw(st.sampled_from(scenario_targets(payload)), label="path")
     *head, key = path
@@ -357,7 +401,7 @@ def test_scenario_value_of_another_kind_exits_0_or_3_naming_key(tmp_path, data):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run("simulate", "--scenario", cfg, "--out", tmp_path / "out", "--quiet")
-    assert code in (0, 3)
+    assert code in ((3,) if kind in ("NaN", "Infinity") else (0, 3))
     if code == 3:
         where = "s.json" + "".join(
             f"[{step}]" if isinstance(step, int) else f": {step}" for step in head
@@ -718,6 +762,14 @@ class TestCpdWorkflow:
             (["--series", "one.csv"], "need at least 2 points to segment"),
             (["--series", "two.csv", "--penalty", "manual"], "manual penalty requires lam >= 0"),
             (["--series", "two.csv", "--noise-scale", "-1"], "noise_scale override must be positive"),
+            (
+                ["--series", "two.csv", "--penalty", "manual", "--lam", "nan"],
+                "lam must be finite, not nan",
+            ),
+            (
+                ["--series", "two.csv", "--noise-scale", "inf"],
+                "noise_scale override must be positive and finite, not inf",
+            ),
         ],
     )
     def test_estimator_input_checks_exit_3(self, tmp_path, capsys, argv, message):
@@ -1022,11 +1074,15 @@ class TestReport:
             ("chassis", 1, "chassis: not a string: 1"),
             ("cpu_family", None, "cpu_family: not a string: null"),
             (None, [1], "not an object: [1]"),
+            ("effect", float("nan"), "effect: not a number: NaN"),
+            ("p_value", float("inf"), "p_value: not a number: Infinity"),
+            ("system_count", float("-inf"), "system_count: not a number: -Infinity"),
         ],
         ids=[
             "effect-string", "effect-null", "effect-bool", "outcome-list",
             "estimator-list", "p-value-string", "system-count-object",
-            "chassis-int", "cpu-family-null", "not-an-object",
+            "chassis-int", "cpu-family-null", "not-an-object", "effect-nan",
+            "p-value-inf", "system-count-minus-inf",
         ],
     )
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, key, value, message):
@@ -1102,7 +1158,9 @@ class TestOptionResolution:
         "key, value",
         [("k_max", "1"), ("k_max", 1.5), ("k_max", True), ("lam", "x"),
          ("penalty", "mdl"), ("series", 3), ("quiet", "yes"),
-         pytest.param("lam", 10**400, id="lam-beyond-float")],
+         pytest.param("lam", 10**400, id="lam-beyond-float"),
+         pytest.param("lam", float("nan"), id="lam-nan"),
+         pytest.param("noise_scale", float("inf"), id="noise-scale-inf")],
     )
     def test_bad_config_value_exits_3(self, tmp_path, capsys, key, value):
         series = tmp_path / "series.csv"
@@ -1280,6 +1338,48 @@ class TestConfigKeys:
                 argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
                 assert run(command, *argv, "--config", cfg, "--out", tmp_path) == 3
                 assert f"not a config key of {command}: '{name}'" in capsys.readouterr().err
+
+
+# Each input file a command reads, with the run that reads it: a file of
+# the ``config_inputs`` fixture named by its COMMAND_ARGS template, or
+# (None) a --config file.
+INPUT_FILES = [
+    ("simulate", "{root}/scenario.json", []),
+    ("cpd", None, []),
+    ("ingest", "{data}/policy.csv", []),
+    ("ingest", "{data}/telemetry.csv", []),
+    ("ingest", "{data}/units.csv", ["--units", "{data}/units.csv"]),
+    ("did", "{work}/panel.txt", []),
+    ("cpd", "{series}", []),
+    ("persona", "{data}/persona.csv", []),
+    ("report", "{work}/did.json", []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, target, extra", INPUT_FILES,
+    ids=[f"{c}-{Path(t).name.strip('{}') if t else 'config'}" for c, t, _ in INPUT_FILES],
+)
+def test_non_utf8_input_exits_2_naming_file(
+    tmp_path, capsys, config_inputs, command, target, extra
+):
+    """One byte that is not UTF-8, in the middle of any input file, is a
+    parse error that names the file."""
+    argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command] + extra]
+    if target is None:
+        data = b'{"quiet": true}\n'
+        argv += ["--config", "cfg.json"]
+        target = "cfg.json"
+    else:
+        target = target.format(**config_inputs)
+        data = Path(target).read_bytes()
+    bad = tmp_path / Path(target).name
+    bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    argv = [str(bad) if a == target else a for a in argv]
+    assert run(command, *argv, "--out", tmp_path / "out", "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"parse error: {bad}: not UTF-8 text: invalid start byte 0xff" in err
+    assert "Traceback" not in err
 
 
 def test_help_text_is_pinned(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """Column layer tests: the column code against the per-record reference
 implementations in ``_reference`` (bitwise), and the column types' own
-contracts (equality, row view, validation)."""
+contracts (equality, row view of usage rows, validation)."""
 
 import itertools
 from datetime import date, timedelta
@@ -15,7 +15,6 @@ from causalpanel.errors import SchemaError, ValidationError
 from causalpanel.paneldata import (
     GROUP_FIELD_ORDER,
     TelemetryColumns,
-    TelemetryRecord,
     aggregate_telemetry,
 )
 from causalpanel import persona
@@ -28,6 +27,8 @@ from causalpanel.persona import (
     fit_kmeans,
     windowed_counts,
 )
+
+from _builders import telemetry
 
 START = date(2020, 1, 1)
 NAMES = ("alpha", "beta", "gamma", "delta")
@@ -261,7 +262,7 @@ class TestGatherPieces:
 
 telemetry_rows = st.lists(
     st.builds(
-        TelemetryRecord,
+        ref.TelemetryRow,
         date=st.integers(0, 10).map(lambda t: START + timedelta(days=t)),
         device_id=st.sampled_from(["d0", "d1", "d2", "e|1"]),
         unit_id=st.sampled_from(["CHN", "USA", "CHN|x"]),
@@ -297,18 +298,13 @@ class TestAggregateAgainstReference:
     @settings(max_examples=25, deadline=None)
     def test_panel_bitwise(self, group_by, records, outcome):
         expected = ref.aggregate_telemetry(records, group_by=group_by, outcome=outcome)
-        for got in (
-            aggregate_telemetry(records, group_by=group_by, outcome=outcome),
-            aggregate_telemetry(
-                TelemetryColumns.from_records(records), group_by=group_by, outcome=outcome
-            ),
-        ):
-            assert got.unit_ids == expected.unit_ids
-            assert got.dates == expected.dates
-            assert bits(got.outcomes) == bits(expected.outcomes)
-            assert np.array_equal(got.missing_mask, expected.missing_mask)
-            assert got.covariate_names == expected.covariate_names
-            assert bits(got.covariates) == bits(expected.covariates)
+        got = aggregate_telemetry(telemetry(records), group_by=group_by, outcome=outcome)
+        assert got.unit_ids == expected.unit_ids
+        assert got.dates == expected.dates
+        assert bits(got.outcomes) == bits(expected.outcomes)
+        assert np.array_equal(got.missing_mask, expected.missing_mask)
+        assert got.covariate_names == expected.covariate_names
+        assert bits(got.covariates) == bits(expected.covariates)
 
 
     @pytest.mark.parametrize("outcome", ["usage_hours", "cpu_watts"])
@@ -318,7 +314,7 @@ class TestAggregateAgainstReference:
         # reproduces the reference's sums
         rng = np.random.default_rng(0)
         records = [
-            TelemetryRecord(
+            ref.TelemetryRow(
                 START + timedelta(days=int(t)), f"d{int(d)}", "CHN", "Notebook",
                 "i5", False, float(h), float(w),
             )
@@ -328,7 +324,7 @@ class TestAggregateAgainstReference:
             )
         ]
         expected = ref.aggregate_telemetry(records, outcome=outcome)
-        got = aggregate_telemetry(records, outcome=outcome)
+        got = aggregate_telemetry(telemetry(records), outcome=outcome)
         assert bits(got.outcomes) == bits(expected.outcomes)
         assert bits(got.covariates) == bits(expected.covariates)
 
@@ -382,17 +378,11 @@ class TestUsageColumns:
 
 
 class TestTelemetryColumns:
-    def records(self):
-        return [
-            TelemetryRecord(START, "g-1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
-            TelemetryRecord(START, "g-0", "USA", "NUC", "Other", False, 0.0, 0.0),
-        ]
-
-    def test_row_view_round_trip(self):
-        cols = TelemetryColumns.from_records(self.records())
-        assert len(cols) == 2
-        assert list(cols) == self.records()
-        assert cols == TelemetryColumns.from_records(self.records())
+    def columns(self):
+        return telemetry([
+            (START, "g-1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
+            (START, "g-0", "USA", "NUC", "Other", False, 0.0, 0.0),
+        ])
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -406,7 +396,7 @@ class TestTelemetryColumns:
         ],
     )
     def test_bad_row_names_device_and_day(self, field, value, message):
-        cols = TelemetryColumns.from_records(self.records())
+        cols = self.columns()
         columns = {name: list(getattr(cols, name)) for name in (
             "day", "device_id", "unit_id", "chassis", "cpu_family", "vpro",
             "usage_hours", "cpu_watts",
@@ -416,7 +406,7 @@ class TestTelemetryColumns:
             TelemetryColumns(**columns)
 
     def test_lengths_checked(self):
-        cols = TelemetryColumns.from_records(self.records())
+        cols = self.columns()
         with pytest.raises(ValidationError, match="length"):
             TelemetryColumns(
                 cols.day, cols.device_id, cols.unit_id[:1], cols.chassis,

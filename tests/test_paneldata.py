@@ -10,13 +10,12 @@ from causalpanel.paneldata import (
     EventKind,
     PanelDataset,
     PolicyTimeline,
-    TelemetryRecord,
     aggregate_telemetry,
     extract_treatment_events,
     merge_panels,
 )
 
-from _builders import make_panel
+from _builders import make_panel, telemetry
 
 
 def timeline(codes, unit="CHN", start=date(2020, 1, 1)):
@@ -24,19 +23,12 @@ def timeline(codes, unit="CHN", start=date(2020, 1, 1)):
     return PolicyTimeline(unit, dates, tuple(codes))
 
 
-def record(day, device="dev0", unit="CHN", hours=5.0, watts=20.0, **kwargs):
-    fields = dict(
-        date=day,
-        device_id=device,
-        unit_id=unit,
-        chassis="Notebook",
-        cpu_family="i5",
-        vpro=False,
-        usage_hours=hours,
-        cpu_watts=watts,
-    )
-    fields.update(kwargs)
-    return TelemetryRecord(**fields)
+def record(
+    day, device="dev0", unit="CHN", hours=5.0, watts=20.0,
+    chassis="Notebook", cpu_family="i5", vpro=False,
+):
+    """One telemetry row, in the field order of ``_builders.telemetry``."""
+    return (day, device, unit, chassis, cpu_family, vpro, hours, watts)
 
 
 class TestPolicyTimeline:
@@ -96,23 +88,25 @@ class TestTreatmentEvents:
 
 
 class TestTelemetryRecord:
+    """A bad value in a one-row TelemetryColumns names the device and day."""
+
     def test_chassis_checked(self):
-        with pytest.raises(ValidationError, match="chassis"):
-            record(date(2020, 1, 1), chassis="Toaster")
+        with pytest.raises(ValidationError, match="dev0 on 2020-01-01: unknown chassis"):
+            telemetry([record(date(2020, 1, 1), chassis="Toaster")])
 
     def test_cpu_family_checked(self):
-        with pytest.raises(ValidationError, match="cpu_family"):
-            record(date(2020, 1, 1), cpu_family="pentium")
+        with pytest.raises(ValidationError, match="dev0 on 2020-01-01: unknown cpu_family"):
+            telemetry([record(date(2020, 1, 1), cpu_family="pentium")])
 
     def test_usage_range(self):
-        with pytest.raises(ValidationError, match="usage_hours"):
-            record(date(2020, 1, 1), hours=25.0)
-        with pytest.raises(ValidationError, match="usage_hours"):
-            record(date(2020, 1, 1), hours=-0.1)
+        with pytest.raises(ValidationError, match="dev0 on 2020-01-01: usage_hours"):
+            telemetry([record(date(2020, 1, 1), hours=25.0)])
+        with pytest.raises(ValidationError, match="dev0 on 2020-01-01: usage_hours"):
+            telemetry([record(date(2020, 1, 1), hours=-0.1)])
 
     def test_negative_watts(self):
-        with pytest.raises(ValidationError, match="cpu_watts"):
-            record(date(2020, 1, 1), watts=-1.0)
+        with pytest.raises(ValidationError, match="dev0 on 2020-01-01: cpu_watts"):
+            telemetry([record(date(2020, 1, 1), watts=-1.0)])
 
 
 class TestPanelDataset:
@@ -190,7 +184,7 @@ class TestAggregateTelemetry:
             record(d1, device="b", hours=6.0),
             record(d2, device="a", hours=10.0),
         ]
-        panel = aggregate_telemetry(records)
+        panel = aggregate_telemetry(telemetry(records))
         series, mask = panel.unit_series("CHN")
         assert series.tolist() == [5.0, 10.0]
         assert not mask.any()
@@ -200,7 +194,7 @@ class TestAggregateTelemetry:
             record(date(2020, 1, 1)),
             record(date(2020, 1, 3)),
         ]
-        panel = aggregate_telemetry(records)
+        panel = aggregate_telemetry(telemetry(records))
         _, mask = panel.unit_series("CHN")
         assert mask.tolist() == [False, True, False]
 
@@ -210,7 +204,7 @@ class TestAggregateTelemetry:
             record(d, unit="CHN", chassis="Notebook"),
             record(d, device="dev1", unit="CHN", chassis="Desktop"),
         ]
-        panel = aggregate_telemetry(records, group_by=("unit_id", "chassis"))
+        panel = aggregate_telemetry(telemetry(records), group_by=("unit_id", "chassis"))
         assert panel.unit_ids == ("CHN|Desktop", "CHN|Notebook")
 
     def test_group_field_order_canonical(self):
@@ -218,8 +212,8 @@ class TestAggregateTelemetry:
         # field order unit_id, chassis, cpu_family, vpro.
         d = date(2020, 1, 1)
         records = [record(d)]
-        a = aggregate_telemetry(records, group_by=("chassis", "unit_id"))
-        b = aggregate_telemetry(records, group_by=("unit_id", "chassis"))
+        a = aggregate_telemetry(telemetry(records), group_by=("chassis", "unit_id"))
+        b = aggregate_telemetry(telemetry(records), group_by=("unit_id", "chassis"))
         assert a.unit_ids == b.unit_ids == ("CHN|Notebook",)
 
     def test_permutation_invariance_bitwise(self):
@@ -234,9 +228,9 @@ class TestAggregateTelemetry:
             )
             for _ in range(60)
         ]
-        base = aggregate_telemetry(records)
+        base = aggregate_telemetry(telemetry(records))
         rng.shuffle(records)
-        shuffled = aggregate_telemetry(records)
+        shuffled = aggregate_telemetry(telemetry(records))
         assert base.unit_ids == shuffled.unit_ids
         assert np.array_equal(base.outcomes, shuffled.outcomes)
         assert np.array_equal(base.covariates, shuffled.covariates)
@@ -249,7 +243,7 @@ class TestAggregateTelemetry:
             record(d1, device="c"),
             record(d2, device="a"),
         ]
-        panel = aggregate_telemetry(records)
+        panel = aggregate_telemetry(telemetry(records))
         assert panel.covariate("system_count")[0] == 2.0
 
     def test_vpro_percentage(self):
@@ -260,27 +254,27 @@ class TestAggregateTelemetry:
             record(d, device="c", vpro=False),
             record(d, device="d", vpro=True),
         ]
-        panel = aggregate_telemetry(records)
+        panel = aggregate_telemetry(telemetry(records))
         assert panel.covariate("vpro_percentage")[0] == 0.5
 
     def test_cpu_watts_outcome(self):
         panel = aggregate_telemetry(
-            [record(date(2020, 1, 1), watts=33.0)], outcome="cpu_watts"
+            telemetry([record(date(2020, 1, 1), watts=33.0)]), outcome="cpu_watts"
         )
         assert panel.outcome_name == "cpu_watts"
         assert panel.outcomes[0, 0] == 33.0
 
     def test_unknown_group_field(self):
         with pytest.raises(SchemaError, match="group"):
-            aggregate_telemetry([record(date(2020, 1, 1))], group_by=("color",))
+            aggregate_telemetry(telemetry([record(date(2020, 1, 1))]), group_by=("color",))
 
     def test_unknown_outcome(self):
         with pytest.raises(SchemaError, match="outcome"):
-            aggregate_telemetry([record(date(2020, 1, 1))], outcome="fan_speed")
+            aggregate_telemetry(telemetry([record(date(2020, 1, 1))]), outcome="fan_speed")
 
     def test_no_records(self):
         with pytest.raises(ValidationError, match="no telemetry"):
-            aggregate_telemetry([])
+            aggregate_telemetry(telemetry([]))
 
 
 class TestMergePanels:

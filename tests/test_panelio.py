@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 import causalpanel
 from causalpanel.errors import ParseError, SchemaError, ValidationError
-from causalpanel.paneldata import (
-    PanelDataset,
-    PolicyTimeline,
-    TelemetryColumns,
-    TelemetryRecord,
-)
+from causalpanel.paneldata import PanelDataset, PolicyTimeline
 from causalpanel.panelio import (
     _csv_table,
     parse_persona_csv,
@@ -32,7 +27,7 @@ from causalpanel.panelio import (
 )
 from causalpanel.persona import UsageColumns, UsageFeatureVector
 
-from _builders import make_panel
+from _builders import make_panel, telemetry
 
 OXCGRT_STYLE = """CountryName,RegionName,Date,C6_Stay at home requirements,C6_Flag
 China,,20200124,0,0
@@ -154,45 +149,26 @@ class TestPolicyCsv:
 
 class TestTelemetryCsv:
     def rows(self):
-        return [
-            TelemetryRecord(
-                date=date(2020, 1, 1),
-                device_id="g-1",
-                unit_id="CHN",
-                chassis="Notebook",
-                cpu_family="i7",
-                vpro=True,
-                usage_hours=7.25,
-                cpu_watts=21.5,
-            ),
-            TelemetryRecord(
-                date=date(2020, 1, 2),
-                device_id="g-2",
-                unit_id="USA",
-                chassis="TwoInOne",
-                cpu_family="Other",
-                vpro=False,
-                usage_hours=0.0,
-                cpu_watts=0.0,
-            ),
-        ]
+        return telemetry([
+            (date(2020, 1, 1), "g-1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
+            (date(2020, 1, 2), "g-2", "USA", "TwoInOne", "Other", False, 0.0, 0.0),
+        ])
 
     def test_round_trip(self):
         buf = io.StringIO()
         write_telemetry_csv(self.rows(), buf)
         parsed = parse_telemetry_csv(buf.getvalue().encode())
-        assert parsed == TelemetryColumns.from_records(self.rows())
-        assert list(parsed) == self.rows()
+        assert parsed == self.rows()
 
     def test_chassis_alias_and_family_case(self):
         text = (
             "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours,cpu_watts\n"
             "2020-01-01,d,CHN,2-in-1,I7,yes,3.5,12.0\n"
         )
-        (rec,) = parse_telemetry_csv(text.encode())
-        assert rec.chassis == "TwoInOne"
-        assert rec.cpu_family == "i7"
-        assert rec.vpro is True
+        rows = parse_telemetry_csv(text.encode())
+        assert rows.chassis == ("TwoInOne",)
+        assert rows.cpu_family == ("i7",)
+        assert rows.vpro.tolist() == [True]
 
     def test_missing_column_named(self):
         text = "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours\nx\n"

@@ -180,9 +180,11 @@ class TestRouteAgreement:
         telemetry = generate(config).telemetry
         agg = aggregate_telemetry(telemetry)
         sums, counts = {}, {}
-        for r in telemetry:
-            key = (r.unit_id, r.date)
-            sums[key] = sums.get(key, 0.0) + r.usage_hours
+        for unit, day, hours in zip(
+            telemetry.unit_id, telemetry.day.tolist(), telemetry.usage_hours.tolist()
+        ):
+            key = (unit, date.fromordinal(day))
+            sums[key] = sums.get(key, 0.0) + hours
             counts[key] = counts.get(key, 0) + 1
         for unit in ("A", "B", "C"):
             series, _ = agg.unit_series(unit)

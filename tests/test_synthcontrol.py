@@ -323,6 +323,8 @@ class TestFitSynth:
             SynthSpec("a", ("b", "b"), day(5))
         with pytest.raises(ValidationError):
             SynthSpec("a", ("b", "c"), day(5), tolerance=0.0)
+        with pytest.raises(ValidationError, match="finite, not inf"):
+            SynthSpec("a", ("b", "c"), day(5), tolerance=float("inf"))
 
     def test_fit_weight_feasibility_enforced_in_result(self):
         with pytest.raises(ValidationError):

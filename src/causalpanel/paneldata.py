@@ -3,6 +3,9 @@
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions of their inputs.
 
+A policy timeline (:class:`PolicyTimeline`) is one unit's start date and
+one code per day, so its days are contiguous by construction.
+
 Device telemetry is held as columns only (:class:`TelemetryColumns`):
 one int64 array of day ordinals, one tuple of strings per text field
 (device, unit, chassis, CPU family), a bool array for vPro and one
@@ -53,34 +56,44 @@ def _check_contiguous(dates: Sequence[date], context: str) -> None:
             )
 
 
-@dataclass(frozen=True)
+def _equal_fields(self, other) -> bool:
+    """Field-by-field equality of two instances of one dataclass, arrays
+    bitwise: the ``__eq__`` of the classes that hold arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b for a, b in pairs
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class PolicyTimeline:
-    """Daily ordinal policy level for one unit (country or region)."""
+    """Daily ordinal policy level for one unit (country or region): the
+    code of day ``start + k`` is ``codes[k]``, a read-only int64 array.
+    Equality is field by field."""
 
     unit_id: str
-    dates: tuple[date, ...]
-    codes: tuple[int, ...]
+    start: date
+    codes: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != len(self.codes):
+        codes = np.asarray(self.codes)
+        bad = np.flatnonzero(~np.isin(codes, POLICY_CODES))
+        if bad.size:
+            k = int(bad[0])
             raise ValidationError(
-                f"timeline {self.unit_id}: {len(self.dates)} dates but "
-                f"{len(self.codes)} codes"
+                f"timeline {self.unit_id}: code {codes[k]} on "
+                f"{self.start + timedelta(days=k)} outside 0..3"
             )
-        _check_contiguous(self.dates, f"timeline {self.unit_id}")
-        for d, c in zip(self.dates, self.codes):
-            if c not in POLICY_CODES:
-                raise ValidationError(
-                    f"timeline {self.unit_id}: code {c} on {d} outside 0..3"
-                )
+        object.__setattr__(self, "codes", _frozen_array(codes, np.int64))
 
-    def code_on(self, day: date) -> int:
-        idx = (day - self.dates[0]).days
-        if idx < 0 or idx >= len(self.dates):
-            raise ValidationError(
-                f"timeline {self.unit_id}: {day} outside {self.dates[0]}..{self.dates[-1]}"
-            )
-        return self.codes[idx]
+    @property
+    def dates(self) -> tuple[date, ...]:
+        return tuple(self.start + timedelta(days=k) for k in range(len(self.codes)))
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -186,15 +199,7 @@ class TelemetryColumns:
     def __len__(self) -> int:
         return self.day.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, TelemetryColumns):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(
-            a == b if isinstance(a, tuple) else a.tobytes() == b.tobytes()
-            for a, b in pairs
-        )
-
+    __eq__ = _equal_fields
     __hash__ = None
 
 
@@ -307,39 +312,29 @@ class PanelDataset:
         return self.covariates[:, self.covariate_names.index(name)]
 
     def timeline(self, unit_id: str) -> PolicyTimeline | None:
-        """Reconstruct the attached policy series for one unit, if merged."""
+        """The attached policy series of one unit, if merged."""
         if self.policy_codes is None:
             return None
-        i = self.unit_index(unit_id)
-        codes = self.policy_codes[i]
+        codes = self.policy_codes[self.unit_index(unit_id)]
         if (codes < 0).any():
             return None
-        return PolicyTimeline(unit_id, self.dates, tuple(int(c) for c in codes))
+        return PolicyTimeline(unit_id, self.dates[0], codes)
 
 
 def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:
     """Extract the activation (first day at code 3) and, after it, the first
     relaxation day at code 2. Either, both, or neither may exist."""
-    events: list[TreatmentEvent] = []
-    act_idx = None
-    for i, code in enumerate(timeline.codes):
-        if code >= 3:
-            act_idx = i
-            break
-    if act_idx is None:
-        return events
-    events.append(
-        TreatmentEvent(timeline.unit_id, EventKind.ACTIVATION, timeline.dates[act_idx])
-    )
-    for i in range(act_idx + 1, len(timeline.codes)):
-        if timeline.codes[i] == 2:
-            events.append(
-                TreatmentEvent(
-                    timeline.unit_id, EventKind.DEACTIVATION, timeline.dates[i]
-                )
-            )
-            break
-    return events
+    active = np.flatnonzero(timeline.codes >= 3)
+    if not active.size:
+        return []
+    days = [int(active[0])]
+    relaxed = np.flatnonzero(timeline.codes[days[0] + 1 :] == 2)
+    if relaxed.size:
+        days.append(days[0] + 1 + int(relaxed[0]))
+    return [
+        TreatmentEvent(timeline.unit_id, kind, timeline.start + timedelta(days=k))
+        for kind, k in zip((EventKind.ACTIVATION, EventKind.DEACTIVATION), days)
+    ]
 
 
 def _group_index(rows: TelemetryColumns, group_fields: tuple[str, ...]):
@@ -444,31 +439,28 @@ def merge_panels(
             return by_unit[unit_id]
         return by_unit.get(unit_id.split("|", 1)[0])
 
-    missing = [u for u in outcome_panel.unit_ids if lookup(u) is None]
+    tls = [lookup(u) for u in outcome_panel.unit_ids]
+    missing = [u for u, tl in zip(outcome_panel.unit_ids, tls) if tl is None]
     if missing:
         raise ValidationError(
             "no policy timeline for unit(s): " + ", ".join(sorted(missing))
         )
 
-    common = set(outcome_panel.dates)
-    for u in outcome_panel.unit_ids:
-        common &= set(lookup(u).dates)
-    if not common:
+    # each timeline's first day as a panel date index; the common dates run
+    # from the latest start to the earliest end, clipped to the panel
+    first = outcome_panel.dates[0].toordinal() if outcome_panel.dates else 0
+    offsets = [tl.start.toordinal() - first for tl in tls]
+    lo = max([0, *offsets])
+    hi = min([outcome_panel.n_dates, *(o + len(tl.codes) for o, tl in zip(offsets, tls))])
+    if lo >= hi:
         raise ValidationError("panel and policy timelines share no dates")
-    dates = tuple(sorted(common))
-    lo = outcome_panel.date_index(dates[0])
-    hi = outcome_panel.date_index(dates[-1]) + 1
 
-    codes = np.full((outcome_panel.n_units, len(dates)), -1, dtype=np.int64)
-    for i, u in enumerate(outcome_panel.unit_ids):
-        tl = lookup(u)
-        for j, d in enumerate(dates):
-            codes[i, j] = tl.code_on(d)
+    codes = np.array([tl.codes[lo - o : hi - o] for o, tl in zip(offsets, tls)], np.int64)
 
     return replace(
         outcome_panel,
-        dates=dates,
+        dates=outcome_panel.dates[lo:hi],
         outcomes=outcome_panel.outcomes[:, lo:hi],
         missing_mask=outcome_panel.missing_mask[:, lo:hi],
-        policy_codes=codes,
+        policy_codes=codes.reshape(len(tls), hi - lo),
     )

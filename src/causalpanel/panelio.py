@@ -7,7 +7,9 @@ panel file; the CLI writes its own result tables. The formats:
   (``CountryName`` plus optional ``RegionName``, or ``unit_id``), a ``Date``
   column in 8-digit ``YYYYMMDD`` or ISO form (auto-detected per file), and
   one ordinal indicator column named at parse time. Empty indicator cells
-  are forward-filled; leading empties become 0.
+  are forward-filled; leading empties become 0. Parsed into one
+  :class:`~causalpanel.paneldata.PolicyTimeline` per unit: a start date
+  and one code per day. A unit's dates must be distinct and contiguous.
 * telemetry CSV — columns (date, device_id, unit_id, chassis, cpu_family,
   vpro, usage_hours, cpu_watts); unknown columns are ignored. Parsed into
   :class:`~causalpanel.paneldata.TelemetryColumns`.
@@ -58,9 +60,11 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
 from .paneldata import (
+    POLICY_CODES,
     PanelDataset,
     PolicyTimeline,
     TelemetryColumns,
+    factorize,
     telemetry_violation,
 )
 
@@ -342,13 +346,13 @@ def _stacked(blocks, columns: dict) -> dict:
 
 
 def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
-    """Parse a policy table into one timeline per unit.
+    """Parse a policy table into one timeline per unit, in unit order.
 
     Region rows become first-class units keyed "CountryName/RegionName";
     national rows keep the plain country name. Only the named ordinal column
-    is read; flag and other columns are ignored.
+    is read; flag and other columns are ignored. The first unit with a
+    fault names it: a duplicate date, else its first bad code, else a gap.
     """
-    rows: dict[str, list[tuple[int, str]]] = {}
     with _csv_table(source, "policy") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
         if "CountryName" in cols:
@@ -365,46 +369,72 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         ind_col = cols[indicator_column]
         used_cols = (unit_col, region_col, date_col, ind_col)
 
-        date_fmt, day_table = None, {}
-        for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
-            units = map(str.strip, columns[unit_col])
-            if region_col is not None:
-                units = (
-                    f"{unit}/{region}" if region else unit
-                    for unit, region in zip(units, map(str.strip, columns[region_col]))
-                )
-            date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
-            days = _day_ordinals(columns[date_col], rownos, date_fmt, day_table).tolist()
-            for unit, day, raw in zip(units, days, map(str.strip, columns[ind_col])):
-                rows.setdefault(unit, []).append((day, raw))
+        unit_table, day_table = {}, {}  # each distinct cell's unit or day
 
+        def blocks():
+            date_fmt = None
+            for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
+                regions = itertools.repeat("") if region_col is None else columns[region_col]
+                pairs = list(zip(columns[unit_col], regions))
+                date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
+                yield {
+                    "unit": _map_distinct(pairs, _unit_label, unit_table),
+                    "day": _day_ordinals(columns[date_col], rownos, date_fmt, day_table),
+                    "cell": _map_distinct(columns[ind_col], str.strip),
+                }
+
+        n = body.max_rows
+        columns = _stacked(blocks(), {"unit": [], "day": np.empty(n, np.int64), "cell": []})
+
+    # go unit by unit in sorted order, over each unit's rows sorted by day
+    levels, unit = factorize(columns.pop("unit"))
+    raws, cell = factorize(columns.pop("cell"))
+    order = np.lexsort((columns["day"], unit))
+    day, cell = columns.pop("day")[order], cell[order]
+    ends = np.cumsum(np.bincount(unit)).tolist()
+    values = np.array(list(map(_policy_code, raws)), np.int64)
     timelines = []
-    for unit in sorted(rows):
-        entries = sorted(rows[unit], key=lambda e: e[0])
-        dates = tuple(date.fromordinal(d) for d, _ in entries)
-        for d1, d2 in zip(dates, dates[1:]):
-            if d1 == d2:
-                raise ValidationError(f"unit {unit}: duplicate date {d1}")
-        codes = []
-        last = 0  # leading empties mean "no measures"
-        for d, (_, raw) in zip(dates, entries):
-            if raw == "":
-                codes.append(last)
-                continue
+    for u, lo, hi in zip(levels, [0, *ends], ends):
+        days, cells = day[lo:hi], cell[lo:hi]
+        step, codes = np.diff(days), values[cells]
+        if (step == 0).any():
+            k = np.argmax(step == 0)
+            raise ValidationError(f"unit {u}: duplicate date {date.fromordinal(days[k])}")
+        if (codes == -2).any():
+            k = np.argmax(codes == -2)
+            raw, d = raws[cells[k]], date.fromordinal(days[k])
             try:
                 value = int(float(raw))
             except ValueError:
-                raise ParseError(
-                    f"unit {unit} on {d}: non-numeric code {raw!r}"
-                ) from None
-            if value not in (0, 1, 2, 3):
-                raise ValidationError(
-                    f"unit {unit} on {d}: code {value} outside 0..3"
-                )
-            codes.append(value)
-            last = value
-        timelines.append(PolicyTimeline(unit, dates, tuple(codes)))
+                raise ParseError(f"unit {u} on {d}: non-numeric code {raw!r}") from None
+            raise ValidationError(f"unit {u} on {d}: code {value} outside 0..3")
+        if (step > 1).any():
+            k = np.argmax(step > 1)
+            prev, cur = date.fromordinal(days[k]), date.fromordinal(days[k + 1])
+            raise ValidationError(f"timeline {u}: calendar gap between {prev} and {cur}")
+        # an empty cell repeats the previous code; before the first day it is 0
+        codes = np.r_[0, codes]
+        codes = codes[np.maximum.accumulate(np.where(codes >= 0, np.arange(len(codes)), 0))]
+        timelines.append(PolicyTimeline(u, date.fromordinal(days[0]), codes[1:]))
     return timelines
+
+
+def _unit_label(cells: tuple[str, str]) -> str:
+    """The unit of a row's (unit, region) cells."""
+    unit, region = map(str.strip, cells)
+    return f"{unit}/{region}" if region else unit
+
+
+def _policy_code(raw: str) -> int:
+    """The code in a stripped policy cell: -1 where it is empty (the
+    previous code goes on), -2 where it holds no code 0..3."""
+    if raw == "":
+        return -1
+    try:
+        value = int(float(raw))
+    except (ValueError, OverflowError):
+        return -2
+    return value if value in POLICY_CODES else -2
 
 
 def write_policy_csv(
@@ -413,17 +443,24 @@ def write_policy_csv(
     """Serialize timelines in the shape :func:`parse_policy_csv` reads back,
     dates as 8-digit ``YYYYMMDD``. Each date is formatted once per file,
     however many timelines hold it."""
-    tokens: dict = {}  # date -> its cell
+    tokens: dict = {}  # day ordinal -> its cell
     with _opened(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["CountryName", "RegionName", "Date", indicator_column])
+        csv.writer(stream, lineterminator="\n").writerow(
+            ["CountryName", "RegionName", "Date", indicator_column]
+        )
         for tl in timelines:
-            country, _, region = tl.unit_id.partition("/")
-            for d, c in zip(tl.dates, tl.codes):
-                token = tokens.get(d)
-                if token is None:
-                    token = tokens[d] = d.strftime("%Y%m%d")
-                writer.writerow([country, region, token, c])
+            names = tl.unit_id.partition("/")[::2]  # country, region
+            unit_cells = ",".join(map(_csv_cells(names).get, names))
+            days = np.arange(len(tl.codes)) + tl.start.toordinal()
+
+            def block(lo, hi):
+                return [
+                    [unit_cells] * (hi - lo),
+                    _day_cells(days[lo:hi], tokens, lambda d: d.strftime("%Y%m%d")),
+                    list(map(str, tl.codes[lo:hi].tolist())),
+                ]
+
+            _write_rows(stream, len(days), block)
 
 
 _TELEMETRY_COLUMNS = (
@@ -597,10 +634,11 @@ def _write_rows(stream, n_rows: int, block_columns) -> None:
         stream.write("\n".join(map(",".join, zip(*block_columns(lo, hi)))) + "\n")
 
 
-def _day_cells(days: np.ndarray, iso: dict[int, str]) -> list[str]:
-    """The ISO date cell of every day ordinal; ``iso`` keeps the cells of
-    the file's earlier blocks, so each date is formatted once per file."""
-    return _map_distinct(days.tolist(), lambda d: date.fromordinal(d).isoformat(), iso)
+def _day_cells(days: np.ndarray, cells: dict[int, str], form=date.isoformat) -> list[str]:
+    """The date cell of every day ordinal, ISO unless ``form`` formats it;
+    ``cells`` keeps the cells of the file's earlier blocks, so each date is
+    formatted once per file."""
+    return _map_distinct(days.tolist(), lambda d: form(date.fromordinal(d)), cells)
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -759,10 +797,6 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     return columns["value"], (columns["date"] if d_col is not None else None)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_panel(panel: PanelDataset, target) -> None:
     """Write a panel in the self-describing interchange format."""
     for u in panel.unit_ids:
@@ -772,19 +806,18 @@ def write_panel(panel: PanelDataset, target) -> None:
         w = stream.write
         w(PANEL_MAGIC + "\n")
         w(f"#outcome {panel.outcome_name}\n")
-        w("#section outcomes\n")
-        w("\t".join(["unit"] + [d.isoformat() for d in panel.dates]) + "\n")
+        date_header = "\t".join(["unit"] + [d.isoformat() for d in panel.dates]) + "\n"
+        w("#section outcomes\n" + date_header)
         for i, u in enumerate(panel.unit_ids):
-            cells = [
-                NA if panel.missing_mask[i, j] else _fmt(panel.outcomes[i, j])
-                for j in range(panel.n_dates)
-            ]
+            cells = _float_cells(panel.outcomes[i])
+            for j in np.flatnonzero(panel.missing_mask[i]).tolist():
+                cells[j] = NA
             w("\t".join([u] + cells) + "\n")
         if panel.covariates is not None and panel.covariate_names:
             w("#section covariates\n")
             w("\t".join(["unit"] + list(panel.covariate_names)) + "\n")
             for i, u in enumerate(panel.unit_ids):
-                w("\t".join([u] + [_fmt(v) for v in panel.covariates[i]]) + "\n")
+                w("\t".join([u] + _float_cells(panel.covariates[i])) + "\n")
         if panel.unit_tags:
             names = sorted(panel.unit_tags)
             w("#section tags\n")
@@ -792,12 +825,9 @@ def write_panel(panel: PanelDataset, target) -> None:
             for i, u in enumerate(panel.unit_ids):
                 w("\t".join([u] + [panel.unit_tags[n][i] for n in names]) + "\n")
         if panel.policy_codes is not None:
-            w("#section codes\n")
-            w("\t".join(["unit"] + [d.isoformat() for d in panel.dates]) + "\n")
+            w("#section codes\n" + date_header)
             for i, u in enumerate(panel.unit_ids):
-                cells = [
-                    NA if c < 0 else str(int(c)) for c in panel.policy_codes[i]
-                ]
+                cells = [NA if c < 0 else str(c) for c in panel.policy_codes[i].tolist()]
                 w("\t".join([u] + cells) + "\n")
 
 
@@ -809,7 +839,6 @@ def read_panel(source) -> PanelDataset:
         raise ParseError("not a panel file (missing magic header)")
     if len(lines) < 2 or not lines[1].startswith("#outcome "):
         raise ParseError("panel file missing #outcome header")
-    outcome_name = lines[1][len("#outcome ") :].strip()
 
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
@@ -817,43 +846,34 @@ def read_panel(source) -> PanelDataset:
         if not line:
             continue
         if line.startswith("#section "):
-            name = line[len("#section ") :].strip()
-            current = sections.setdefault(name, [])
+            current = sections.setdefault(line[len("#section ") :].strip(), [])
         elif current is None:
             raise ParseError(f"line {lineno}: content outside any section")
         else:
             current.append(line.split("\t"))
-
-    if "outcomes" not in sections or not sections["outcomes"]:
+    if not sections.get("outcomes"):
         raise ParseError("panel file has no outcomes section")
 
-    def parse_matrix(rows: list[list[str]], kind: str):
-        header, body = rows[0], rows[1:]
-        try:
-            dates = tuple(date.fromisoformat(t) for t in header[1:])
-        except ValueError:
-            raise ParseError(f"{kind} section: malformed date header") from None
-        units, values, mask = [], [], []
-        for row in body:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{kind} row for {row[0]!r}: {len(row) - 1} cells for "
-                    f"{len(dates)} dates"
-                )
-            units.append(row[0])
-            values.append(
-                [0.0 if c == NA else _parse_number(c, kind, row[0]) for c in row[1:]]
-            )
-            mask.append([c == NA for c in row[1:]])
-        return units, dates, np.array(values), np.array(mask, dtype=bool)
+    header, *body = sections["outcomes"]
+    try:
+        dates = tuple(date.fromisoformat(t) for t in header[1:])
+    except ValueError:
+        raise ParseError("outcomes section: malformed date header") from None
+    units, outcomes = [], []
+    for u, *cells in body:
+        if len(cells) != len(dates):
+            raise ParseError(f"outcomes row for {u!r}: {len(cells)} cells for {len(dates)} dates")
+        units.append(u)
+        outcomes.append([0.0 if c == NA else _parse_number(c, "outcomes", u) for c in cells])
+    mask = np.array([[c == NA for c in row[1:]] for row in body], dtype=bool)
 
-    units, dates, outcomes, mask = parse_matrix(sections["outcomes"], "outcomes")
-
-    def unit_rows(kind: str) -> tuple[list[str], list[list[str]]]:
-        """Column names and one row of cells per unit, in outcome order."""
+    def unit_rows(kind: str) -> tuple[list[str], list[list[str]] | None]:
+        """Column names and one row of cells per unit, in outcome order; no
+        names and None where the file has no such section or its header only."""
+        if len(sections.get(kind, ())) < 2:
+            return [], None
         header, *body = sections[kind]
         by_unit = {row[0]: row[1:] for row in body}
-        rows = []
         for u in units:
             if u not in by_unit:
                 raise ParseError(f"{kind} section has no row for unit {u!r}")
@@ -862,48 +882,32 @@ def read_panel(source) -> PanelDataset:
                     f"{kind} row for {u!r}: {len(by_unit[u])} cells for "
                     f"{len(header) - 1} columns"
                 )
-            rows.append(by_unit[u])
-        return header[1:], rows
+        return header[1:], [by_unit[u] for u in units]
 
-    covariates = None
-    covariate_names: tuple[str, ...] = ()
-    if "covariates" in sections and len(sections["covariates"]) > 1:
-        names, rows = unit_rows("covariates")
-        covariate_names = tuple(names)
-        covariates = np.array(
-            [
-                [_parse_number(c, "covariates", u) for c in row]
-                for u, row in zip(units, rows)
-            ]
-        )
-
-    tags: dict[str, tuple[str, ...]] = {}
-    if "tags" in sections and len(sections["tags"]) > 1:
-        names, rows = unit_rows("tags")
-        for k, name in enumerate(names):
-            tags[name] = tuple(row[k] for row in rows)
-
-    codes = None
-    if "codes" in sections and len(sections["codes"]) > 1:
-        names, rows = unit_rows("codes")
-        if names != sections["outcomes"][0][1:]:
-            raise ParseError("codes section: date header differs from the outcomes'")
-        codes = np.array(
-            [
-                [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
-                for u, row in zip(units, rows)
-            ],
-            dtype=np.int64,
-        )
-
+    names, rows = unit_rows("covariates")
+    covariates = None if rows is None else np.array(
+        [[_parse_number(c, "covariates", u) for c in row] for u, row in zip(units, rows)]
+    )
+    tag_names, tag_rows = unit_rows("tags")
+    tags = {name: tuple(row[k] for row in tag_rows) for k, name in enumerate(tag_names)}
+    code_dates, code_rows = unit_rows("codes")
+    if code_rows is not None and code_dates != header[1:]:
+        raise ParseError("codes section: date header differs from the outcomes'")
+    codes = None if code_rows is None else np.array(
+        [
+            [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
+            for u, row in zip(units, code_rows)
+        ],
+        dtype=np.int64,
+    )
     return PanelDataset(
         unit_ids=tuple(units),
         dates=dates,
-        outcomes=outcomes,
+        outcomes=np.array(outcomes),
         missing_mask=mask,
-        outcome_name=outcome_name,
+        outcome_name=lines[1][len("#outcome ") :].strip(),
         covariates=covariates,
-        covariate_names=covariate_names,
+        covariate_names=tuple(names),
         unit_tags=tags,
         policy_codes=codes,
     )

@@ -30,6 +30,7 @@ row-by-row build.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -335,7 +336,7 @@ def build_timelines(config: ScenarioConfig) -> list[PolicyTimeline]:
     activation to deactivation (exclusive) and code 2 afterwards."""
     timelines = []
     for u in config.units:
-        codes = [0] * config.n_days
+        codes = np.zeros(config.n_days, dtype=np.int64)
         t = config.treatment
         if t is not None and u.unit_id == t.treated_unit:
             act = (t.activation - config.start).days
@@ -344,11 +345,9 @@ def build_timelines(config: ScenarioConfig) -> list[PolicyTimeline]:
                 if t.deactivation is not None
                 else config.n_days
             )
-            for i in range(act, min(deact, config.n_days)):
-                codes[i] = 3
-            for i in range(max(deact, act), config.n_days):
-                codes[i] = 2
-        timelines.append(PolicyTimeline(u.unit_id, config.dates, tuple(codes)))
+            codes[act:deact] = 3
+            codes[deact:] = 2
+        timelines.append(PolicyTimeline(u.unit_id, config.start, codes))
     return timelines
 
 
@@ -556,7 +555,8 @@ def write_scenario(
     generated just before it is written, so only one is held at a time.
     They are written into a staging directory inside ``outdir`` and moved
     into place only once the last is written, so a run that fails leaves
-    the files of the previous run as they were.
+    the files of the previous run as they were. A persona.csv of a
+    previous run is removed when this scenario writes none.
     """
     os.makedirs(outdir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix="staging-", dir=outdir)
@@ -567,6 +567,9 @@ def write_scenario(
         }
         for key in staged:
             os.replace(staged[key], paths[key])
+        if "persona" not in staged:  # an earlier run's table would be stale
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, "persona.csv"))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return paths

@@ -436,7 +436,10 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
                 )
             codes.append(value)
             last = value
-        timelines.append(PolicyTimeline(unit, dates, tuple(codes)))
+        for d1, d2 in zip(dates, dates[1:]):
+            if d2 - d1 != timedelta(days=1):
+                raise ValidationError(f"timeline {unit}: calendar gap between {d1} and {d2}")
+        timelines.append(PolicyTimeline(unit, dates[0], tuple(codes)))
     return timelines
 
 

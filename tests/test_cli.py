@@ -143,6 +143,19 @@ class TestSimulate:
         assert "effect_hours=2.0" in out
         assert (tmp_path / "d" / "truth.txt").read_text() == out
 
+    def test_scenario_without_persona_removes_earlier_persona_table(self, tmp_path):
+        payload = did_scenario()
+        payload["persona_devices"] = 5
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path / "d", "--quiet") == 0
+        assert (tmp_path / "d" / "persona.csv").exists()
+        payload["persona_devices"] = 0
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path / "d", "--quiet") == 0
+        assert sorted(os.listdir(tmp_path / "d")) == [
+            "manifest.json", "policy.csv", "telemetry.csv", "truth.txt", "units.csv",
+        ]
+
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         payload = did_scenario()
         payload["noise_sigma"] = 0.5

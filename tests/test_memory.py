@@ -1,8 +1,10 @@
 """Working-memory bounds of the steps whose data grows with the row count,
 on a persona stream the size of the benchmark's ``fleet`` workload (180
-devices x 365 days x 6 features, a 3.15 MB value matrix).
+devices x 365 days x 6 features, a 3.15 MB value matrix), and on a policy
+table of 100 units x 1000 days.
 
-Each bound is a multiple of that matrix's ``nbytes``. tracemalloc counts
+Each persona bound is a multiple of that matrix's ``nbytes``, the policy
+bound a number of bytes per table row. tracemalloc counts
 every allocation made through Python and numpy, so the traced peak is
 exact and repeatable where a process's RSS is not; what a step's inputs
 already hold is not counted, what it allocates (its result included) is.
@@ -15,7 +17,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from causalpanel.panelio import parse_persona_csv
+from causalpanel.panelio import parse_persona_csv, parse_policy_csv
 from causalpanel.persona import device_means, fit_kmeans, windowed_counts
 from causalpanel.simgen import (
     PersonaShiftConfig,
@@ -121,3 +123,22 @@ def test_write_scenario_holds_one_copy(fleet):
     out, _, records, _ = fleet
     peak = traced_peak(write_scenario, fleet_persona_config(), out / "traced")
     assert peak <= 2.2 * records.values.nbytes
+
+
+def test_parse_policy_holds_columns(tmp_path):
+    # 100 units x 1000 days, each unit at codes 0 to 3 for 250 days. The
+    # bound is the measured peak plus about 15 %. The peak is 43 bytes a
+    # row (4.3 MB; the parse takes 0.13 s untraced on a 2-core x86-64
+    # host): the unit, day and code cell columns (24), the sort order and
+    # one column gathered by it (16), and the result's codes. Holding each
+    # unit's rows as (day, cell) tuples and its timeline as one date object
+    # and one int per day took 147 bytes a row (14.7 MB, 0.2 to 0.3 s).
+    days = [(START + timedelta(days=k)).strftime("%Y%m%d") for k in range(1000)]
+    path = tmp_path / "policy.csv"
+    path.write_text(
+        "CountryName,RegionName,Date,C6\n"
+        + "".join(f"U{u:02d},,{d},{k // 250}\n" for u in range(100) for k, d in enumerate(days)),
+        encoding="utf-8",
+    )
+    peak = traced_peak(parse_policy_csv, path, "C6")
+    assert peak <= 50 * 100 * 1000

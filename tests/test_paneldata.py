@@ -19,8 +19,7 @@ from _builders import make_panel, telemetry
 
 
 def timeline(codes, unit="CHN", start=date(2020, 1, 1)):
-    dates = tuple(start + timedelta(days=i) for i in range(len(codes)))
-    return PolicyTimeline(unit, dates, tuple(codes))
+    return PolicyTimeline(unit, start, codes)
 
 
 def record(
@@ -32,28 +31,27 @@ def record(
 
 
 class TestPolicyTimeline:
-    def test_code_on(self):
-        tl = timeline([0, 1, 3, 3, 2])
-        assert tl.code_on(date(2020, 1, 3)) == 3
-        assert tl.code_on(date(2020, 1, 5)) == 2
+    def test_codes_read_only_and_dated_from_start(self):
+        tl = timeline([0, 1, 3], start=date(2020, 1, 30))
+        assert tl.codes.tolist() == [0, 1, 3]
+        assert tl.dates == (date(2020, 1, 30), date(2020, 1, 31), date(2020, 2, 1))
+        with pytest.raises(ValueError):
+            tl.codes[0] = 2
 
-    def test_code_on_outside_range(self):
-        tl = timeline([0, 1])
-        with pytest.raises(ValidationError, match="outside"):
-            tl.code_on(date(2020, 2, 1))
-
-    def test_calendar_gap_rejected(self):
-        dates = (date(2020, 1, 1), date(2020, 1, 3))
-        with pytest.raises(ValidationError, match="gap"):
-            PolicyTimeline("CHN", dates, (0, 0))
+    def test_equality_compares_fields(self):
+        assert timeline([0, 3]) == timeline((0, 3))
+        assert timeline([0, 3]) != timeline([0, 2])
+        assert timeline([0, 3]) != timeline([0, 3], start=date(2020, 1, 2))
 
     def test_bad_code_rejected(self):
-        with pytest.raises(ValidationError, match="0..3"):
-            timeline([0, 5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="dates"):
-            PolicyTimeline("CHN", (date(2020, 1, 1),), (0, 1))
+        with pytest.raises(
+            ValidationError, match=r"^timeline CHN: code 5 on 2020-01-02 outside 0\.\.3$"
+        ):
+            timeline([0, 5, -1])
+        with pytest.raises(
+            ValidationError, match=r"^timeline CHN: code 1\.5 on 2020-01-02 outside 0\.\.3$"
+        ):
+            timeline([1.0, 1.5])
 
 
 class TestTreatmentEvents:
@@ -173,7 +171,7 @@ class TestPanelDataset:
         merged = merge_panels(panel, [timeline([0, 3], unit="A")])
         tl = merged.timeline("A")
         assert tl is not None
-        assert tl.codes == (0, 3)
+        assert tl.codes.tolist() == [0, 3]
 
 
 class TestAggregateTelemetry:

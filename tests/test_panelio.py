@@ -47,9 +47,9 @@ class TestPolicyCsv:
         assert len(timelines) == 1
         tl = timelines[0]
         assert tl.unit_id == "China"
-        assert tl.dates[0] == date(2020, 1, 24)
+        assert tl.start == date(2020, 1, 24)
         # Empty cell on the 28th forward-fills the previous code 3.
-        assert tl.codes == (0, 1, 3, 3, 3, 2)
+        assert tl.codes.tolist() == [0, 1, 3, 3, 3, 2]
 
     def test_region_rows_become_composite_units(self):
         text = (
@@ -66,13 +66,13 @@ class TestPolicyCsv:
     def test_iso_dates_detected(self):
         text = "unit_id,Date,level\nCHN,2020-03-01,2\nCHN,2020-03-02,3\n"
         (tl,) = parse_policy_csv(text.encode(), "level")
-        assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2))
-        assert tl.codes == (2, 3)
+        assert tl.start == date(2020, 3, 1)
+        assert tl.codes.tolist() == [2, 3]
 
     def test_leading_empty_codes_become_zero(self):
         text = "unit_id,Date,level\nCHN,20200101,\nCHN,20200102,1\n"
         (tl,) = parse_policy_csv(text.encode(), "level")
-        assert tl.codes == (0, 1)
+        assert tl.codes.tolist() == [0, 1]
 
     def test_missing_indicator_column(self):
         with pytest.raises(SchemaError, match="C9"):
@@ -97,6 +97,65 @@ class TestPolicyCsv:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_policy_csv(text.encode(), "level")
 
+    def test_calendar_gap_rejected(self):
+        text = "unit_id,Date,level\nCHN,20200101,1\nCHN,20200103,1\n"
+        with pytest.raises(
+            ValidationError,
+            match=r"^timeline CHN: calendar gap between 2020-01-01 and 2020-01-03$",
+        ):
+            parse_policy_csv(text.encode(), "level")
+
+    # A table with several faults names one: that of the first unit in
+    # sorted order, and in that unit a duplicate date before a bad code
+    # before a gap, each the first by date.
+
+    def test_first_unit_in_sorted_order_names_its_fault(self):
+        text = (
+            "unit_id,Date,level\n"
+            "B,20200101,1\nB,20200101,2\n"  # a duplicate, in a later unit
+            "A,20200101,1\nA,20200103,1\n"  # a gap
+        )
+        with pytest.raises(
+            ValidationError,
+            match=r"^timeline A: calendar gap between 2020-01-01 and 2020-01-03$",
+        ):
+            parse_policy_csv(text.encode(), "level")
+
+    def test_duplicate_date_before_bad_code_and_gap(self):
+        text = (
+            "unit_id,Date,level\n"
+            "CHN,20200105,1\nCHN,20200101,x\nCHN,20200103,2\nCHN,20200103,1\n"
+        )
+        with pytest.raises(
+            ValidationError, match=r"^unit CHN: duplicate date 2020-01-03$"
+        ):
+            parse_policy_csv(text.encode(), "level")
+
+    def test_first_bad_code_by_date_before_gap(self):
+        text = (
+            "unit_id,Date,level\n"
+            "CHN,20200101,1\nCHN,20200103,9\nCHN,20200102,2.5\nCHN,20200105,x\n"
+        )
+        with pytest.raises(
+            ValidationError, match=r"^unit CHN on 2020-01-03: code 9 outside 0\.\.3$"
+        ):
+            parse_policy_csv(text.encode(), "level")
+        text = "unit_id,Date,level\nCHN,20200101,1\nCHN,20200104,oops\nCHN,20200105,9\n"
+        with pytest.raises(
+            ParseError, match=r"^unit CHN on 2020-01-04: non-numeric code 'oops'$"
+        ):
+            parse_policy_csv(text.encode(), "level")
+
+    def test_empty_first_cell_reads_as_zero_in_every_unit(self):
+        text = (
+            "unit_id,Date,level\n"
+            "A,20200101,3\nA,20200102,\n"
+            "B,20200101,\nB,20200102,1\nB,20200103,\n"
+        )
+        a, b = parse_policy_csv(text.encode(), "level")
+        assert (a.unit_id, list(a.codes)) == ("A", [3, 3])
+        assert (b.unit_id, list(b.codes)) == ("B", [0, 1, 1])
+
     def test_empty_file(self):
         with pytest.raises(ParseError, match="empty"):
             parse_policy_csv(b"", "C6")
@@ -110,11 +169,8 @@ class TestPolicyCsv:
         assert target.getvalue() == b"CountryName,RegionName,Date,C6\nA,,20200101,1\n"
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
-        start = date(2020, 2, 1)
-        days = tuple(start + timedelta(days=i) for i in range(3000))
-
         def timelines():  # a full write buffer, then a failure
-            yield PolicyTimeline("France", days, (1,) * len(days))
+            yield PolicyTimeline("France", date(2020, 2, 1), (1,) * 3000)
             raise RuntimeError("generator failed")
 
         target = tmp_path / "policy.csv"
@@ -130,21 +186,16 @@ class TestPolicyCsv:
     def test_write_parse_round_trip(self):
         start = date(2020, 2, 1)
         timelines = [
-            PolicyTimeline(
-                "Germany/Bavaria",
-                tuple(start + timedelta(days=i) for i in range(4)),
-                (0, 1, 3, 2),
-            ),
-            PolicyTimeline(
-                "France",
-                tuple(start + timedelta(days=i) for i in range(4)),
-                (0, 0, 1, 1),
-            ),
+            PolicyTimeline("Germany/Bavaria", start, (0, 1, 3, 2)),
+            PolicyTimeline("France", start + timedelta(days=2), (0, 0, 1, 1)),
         ]
         buf = io.StringIO()
         write_policy_csv(timelines, buf, "C6")
         parsed = parse_policy_csv(buf.getvalue().encode(), "C6")
-        assert parsed == sorted(timelines, key=lambda t: t.unit_id)
+        assert [(t.unit_id, t.start, t.codes.tolist()) for t in parsed] == [
+            ("France", start + timedelta(days=2), [0, 0, 1, 1]),
+            ("Germany/Bavaria", start, [0, 1, 3, 2]),
+        ]
 
 
 class TestTelemetryCsv:
@@ -294,7 +345,7 @@ class TestPanelFormat:
 
         merged = merge_panels(
             panel,
-            [PolicyTimeline("A", panel.dates, (0, 3))],
+            [PolicyTimeline("A", panel.dates[0], (0, 3))],
         )
         buf = io.StringIO()
         write_panel(merged, buf)
@@ -318,7 +369,7 @@ class TestPanelFormat:
 
         panel = self.full_panel()
         panel = merge_panels(
-            panel, [PolicyTimeline(u, panel.dates, (0, 1, 2)) for u in panel.unit_ids]
+            panel, [PolicyTimeline(u, panel.dates[0], (0, 1, 2)) for u in panel.unit_ids]
         )
         buf = io.StringIO()
         write_panel(panel, buf)

@@ -152,7 +152,8 @@ def parsed(module, kind: str, data: bytes):
             values, dates = module.parse_series_csv(data)
             return values.tobytes(), dates
         if kind == "policy":
-            return [(t.unit_id, t.dates, t.codes) for t in module.parse_policy_csv(data, "C6")]
+            timelines = module.parse_policy_csv(data, "C6")
+            return [(t.unit_id, t.start, t.codes.tolist()) for t in timelines]
         return module.parse_units_csv(data)
     except Exception as err:  # compared, not hidden: each side must fail alike
         return type(err), str(err)

@@ -216,10 +216,8 @@ class TestPolicyFiles:
         )
         timelines = {tl.unit_id: tl for tl in generate(config).timelines}
         treat = timelines["TREAT"]
-        assert treat.codes[:20] == (0,) * 20
-        assert treat.codes[20:40] == (3,) * 20
-        assert treat.codes[40:] == (2,) * 20
-        assert timelines["CTRL"].codes == (0,) * 60
+        assert treat.codes.tolist() == [0] * 20 + [3] * 20 + [2] * 20
+        assert timelines["CTRL"].codes.tolist() == [0] * 60
 
         events = extract_treatment_events(treat)
         assert [e.kind for e in events] == [EventKind.ACTIVATION, EventKind.DEACTIVATION]
@@ -231,7 +229,7 @@ class TestPolicyFiles:
         paths = write_scenario(config, tmp_path / "s")
         parsed = parse_policy_csv(paths["policy"], "C6_Stay at home requirements")
         assert sorted(tl.unit_id for tl in parsed) == ["CTRL", "TREAT"]
-        assert all(tl.codes == (0,) * 20 for tl in parsed)
+        assert all(tl.codes.tolist() == [0] * 20 for tl in parsed)
 
 
 class TestSynthLoopClosure:

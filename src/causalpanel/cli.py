@@ -633,18 +633,6 @@ def cmd_cpd(args, config) -> int:
 # ---------------------------------------------------------------- persona
 
 
-def _fit_rows(records, fit_until: str | None):
-    """The usage rows the personas are fitted on: those before
-    ``--fit-until`` when it is given, else all."""
-    if fit_until:
-        records = records.take(
-            records.day < _iso_date(fit_until, "--fit-until").toordinal()
-        )
-    if not len(records):
-        raise ValidationError("no usage rows before --fit-until to fit on")
-    return records
-
-
 def cmd_persona(args, config) -> int:
     from .panelio import parse_persona_csv
     from .persona import (
@@ -675,10 +663,14 @@ def cmd_persona(args, config) -> int:
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
-    # the fit rows are a copy; only their per-device means outlive the fit
-    model = fit_kmeans(
-        device_means(_fit_rows(records, opts.fit_until)), k=opts.k, seed=opts.seed
-    )
+    # the personas are fitted on the rows before --fit-until, else on all
+    fit_rows = None
+    if opts.fit_until:
+        fit_rows = records.day < _iso_date(opts.fit_until, "--fit-until").toordinal()
+    means = device_means(records, where=fit_rows)
+    if not len(means):
+        raise ValidationError("no usage rows before --fit-until to fit on")
+    model = fit_kmeans(means, k=opts.k, seed=opts.seed)
     if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
         model = rename_personas(model, CATEGORY_TO_PERSONA)
 

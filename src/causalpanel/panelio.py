@@ -30,7 +30,8 @@ the delimiter (``,``, tab or ``;``) is sniffed from the header line,
 header names are stripped, blank rows are skipped, and rows are numbered
 from the header as row 1. The body is read a block of lines at a time
 (:func:`_body_blocks`): numpy's C tokenizer splits a quote-free block
-into columns and converts its numbers in one ``np.loadtxt`` call, and
+into columns and converts the columns a reader uses (its numbers to
+floats) in one ``np.loadtxt`` call, and
 ``csv.reader`` splits a block that holds a quote, or one loadtxt
 refuses, so that the refused block's first bad cell is named as before.
 Each column is then converted at once (text cells once per distinct
@@ -40,10 +41,12 @@ into columns allocated once for as many rows as the file has lines left
 joined; the lines and cells of one block only are alive at a time. Every
 rejected cell is named by its row: unparseable or non-finite values and
 short rows are parse errors, values outside the schema validation
-errors. The writers format a block of rows at a time (each date once per
-file), floats with ``repr`` over ``tolist()`` values, so a file written
-from columns is byte-identical to one written row by row with
-``csv.writer``.
+errors. The telemetry and persona writers take a table as one block of
+columns or as a sequence of pieces, so that the simulator can make and
+write it a piece at a time. Every writer formats a block of rows at a
+time (each date once per file), floats with ``repr`` over ``tolist()``
+values, so a file written from columns is byte-identical to one written
+row by row with ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -127,9 +130,12 @@ def _to_date(token: str, fmt: str) -> date:
     return date.fromisoformat(token)
 
 
-# Rows handled per read or write step: bounds the lines and cells held as
-# Python strings at once.
+# Rows handled per read step and per write step: each bounds the lines
+# and cells held as Python strings at once. Every float written is a new
+# string, where a tokenized float column is read into an array, so a write
+# step is smaller.
 _BLOCK_ROWS = 2048
+_WRITE_ROWS = 512
 
 # Characters that send a block to csv.reader although it holds no quote:
 # NUL, which csv.reader refuses before Python 3.11, and \x1c-\x1f, which
@@ -142,11 +148,11 @@ def _has_content(row: list[str]) -> bool:
     return any(map(str.strip, row))
 
 
-def _csv_block(rows: list[list[str]], first: int, width: int, exact: bool):
+def _csv_block(rows: list[list[str]], first: int, width: int, exact: bool, usecols):
     """The non-blank ones of ``rows`` (split by ``csv.reader``, the first
-    numbered ``first``) as a list of columns, tuples of cells, and each
-    row's number. A row with fewer than ``width`` cells, or with ``exact``
-    any other count, is a parse error."""
+    numbered ``first``) as a list of the columns ``usecols``, tuples of
+    cells, and each row's number. A row with fewer than ``width`` cells,
+    or with ``exact`` any other count, is a parse error."""
     rownos = np.arange(first, first + len(rows))
     keep = np.fromiter(map(_has_content, rows), bool, len(rows))
     rows, rownos = list(itertools.compress(rows, keep)), rownos[keep]
@@ -154,15 +160,19 @@ def _csv_block(rows: list[list[str]], first: int, width: int, exact: bool):
     short = np.flatnonzero(lengths != width if exact else lengths < width)
     if short.size:
         raise ParseError(f"row {rownos[short[0]]}: expected {width} fields")
-    return list(zip(*rows)), rownos
+    columns = list(zip(*rows))
+    return [columns[j] for j in usecols] if rows else [], rownos
 
 
-def _tokenized_block(lines: list[str], first: int, delim: str, fields: np.dtype, exact: bool):
+def _tokenized_block(
+    lines: list[str], first: int, delim: str, fields: np.dtype, exact: bool, usecols
+):
     """:func:`_csv_block` of quote-free ``lines`` by one ``np.loadtxt``
-    call: the float fields of ``fields`` as float arrays, the others as
-    lists of cells. None when loadtxt refuses a cell or a row's count, or
-    a float is not finite: then :func:`_csv_block` reads the lines and
-    the parser names the fault."""
+    call, which converts only the columns ``usecols``: the float fields
+    of ``fields`` as float arrays, the others as lists of cells. None when
+    loadtxt refuses a cell or a row's count, or a float is not finite:
+    then :func:`_csv_block` reads the lines and the parser names the
+    fault."""
     rownos = np.arange(first, first + len(lines))
     if all(fields[name] == object for name in fields.names):
         # loadtxt would read a line of delimiters and whitespace only as a
@@ -181,7 +191,7 @@ def _tokenized_block(lines: list[str], first: int, delim: str, fields: np.dtype,
             lines,
             delimiter=delim,
             dtype=fields,
-            usecols=None if exact else tuple(range(len(fields))),
+            usecols=None if exact else usecols,
             comments=None,
             ndmin=1,
         )
@@ -201,24 +211,28 @@ def _tokenized_block(lines: list[str], first: int, delim: str, fields: np.dtype,
     return columns, rownos
 
 
-def _body_blocks(stream, delim: str, width: int, exact: bool = False, floats=()):
+def _body_blocks(
+    stream, delim: str, width: int, exact: bool = False, floats=(), usecols=None
+):
     """The non-blank rows of a CSV body, a block at a time, as a list of
-    columns with each row's number (the header is row 1). A column named
-    in ``floats`` is a float array, checked finite, where the block was
-    tokenized, and like every other column a sequence of cells where it
-    was not. A row with fewer than ``width`` cells, or with ``exact`` any
-    other count, is a parse error.
+    columns with each row's number (the header is row 1): the columns
+    ``usecols``, in that order, or else the first ``width``. A column
+    named in ``floats`` is a float array, checked finite, where the block
+    was tokenized, and like every other column a sequence of cells where
+    it was not. A row with fewer than ``width`` cells, or with ``exact``
+    any other count, is a parse error.
 
     The list is emptied before the next block is read, so the cells of one
     block only are alive at a time; a consumer keeps no other reference to
     the columns past its loop body."""
-    for columns, rownos in _blocks(stream, delim, width, exact, floats):
+    usecols = tuple(range(width) if usecols is None else usecols)
+    for columns, rownos in _blocks(stream, delim, width, exact, floats, usecols):
         if rownos.size:
             yield columns, rownos
             columns.clear()
 
 
-def _blocks(stream, delim: str, width: int, exact: bool, floats):
+def _blocks(stream, delim: str, width: int, exact: bool, floats, usecols: tuple):
     """The blocks of :func:`_body_blocks`, blank ones included. A block is
     ``_BLOCK_ROWS`` lines, tokenized by numpy's C reader
     (:func:`_tokenized_block`); one it refuses is read again by
@@ -227,9 +241,7 @@ def _blocks(stream, delim: str, width: int, exact: bool, floats):
     file: loadtxt does not unquote, and a quoted cell may hold line breaks
     past the block's end. Up to there one line is one row, so the rows,
     their blocks and their numbers are those of ``csv.reader`` throughout."""
-    fields = np.dtype(
-        [(f"f{j}", np.float64 if j in floats else object) for j in range(width)]
-    )
+    fields = np.dtype([(f"f{j}", np.float64 if j in floats else object) for j in usecols])
     first = 2
     while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
         text = "".join(lines)
@@ -239,9 +251,11 @@ def _blocks(stream, delim: str, width: int, exact: bool, floats):
         # a block of empty lines only is not tokenized: loadtxt would warn
         # that it read no data
         if not text.isspace() and not any(map(text.__contains__, _UNTOKENIZED)):
-            block = _tokenized_block(lines, first, delim, fields, exact)
+            block = _tokenized_block(lines, first, delim, fields, exact, usecols)
         if block is None:
-            block = _csv_block(list(csv.reader(lines, delimiter=delim)), first, width, exact)
+            block = _csv_block(
+                list(csv.reader(lines, delimiter=delim)), first, width, exact, usecols
+            )
         first += len(lines)
         lines = text = None
         yield block
@@ -250,7 +264,7 @@ def _blocks(stream, delim: str, width: int, exact: bool, floats):
     reader = csv.reader(itertools.chain(lines, stream), delimiter=delim)
     lines = text = None
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-        block = _csv_block(rows, first, width, exact)
+        block = _csv_block(rows, first, width, exact, usecols)
         first += len(rows)
         rows = None  # the cells are held by the columns alone
         yield block
@@ -286,17 +300,17 @@ def _file_lines(path) -> int:
 
 
 class _Body:
-    """The rows below a CSV header. ``body(width, exact=False, floats=())``
-    yields their :func:`_body_blocks`; ``body.max_rows`` bounds their
-    number, so a reader can allocate each column once (see
+    """The rows below a CSV header. ``body(width, exact=False, floats=(),
+    usecols=None)`` yields their :func:`_body_blocks`; ``body.max_rows``
+    bounds their number, so a reader can allocate each column once (see
     :func:`_stacked`)."""
 
     def __init__(self, stream, delim: str, max_rows: int):
         self.max_rows = max_rows
         self._stream, self._delim = stream, delim
 
-    def __call__(self, width: int, exact: bool = False, floats=()):
-        return _body_blocks(self._stream, self._delim, width, exact, floats)
+    def __call__(self, width: int, exact: bool = False, floats=(), usecols=None):
+        return _body_blocks(self._stream, self._delim, width, exact, floats, usecols)
 
 
 @contextmanager
@@ -367,13 +381,16 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         if indicator_column not in cols:
             raise SchemaError(f"policy header has no column {indicator_column!r}")
         ind_col = cols[indicator_column]
-        used_cols = (unit_col, region_col, date_col, ind_col)
+        # only the columns read become cells; a row must still reach the last
+        used = sorted({unit_col, region_col, date_col, ind_col} - {None})
+        unit_col, date_col, ind_col = map(used.index, (unit_col, date_col, ind_col))
+        region_col = None if region_col is None else used.index(region_col)
 
         unit_table, day_table = {}, {}  # each distinct cell's unit or day
 
         def blocks():
             date_fmt = None
-            for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
+            for columns, rownos in body(used[-1] + 1, usecols=used):
                 regions = itertools.repeat("") if region_col is None else columns[region_col]
                 pairs = list(zip(columns[unit_col], regions))
                 date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
@@ -405,7 +422,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
             raw, d = raws[cells[k]], date.fromordinal(days[k])
             try:
                 value = int(float(raw))
-            except ValueError:
+            except (ValueError, OverflowError):  # not a number, nan or infinite
                 raise ParseError(f"unit {u} on {d}: non-numeric code {raw!r}") from None
             raise ValidationError(f"unit {u} on {d}: code {value} outside 0..3")
         if (step > 1).any():
@@ -450,7 +467,7 @@ def write_policy_csv(
         )
         for tl in timelines:
             names = tl.unit_id.partition("/")[::2]  # country, region
-            unit_cells = ",".join(map(_csv_cells(names).get, names))
+            unit_cells = ",".join(map(_csv_cells(names, {}).get, names))
             days = np.arange(len(tl.codes)) + tl.start.toordinal()
 
             def block(lo, hi):
@@ -611,13 +628,13 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
     return TelemetryColumns(**columns)
 
 
-def _csv_cells(values) -> dict[str, str]:
-    """Each distinct text value as a cell written by ``csv.writer`` (quoted
-    only where the value needs it)."""
+def _csv_cells(values, cells: dict[str, str]) -> dict[str, str]:
+    """``cells`` (text value -> cell), with each distinct one of ``values``
+    it lacks added as the cell ``csv.writer`` writes (quoted only where the
+    value needs it)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    cells = {}
-    for value in set(values):
+    for value in set(values).difference(cells):
         buf.seek(0)
         buf.truncate()
         writer.writerow((value, ""))
@@ -629,8 +646,8 @@ def _write_rows(stream, n_rows: int, block_columns) -> None:
     """Write ``n_rows`` comma-joined lines, a block of rows at a time;
     ``block_columns(lo, hi)`` returns the formatted cells of rows lo..hi
     as one sequence per column."""
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_rows)
+    for lo in range(0, n_rows, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, n_rows)
         stream.write("\n".join(map(",".join, zip(*block_columns(lo, hi)))) + "\n")
 
 
@@ -645,60 +662,79 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return list(map(repr, values.ravel().tolist()))
 
 
-def write_telemetry_csv(rows: TelemetryColumns, target) -> None:
+def write_telemetry_csv(rows, target) -> None:
     """Write telemetry columns in the shape :func:`parse_telemetry_csv`
-    reads back; floats are written with ``repr``."""
-    text = {
-        name: _csv_cells(getattr(rows, name))
-        for name in ("device_id", "unit_id", "chassis", "cpu_family")
-    }
+    reads back: one :class:`TelemetryColumns`, or an iterable of them
+    written one after another, so that a table can be made and written a
+    piece at a time. Floats are written with ``repr``."""
+    pieces = [rows] if isinstance(rows, TelemetryColumns) else rows
+    # each text value's cell, kept from one piece to the next
+    text = {name: {} for name in ("device_id", "unit_id", "chassis", "cpu_family")}
     iso = {}
-
-    def block(lo, hi):
-        return [
-            _day_cells(rows.day[lo:hi], iso),
-            *(
-                [cells[v] for v in getattr(rows, name)[lo:hi]]
-                for name, cells in text.items()
-            ),
-            ["1" if v else "0" for v in rows.vpro[lo:hi].tolist()],
-            _float_cells(rows.usage_hours[lo:hi]),
-            _float_cells(rows.cpu_watts[lo:hi]),
-        ]
-
     with _opened(target, "w") as stream:
         csv.writer(stream, lineterminator="\n").writerow(_TELEMETRY_COLUMNS)
-        _write_rows(stream, len(rows), block)
+        for piece in pieces:
+            for name, cells in text.items():
+                _csv_cells(getattr(piece, name), cells)
+
+            def block(lo, hi):
+                return [
+                    _day_cells(piece.day[lo:hi], iso),
+                    *(
+                        [cells[v] for v in getattr(piece, name)[lo:hi]]
+                        for name, cells in text.items()
+                    ),
+                    ["1" if v else "0" for v in piece.vpro[lo:hi].tolist()],
+                    _float_cells(piece.usage_hours[lo:hi]),
+                    _float_cells(piece.cpu_watts[lo:hi]),
+                ]
+
+            _write_rows(stream, len(piece), block)
 
 
 def write_persona_csv(records, target) -> None:
-    """Serialize usage-feature rows (a :class:`UsageColumns` or an iterable
-    of :class:`UsageFeatureVector`); one column per feature category, in
+    """Serialize usage-feature rows: a :class:`UsageColumns`, an iterable
+    of them written one after another (a table made and written a piece at
+    a time; every piece has the first one's feature names), or an iterable
+    of :class:`UsageFeatureVector`. One column per feature category, in
     sorted name order, floats written with ``repr``."""
-    from .persona import as_usage_columns
+    from .persona import UsageColumns, as_usage_columns
 
-    rows = as_usage_columns(records)
-    if not len(rows):
-        raise ValidationError("no persona records to write")
-    names = sorted(rows.feature_names)
+    pieces = iter([records] if isinstance(records, UsageColumns) else records)
+    first = next(pieces, None)
+    if isinstance(first, UsageColumns):
+        pieces = itertools.chain([first], pieces)
+    else:  # rows as UsageFeatureVector
+        first = as_usage_columns(itertools.chain([] if first is None else [first], pieces))
+        pieces = [first]
+    names = sorted(first.feature_names)
     # the stored column of each written one: each block's cells are
     # reordered, so the value matrix is never copied in written order
-    cols = [rows.feature_names.index(n) for n in names]
-    ids = _csv_cells(rows.device_ids)
-    id_cells = [ids[v] for v in rows.device_ids]
-    iso = {}
-
-    def block(lo, hi):
-        floats = _float_cells(rows.values[lo:hi])
-        return [
-            [id_cells[d] for d in rows.device[lo:hi].tolist()],
-            _day_cells(rows.day[lo:hi], iso),
-            *(floats[j :: len(names)] for j in cols),
-        ]
-
+    cols = [first.feature_names.index(n) for n in names]
+    ids, iso, written = {}, {}, 0
     with _opened(target, "w") as stream:
-        csv.writer(stream, lineterminator="\n").writerow(["device_id", "date"] + names)
-        _write_rows(stream, len(rows), block)
+        for piece in pieces:
+            if piece.feature_names != first.feature_names:
+                raise SchemaError(
+                    f"persona pieces differ in feature names: {list(piece.feature_names)} "
+                    f"after {list(first.feature_names)}"
+                )
+            if len(piece) and not written:  # a table of no rows writes nothing
+                csv.writer(stream, lineterminator="\n").writerow(["device_id", "date"] + names)
+            id_cells = list(map(_csv_cells(piece.device_ids, ids).get, piece.device_ids))
+
+            def block(lo, hi):
+                floats = _float_cells(piece.values[lo:hi])
+                return [
+                    [id_cells[d] for d in piece.device[lo:hi].tolist()],
+                    _day_cells(piece.day[lo:hi], iso),
+                    *(floats[j :: len(names)] for j in cols),
+                ]
+
+            _write_rows(stream, len(piece), block)
+            written += len(piece)
+        if not written:
+            raise ValidationError("no persona records to write")
 
 
 def parse_persona_csv(source) -> UsageColumns:

@@ -25,13 +25,15 @@ summed alone, so the split does not change a bit.
 
 from __future__ import annotations
 
+import operator
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ConvergenceWarning, SchemaError, ValidationError
 from .paneldata import distinct, factorize
 
 if TYPE_CHECKING:
@@ -248,9 +250,12 @@ def _gather_slices(n_runs: int, run_length: int):
     return (slice(lo, lo + step) for lo in range(0, n_runs, step))
 
 
-def device_means(records) -> UsageColumns:
+def device_means(records, where: np.ndarray | None = None) -> UsageColumns:
     """One row per device: the mean of each feature over the device's
     rows, dated on the device's first row. Features in sorted name order.
+    With ``where``, a boolean mask over the rows, only the rows where it
+    is True are averaged (and a device with none has no row): the result
+    of ``device_means(records.take(where))`` without that copy of the rows.
 
     Each mean is bitwise equal to ``np.mean`` over the device's values of
     that feature in row order.
@@ -258,9 +263,12 @@ def device_means(records) -> UsageColumns:
     rows = as_usage_columns(records)
     names = tuple(sorted(rows.feature_names))
     X = rows.matrix(names)
+    device = rows.device if where is None else rows.device[where]
     # rows device by device, input order kept within a device
-    order = np.argsort(rows.device, kind="stable")
-    counts = np.bincount(rows.device, minlength=len(rows.device_ids))
+    order = np.argsort(device, kind="stable")
+    if where is not None:
+        order = np.flatnonzero(where)[order]
+    counts = np.bincount(device, minlength=len(rows.device_ids))
     starts = np.cumsum(counts) - counts
     present = np.flatnonzero(counts)
     means = np.empty((present.size, len(names)))
@@ -353,15 +361,84 @@ def _squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# PCG64's LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_index(seed: int, n: int) -> int:
+    """``np.random.default_rng(seed).integers(n)``, by exact integer
+    arithmetic and without loading ``numpy.random``: numpy's
+    ``SeedSequence`` hashes the seed into a pool and the pool into PCG64's
+    128-bit state and increment; PCG64 steps its LCG and outputs XSL-RR
+    64-bit words; the draw is numpy's Lemire bounded draw, on 32-bit
+    halves of the words (low half first) for ``n`` up to 2**32, on whole
+    words above."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    # the seed's 32-bit words, least significant first, hashed into a pool of 4
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight 32-bit words from the pool, read as four 64-bit ones
+    hash_const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    increment = ((s2 << 64 | s3) << 1 | 1) & _M128
+    bits = 32 if n <= 1 << 32 else 64
+
+    def outputs():
+        lcg = ((increment + (s0 << 64 | s1)) * _PCG64_MULTIPLIER + increment) & _M128
+        while True:
+            lcg = (lcg * _PCG64_MULTIPLIER + increment) & _M128
+            x, rotation = (lcg >> 64 ^ lcg) & _M64, lcg >> 122
+            word = (x >> rotation | x << (64 - rotation)) & _M64
+            yield from (word & _M32, word >> 32) if bits == 32 else (word,)
+
+    # Lemire: the high bits of draw * n, redrawn while the low bits fall
+    # below (2**bits - n) % n; for n == 2**32 that is the draw itself
+    draws, low = outputs(), (1 << bits) - 1
+    product = next(draws) * n
+    if product & low < n:
+        threshold = ((1 << bits) - n) % n
+        while product & low < threshold:
+            product = next(draws) * n
+    return product >> bits
+
+
 def _farthest_point_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """First center drawn by the seeded RNG; the rest greedily maximize the
+    """First center the row ``np.random.default_rng(seed).integers(n)``
+    picks (see :func:`_seeded_index`); the rest greedily maximize the
     distance to the nearest chosen center (ties to the lowest index).
     When every remaining point sits at squared distance 0 from a chosen
     center (equal, or apart by so little that the square underflows),
     fewer than ``k`` distinct vectors exist and this raises ValidationError."""
-    rng = np.random.default_rng(seed)
     n = X.shape[0]
-    chosen = [int(rng.integers(n))]
+    chosen = [_seeded_index(seed, n)]
     min_d2 = _squared_distances(X, X[chosen])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(min_d2))
@@ -399,9 +476,11 @@ def fit_kmeans(
     :class:`UsageFeatureVector`), features in sorted name order.
 
     Empty clusters are reseeded to the point currently farthest from its
-    assigned centroid. Iteration stops when assignments repeat or after
-    300 rounds. With ``return_history`` the per-iteration SSE path is
-    returned alongside the model; it is non-increasing by construction.
+    assigned centroid. Iteration stops when assignments repeat, or after
+    ``MAX_LLOYD_ITERATIONS`` rounds with a ConvergenceWarning. The first
+    center is the row ``np.random.default_rng(seed).integers(n)`` picks,
+    for ``seed`` >= 0. With ``return_history`` the per-iteration SSE path
+    is returned alongside the model; it is non-increasing by construction.
     """
     rows = as_usage_columns(vectors)
     if not len(rows):
@@ -439,6 +518,13 @@ def fit_kmeans(
             members = assign == j
             if members.any():
                 C[j] = X[members].mean(axis=0)
+    else:
+        warnings.warn(
+            f"k-means stopped after {MAX_LLOYD_ITERATIONS} rounds before the "
+            "assignments repeated",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
 
     names = (
         tuple(persona_names)

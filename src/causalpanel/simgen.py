@@ -17,28 +17,31 @@ the unit-level panel route and the device-level telemetry route consume
 their streams independently and coincide exactly when ``noise_sigma`` is
 zero (and bitwise when ``devices_per_day`` is 1).
 
-Telemetry and the persona stream are generated as column blocks
+Telemetry and the persona stream are generated as pieces of columns
 (:class:`~causalpanel.paneldata.TelemetryColumns`,
-:class:`~causalpanel.persona.UsageColumns`), one array operation per
-unit or per stream, with rows device by device and each device's days in
-order. The draws and the arithmetic are those of generating one row at a
-time (the persona block is ``np.maximum(base + noise, 0)`` after the
-shifted-device choice, with the noise added and the clip taken in place),
-so every value, and every file written from them, is bitwise equal to a
-row-by-row build.
+:class:`~causalpanel.persona.UsageColumns`): telemetry one unit at a
+time, the persona stream a few devices at a time, with rows device by
+device and each device's days in order. :func:`write_scenario` writes
+each piece as it is made, so no table is held whole, and
+:func:`generate` joins the same pieces. The draws and the arithmetic are
+those of generating one row at a time (a persona piece is
+``np.maximum(base + noise, 0)`` after the shifted-device choice, with
+the noise added and the clip taken in place), so every value, and every
+file written from them, is bitwise equal to a row-by-row build.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -78,9 +81,8 @@ ARCHETYPE_BASE_HOURS = 0.5
 ARCHETYPE_DOMINANT_HOURS = 4.0
 SHIFTED_DOMINANT_HOURS = 3.0
 
-# Persona noise rows drawn per step: bounds the noise held beside the
-# stream's one value array.
-_NOISE_ROWS = 8192
+# Persona rows made per piece: bounds the values and noise held at once.
+_PERSONA_ROWS = 4096
 
 
 def archetype_model() -> PersonaModel:
@@ -446,17 +448,15 @@ def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> Pane
     )
 
 
-def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> TelemetryColumns:
-    """Device-day rows, device by device within each unit, each device's
-    days in order. Per-unit draw order: usage normals (devices x days),
-    watts normals (devices x days), outlier uniforms (days). Usage is
-    clipped to [0, 24] and watts to >= 0 so every row passes schema
-    validation."""
+def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> Iterator[TelemetryColumns]:
+    """Device-day rows, one unit at a time in config order: device by
+    device within the unit, each device's days in order. Per-unit draw
+    order: usage normals (devices x days), watts normals (devices x days),
+    outlier uniforms (days). Usage is clipped to [0, 24] and watts to >= 0
+    so every row passes schema validation."""
     hours = mean_matrix(config, "usage_hours")
     watts = mean_matrix(config, "cpu_watts")
     days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
-    hours_rows, watts_rows, vpro_rows = [], [], []
-    devices, units, chassis, families = [], [], [], []
     for i, u in enumerate(config.units):
         rng = unit_rngs[i]
         d = u.devices_per_day
@@ -465,81 +465,100 @@ def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> TelemetryColumns:
         spikes = rng.uniform(size=config.n_days) < config.outlier_probability
         spike = np.where(spikes, config.outlier_magnitude, 0.0)
         n_vpro = int(np.floor(u.vpro_fraction * d + 0.5))
-        hours_rows.append(np.clip(hours[i] + h_noise + spike, 0.0, 24.0).ravel())
-        watts_rows.append(np.maximum(watts[i] + w_noise + spike, 0.0).ravel())
-        vpro_rows.append(np.repeat(np.arange(d) < n_vpro, config.n_days))
-        for k in range(d):
-            devices += [f"{u.unit_id}-{k:04d}"] * config.n_days
-        units += [u.unit_id] * (d * config.n_days)
-        chassis += [u.chassis] * (d * config.n_days)
-        families += [u.cpu_family] * (d * config.n_days)
-    return TelemetryColumns(
-        day=np.tile(days, len(devices) // config.n_days),
-        device_id=devices,
-        unit_id=units,
-        chassis=chassis,
-        cpu_family=families,
-        vpro=np.concatenate(vpro_rows),
-        usage_hours=np.concatenate(hours_rows),
-        cpu_watts=np.concatenate(watts_rows),
-    )
+        ids = [f"{u.unit_id}-{k:04d}" for k in range(d)]
+        yield TelemetryColumns(
+            day=np.tile(days, d),
+            device_id=[name for name in ids for _ in range(config.n_days)],
+            unit_id=[u.unit_id] * (d * config.n_days),
+            chassis=[u.chassis] * (d * config.n_days),
+            cpu_family=[u.cpu_family] * (d * config.n_days),
+            vpro=np.repeat(np.arange(d) < n_vpro, config.n_days),
+            usage_hours=np.clip(hours[i] + h_noise + spike, 0.0, 24.0).ravel(),
+            cpu_watts=np.maximum(watts[i] + w_noise + spike, 0.0).ravel(),
+        )
 
 
 def _generate_persona_stream(
     config: ScenarioConfig, rng: np.random.Generator
-) -> UsageColumns:
-    """Daily category-usage rows for ``persona_devices`` devices, device
-    by device, each device's days in order.
+) -> Iterator[UsageColumns]:
+    """Daily category-usage rows for ``persona_devices`` devices, a few
+    devices at a time (about ``_PERSONA_ROWS`` rows): device by device,
+    each device's days in order.
 
     Devices take home personas round-robin. If a shift is configured, a
     seeded sample of the source persona's devices switches to the damped
     target archetype from the shift date on. Draw order: shifted-device
     choice first, then the (devices x days x categories) normals in device
-    order, added to the one value array a few devices at a time.
+    order, drawn for each piece as it is made.
     """
     n = config.persona_devices
     model = archetype_model()
     k = model.k
     home = np.arange(n) % k
-    rows = np.empty((n, config.n_days, k))
-    rows[:] = model.centroids[home][:, None, :]
+    shifted = np.zeros(n, dtype=bool)
     if config.persona_shift is not None:
         s = config.persona_shift
         from_idx = DEFAULT_PERSONA_NAMES.index(s.from_persona)
         to_idx = DEFAULT_PERSONA_NAMES.index(s.to_persona)
         pool = np.flatnonzero(home == from_idx)
         count = int(np.floor(s.fraction * len(pool) + 1e-9))
-        shifted = rng.choice(pool, size=count, replace=False)
+        shifted[rng.choice(pool, size=count, replace=False)] = True
         to_row = np.full(k, ARCHETYPE_BASE_HOURS)
         to_row[to_idx] = SHIFTED_DOMINANT_HOURS
-        rows[shifted, (s.shift_date - config.start).days :] = to_row
+        shift_day = (s.shift_date - config.start).days
 
     # Consecutive draws continue one stream, so drawing the noise a few
     # devices at a time gives the values of one (n, days, k) draw.
-    step = max(1, _NOISE_ROWS // config.n_days)
+    days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
+    step = max(1, _PERSONA_ROWS // config.n_days)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        rows[lo:hi] += rng.normal(0.0, config.persona_noise, size=(hi - lo, config.n_days, k))
-    np.maximum(rows, 0.0, out=rows)
-    days = np.array([d.toordinal() for d in config.dates], dtype=np.int64)
-    device_ids, device = factorize([f"p{dev:05d}" for dev in range(n)])
-    return UsageColumns(
-        device_ids=device_ids,
-        device=np.repeat(device, config.n_days),
-        day=np.tile(days, n),
-        values=rows.reshape(n * config.n_days, k),
-        feature_names=DEFAULT_FEATURE_CATEGORIES,
+        rows = np.empty((hi - lo, config.n_days, k))
+        rows[:] = model.centroids[home[lo:hi]][:, None, :]
+        if shifted[lo:hi].any():
+            rows[shifted[lo:hi], shift_day:] = to_row
+        rows += rng.normal(0.0, config.persona_noise, size=rows.shape)
+        np.maximum(rows, 0.0, out=rows)
+        device_ids, device = factorize([f"p{dev:05d}" for dev in range(lo, hi)])
+        yield UsageColumns(
+            device_ids=device_ids,
+            device=np.repeat(device, config.n_days),
+            day=np.tile(days, hi - lo),
+            values=rows.reshape(-1, k),
+            feature_names=DEFAULT_FEATURE_CATEGORIES,
+        )
+
+
+def _joined_telemetry(pieces: list[TelemetryColumns]) -> TelemetryColumns:
+    joined = {}
+    for f in fields(TelemetryColumns):
+        parts = [getattr(p, f.name) for p in pieces]
+        if isinstance(parts[0], np.ndarray):
+            joined[f.name] = np.concatenate(parts)
+        else:
+            joined[f.name] = list(itertools.chain.from_iterable(parts))
+    return TelemetryColumns(**joined)
+
+
+def _joined_usage(pieces: list[UsageColumns]) -> UsageColumns:
+    k = len(DEFAULT_FEATURE_CATEGORIES)
+    return UsageColumns.from_rows(
+        [p.device_ids[d] for p in pieces for d in p.device.tolist()],
+        np.concatenate([np.empty(0, np.int64), *(p.day for p in pieces)]),
+        np.concatenate([np.empty((0, k)), *(p.values for p in pieces)]),
+        DEFAULT_FEATURE_CATEGORIES,
     )
 
 
 def generate(config: ScenarioConfig) -> SimulatedData:
     """Produce policy timelines, device telemetry, the persona stream,
-    and the ground-truth manifest for one scenario."""
+    and the ground-truth manifest for one scenario: the pieces
+    :func:`write_scenario` writes, joined."""
     unit_rngs, persona_rng = _unit_streams(config)
     return SimulatedData(
         timelines=tuple(build_timelines(config)),
-        telemetry=_generate_telemetry(config, unit_rngs),
-        persona_records=_generate_persona_stream(config, persona_rng),
+        telemetry=_joined_telemetry(list(_generate_telemetry(config, unit_rngs))),
+        persona_records=_joined_usage(list(_generate_persona_stream(config, persona_rng))),
         manifest=build_manifest(config),
     )
 
@@ -552,7 +571,8 @@ def write_scenario(
     units.csv (unit descriptors), and manifest.json. Returns the paths.
 
     The files hold what :func:`generate` returns, but each table is
-    generated just before it is written, so only one is held at a time.
+    written a piece at a time as its pieces are generated, so no table is
+    held whole.
     They are written into a staging directory inside ``outdir`` and moved
     into place only once the last is written, so a run that fails leaves
     the files of the previous run as they were. A persona.csv of a

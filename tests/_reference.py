@@ -426,7 +426,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
                 continue
             try:
                 value = int(float(raw))
-            except ValueError:
+            except (ValueError, OverflowError):  # not a number, nan or infinite
                 raise ParseError(
                     f"unit {unit} on {d}: non-numeric code {raw!r}"
                 ) from None

@@ -899,6 +899,24 @@ class TestPersonaWorkflow:
             blocks = list(body(len(header), exact=True))
         assert sum(len(rownos) for _, rownos in blocks) == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, via):
+        records = tmp_path / "persona.csv"
+        records.write_text(
+            "device_id,date,a,b\nd0,2020-01-01,0.0,1.0\nd1,2020-01-01,1.0,0.0\n",
+            encoding="utf-8",
+        )
+        argv = ["persona", "--records", records, "--k", "2", "--width", "1", "--out", tmp_path]
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json", {"seed": -1})]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "persona_model.json").exists()
+
     def test_fit_until_before_data_exits_3(self, tmp_path):
         data, work = simulate_and_ingest(tmp_path, persona_scenario())
         assert (
@@ -991,6 +1009,15 @@ class TestInputFileErrors:
         assert run(*argv, "--out", tmp_path / "work", "--quiet") == 2
         err = capsys.readouterr().err
         assert f"telemetry.csv: row 6: non-finite {column} '{token}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    def test_non_finite_policy_code_exits_2(self, tmp_path, capsys, token):
+        edit = set_cell("C6_Stay at home requirements", token)
+        argv = edit_data_file(tmp_path, "policy.csv", 3, edit)
+        assert run(*argv, "--out", tmp_path / "work", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"policy.csv: unit X on 2020-01-02: non-numeric code '{token}'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

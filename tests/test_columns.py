@@ -156,6 +156,18 @@ class TestPersonaAgainstReference:
         else:  # both fits fail alike
             assert a == b
 
+    @given(usage_rows(), st.integers(-1, 41))
+    @settings(max_examples=100, deadline=None)
+    def test_device_means_where_is_means_of_the_rows_taken(self, rows, cutoff):
+        # the rows before a cutoff day, as persona --fit-until selects them
+        _, vectors = rows
+        cols = UsageColumns.from_vectors(vectors)
+        where = cols.day < (START + timedelta(days=cutoff)).toordinal()
+        got = device_means(cols, where=where)
+        expected = device_means(cols.take(where))
+        assert got == expected and got.device_ids == expected.device_ids
+        assert list(got) == ref.device_means([v for v, keep in zip(vectors, where) if keep])
+
     @pytest.mark.parametrize("n_features", [1, 3])
     def test_long_device_blocks_match_reference(self, n_features):
         # Six rows per device-day, up to 60 per device-window: long enough

@@ -20,8 +20,8 @@ import causalpanel
 SRC = str(Path(causalpanel.__file__).parents[1])
 
 # Runs ``cli.main`` on the arguments, if there are any, and prints, as its
-# last line, the exit code, the package modules loaded and whether numpy
-# and numpy.ma were.
+# last line, the exit code, the package modules loaded and whether numpy,
+# numpy.ma and numpy.random were.
 PROBE = (
     "import json, sys\n"
     "from causalpanel.cli import main\n"
@@ -32,7 +32,8 @@ PROBE = (
     "print(json.dumps({'code': code, "
     "'package': sorted(m for m in sys.modules if m.startswith('causalpanel')), "
     "'numpy': 'numpy' in sys.modules, "
-    "'numpy.ma': 'numpy.ma' in sys.modules}))\n"
+    "'numpy.ma': 'numpy.ma' in sys.modules, "
+    "'numpy.random': 'numpy.random' in sys.modules}))\n"
 )
 
 SCENARIO = {
@@ -127,6 +128,16 @@ def test_command_loads_only_its_modules(loaded, command):
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_loads_no_numpy_ma(loaded, command):
     assert not loaded[command]["numpy.ma"]
+
+
+def test_only_simulate_loads_numpy_random(loaded, tmp_path):
+    # numpy.random (about 6 MB of RSS) serves the simulator's draws; the
+    # persona fit draws its first center without it. Under numpy 1.x,
+    # ``import numpy`` loads it too, and no command can do without it.
+    code = "import sys, numpy; print('numpy.random' in sys.modules)"
+    with_numpy = child(code, cwd=tmp_path).strip() == "True"
+    for command, record in loaded.items():
+        assert record["numpy.random"] == (command == "simulate" or with_numpy), command
 
 
 def test_every_public_name_resolves():

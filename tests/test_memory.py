@@ -13,6 +13,7 @@ use are not counted."""
 
 import gc
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -87,8 +88,10 @@ def traced_peak(step, *args) -> int:
 #                      one gathered piece; as much with the model's
 #                      features in another order than the stored one
 #                      (1.64 when the value matrix was copied to reorder)
-#   write_scenario     1.87, bound 2.2: the stream (1.33), one piece of
-#                      noise and one block of formatted rows
+#   write_scenario     0.33, bound 0.5: one piece of the persona stream
+#                      (4096 rows) with its noise, and one block of 512
+#                      formatted rows (1.87 while the whole stream, 1.33,
+#                      was made before any of it was written)
 
 
 def test_parse_persona_holds_one_copy(fleet):
@@ -119,10 +122,25 @@ def test_windowed_counts_in_model_order_copies_no_matrix(fleet):
     assert peak <= 0.8 * records.values.nbytes
 
 
-def test_write_scenario_holds_one_copy(fleet):
+def test_write_scenario_holds_a_piece(fleet):
     out, _, records, _ = fleet
     peak = traced_peak(write_scenario, fleet_persona_config(), out / "traced")
-    assert peak <= 2.2 * records.values.nbytes
+    assert peak <= 0.5 * records.values.nbytes
+
+
+def test_write_scenario_peak_does_not_grow_with_the_stream(fleet):
+    # 60 devices are six pieces of the stream. Twice as many add only
+    # what each device has alone: its id, its written cell and an entry in
+    # two index arrays, about 165 bytes a device. A stream made whole
+    # would add 365 x 6 floats (17520 bytes) a device, more than once over.
+    out, _, _, _ = fleet
+    single, doubled = (
+        traced_peak(
+            write_scenario, replace(fleet_persona_config(), persona_devices=n), out / f"n{n}"
+        )
+        for n in (60, 120)
+    )
+    assert doubled <= single + 256 * 60
 
 
 def test_parse_policy_holds_columns(tmp_path):

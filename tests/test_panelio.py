@@ -27,6 +27,7 @@ from causalpanel.panelio import (
 )
 from causalpanel.persona import UsageColumns, UsageFeatureVector
 
+import _reference as ref
 from _builders import make_panel, telemetry
 
 OXCGRT_STYLE = """CountryName,RegionName,Date,C6_Stay at home requirements,C6_Flag
@@ -37,6 +38,12 @@ China,,20200127,3,1
 China,,20200128,,
 China,,20200129,2,1
 """
+
+# A policy table in the column layout of the Oxford tracker (OxCGRT): 51
+# columns, a _Flag column after most indicators, national rows with empty
+# RegionName and RegionCode cells beside region rows, codes written as
+# "2.00", and empty code cells. C6 is the 17th column, C2 the 9th.
+OXCGRT_LAYOUT = Path(__file__).parent / "data" / "oxcgrt_layout.csv"
 
 
 class TestPolicyCsv:
@@ -50,6 +57,34 @@ class TestPolicyCsv:
         assert tl.start == date(2020, 1, 24)
         # Empty cell on the 28th forward-fills the previous code 3.
         assert tl.codes.tolist() == [0, 1, 3, 3, 3, 2]
+
+    @pytest.mark.parametrize(
+        "indicator, codes",
+        [
+            (
+                "C6_Stay at home requirements",
+                [[0, 1, 1, 2, 2], [0, 1, 3, 3, 3], [0, 0, 0, 2, 2], [0, 0, 1, 2, 2]],
+            ),
+            (
+                "C2_Workplace closing",
+                [[1, 2, 2, 3, 3], [0, 0, 3, 3, 3], [0, 1, 2, 3, 3], [0, 0, 2, 3, 3]],
+            ),
+        ],
+    )
+    def test_oxcgrt_column_layout(self, indicator, codes):
+        units = ["Brazil", "Brazil/Acre", "United Kingdom", "United Kingdom/England"]
+        expected = [(u, date(2020, 3, 16), c) for u, c in zip(units, codes)]
+        for read in (parse_policy_csv, ref.parse_policy_csv):
+            timelines = read(OXCGRT_LAYOUT, indicator)
+            assert [(t.unit_id, t.start, t.codes.tolist()) for t in timelines] == expected
+
+    def test_row_must_reach_the_indicator_column(self):
+        # the cells after the last column read are not needed, up to it they are
+        text = "unit_id,Date,C6,C6_Flag,Extra\nA,20200101,1\nA,20200102,1,0\n"
+        (tl,) = parse_policy_csv(text.encode(), "C6")
+        assert tl.codes.tolist() == [1, 1]
+        with pytest.raises(ParseError, match="^row 4: expected 3 fields$"):
+            parse_policy_csv((text + "A,20200103\n").encode(), "C6")
 
     def test_region_rows_become_composite_units(self):
         text = (
@@ -146,6 +181,14 @@ class TestPolicyCsv:
         ):
             parse_policy_csv(text.encode(), "level")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_code_names_unit_and_day(self, cell):
+        text = f"unit_id,Date,level\nCHN,20200101,1\nCHN,20200102,{cell}\n"
+        message = f"^unit CHN on 2020-01-02: non-numeric code '{cell}'$"
+        for read in (parse_policy_csv, ref.parse_policy_csv):
+            with pytest.raises(ParseError, match=message):
+                read(text.encode(), "level")
+
     def test_empty_first_cell_reads_as_zero_in_every_unit(self):
         text = (
             "unit_id,Date,level\n"
@@ -211,6 +254,19 @@ class TestTelemetryCsv:
         parsed = parse_telemetry_csv(buf.getvalue().encode())
         assert parsed == self.rows()
 
+    def test_pieces_write_the_bytes_of_the_whole(self):
+        # a quoted device id, and a date, in both pieces
+        rows = [
+            (date(2020, 1, 1), "g,1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
+            (date(2020, 1, 2), "g-2", "USA", "TwoInOne", "Other", False, 0.0, 0.0),
+            (date(2020, 1, 1), "g,1", "USA", "Desktop", "i5", False, 1 / 3, 2.5),
+        ]
+        whole, pieces = io.StringIO(), io.StringIO()
+        write_telemetry_csv(telemetry(rows), whole)
+        write_telemetry_csv((telemetry(part) for part in (rows[:2], rows[2:])), pieces)
+        assert pieces.getvalue() == whole.getvalue()
+        assert '"g,1"' in whole.getvalue()
+
     def test_chassis_alias_and_family_case(self):
         text = (
             "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours,cpu_watts\n"
@@ -258,6 +314,41 @@ class TestPersonaCsv:
         parsed = parse_persona_csv(buf.getvalue().encode())
         assert parsed == UsageColumns.from_vectors(records)
         assert list(parsed) == records
+
+    def test_pieces_write_the_bytes_of_the_whole(self):
+        rows = UsageColumns.from_rows(
+            ["p,1", "p2", "p,1", "p3"],
+            [date(2020, 1, d).toordinal() for d in (1, 1, 2, 2)],
+            [[1.5, 0.25], [0.0, 4.0], [1 / 3, 2.0], [0.5, 0.5]],
+            ("office", "gaming"),
+        )
+        whole, pieces = io.StringIO(), io.StringIO()
+        write_persona_csv(rows, whole)
+        write_persona_csv((rows.take(part) for part in ([0, 1], [2], [3])), pieces)
+        assert pieces.getvalue() == whole.getvalue()
+        assert whole.getvalue().startswith('device_id,date,gaming,office\n"p,1",')
+
+    def test_pieces_must_share_feature_names(self):
+        def piece(names):
+            return UsageColumns.from_rows(["p1"], [date(2020, 1, 1).toordinal()], [[1.0]], names)
+
+        with pytest.raises(SchemaError, match="differ in feature names"):
+            write_persona_csv(iter([piece(("a",)), piece(("b",))]), io.StringIO())
+
+    @pytest.mark.parametrize("form", ["vectors", "pieces", "columns", "empty-piece"])
+    def test_no_rows_write_nothing(self, tmp_path, form):
+        empty = UsageColumns.from_rows([], [], [], ("a",))
+        records = {
+            "vectors": lambda: [],
+            "pieces": lambda: iter([]),
+            "columns": lambda: empty,
+            "empty-piece": lambda: iter([empty]),
+        }[form]
+        stream = io.StringIO()
+        for target in (tmp_path / "persona.csv", stream):
+            with pytest.raises(ValidationError, match="no persona records to write"):
+                write_persona_csv(records(), target)
+        assert os.listdir(tmp_path) == [] and stream.getvalue() == ""
 
     @pytest.mark.parametrize("source", ["path", "bytes", "text", "binary", "pipe"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

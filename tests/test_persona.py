@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalpanel import persona
 from causalpanel.changepoint import PenaltyConfig
-from causalpanel.errors import SchemaError, ValidationError
+from causalpanel.errors import ConvergenceWarning, SchemaError, ValidationError
 from causalpanel.persona import (
     DEFAULT_FEATURE_CATEGORIES,
     DEFAULT_PERSONA_NAMES,
     PersonaCountSeries,
     PersonaModel,
     UsageFeatureVector,
+    _seeded_index,
     assign_personas,
     fit_kmeans,
     persona_changepoint,
@@ -133,6 +135,48 @@ class TestFitKmeans:
         X[:9] += np.arange(9)[:, None] * 1e-6
         model = fit_kmeans(vectors_from_matrix(X), k=2, seed=0)
         assert any(np.allclose(c, 100.0, atol=1.0) for c in model.centroids)
+
+
+    def test_round_cap_warns(self, monkeypatch):
+        # one round cannot see the assignments repeat
+        monkeypatch.setattr(persona, "MAX_LLOYD_ITERATIONS", 1)
+        X = np.array([[0.0, 0, 0], [0.1, 0, 0], [9, 0, 0], [9.1, 0, 0]])
+        with pytest.warns(ConvergenceWarning, match="k-means stopped after 1 rounds"):
+            _, sse = fit_kmeans(vectors_from_matrix(X), k=2, seed=0, return_history=True)
+        assert len(sse) == 1
+
+    def test_converged_fit_does_not_warn(self, recwarn):
+        X = np.array([[0.0, 0, 0], [0.1, 0, 0], [9, 0, 0], [9.1, 0, 0]])
+        fit_kmeans(vectors_from_matrix(X), k=2, seed=0)
+        assert not [w for w in recwarn if issubclass(w.category, ConvergenceWarning)]
+
+    def test_negative_seed_rejected(self):
+        X = np.array([[0.0, 0, 0], [9, 0, 0]])
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            fit_kmeans(vectors_from_matrix(X), k=2, seed=-1)
+
+
+# n whose Lemire draw is redrawn for about half (2**31 + 1) and a quarter
+# (2**62 + 1) of the seeds, on the 32-bit and the 64-bit path
+DRAW_BOUNDS = [
+    1, 2, 6, 180, 65537, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**40, 2**62 + 1,
+]
+DRAW_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 3, 98765432109876543210]
+
+
+class TestSeededIndex:
+    @pytest.mark.parametrize("n", DRAW_BOUNDS)
+    def test_matches_numpy_default_rng(self, n):
+        got = [_seeded_index(seed, n) for seed in DRAW_SEEDS]
+        assert got == [int(np.random.default_rng(seed).integers(n)) for seed in DRAW_SEEDS]
+
+    def test_takes_numpy_integers(self):
+        assert _seeded_index(np.int64(7), 180) == _seeded_index(7, 180)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            _seeded_index(seed, 10)
 
 
 class TestPersonaModel:

@@ -3,6 +3,7 @@ and file round-trips."""
 
 import hashlib
 import json
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -24,6 +25,7 @@ from causalpanel.persona import (
     persona_changepoint,
     windowed_counts,
 )
+from causalpanel import simgen
 from causalpanel.simgen import (
     GroundTruthManifest,
     PersonaShiftConfig,
@@ -320,6 +322,29 @@ class TestPersonaStream:
         config = self.shift_config(persona_shift=None, persona_noise=0.1)
         series = windowed_counts(generate(config).persona_records, archetype_model())
         assert np.array_equal(series.diffs, np.zeros_like(series.diffs))
+
+    @pytest.mark.parametrize("piece_rows", [1, 150, simgen._PERSONA_ROWS])
+    def test_generate_joins_the_pieces_written(self, tmp_path, monkeypatch, piece_rows):
+        # one device a piece, two, or all in one: the draws and the files
+        # do not depend on the piece size
+        config = self.shift_config(
+            units=(UnitConfig("X", devices_per_day=2), UnitConfig("Y", devices_per_day=3)),
+            persona_devices=12,
+            n_days=70,
+            noise_sigma=0.5,
+            persona_shift=replace(self.shift_config().persona_shift, fraction=0.5),
+        )
+        whole = generate(config)
+        monkeypatch.setattr(simgen, "_PERSONA_ROWS", piece_rows)
+        assert generate(config) == whole
+        paths = write_scenario(config, tmp_path / "s")
+        assert parse_telemetry_csv(paths["telemetry"]) == whole.telemetry
+        parsed, records = parse_persona_csv(paths["persona"]), whole.persona_records
+        assert parsed.device_ids == records.device_ids
+        assert np.array_equal(parsed.device, records.device)
+        assert np.array_equal(parsed.day, records.day)
+        # the file holds the features in sorted name order
+        assert parsed.values.tobytes() == records.matrix(parsed.feature_names).tobytes()
 
     def test_round_trip_csv(self, tmp_path):
         config = self.shift_config(persona_devices=6, n_days=30, persona_shift=None)

@@ -14,12 +14,16 @@ module itself does no array work and imports no numpy, so ``--help`` and
 Every command logs to stderr and writes its results only to files in the
 output directory (plus a short deterministic summary on stdout). Result
 files never embed input paths or timestamps, so re-running the same
-command over unchanged inputs reproduces them byte for byte. Files are
-written to a temporary name and atomically renamed, so a failed run
-never leaves a half-written artifact.
+command over unchanged inputs reproduces them byte for byte. A run's
+files are one commit (:func:`causalpanel.files.committed`): all of them
+and the removal of its stale outputs (``synth_placebo.csv`` without
+``--placebo``, ``persona.csv`` without persona devices), or none. A date,
+in a flag, a scenario key or a file, is ``YYYY-MM-DD`` or ``YYYYMMDD``.
 
 Exit codes: 0 success, 2 parse errors, 3 validation errors, 4 numerical
-errors, 5 I/O errors.
+errors, 5 I/O errors. A message names its input: ``<file>: row N: ...``
+for a table cell, the flag or the file and key for an option or scenario
+value, and ``<path>: <strerror>`` for an I/O error.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from .files import committed, parse_date
 
 log = logging.getLogger("causalpanel")
 
@@ -83,13 +88,6 @@ def _json_text(payload) -> str:
     return json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _text(write, *args) -> str:
-    """What a panelio writer, called as ``write(*args, stream)``, writes."""
-    buf = io.StringIO()
-    write(*args, buf)
-    return buf.getvalue()
-
-
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A result table (plot, count and report CSVs): floats with ``repr``,
     None and NaN as empty cells, other values with ``str``; a cell that
@@ -108,7 +106,7 @@ def _iso_date(token: str, what: str) -> date:
     if not isinstance(token, str):  # a JSON number or null, say
         raise SchemaError(f"{what}: not an ISO date string: {json.dumps(token)}")
     try:
-        return date.fromisoformat(token)
+        return parse_date(token)
     except ValueError:
         raise ParseError(f"{what}: not an ISO date: {token!r}") from None
 
@@ -176,24 +174,12 @@ def _split_list(token: str) -> list[str]:
     return [t.strip() for t in token.split(",") if t.strip()]
 
 
-def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
-    """A file's undecodable bytes as a parse error naming the file. No
-    offset is given: ``err.start`` counts from the decoded chunk, not
-    from the start of the file."""
-    bad = " ".join(f"0x{b:02x}" for b in err.object[err.start : err.end])
-    return ParseError(f"{path}: not UTF-8 text: {err.reason} {bad}")
-
-
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
-    except OSError as err:
-        raise OSError(f"{path}: {err.strerror or err}") from None
+        except json.JSONDecodeError as err:
+            raise ParseError(str(err)) from None
 
 
 def _load(parse, path: str, *args):
@@ -204,7 +190,9 @@ def _load(parse, path: str, *args):
     except (ParseError, ValidationError) as err:
         raise type(err)(f"{path}: {err}") from None
     except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+        # no offset: err.start counts from the decoded chunk, not the file's start
+        bad = " ".join(f"0x{b:02x}" for b in err.object[err.start : err.end])
+        raise ParseError(f"{path}: not UTF-8 text: {err.reason} {bad}") from None
     except OSError as err:
         raise OSError(f"{path}: {err.strerror or err}") from None
 
@@ -264,18 +252,19 @@ def _options(args, config: Mapping, defaults: Mapping) -> SimpleNamespace:
     )
 
 
-def _outdir(opts: SimpleNamespace) -> str:
-    os.makedirs(opts.out, exist_ok=True)
-    return opts.out
-
-
-def _emit(outdir: str, name: str, text: str) -> str:
-    path = os.path.join(outdir, name)
-    with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
-    log.info("wrote %s", path)
-    return path
+def _emit(outdir: str, texts: Mapping[str, str], stale: Sequence[str] = ()) -> str:
+    """Write each text to the file of its name in ``outdir``, and remove
+    the ``stale`` files there, in one commit; the path of the first file,
+    the command's main result."""
+    paths = [os.path.join(outdir, name) for name in texts]
+    with committed() as files:
+        for path, text in zip(paths, texts.values()):
+            files.open(path).write(text)
+        for name in stale:
+            files.remove(os.path.join(outdir, name))
+    for path in paths:
+        log.info("wrote %s", path)
+    return paths[0]
 
 
 def _grid_labels(units: Sequence[str]) -> tuple[str, str]:
@@ -308,16 +297,16 @@ def cmd_simulate(args, config) -> int:
     from dataclasses import replace
 
     from .paneldata import DEFAULT_INDICATOR
-    from .simgen import ScenarioConfig, build_manifest, describe, write_scenario
+    from .simgen import ScenarioConfig, describe, stage_scenario
 
     opts = _options(args, config, {"seed": None, "indicator": DEFAULT_INDICATOR})
-    outdir = _outdir(opts)
-    scenario = _decode(_load_json(args.scenario), ScenarioConfig, args.scenario)
+    scenario = _decode(_load(_read_json, args.scenario), ScenarioConfig, args.scenario)
     if opts.seed is not None:
         scenario = replace(scenario, seed=opts.seed)
-    paths = write_scenario(scenario, outdir, indicator_column=opts.indicator)
-    manifest = build_manifest(scenario)
-    _emit(outdir, "truth.txt", describe(manifest))
+    with committed() as files:
+        paths, manifest = stage_scenario(files, scenario, opts.out, opts.indicator)
+        paths["truth"] = os.path.join(opts.out, "truth.txt")
+        files.open(paths["truth"]).write(describe(manifest))
     for key in sorted(paths):
         log.info("scenario file %s -> %s", key, paths[key])
     sys.stdout.write(describe(manifest))
@@ -343,7 +332,6 @@ def cmd_ingest(args, config) -> int:
             "units": None,
         },
     )
-    outdir = _outdir(opts)
     timelines = _load(parse_policy_csv, args.policy, opts.indicator)
     log.info("parsed %d policy timeline(s)", len(timelines))
     records = _load(parse_telemetry_csv, args.telemetry)
@@ -365,7 +353,9 @@ def cmd_ingest(args, config) -> int:
             unit_tags={"continent": tuple(continent_of(u) for u in panel.unit_ids)},
         )
 
-    path = _emit(outdir, "panel.txt", _text(write_panel, panel))
+    path = os.path.join(opts.out, "panel.txt")
+    write_panel(panel, path)  # a commit of one file
+    log.info("wrote %s", path)
     print(
         f"ingest: {panel.n_units} unit(s) x {panel.n_dates} day(s) "
         f"[{panel.dates[0]}..{panel.dates[-1]}] -> {path}"
@@ -381,7 +371,6 @@ def cmd_did(args, config) -> int:
     from .panelio import read_panel
 
     opts = _options(args, config, {"covariates": None, "time_trend": False})
-    outdir = _outdir(opts)
     panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),
@@ -421,8 +410,6 @@ def cmd_did(args, config) -> int:
         "cpu_family": family,
         "system_count": _mean_system_count(panel, treated),
     }
-    path = _emit(outdir, "did.json", _json_text(payload))
-
     rows = []
     t_idx = [panel.unit_index(u) for u in treated]
     c_idx = [panel.unit_index(u) for u in sorted(spec.control_units)]
@@ -435,7 +422,9 @@ def cmd_did(args, config) -> int:
         tm, cm = group_mean(t_idx, j), group_mean(c_idx, j)
         rows.append([d.isoformat(), tm, cm, tm - cm])
     header = ["date", "treated_mean", "control_mean", "difference"]
-    _emit(outdir, "did_plot.csv", _csv_text(header, rows))
+    path = _emit(
+        opts.out, {"did.json": _json_text(payload), "did_plot.csv": _csv_text(header, rows)}
+    )
     print(
         f"did: beta0={fit.beta0:.6f} stderr={fit.stderr_beta0:.6g} "
         f"p={fit.p_value:.3g} -> {path}"
@@ -468,7 +457,6 @@ def cmd_synth(args, config) -> int:
             "placebo": False,
         },
     )
-    outdir = _outdir(opts)
     panel = _load(read_panel, args.panel)
     spec = SynthSpec(
         treated_unit=args.treated,
@@ -505,32 +493,25 @@ def cmd_synth(args, config) -> int:
         "cpu_family": family,
         "system_count": _mean_system_count(panel, [spec.treated_unit]),
     }
-    path = _emit(outdir, "synth.json", _json_text(payload))
-
     actual, _ = panel.unit_series(spec.treated_unit)
     rows = [
         [d.isoformat(), float(a), float(c), float(g)]
         for d, a, c, g in zip(panel.dates, actual, fit.counterfactual, fit.gap)
     ]
-    _emit(
-        outdir,
-        "synth_plot.csv",
-        _csv_text(["date", "actual", "counterfactual", "gap"], rows),
-    )
+    texts = {
+        "synth.json": _json_text(payload),
+        "synth_plot.csv": _csv_text(["date", "actual", "counterfactual", "gap"], rows),
+    }
 
     if placebo_gaps is not None:
         donors = [d for d in sorted(placebo_gaps) if placebo_gaps[d] is not None]
-        rows = []
-        for j, d in enumerate(panel.dates):
-            rows.append(
-                [d.isoformat(), float(fit.gap[j])]
-                + [float(placebo_gaps[u][j]) for u in donors]
-            )
-        _emit(
-            outdir,
-            "synth_placebo.csv",
-            _csv_text(["date", "treated"] + donors, rows),
-        )
+        rows = [
+            [d.isoformat(), float(fit.gap[j])] + [float(placebo_gaps[u][j]) for u in donors]
+            for j, d in enumerate(panel.dates)
+        ]
+        texts["synth_placebo.csv"] = _csv_text(["date", "treated"] + donors, rows)
+    # without --placebo, an earlier run's placebo gaps would sit beside this fit
+    path = _emit(opts.out, texts, stale=() if opts.placebo else ("synth_placebo.csv",))
 
     ptxt = "n/a" if p_value is None else f"{p_value:.4g}"
     print(
@@ -565,7 +546,6 @@ def cmd_cpd(args, config) -> int:
             "k_max": DEFAULT_K_MAX,
         },
     )
-    outdir = _outdir(opts)
     if bool(opts.series) == bool(opts.panel):
         raise ValidationError("cpd needs exactly one of --series or --panel")
     if opts.panel:
@@ -617,15 +597,15 @@ def cmd_cpd(args, config) -> int:
         "segment_means": list(seg.segment_means),
         "summary": summary,
     }
-    path = _emit(outdir, "cpd.json", _json_text(payload))
-
     fitted = seg.fitted()
     rows = []
     for i, (v, m) in enumerate(zip(series, fitted)):
         label = dates[i].isoformat() if dates is not None else i
         rows.append([label, float(v), float(m)])
     header = ["date" if dates is not None else "index", "value", "segment_mean"]
-    _emit(outdir, "cpd_plot.csv", _csv_text(header, rows))
+    path = _emit(
+        opts.out, {"cpd.json": _json_text(payload), "cpd_plot.csv": _csv_text(header, rows)}
+    )
     print(f"cpd: {summary} (lambda_eff={lam_eff:.6g}) -> {path}")
     return EXIT_OK
 
@@ -659,7 +639,6 @@ def cmd_persona(args, config) -> int:
             "fit_until": None,
         },
     )
-    outdir = _outdir(opts)
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
@@ -685,29 +664,16 @@ def cmd_persona(args, config) -> int:
         "centroids": [[float(v) for v in row] for row in model.centroids],
         "windows": [d.isoformat() for d in series.window_starts],
     }
-    path = _emit(outdir, "persona_model.json", _json_text(payload))
-
     names = list(series.persona_names)
     count_rows = [
         [d.isoformat()] + [int(c) for c in series.counts[w]]
         for w, d in enumerate(series.window_starts)
     ]
-    _emit(
-        outdir,
-        "persona_counts.csv",
-        _csv_text(["window_start"] + names, count_rows),
-    )
     z_rows = [
         [series.window_starts[w + 1].isoformat()]
         + [float(z) for z in series.zscores[w]]
         for w in range(series.zscores.shape[0])
     ]
-    _emit(
-        outdir,
-        "persona_zscores.csv",
-        _csv_text(["transition_into"] + names, z_rows),
-    )
-
     changepoints = {}
     if len(series.window_starts) >= 4:
         for name, seg in persona_changepoint(series).items():
@@ -721,7 +687,15 @@ def cmd_persona(args, config) -> int:
             }
     else:
         log.warning("fewer than 4 windows; skipping change-point analysis")
-    _emit(outdir, "persona_changepoints.json", _json_text(changepoints))
+    path = _emit(
+        opts.out,
+        {
+            "persona_model.json": _json_text(payload),
+            "persona_counts.csv": _csv_text(["window_start"] + names, count_rows),
+            "persona_zscores.csv": _csv_text(["transition_into"] + names, z_rows),
+            "persona_changepoints.json": _json_text(changepoints),
+        },
+    )
 
     print(
         f"persona: {model.k} personas, {len(series.window_starts)} windows "
@@ -740,13 +714,12 @@ _REPORT_OPTIONAL = {"system_count": float | None, "chassis": str, "cpu_family": 
 
 def cmd_report(args, config) -> int:
     opts = _options(args, config, {"format": "json"})
-    outdir = _outdir(opts)
     if not args.artifacts:
         raise ValidationError("report needs at least one artifact file")
     rows = []
     outcomes = set()
     for path in args.artifacts:
-        payload = _decode(_load_json(path), dict, path)
+        payload = _decode(_load(_read_json, path), dict, path)
         missing = [k for k in _REPORT_KEYS if k not in payload]
         if missing:
             raise ValidationError(
@@ -775,13 +748,9 @@ def cmd_report(args, config) -> int:
 
     if opts.format == "csv":
         text = _csv_text(header, rows)
-        path = _emit(outdir, "report.csv", text)
     else:
-        payload = {
-            "outcome": outcomes.pop(),
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
-        path = _emit(outdir, "report.json", _json_text(payload))
+        text = _json_text({"outcome": outcomes.pop(), "rows": [dict(zip(header, r)) for r in rows]})
+    path = _emit(opts.out, {f"report.{opts.format}": text})
     print(f"report: {len(rows)} row(s) -> {path}")
     return EXIT_OK
 
@@ -901,7 +870,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             config: Mapping = {}
             if getattr(args, "config", None):
-                loaded = _load_json(args.config)
+                loaded = _load(_read_json, args.config)
                 if not isinstance(loaded, dict):
                     raise SchemaError(f"{args.config}: config file must be a JSON object")
                 config = loaded

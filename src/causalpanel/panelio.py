@@ -3,11 +3,10 @@
 This is the one module that reads CSV. It writes the input tables and the
 panel file; the CLI writes its own result tables. The formats:
 
-* policy CSV — header-driven; a unit-name column
-  (``CountryName`` plus optional ``RegionName``, or ``unit_id``), a ``Date``
-  column in 8-digit ``YYYYMMDD`` or ISO form (auto-detected per file), and
-  one ordinal indicator column named at parse time. Empty indicator cells
-  are forward-filled; leading empties become 0. Parsed into one
+* policy CSV — header-driven; a unit-name column (``CountryName`` plus
+  optional ``RegionName``, or ``unit_id``), a ``Date`` column, and one
+  ordinal indicator column named at parse time. Empty indicator cells are
+  forward-filled; leading empties become 0. Parsed into one
   :class:`~causalpanel.paneldata.PolicyTimeline` per unit: a start date
   and one code per day. A unit's dates must be distinct and contiguous.
 * telemetry CSV — columns (date, device_id, unit_id, chassis, cpu_family,
@@ -19,7 +18,7 @@ panel file; the CLI writes its own result tables. The formats:
   and writer import :mod:`causalpanel.persona`.
 * units CSV — unit descriptors (unit_id, continent, devices_per_day,
   vpro_fraction); the reader takes the continent of each unit.
-* series CSV — a ``value`` column and an optional ISO ``date`` column.
+* series CSV — a ``value`` column and an optional ``date`` column.
 * panel file — a self-describing text interchange format for
   :class:`~causalpanel.paneldata.PanelDataset`: a header block naming the
   outcome, then tab-separated sections (``outcomes``, ``covariates``,
@@ -35,7 +34,8 @@ floats) in one ``np.loadtxt`` call, and
 ``csv.reader`` splits a block that holds a quote, or one loadtxt
 refuses, so that the refused block's first bad cell is named as before.
 Each column is then converted at once (text cells once per distinct
-value, dates once per file) and validated at once. Each block is copied
+value, dates once per file: ``YYYY-MM-DD`` or ``YYYYMMDD`` in any table)
+and validated at once. Each block is copied
 into columns allocated once for as many rows as the file has lines left
 (:func:`_stacked`), so a table is held once, not once in blocks and again
 joined; the lines and cells of one block only are alive at a time. Every
@@ -56,12 +56,13 @@ import io
 import itertools
 import os
 from contextlib import contextmanager
-from datetime import date, datetime
+from datetime import date
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
+from .files import committed, parse_date
 from .paneldata import (
     POLICY_CODES,
     PanelDataset,
@@ -83,17 +84,11 @@ _FALSE_TOKENS = {"0", "false", "no", "n"}
 def _opened(source, mode: str = "r"):
     """A text stream over a path, bytes, or file object; a path opened
     here is closed on exit, a caller's stream is left open. A path opened
-    to write is written as ``<path>.tmp`` and renamed to ``path`` when the
-    block succeeds, so a failed write leaves neither file."""
+    to write is a commit of one file (:func:`~causalpanel.files.committed`):
+    a failed write leaves the earlier file as it was."""
     if isinstance(source, (str, os.PathLike)) and mode == "w":
-        tmp = f"{os.fspath(source)}.tmp"
-        try:
-            with open(tmp, mode, encoding="utf-8", newline="") as stream:
-                yield stream
-            os.replace(tmp, source)
-        finally:
-            if os.path.exists(tmp):  # the write failed
-                os.remove(tmp)
+        with committed() as files:
+            yield files.open(source)
     elif isinstance(source, (str, os.PathLike)):
         with open(source, mode, encoding="utf-8", newline="") as stream:
             yield stream
@@ -114,20 +109,6 @@ def _opened(source, mode: str = "r"):
 def _sniff_delimiter(header_line: str) -> str:
     candidates = [",", "\t", ";"]
     return max(candidates, key=header_line.count)
-
-
-def _detect_date_format(token: str) -> str:
-    token = token.strip()
-    if len(token) == 8 and token.isdigit():
-        return "ymd8"
-    return "iso"
-
-
-def _to_date(token: str, fmt: str) -> date:
-    token = token.strip()
-    if fmt == "ymd8":
-        return datetime.strptime(token, "%Y%m%d").date()
-    return date.fromisoformat(token)
 
 
 # Rows handled per read step and per write step: each bounds the lines
@@ -389,14 +370,12 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         unit_table, day_table = {}, {}  # each distinct cell's unit or day
 
         def blocks():
-            date_fmt = None
             for columns, rownos in body(used[-1] + 1, usecols=used):
                 regions = itertools.repeat("") if region_col is None else columns[region_col]
                 pairs = list(zip(columns[unit_col], regions))
-                date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
                 yield {
                     "unit": _map_distinct(pairs, _unit_label, unit_table),
-                    "day": _day_ordinals(columns[date_col], rownos, date_fmt, day_table),
+                    "day": _day_ordinals(columns[date_col], rownos, day_table),
                     "cell": _map_distinct(columns[ind_col], str.strip),
                 }
 
@@ -547,12 +526,13 @@ def _vpro_flag(token: str) -> bool:
     raise ValueError(token)
 
 
-def _day_ordinals(cells, rownos, fmt: str, table: dict) -> np.ndarray:
-    """Day ordinal of every date cell; ``table`` keeps the file's parsed
-    dates (see :func:`_map_distinct`)."""
+def _day_ordinals(cells, rownos, table: dict) -> np.ndarray:
+    """Day ordinal of every date cell (by :func:`~causalpanel.files.parse_date`,
+    stripped); ``table`` keeps the file's parsed dates (see
+    :func:`_map_distinct`)."""
     days = _parse_distinct(
         cells,
-        lambda c: _to_date(c, fmt).toordinal(),
+        lambda c: parse_date(c.strip()).toordinal(),
         rownos,
         lambda c: f"malformed date {c.strip()!r}",
         table,
@@ -582,13 +562,11 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
         day_table = {}
 
         def blocks():
-            date_fmt = None
             floats = (cols["usage_hours"], cols["cpu_watts"])
             for columns, rownos in body(len(header), floats=floats):
                 cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
-                date_fmt = date_fmt or _detect_date_format(cells["date"][0])
                 block = {
-                    "day": _day_ordinals(cells["date"], rownos, date_fmt, day_table),
+                    "day": _day_ordinals(cells["date"], rownos, day_table),
                     "device_id": _map_distinct(cells["device_id"], str.strip),
                     "unit_id": _map_distinct(cells["unit_id"], str.strip),
                     "chassis": _map_distinct(cells["chassis"], _chassis),
@@ -767,7 +745,7 @@ def parse_persona_csv(source) -> UsageColumns:
                     )
                 yield {
                     "device_id": _map_distinct(columns[0], str.strip),
-                    "day": _day_ordinals(columns[1], rownos, "iso", day_table),
+                    "day": _day_ordinals(columns[1], rownos, day_table),
                     "values": values,
                 }
 
@@ -825,7 +803,7 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
             for columns, rownos in body(max(v_col, d_col or 0) + 1, floats=(v_col,)):
                 block = {"value": _finite_floats(columns[v_col], rownos, "value")}
                 if d_col is not None:
-                    days = _day_ordinals(columns[d_col], rownos, "iso", day_table)
+                    days = _day_ordinals(columns[d_col], rownos, day_table)
                     block["date"] = list(map(date.fromordinal, days.tolist()))
                 yield block
 
@@ -892,7 +870,7 @@ def read_panel(source) -> PanelDataset:
 
     header, *body = sections["outcomes"]
     try:
-        dates = tuple(date.fromisoformat(t) for t in header[1:])
+        dates = tuple(map(parse_date, header[1:]))
     except ValueError:
         raise ParseError("outcomes section: malformed date header") from None
     units, outcomes = [], []

@@ -32,13 +32,10 @@ file written from them, is bitwise equal to a row-by-row build.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from typing import Iterator, Mapping
@@ -46,6 +43,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .files import Commit, committed
 from .paneldata import (
     CHASSIS_TYPES,
     CPU_FAMILIES,
@@ -58,7 +56,6 @@ from .paneldata import (
     factorize,
 )
 from .panelio import (
-    _opened,
     write_persona_csv,
     write_policy_csv,
     write_telemetry_csv,
@@ -572,65 +569,43 @@ def write_scenario(
 
     The files hold what :func:`generate` returns, but each table is
     written a piece at a time as its pieces are generated, so no table is
-    held whole.
-    They are written into a staging directory inside ``outdir`` and moved
-    into place only once the last is written, so a run that fails leaves
-    the files of the previous run as they were. A persona.csv of a
-    previous run is removed when this scenario writes none.
+    held whole. They are one commit (:func:`~causalpanel.files.committed`),
+    so a run that fails leaves the files of the previous run as they were;
+    a persona.csv of a previous run is removed when this scenario has none.
     """
-    os.makedirs(outdir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix="staging-", dir=outdir)
-    try:
-        staged = _write_files(config, stage, indicator_column)
-        paths = {
-            key: os.path.join(outdir, os.path.basename(path)) for key, path in staged.items()
-        }
-        for key in staged:
-            os.replace(staged[key], paths[key])
-        if "persona" not in staged:  # an earlier run's table would be stale
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(outdir, "persona.csv"))
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-    return paths
+    with committed() as files:  # committed as the function returns
+        return stage_scenario(files, config, outdir, indicator_column)[0]
 
 
-def _write_files(config: ScenarioConfig, outdir, indicator_column: str) -> dict[str, str]:
-    """Write the scenario's files into ``outdir``; their paths, by key."""
+def stage_scenario(
+    files: Commit, config: ScenarioConfig, outdir, indicator_column: str
+) -> tuple[dict[str, str], GroundTruthManifest]:
+    """Write the files of :func:`write_scenario` on the commit ``files``,
+    and name a persona.csv of a previous run stale when this scenario
+    writes none. Returns their paths, by key, and the manifest."""
     unit_rngs, persona_rng = _unit_streams(config)
-    paths: dict[str, str] = {}
+    tables = ("policy", "telemetry", "persona", "units")
+    paths = {key: os.path.join(outdir, f"{key}.csv") for key in tables}
+    paths["manifest"] = os.path.join(outdir, "manifest.json")
 
-    paths["policy"] = os.path.join(outdir, "policy.csv")
-    write_policy_csv(build_timelines(config), paths["policy"], indicator_column)
-
-    paths["telemetry"] = os.path.join(outdir, "telemetry.csv")
-    write_telemetry_csv(_generate_telemetry(config, unit_rngs), paths["telemetry"])
-
+    write_policy_csv(build_timelines(config), files.open(paths["policy"]), indicator_column)
+    write_telemetry_csv(_generate_telemetry(config, unit_rngs), files.open(paths["telemetry"]))
     if config.persona_devices:
-        paths["persona"] = os.path.join(outdir, "persona.csv")
-        write_persona_csv(_generate_persona_stream(config, persona_rng), paths["persona"])
-
-    paths["units"] = os.path.join(outdir, "units.csv")
+        write_persona_csv(
+            _generate_persona_stream(config, persona_rng), files.open(paths["persona"])
+        )
+    else:  # an earlier run's table would be stale
+        files.remove(paths.pop("persona"))
     write_units_csv(
         [(u.unit_id, u.continent, u.devices_per_day, u.vpro_fraction) for u in config.units],
-        paths["units"],
+        files.open(paths["units"]),
     )
 
     manifest = build_manifest(config)
-    paths["manifest"] = os.path.join(outdir, "manifest.json")
-    payload = {
-        "true_effect_hours": manifest.true_effect_hours,
-        "true_effect_watts": manifest.true_effect_watts,
-        "true_breakpoints": [d.isoformat() for d in manifest.true_breakpoints],
-        "true_weights": (
-            list(manifest.true_weights) if manifest.true_weights is not None else None
-        ),
-        "scenario_hash": manifest.scenario_hash,
-    }
-    with _opened(paths["manifest"], "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths
+    fh = files.open(paths["manifest"])
+    json.dump(asdict(manifest), fh, indent=2, sort_keys=True, default=_json_default)
+    fh.write("\n")
+    return paths, manifest
 
 
 def describe(manifest: GroundTruthManifest) -> str:

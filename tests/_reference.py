@@ -15,12 +15,14 @@ segment-neighbourhood table, which the exact optimal partitioning of
 row with ``csv.reader`` and convert every number with ``float``, which
 the block tokenizing of ``panelio._body_blocks`` replaced (their
 unchanged helpers are imported from ``panelio``; ``_BLOCK_ROWS`` is this
-module's own, so a test can set both block sizes).
+module's own, so a test can set both block sizes, and so is the date
+rule, a regular expression checked one row at a time).
 """
 
 import csv
 import io
 import itertools
+import re
 from collections import namedtuple
 from contextlib import contextmanager
 from datetime import date, timedelta
@@ -48,8 +50,6 @@ from causalpanel.panelio import (
     _TELEMETRY_COLUMNS,
     _chassis,
     _cpu_family,
-    _day_ordinals,
-    _detect_date_format,
     _has_content,
     _lines_left,
     _map_distinct,
@@ -398,7 +398,6 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         ind_col = cols[indicator_column]
         used_cols = (unit_col, region_col, date_col, ind_col)
 
-        date_fmt, day_table = None, {}
         for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
             units = map(str.strip, columns[unit_col])
             if region_col is not None:
@@ -406,8 +405,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
                     f"{unit}/{region}" if region else unit
                     for unit, region in zip(units, map(str.strip, columns[region_col]))
                 )
-            date_fmt = date_fmt or _detect_date_format(columns[date_col][0])
-            days = _day_ordinals(columns[date_col], rownos, date_fmt, day_table).tolist()
+            days = _day_ordinals(columns[date_col], rownos).tolist()
             for unit, day, raw in zip(units, days, map(str.strip, columns[ind_col])):
                 rows.setdefault(unit, []).append((day, raw))
 
@@ -443,6 +441,24 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
     return timelines
 
 
+_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})|([0-9]{4})([0-9]{2})([0-9]{2})")
+
+
+def _day_ordinals(cells, rownos) -> np.ndarray:
+    """Day ordinal of every date cell, one row at a time: a stripped cell
+    is ``YYYY-MM-DD`` or ``YYYYMMDD`` in ASCII digits, a day of the
+    calendar; the first that is not is a parse error naming its row."""
+    days = []
+    for cell, rowno in zip(cells, rownos):
+        match = _DATE.fullmatch(cell.strip())
+        try:
+            year, month, day = (int(g) for g in match.groups() if g is not None)
+            days.append(date(year, month, day).toordinal())
+        except (AttributeError, ValueError):  # no match, or no such day
+            raise ParseError(f"row {rowno}: malformed date {cell.strip()!r}") from None
+    return np.array(days, dtype=np.int64)
+
+
 def _finite_floats(cells, rownos, what: str) -> np.ndarray:
     """Float value of every cell; a non-numeric or non-finite cell is a
     parse error naming the row."""
@@ -467,15 +483,12 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
-        day_table = {}
 
         def blocks():
-            date_fmt = None
             for columns, rownos in body(len(header)):
                 cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
-                date_fmt = date_fmt or _detect_date_format(cells["date"][0])
                 block = {
-                    "day": _day_ordinals(cells["date"], rownos, date_fmt, day_table),
+                    "day": _day_ordinals(cells["date"], rownos),
                     "device_id": _map_distinct(cells["device_id"], str.strip),
                     "unit_id": _map_distinct(cells["unit_id"], str.strip),
                     "chassis": _map_distinct(cells["chassis"], _chassis),
@@ -525,7 +538,6 @@ def parse_persona_csv(source) -> UsageColumns:
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
-        day_table = {}
 
         def blocks():
             for columns, rownos in body(len(header), exact=True):
@@ -543,7 +555,7 @@ def parse_persona_csv(source) -> UsageColumns:
                     )
                 yield {
                     "device_id": _map_distinct(columns[0], str.strip),
-                    "day": _day_ordinals(columns[1], rownos, "iso", day_table),
+                    "day": _day_ordinals(columns[1], rownos),
                     "values": values,
                 }
 
@@ -585,13 +597,12 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
             raise SchemaError("series file needs a value column")
         v_col = header.index("value")
         d_col = header.index("date") if "date" in header else None
-        day_table = {}
 
         def blocks():
             for columns, rownos in body(max(v_col, d_col or 0) + 1):
                 block = {"value": _finite_floats(columns[v_col], rownos, "value")}
                 if d_col is not None:
-                    days = _day_ordinals(columns[d_col], rownos, "iso", day_table)
+                    days = _day_ordinals(columns[d_col], rownos)
                     block["date"] = list(map(date.fromordinal, days.tolist()))
                 yield block
 

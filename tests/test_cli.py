@@ -215,6 +215,26 @@ class TestSimulate:
         assert f"s.json: {path}: not an ISO date string: {json.dumps(value)}" in err
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "start", "2020W013"),
+            ("treatment", "activation", "2020-1-31"),
+            ("persona_shift", "shift_date", "2020-W09-3"),
+        ],
+        ids=["start", "activation", "shift_date"],
+    )
+    def test_date_of_another_form_exits_2_naming_file_and_key(
+        self, tmp_path, capsys, section, key, value
+    ):
+        payload = persona_scenario()
+        payload["treatment"] = {**did_scenario()["treatment"], "treated_unit": "X"}
+        (payload[section] if section else payload)[key] = value
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 2
+        path = f"{section}: {key}" if section else key
+        assert f"s.json: {path}: not an ISO date: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda p: p.update(units=5), "s.json: units: not a list: 5"),
@@ -302,6 +322,33 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="persona stream failed"):
             run("simulate", "--scenario", cfg, "--out", out, "--quiet")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_unwritable_truth_leaves_previous_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        scenario = {**did_scenario(), "noise_sigma": 0.5}
+        cfg = write_json(tmp_path / "s.json", scenario)
+        assert run("simulate", "--scenario", cfg, "--out", out, "--quiet") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "truth.txt.tmp").mkdir()
+        cfg = write_json(tmp_path / "s.json", {**scenario, "seed": 12})
+        assert run("simulate", "--scenario", cfg, "--out", out, "--quiet") == 5
+        assert f"io error: {out / 'truth.txt.tmp'}: Is a directory" in capsys.readouterr().err
+        (out / "truth.txt.tmp").rmdir()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        manifest = json.loads((out / "manifest.json").read_text())
+        truth = (out / "truth.txt").read_text().splitlines()
+        assert truth[0] == f"scenario_hash={manifest['scenario_hash']}"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_data_file_write_error_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "persona.csv.tmp").symlink_to("/dev/full")
+        cfg = write_json(tmp_path / "s.json", persona_scenario())
+        assert run("simulate", "--scenario", cfg, "--out", out, "--quiet") == 5
+        err = capsys.readouterr().err
+        assert f"io error: {out / 'persona.csv.tmp'}: No space left on device" in err
+        assert os.listdir(out) == []
 
 
 def full_scenario():
@@ -569,15 +616,55 @@ class TestDidWorkflow:
             == 2
         )
 
-    def test_missing_panel_exits_5(self, tmp_path):
+    def test_failed_result_write_leaves_earlier_results(self, tmp_path, capsys):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        argv = [
+            "did", "--panel", work / "panel.txt", "--treated", "TREAT",
+            "--control", "CTRL", "--out", work, "--quiet",
+        ]
+        assert run(*argv, "--treatment-date", "2020-01-31") == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        (work / "did_plot.csv.tmp").mkdir()  # did.json.tmp is opened before it
+        assert run(*argv, "--treatment-date", "2020-02-10") == 5
+        assert f"io error: {work / 'did_plot.csv.tmp'}: Is a directory" in (
+            capsys.readouterr().err
+        )
+        (work / "did_plot.csv.tmp").rmdir()
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    @pytest.mark.parametrize("flag", ["2020W053", "2020-W53-3", "2020-1-31", "31/01/2020"])
+    def test_treatment_date_of_another_form_exits_2(self, tmp_path, capsys, flag):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        code = run(
+            "did", "--panel", work / "panel.txt", "--treated", "TREAT",
+            "--control", "CTRL", "--treatment-date", flag, "--out", work, "--quiet",
+        )
+        assert code == 2
+        assert f"--treatment-date: not an ISO date: {flag!r}" in capsys.readouterr().err
+        assert not (work / "did.json").exists()
+
+    def test_compact_treatment_date_reads_alike(self, tmp_path):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        results = []
+        for flag in ("2020-01-31", "20200131"):
+            argv = ["--panel", work / "panel.txt", "--treated", "TREAT", "--control", "CTRL"]
+            assert run("did", *argv, "--treatment-date", flag, "--out", work, "--quiet") == 0
+            results.append((work / "did.json").read_bytes())
+        assert results[0] == results[1]
+
+    def test_missing_panel_exits_5(self, tmp_path, capsys):
         assert (
             run(
                 "did", "--panel", tmp_path / "nope.txt",
                 "--treated", "A", "--control", "B",
-                "--treatment-date", "2020-01-31", "--out", tmp_path, "--quiet",
+                "--treatment-date", "2020-01-31", "--out", tmp_path / "out", "--quiet",
             )
             == 5
         )
+        assert f"io error: {tmp_path / 'nope.txt'}: No such file or directory" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()  # no file was written
 
 
 class TestSynthWorkflow:
@@ -602,6 +689,21 @@ class TestSynthWorkflow:
         assert payload["p_value"] == pytest.approx(1.0 / 4.0)
         placebo = (work / "synth_placebo.csv").read_text().splitlines()
         assert placebo[0] == "date,treated,D1,D2,D3"
+
+    def test_run_without_placebo_removes_earlier_placebo_table(self, tmp_path):
+        _, work = simulate_and_ingest(tmp_path, synth_scenario())
+        argv = [
+            "synth", "--panel", work / "panel.txt", "--treated", "T",
+            "--treatment-date", "2020-03-01", "--out", work, "--quiet",
+        ]
+        assert run(*argv, "--donors", "D1,D2", "--placebo") == 0
+        placebo = (work / "synth_placebo.csv").read_text().splitlines()
+        assert placebo[0] == "date,treated,D1,D2"
+        assert run(*argv, "--donors", "D1,D2,D3") == 0
+        assert json.loads((work / "synth.json").read_text())["p_value"] is None
+        assert sorted(p.name for p in work.iterdir()) == [
+            "panel.txt", "synth.json", "synth_plot.csv",
+        ]
 
     @staticmethod
     def one_step_synth(tmp_path):
@@ -927,6 +1029,15 @@ class TestPersonaWorkflow:
             == 3
         )
 
+    def test_fit_until_week_date_exits_2(self, tmp_path, capsys):
+        data, work = simulate_and_ingest(tmp_path, persona_scenario())
+        code = run(
+            "persona", "--records", data / "persona.csv",
+            "--fit-until", "2020W093", "--out", work, "--quiet",
+        )
+        assert code == 2
+        assert "--fit-until: not an ISO date: '2020W093'" in capsys.readouterr().err
+
 
 def set_cell(column, value):
     def edit(rows, i):
@@ -973,6 +1084,18 @@ class TestInputFileErrors:
         "name,lineno,edit,code,message",
         [
             ("policy.csv", 3, set_cell("Date", "x"), 2, "row 3: malformed date 'x'"),
+            (
+                "policy.csv", 3, set_cell("Date", "2020012"), 2,
+                "row 3: malformed date '2020012'",
+            ),
+            (
+                "policy.csv", 3, set_cell("Date", "202011"), 2,
+                "row 3: malformed date '202011'",
+            ),
+            (
+                "telemetry.csv", 4, set_cell("date", "2020W013"), 2,
+                "row 4: malformed date '2020W013'",
+            ),
             ("policy.csv", 3, drop_trailing_region, 2, "row 3: expected 4 fields"),
             (
                 "telemetry.csv", 4, set_cell("vpro", "maybe"), 2,
@@ -989,7 +1112,8 @@ class TestInputFileErrors:
             ),
         ],
         ids=[
-            "policy", "policy-short_region", "telemetry", "persona",
+            "policy", "policy-date_seven_digits", "policy-date_six_digits",
+            "telemetry-week_date", "policy-short_region", "telemetry", "persona",
             "persona-nan", "persona-negative",
         ],
     )
@@ -1061,6 +1185,17 @@ class TestReport:
             "--treatment-date", "2020-03-01", "--out", swork, "--quiet",
         )
         return dwork / "did.json", swork / "synth.json"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_error_names_the_file_and_leaves_no_temporary(self, tmp_path, capsys):
+        did_art, synth_art = self.run_estimates(tmp_path)
+        rep = tmp_path / "rep"
+        rep.mkdir()
+        (rep / "report.json.tmp").symlink_to("/dev/full")
+        assert run("report", did_art, synth_art, "--out", rep, "--quiet") == 5
+        err = capsys.readouterr().err
+        assert f"io error: {rep / 'report.json.tmp'}: No space left on device" in err
+        assert os.listdir(rep) == []
 
     def test_merges_artifacts_sorted(self, tmp_path):
         did_art, synth_art = self.run_estimates(tmp_path)

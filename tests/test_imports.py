@@ -54,7 +54,7 @@ SCENARIO = {
     "seed": 3,
 }
 
-BASE = {"causalpanel", "causalpanel.cli", "causalpanel.errors"}
+BASE = {"causalpanel", "causalpanel.cli", "causalpanel.errors", "causalpanel.files"}
 
 # The package modules each command may load beyond BASE.
 COMMAND_MODULES = {

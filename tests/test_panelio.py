@@ -122,6 +122,20 @@ class TestPolicyCsv:
         with pytest.raises(ParseError, match="date"):
             parse_policy_csv(text.encode(), "level")
 
+    @pytest.mark.parametrize(
+        "token", ["2020012", "202011", "2020W013", "2020-1-02", "2020-002", "20200230"]
+    )
+    def test_date_of_another_form_names_row(self, token):
+        text = f"unit_id,Date,level\nCHN,20200101,1\nCHN,{token},1\n".encode()
+        for parse in (parse_policy_csv, ref.parse_policy_csv):
+            with pytest.raises(ParseError, match=f"^row 3: malformed date '{token}'$"):
+                parse(text, "level")
+
+    def test_a_table_may_mix_date_forms(self):
+        text = b"unit_id,Date,level\nCHN,20200101,1\nCHN,2020-01-02,2\n"
+        (tl,) = parse_policy_csv(text, "level")
+        assert (tl.start, tl.codes.tolist()) == (date(2020, 1, 1), [1, 2])
+
     def test_code_out_of_range(self):
         text = "unit_id,Date,level\nCHN,20200101,7\n"
         with pytest.raises(ValidationError, match="0..3"):
@@ -373,7 +387,11 @@ class TestPersonaCsv:
             os.write(write_end, data)
             os.close(write_end)
             arg = os.fdopen(read_end, "rb")
-        parsed = parse_persona_csv(arg)
+        try:
+            parsed = parse_persona_csv(arg)
+        finally:
+            if source == "pipe":  # the reader leaves a caller's stream open
+                arg.close()
         assert parsed == UsageColumns.from_rows(
             ["p1", "p2", "p1"],
             [date(2020, 1, d).toordinal() for d in (1, 2, 2)],
@@ -481,6 +499,13 @@ class TestPanelFormat:
             expected = "codes section: date header differs from the outcomes'"
         with pytest.raises(ParseError, match=expected):
             read_panel("".join(lines).encode())
+
+    def test_date_header_of_another_form_refused(self):
+        buf = io.StringIO()
+        write_panel(make_panel({"A": [1.0, 2.0]}), buf)
+        text = buf.getvalue().replace("2020-01-02", "2020W013", 1)
+        with pytest.raises(ParseError, match="outcomes section: malformed date header"):
+            read_panel(text.encode())
 
     def test_missing_magic(self):
         with pytest.raises(ParseError, match="magic"):

@@ -25,14 +25,15 @@ START = date(2020, 1, 1)
 # Cells injected anywhere: numbers float() or loadtxt refuse, non-finite
 # and out-of-range values, quoted cells (one with a line break, one left
 # open), separators and control characters loadtxt or str.splitlines
-# might treat apart, and the valid tokens of other columns.
+# might treat apart, dates of forms the date rule refuses (a one-digit
+# day, a week date), and the valid tokens of other columns.
 INJECTED = [
     "x", "nan", "inf", "-inf", "1e400", "-1e400", "1_0", "\u0661", "0x10",
     " 1.5 ", "\u30001.5", "1.5\x1c", "\x1f2", "a\x00b", "#d0", "#", "-0.0",
     "1e-320", "3", "25", "-1", "", " ", '"q"', '"a"b', '"1.5"',
     '"2020-01-03"', '"a,b"', '"multi\nline"', '"open', "a\x0cb", "a\x85b",
-    "a\u2028b", "2020-13-01", "20200101", "2020-01-02", "Notebook", "2-in-1",
-    "I7", "yes", "N",
+    "a\u2028b", "2020-13-01", "2020012", "2020W013", "20200101", "2020-01-02",
+    "Notebook", "2-in-1", "I7", "yes", "N",
 ]
 
 ENDINGS = ["\n", "\r\n", "\r"]

@@ -11,13 +11,17 @@ loads only those: ``did`` reads no simulator and ``cpd`` no estimator. This
 module itself does no array work and imports no numpy, so ``--help`` and
 ``report``, which reads JSON artifacts only, start without it.
 
-Every command logs to stderr and writes its results only to files in the
-output directory (plus a short deterministic summary on stdout). Result
-files never embed input paths or timestamps, so re-running the same
-command over unchanged inputs reproduces them byte for byte. A run's
+Every command writes its results only to files in the output directory
+(plus a short deterministic summary on stdout), and its messages to
+stderr as ``INFO``, ``WARNING`` or ``ERROR`` lines (:class:`_Log`);
+``--quiet`` drops the INFO lines. The module imports no ``logging`` and
+leaves the root logger of a program that calls :func:`main` as it was.
+Result files never embed input paths or timestamps, so re-running the
+same command over unchanged inputs reproduces them byte for byte. A run's
 files are one commit (:func:`causalpanel.files.committed`): all of them
 and the removal of its stale outputs (``synth_placebo.csv`` without
-``--placebo``, ``persona.csv`` without persona devices), or none. A date,
+``--placebo``, ``persona.csv`` without persona devices, the report of the
+other ``--format``), or none. A date,
 in a flag, a scenario key or a file, is ``YYYY-MM-DD`` or ``YYYYMMDD``.
 
 Exit codes: 0 success, 2 parse errors, 3 validation errors, 4 numerical
@@ -30,9 +34,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -52,8 +56,6 @@ from .errors import (
 )
 from .files import committed, parse_date
 
-log = logging.getLogger("causalpanel")
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -61,6 +63,40 @@ EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
 OUT_ENV = "CAUSALPANEL_OUT"
+
+
+class _Log:
+    """The CLI's stderr lines: ``INFO``, ``WARNING`` or ``ERROR``, a space,
+    then the message (``msg % args``), each written to the ``sys.stderr`` of
+    the moment. ``quiet`` (``--quiet``, set by :func:`main` for one call)
+    drops the INFO lines. A line that cannot be written is dropped, so a
+    run's exit code and files never depend on its stderr."""
+
+    quiet = False
+
+    def info(self, msg: str, *args) -> None:
+        if not self.quiet:
+            self._write("INFO", msg, args)
+
+    def warning(self, msg: str, *args) -> None:
+        self._write("WARNING", msg, args)
+
+    def error(self, msg: str, *args) -> None:
+        self._write("ERROR", msg, args)
+
+    @staticmethod
+    def _write(level: str, msg: str, args: tuple) -> None:
+        stream = sys.stderr
+        if stream is None:  # the process started with stderr closed
+            return
+        try:
+            stream.write(f"{level} {msg % args if args else msg}\n")
+            stream.flush()
+        except (OSError, ValueError):  # a full device, a broken pipe, a closed file
+            pass
+
+
+log = _Log()
 
 
 # ---------------------------------------------------------------- helpers
@@ -130,6 +166,19 @@ _KIND_NAMES = {
 }
 
 
+@functools.cache
+def _fields(kind: type) -> tuple[dict, tuple[str, ...]]:
+    """A config dataclass's field types and, in field order, the names of
+    its fields without a default: resolved once per class, since the
+    string annotations are compiled on every lookup."""
+    from dataclasses import MISSING, fields
+
+    required = tuple(
+        f.name for f in fields(kind) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return get_type_hints(kind), required
+
+
 def _decode(value, kind, where: str):
     """A JSON value checked against ``kind``, a type that simgen's config
     dataclasses or ``_REPORT_KEYS`` declare: str, int, float, date (an ISO
@@ -154,15 +203,13 @@ def _decode(value, kind, where: str):
     if not is_dataclass:
         return value
 
-    from dataclasses import MISSING, fields
-
-    hints = get_type_hints(kind)
+    hints, required = _fields(kind)
     for key in value:
         if key not in hints:
             raise SchemaError(f"{where}: unknown key {key!r}")
-    for f in fields(kind):
-        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-            raise SchemaError(f"{where}: missing key {f.name!r}")
+    for name in required:
+        if name not in value:
+            raise SchemaError(f"{where}: missing key {name!r}")
     kwargs = {key: _decode(v, hints[key], f"{where}: {key}") for key, v in value.items()}
     try:
         return kind(**kwargs)
@@ -750,7 +797,9 @@ def cmd_report(args, config) -> int:
         text = _csv_text(header, rows)
     else:
         text = _json_text({"outcome": outcomes.pop(), "rows": [dict(zip(header, r)) for r in rows]})
-    path = _emit(opts.out, {f"report.{opts.format}": text})
+    # one report per --out: an earlier run's report of the other format goes
+    other = "json" if opts.format == "csv" else "csv"
+    path = _emit(opts.out, {f"report.{opts.format}": text}, stale=(f"report.{other}",))
     print(f"report: {len(rows)} row(s) -> {path}")
     return EXIT_OK
 
@@ -856,12 +905,6 @@ def _log_warning(message, category, filename, lineno, file=None, line=None) -> N
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(levelname)s %(message)s",
-        force=True,
-    )
     # a fresh warning registry per call: each call logs the toolkit's
     # warnings as a new process would, once per location
     with warnings.catch_warnings():
@@ -874,8 +917,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if not isinstance(loaded, dict):
                     raise SchemaError(f"{args.config}: config file must be a JSON object")
                 config = loaded
-            if _resolve(args, config, "quiet", default=False):
-                logging.getLogger().setLevel(logging.WARNING)
+            log.quiet = bool(_resolve(args, config, "quiet", default=False))
             return args.handler(args, config)
         except ParseError as err:
             log.error("parse error: %s", err)
@@ -892,6 +934,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except CausalPanelError as err:
             log.error("error: %s", err)
             return EXIT_VALIDATION
+        finally:
+            log.quiet = False  # the next call starts without this one's --quiet
 
 
 if __name__ == "__main__":

@@ -4,7 +4,11 @@ checking artifacts, exit codes, and byte-level reproducibility."""
 import contextlib
 import io
 import json
+import logging
 import os
+import shlex
+import subprocess
+import sys
 
 import hashlib
 from dataclasses import fields
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import causalpanel
 from causalpanel.cli import main
 from causalpanel.panelio import _csv_table, read_panel, write_panel
 from causalpanel.simgen import (
@@ -1274,6 +1279,129 @@ class TestReport:
         assert run("report", b, a, "--out", tmp_path, "--quiet") == 3
         assert f"a.json: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("first, second", [("json", "csv"), ("csv", "json")])
+    def test_other_format_of_an_earlier_run_is_removed(self, tmp_path, first, second):
+        # one report per --out: the earlier report, of other rows, would
+        # sit beside the new one
+        rep = tmp_path / "rep"
+        for fmt, effect in ((first, 2.0), (second, 5.0)):
+            art = write_json(
+                tmp_path / f"{fmt}.json",
+                {"estimator": "did", "outcome": "u", "effect": effect, "p_value": None},
+            )
+            assert run("report", art, "--format", fmt, "--out", rep, "--quiet") == 0
+        assert os.listdir(rep) == [f"report.{second}"]
+        assert "5.0" in (rep / f"report.{second}").read_text()
+
+
+def report_argv(tmp_path):
+    """A report run over one small artifact, into ``tmp_path / "rep"``."""
+    art = write_json(
+        tmp_path / "did.json",
+        {"estimator": "did", "outcome": "u", "effect": 1.5, "p_value": None},
+    )
+    return ["report", art, "--out", tmp_path / "rep"]
+
+
+class TestStderrLines:
+    """The CLI writes ``INFO``, ``WARNING`` and ``ERROR`` lines to the
+    ``sys.stderr`` of the moment, leaves Python's logging alone, and drops
+    a line it cannot write."""
+
+    def test_info_and_error_lines(self, tmp_path, capsys):
+        argv = report_argv(tmp_path)
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == f"INFO wrote {tmp_path / 'rep' / 'report.json'}\n"
+        assert run("report", tmp_path / "absent.json", "--out", tmp_path) == 5
+        assert capsys.readouterr().err == (
+            f"ERROR io error: {tmp_path / 'absent.json'}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_quiet_holds_for_its_call_only(self, tmp_path, capsys, via):
+        argv = report_argv(tmp_path)
+        quiet = ["--quiet"] if via == "flag" else [
+            "--config", write_json(tmp_path / "cfg.json", {"quiet": True})
+        ]
+        assert run(*argv, *quiet) == 0
+        assert capsys.readouterr().err == ""
+        assert run(*argv) == 0
+        assert capsys.readouterr().err.startswith("INFO wrote ")
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
+    def test_host_logging_left_as_it_was(self, tmp_path, quiet):
+        root = logging.getLogger()
+        handler = logging.NullHandler()
+        handlers, level = list(root.handlers), root.level
+        root.addHandler(handler)
+        root.setLevel(logging.DEBUG)
+        try:
+            assert run(*report_argv(tmp_path), *quiet) == 0
+            assert root.handlers == handlers + [handler]
+            assert root.level == logging.DEBUG
+        finally:
+            root.removeHandler(handler)
+            root.setLevel(level)
+
+    class Failing(io.StringIO):
+        def __init__(self, error):
+            super().__init__()
+            self.error = error
+
+        def write(self, text):
+            raise self.error
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            None,
+            "closed",
+            Failing(BrokenPipeError(32, "Broken pipe")),
+            Failing(OSError(28, "No space left on device")),
+        ],
+        ids=["none", "closed", "broken-pipe", "full"],
+    )
+    def test_unwritable_stderr_changes_no_outcome(self, tmp_path, monkeypatch, stream):
+        if stream == "closed":
+            stream = io.StringIO()
+            stream.close()
+        monkeypatch.setattr("sys.stderr", stream)
+        assert run(*report_argv(tmp_path)) == 0
+        assert os.listdir(tmp_path / "rep") == ["report.json"]
+        assert run("report", tmp_path / "absent.json", "--out", tmp_path) == 5
+
+    @pytest.mark.parametrize("stderr", ["2>&-", "2>/dev/full", "broken-pipe"])
+    @pytest.mark.parametrize("artifact", ["did.json", "absent.json"], ids=["ok", "io-error"])
+    def test_process_without_stderr_exits_alike(self, tmp_path, stderr, artifact):
+        """A process whose stderr is closed, full or a pipe nobody reads
+        exits as one whose stderr is read, with the same stdout and files."""
+        if stderr == "2>/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        report_argv(tmp_path)
+        src = str(Path(causalpanel.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "causalpanel.cli", "report", str(tmp_path / artifact),
+                "--out", "rep"]
+
+        def outcome(run_dir, redirect):
+            run_dir.mkdir()
+            common = dict(cwd=run_dir, env=env, stdout=subprocess.PIPE, timeout=60)
+            if redirect is None:
+                done = subprocess.run(argv, stderr=subprocess.PIPE, **common)
+            elif redirect == "broken-pipe":
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    done = subprocess.run(argv, stderr=pipe, **common)
+            else:
+                done = subprocess.run(f"{shlex.join(argv)} {redirect}", shell=True, **common)
+            files = {p.name: p.read_bytes() for p in run_dir.glob("rep/*")}
+            return done.returncode, done.stdout, files
+
+        read = outcome(tmp_path / "read", None)
+        assert read[0] == (0 if artifact == "did.json" else 5)
+        assert outcome(tmp_path / "unread", stderr) == read
 
 
 class TestOptionResolution:

@@ -1,8 +1,8 @@
 """What a process loads: each CLI command imports only the package modules
 it runs, the package resolves its public names on first use, no command
 pulls in ``numpy.ma`` (which ``np.unique`` without options and
-``np.median`` import on their first call under numpy 2), and ``--help``
-and ``report`` load no numpy at all.
+``np.median`` import on their first call under numpy 2) or ``logging``,
+and ``--help`` and ``report`` load no numpy at all.
 
 Each command runs in a fresh child process, since ``sys.modules`` of this
 one already holds every module."""
@@ -21,7 +21,7 @@ SRC = str(Path(causalpanel.__file__).parents[1])
 
 # Runs ``cli.main`` on the arguments, if there are any, and prints, as its
 # last line, the exit code, the package modules loaded and whether numpy,
-# numpy.ma and numpy.random were.
+# numpy.ma, numpy.random and logging were.
 PROBE = (
     "import json, sys\n"
     "from causalpanel.cli import main\n"
@@ -33,7 +33,8 @@ PROBE = (
     "'package': sorted(m for m in sys.modules if m.startswith('causalpanel')), "
     "'numpy': 'numpy' in sys.modules, "
     "'numpy.ma': 'numpy.ma' in sys.modules, "
-    "'numpy.random': 'numpy.random' in sys.modules}))\n"
+    "'numpy.random': 'numpy.random' in sys.modules, "
+    "'logging': 'logging' in sys.modules}))\n"
 )
 
 SCENARIO = {
@@ -140,6 +141,15 @@ def test_only_simulate_loads_numpy_random(loaded, tmp_path):
         assert record["numpy.random"] == (command == "simulate" or with_numpy), command
 
 
+def test_no_command_loads_logging(loaded, tmp_path):
+    # the CLI writes its own stderr lines; logging (with traceback and
+    # string) would cost every process a few ms and about 0.6 MB
+    code = "import sys, numpy; print('logging' in sys.modules)"
+    with_numpy = child(code, cwd=tmp_path).strip() == "True"
+    for command, record in loaded.items():
+        assert not record["logging"] or (with_numpy and record["numpy"]), command
+
+
 def test_every_public_name_resolves():
     for name in causalpanel.__all__:
         assert getattr(causalpanel, name) is not None, name
@@ -182,6 +192,7 @@ def test_help_and_report_load_no_numpy(tmp_path, argv):
     assert record["code"] == 0
     assert record["package"] == sorted(BASE)
     assert not record["numpy"]
+    assert not record["logging"]
     if argv[:1] == ["report"]:
         assert (tmp_path / f"report.{argv[-1]}").is_file()
 

@@ -1,6 +1,6 @@
 """How the package commits the files it writes (:func:`committed`) and
 reads the dates in the text it takes in (:func:`parse_date`). No numpy:
-the CLI loads this module for ``--help`` and ``report``."""
+every command loads this module, ``report`` among them."""
 
 from __future__ import annotations
 

@@ -211,7 +211,8 @@ class PanelDataset:
     are never interpolated and every estimator must honour the mask.
     ``unit_tags`` holds categorical per-unit labels (e.g. continent) that
     regression designs may expand to dummies. ``policy_codes`` is attached
-    by :func:`merge_panels` and is -1 where no code is known.
+    by :func:`merge_panels`: a code of ``POLICY_CODES`` per cell, or -1
+    where no code is known.
     """
 
     unit_ids: tuple[str, ...]
@@ -274,10 +275,19 @@ class PanelDataset:
                     f"{len(self.unit_ids)} units"
                 )
         if self.policy_codes is not None:
-            codes = _frozen_array(self.policy_codes, np.int64)
-            object.__setattr__(self, "policy_codes", codes)
+            # checked before the cast to int64, which would truncate a
+            # fraction and cannot hold every int
+            codes = np.asarray(self.policy_codes)
             if codes.shape != shape:
                 raise ValidationError("policy code matrix shape mismatch")
+            bad = np.argwhere(~np.isin(codes, (*POLICY_CODES, -1)))
+            if bad.size:
+                i, j = bad[0]
+                raise ValidationError(
+                    f"panel has a policy code {codes[i, j]} outside 0..3 for "
+                    f"unit {self.unit_ids[i]!r} on {self.dates[j]}"
+                )
+            object.__setattr__(self, "policy_codes", _frozen_array(codes, np.int64))
 
     @property
     def n_units(self) -> int:

@@ -791,7 +791,9 @@ def parse_units_csv(source) -> dict[str, str]:
 def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     """The ``value`` column of a series table, and its ``date`` column of
     ISO dates when it has one. A non-numeric or non-finite value or a
-    malformed date is a parse error naming its row."""
+    malformed date is a parse error naming its row. Once every row has
+    parsed, the dates must increase strictly (gaps allowed): the first
+    date not after the one before it is a validation error naming its row."""
     with _csv_table(source, "series") as (header, body):
         if "value" not in header:
             raise SchemaError("series file needs a value column")
@@ -803,12 +805,26 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
             for columns, rownos in body(max(v_col, d_col or 0) + 1, floats=(v_col,)):
                 block = {"value": _finite_floats(columns[v_col], rownos, "value")}
                 if d_col is not None:
-                    days = _day_ordinals(columns[d_col], rownos, day_table)
-                    block["date"] = list(map(date.fromordinal, days.tolist()))
+                    block["day"] = _day_ordinals(columns[d_col], rownos, day_table)
+                    block["row"] = rownos
                 yield block
 
-        columns = _stacked(blocks(), {"value": np.empty(body.max_rows), "date": []})
-    return columns["value"], (columns["date"] if d_col is not None else None)
+        n = body.max_rows
+        columns = {"value": np.empty(n)}
+        if d_col is not None:
+            columns.update(day=np.empty(n, np.int64), row=np.empty(n, np.int64))
+        columns = _stacked(blocks(), columns)
+    if d_col is None:
+        return columns["value"], None
+    day = columns["day"]
+    back = np.flatnonzero(day[1:] <= day[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValidationError(
+            f"row {columns['row'][k]}: date {date.fromordinal(int(day[k]))} "
+            f"not after the previous date {date.fromordinal(int(day[k - 1]))}"
+        )
+    return columns["value"], list(map(date.fromordinal, day.tolist()))
 
 
 def write_panel(panel: PanelDataset, target) -> None:
@@ -907,13 +923,11 @@ def read_panel(source) -> PanelDataset:
     code_dates, code_rows = unit_rows("codes")
     if code_rows is not None and code_dates != header[1:]:
         raise ParseError("codes section: date header differs from the outcomes'")
-    codes = None if code_rows is None else np.array(
-        [
-            [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
-            for u, row in zip(units, code_rows)
-        ],
-        dtype=np.int64,
-    )
+    # Python ints: PanelDataset checks their range before it casts them
+    codes = None if code_rows is None else [
+        [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
+        for u, row in zip(units, code_rows)
+    ]
     return PanelDataset(
         unit_ids=tuple(units),
         dates=dates,

@@ -591,7 +591,9 @@ def parse_units_csv(source) -> dict[str, str]:
 def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     """The ``value`` column of a series table, and its ``date`` column of
     ISO dates when it has one. A non-numeric or non-finite value or a
-    malformed date is a parse error naming its row."""
+    malformed date is a parse error naming its row. Once every row has
+    parsed, the dates must increase strictly (gaps allowed): the first
+    date not after the one before it is a validation error naming its row."""
     with _csv_table(source, "series") as (header, body):
         if "value" not in header:
             raise SchemaError("series file needs a value column")
@@ -604,7 +606,16 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
                 if d_col is not None:
                     days = _day_ordinals(columns[d_col], rownos)
                     block["date"] = list(map(date.fromordinal, days.tolist()))
+                    block["row"] = rownos.tolist()
                 yield block
 
-        columns = _stacked(blocks(), {"value": np.empty(body.max_rows), "date": []})
-    return columns["value"], (columns["date"] if d_col is not None else None)
+        columns = _stacked(
+            blocks(), {"value": np.empty(body.max_rows), "date": [], "row": []}
+        )
+    if d_col is None:
+        return columns["value"], None
+    dates = columns["date"]
+    for prev, cur, rowno in zip(dates, dates[1:], columns["row"][1:]):
+        if cur <= prev:
+            raise ValidationError(f"row {rowno}: date {cur} not after the previous date {prev}")
+    return columns["value"], dates

@@ -491,6 +491,25 @@ class TestDidWorkflow:
         ) in err
         assert not (work / "did.json").exists()
 
+    @pytest.mark.parametrize("code", ["7", "-3"])
+    def test_policy_code_out_of_range_exits_3_naming_unit_and_date(
+        self, tmp_path, capsys, code
+    ):
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        panel = work / "panel.txt"
+        edit_panel_row(panel, "codes", "CTRL", "2020-01-05", code)
+        code_exit = run(
+            "did", "--panel", panel, "--treated", "TREAT", "--control", "CTRL",
+            "--treatment-date", "2020-01-31", "--out", work, "--quiet",
+        )
+        assert code_exit == 3
+        err = capsys.readouterr().err
+        assert (
+            f"panel.txt: panel has a policy code {code} outside 0..3 "
+            "for unit 'CTRL' on 2020-01-05"
+        ) in err
+        assert not (work / "did.json").exists()
+
     def test_round_trip_recovers_effect(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, did_scenario(), with_units=True)
         assert (
@@ -830,6 +849,23 @@ class TestCpdWorkflow:
         err = capsys.readouterr().err
         assert "series.csv: row 3: expected 2 fields" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("2020-01-01", "row 3: date 2020-01-01 not after the previous date 2020-01-01"),
+            ("2019-12-31", "row 3: date 2019-12-31 not after the previous date 2020-01-01"),
+        ],
+        ids=["repeated", "backwards"],
+    )
+    def test_series_dates_out_of_order_exit_3(self, tmp_path, capsys, second, message):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            f"date,value\n2020-01-01,1.0\n{second},2.0\n2020-01-09,3.0\n", encoding="utf-8"
+        )
+        assert run("cpd", "--series", series, "--out", tmp_path, "--quiet") == 3
+        assert f"series.csv: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cpd.json").exists()
 
     @pytest.mark.parametrize("delimiter", ["\t", ";"], ids=["tab", "semicolon"])
     def test_series_delimiter_sniffed(self, tmp_path, delimiter):

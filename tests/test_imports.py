@@ -1,7 +1,8 @@
-"""What a process loads: each CLI command imports only the package modules
-it runs, the package resolves its public names on first use, no command
-pulls in ``numpy.ma`` (which ``np.unique`` without options and
-``np.median`` import on their first call under numpy 2) or ``logging``,
+"""What a process loads: the CLI's front (``--help``, a command's ``--help``,
+a usage error) loads the parser alone, each CLI command imports only the
+package modules it runs, the package resolves its public names on first
+use, no command pulls in ``numpy.ma`` (which ``np.unique`` without options
+and ``np.median`` import on their first call under numpy 2) or ``logging``,
 and ``--help`` and ``report`` load no numpy at all.
 
 Each command runs in a fresh child process, since ``sys.modules`` of this
@@ -20,21 +21,25 @@ import causalpanel
 SRC = str(Path(causalpanel.__file__).parents[1])
 
 # Runs ``cli.main`` on the arguments, if there are any, and prints, as its
-# last line, the exit code, the package modules loaded and whether numpy,
-# numpy.ma, numpy.random and logging were.
+# last line, the exit code, the package modules loaded, whether numpy,
+# numpy.ma, numpy.random and logging were, and which of json, csv and
+# datetime were (noted before the probe imports json to print).
 PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "from causalpanel.cli import main\n"
     "try:\n"
     "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "except SystemExit as exc:  # --help\n"
+    "except SystemExit as exc:  # --help, a usage error\n"
     "    code = exc.code\n"
+    "loaded = set(sys.modules)\n"
+    "import json\n"
     "print(json.dumps({'code': code, "
-    "'package': sorted(m for m in sys.modules if m.startswith('causalpanel')), "
-    "'numpy': 'numpy' in sys.modules, "
-    "'numpy.ma': 'numpy.ma' in sys.modules, "
-    "'numpy.random': 'numpy.random' in sys.modules, "
-    "'logging': 'logging' in sys.modules}))\n"
+    "'package': sorted(m for m in loaded if m.startswith('causalpanel')), "
+    "'numpy': 'numpy' in loaded, "
+    "'numpy.ma': 'numpy.ma' in loaded, "
+    "'numpy.random': 'numpy.random' in loaded, "
+    "'logging': 'logging' in loaded, "
+    "'stdlib': sorted(loaded & {'json', 'csv', 'datetime'})}))\n"
 )
 
 SCENARIO = {
@@ -55,7 +60,10 @@ SCENARIO = {
     "seed": 3,
 }
 
-BASE = {"causalpanel", "causalpanel.cli", "causalpanel.errors", "causalpanel.files"}
+# What the CLI's front loads: the parser, the exit codes and the stderr lines.
+FRONT = {"causalpanel", "causalpanel.cli", "causalpanel.errors"}
+# What every command loads: the front, the command handlers and the file commit.
+BASE = FRONT | {"causalpanel.commands", "causalpanel.files"}
 
 # The package modules each command may load beyond BASE.
 COMMAND_MODULES = {
@@ -117,7 +125,22 @@ def loaded(tmp_path_factory):
 
 def test_cli_import_loads_no_command_module(tmp_path):
     code = "import sys, causalpanel.cli; print(sorted(m for m in sys.modules if m.startswith('causalpanel')))"
-    assert child(code, cwd=tmp_path).strip() == str(sorted(BASE))
+    assert child(code, cwd=tmp_path).strip() == str(sorted(FRONT))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["did", "--help"], 0), (["did"], 2)],
+    ids=["help", "did-help", "usage-error"],
+)
+def test_front_loads_the_parser_only(tmp_path, argv, code):
+    # --help and argparse's usage errors end before main imports the
+    # command handlers, so they compile none of them and read no JSON,
+    # CSV or date
+    record = probe(*argv, cwd=tmp_path)
+    assert record["code"] == code
+    assert record["package"] == sorted(FRONT)
+    assert record["stdlib"] == []
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
@@ -190,7 +213,7 @@ def test_help_and_report_load_no_numpy(tmp_path, argv):
         (tmp_path / f"{estimator}.json").write_text(json.dumps(artifact), encoding="utf-8")
     record = probe(*argv, cwd=tmp_path)
     assert record["code"] == 0
-    assert record["package"] == sorted(BASE)
+    assert record["package"] == sorted(BASE if argv[:1] == ["report"] else FRONT)
     assert not record["numpy"]
     assert not record["logging"]
     if argv[:1] == ["report"]:
@@ -205,7 +228,7 @@ def test_probe_sees_numpy(loaded):
 def test_sanitize():
     import numpy as np
 
-    from causalpanel.cli import _sanitize
+    from causalpanel.commands import _sanitize
 
     payload = {
         "count": np.int64(3),
@@ -225,7 +248,7 @@ def test_sanitize():
 def test_sanitize_runs_without_numpy(tmp_path):
     code = (
         "import json, math, sys\n"
-        "from causalpanel.cli import _sanitize\n"
+        "from causalpanel.commands import _sanitize\n"
         "out = _sanitize({'a': (1, (2.0, math.nan)), 'b': -math.inf, 'c': [math.inf, 'x']})\n"
         "print(json.dumps([out, 'numpy' in sys.modules]))\n"
     )

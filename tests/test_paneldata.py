@@ -1,5 +1,6 @@
 """Panel model tests: timelines, events, telemetry aggregation, merging."""
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -155,6 +156,22 @@ class TestPanelDataset:
                 covariates=np.array([[3.0, 0.5], [4.0, bad]]),
                 covariate_names=("system_count", "vpro_percentage"),
             )
+
+    @pytest.mark.parametrize("bad", [7, 4, -2, -3, 2**70, 1.5])
+    def test_policy_code_outside_range_rejected(self, bad):
+        panel = make_panel({"A": [1.0, 2.0], "B": [3.0, 4.0]})
+        with pytest.raises(
+            ValidationError, match=f"policy code {bad} outside 0..3 for unit 'B' on 2020-01-02"
+        ):
+            replace(panel, policy_codes=[[0, 3], [-1, bad]])
+
+    def test_policy_codes_read_only_int64_with_minus_one_unknown(self):
+        panel = replace(make_panel({"A": [1.0, 2.0]}), policy_codes=[[-1, 3]])
+        assert panel.policy_codes.dtype == np.int64
+        assert panel.policy_codes.tolist() == [[-1, 3]]
+        assert panel.timeline("A") is None
+        with pytest.raises(ValueError):
+            panel.policy_codes[0, 0] = 2
 
     def test_tag_length_checked(self):
         with pytest.raises(ValidationError, match="tag"):

@@ -461,6 +461,26 @@ class TestPanelFormat:
         back = read_panel(buf.getvalue().encode())
         assert back.policy_codes.tolist() == [[0, 3]]
 
+    @pytest.mark.parametrize("cell", ["7", "-3", "99999999999999999999"])
+    def test_code_out_of_range_names_unit_and_date(self, cell):
+        from causalpanel.paneldata import merge_panels
+
+        panel = make_panel({"A": [1.0, 2.0], "B": [3.0, 4.0]})
+        merged = merge_panels(
+            panel, [PolicyTimeline(u, panel.dates[0], (0, 3)) for u in panel.unit_ids]
+        )
+        buf = io.StringIO()
+        write_panel(merged, buf)
+        text = buf.getvalue()
+        assert text.endswith("B\t0\t3\n")
+        # -1, the code of a cell written NA, is the one outside 0..3 allowed
+        unknown = read_panel(text.replace("B\t0\t3", "B\tNA\t-1").encode())
+        assert unknown.policy_codes[1].tolist() == [-1, -1]
+        with pytest.raises(
+            ValidationError, match=f"policy code {cell} outside 0..3 for unit 'B' on 2020-01-02"
+        ):
+            read_panel(text.replace("B\t0\t3", f"B\t0\t{cell}").encode())
+
     @pytest.mark.parametrize(
         "section,damage",
         [
@@ -577,9 +597,10 @@ def test_max_rows_of_a_path_bounds_its_rows(tmp_path, ending, final):
 
 
 def test_only_panelio_and_cli_import_csv():
-    # panelio reads every CSV table and writes the input tables; the CLI
-    # writes its own result tables, so that a command that writes only
-    # those (report) loads no numpy. No other module touches CSV.
+    # panelio reads every CSV table and writes the input tables; the CLI's
+    # command handlers write their own result tables, so that a command
+    # that writes only those (report) loads no numpy. No other module
+    # touches CSV: not the CLI's front, which --help loads.
     package = Path(causalpanel.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -592,4 +613,4 @@ def test_only_panelio_and_cli_import_csv():
                 continue
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.append(path.name)
-    assert sorted(set(importers)) == ["cli.py", "panelio.py"]
+    assert sorted(set(importers)) == ["commands.py", "panelio.py"]

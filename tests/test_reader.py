@@ -277,3 +277,38 @@ def test_row_after_empty_line_keeps_its_number(kind, text, message):
     got = parsed(panelio, kind, text.encode())
     assert got == parsed(ref, kind, text.encode())
     assert message in got[1]
+
+
+@pytest.mark.parametrize(
+    "days, message",
+    [
+        ([0, 2, 1], "row 4: date 2020-01-02 not after the previous date 2020-01-03"),
+        ([0, 1, 1], "row 4: date 2020-01-02 not after the previous date 2020-01-02"),
+        ([0, 1, 5, 40], None),  # gaps are allowed
+    ],
+    ids=["backwards", "repeated", "gaps"],
+)
+@pytest.mark.parametrize("block_rows", [1, 2048])
+def test_series_dates_increase_strictly(days, message, block_rows):
+    text = "date,value\n" + "".join(f"{day(d)},{d}.5\n" for d in days)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(panelio, "_BLOCK_ROWS", block_rows)
+        patch.setattr(ref, "_BLOCK_ROWS", block_rows)
+        got = parsed(panelio, "series", text.encode())
+        assert got == parsed(ref, "series", text.encode())
+    if message is None:
+        assert got[1] == [START + timedelta(days=d) for d in days]
+    else:
+        assert got == (panelio.ValidationError, message)
+
+
+def test_series_parse_error_comes_before_order():
+    # the order is checked once every row has parsed, so a bad value
+    # below an out-of-order date is the error, whatever the block size
+    text = f"date,value\n{day(1)},1.0\n{day(0)},2.0\n{day(2)},x\n".encode()
+    for block_rows in (1, 2048):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(panelio, "_BLOCK_ROWS", block_rows)
+            assert parsed(panelio, "series", text) == (
+                panelio.ParseError, "row 4: non-numeric value 'x'"
+            )

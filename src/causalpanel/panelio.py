@@ -925,7 +925,7 @@ def read_panel(source) -> PanelDataset:
         raise ParseError("codes section: date header differs from the outcomes'")
     # Python ints: PanelDataset checks their range before it casts them
     codes = None if code_rows is None else [
-        [-1 if c == NA else _parse_number(c, "codes", u, int) for c in row]
+        [-1 if c == NA else _parse_code(c, u, day) for c, day in zip(row, dates)]
         for u, row in zip(units, code_rows)
     ]
     return PanelDataset(
@@ -946,3 +946,14 @@ def _parse_number(token: str, section: str, unit: str, kind=float):
         return kind(token)
     except ValueError:
         raise ParseError(f"{section} row for {unit!r}: bad number {token!r}") from None
+
+
+def _parse_code(token: str, unit: str, day: date) -> int:
+    """A ``codes`` cell other than ``NA``. A negative one is out of range
+    here, -1 too: -1 is the panel's "no code", which the file writes NA."""
+    code = _parse_number(token, "codes", unit, int)
+    if code < 0:
+        raise ValidationError(
+            f"panel has a policy code {code} outside 0..3 for unit {unit!r} on {day}"
+        )
+    return code

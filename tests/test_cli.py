@@ -491,7 +491,7 @@ class TestDidWorkflow:
         ) in err
         assert not (work / "did.json").exists()
 
-    @pytest.mark.parametrize("code", ["7", "-3"])
+    @pytest.mark.parametrize("code", ["7", "-1", "-3"])
     def test_policy_code_out_of_range_exits_3_naming_unit_and_date(
         self, tmp_path, capsys, code
     ):

@@ -461,7 +461,7 @@ class TestPanelFormat:
         back = read_panel(buf.getvalue().encode())
         assert back.policy_codes.tolist() == [[0, 3]]
 
-    @pytest.mark.parametrize("cell", ["7", "-3", "99999999999999999999"])
+    @pytest.mark.parametrize("cell", ["7", "-1", "-3", "99999999999999999999"])
     def test_code_out_of_range_names_unit_and_date(self, cell):
         from causalpanel.paneldata import merge_panels
 
@@ -473,8 +473,8 @@ class TestPanelFormat:
         write_panel(merged, buf)
         text = buf.getvalue()
         assert text.endswith("B\t0\t3\n")
-        # -1, the code of a cell written NA, is the one outside 0..3 allowed
-        unknown = read_panel(text.replace("B\t0\t3", "B\tNA\t-1").encode())
+        # NA is the one cell outside 0..3 allowed: the panel's -1, "no code"
+        unknown = read_panel(text.replace("B\t0\t3", "B\tNA\tNA").encode())
         assert unknown.policy_codes[1].tolist() == [-1, -1]
         with pytest.raises(
             ValidationError, match=f"policy code {cell} outside 0..3 for unit 'B' on 2020-01-02"

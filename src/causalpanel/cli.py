@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treated", required=True, help="comma-separated unit ids")
     p.add_argument("--control", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
-    p.add_argument("--covariates", help="comma-separated covariate/tag names")
-    p.add_argument("--time-trend", action="store_true", default=None)
 
     p = sub.add_parser("synth", parents=[common], help="synthetic control")
     p.add_argument("--panel", required=True)

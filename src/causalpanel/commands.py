@@ -365,14 +365,12 @@ def cmd_did(args, config) -> int:
     from .did import DidSpec, fit_did, parallel_trends_diagnostic
     from .panelio import read_panel
 
-    opts = _options(args, config, {"covariates": None, "time_trend": False})
+    opts = _options(args, config, {})
     panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),
         control_units=frozenset(_split_list(args.control)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
-        covariate_names=tuple(_split_list(opts.covariates)) if opts.covariates else (),
-        time_trend=opts.time_trend,
     )
     fit = fit_did(panel, spec)
 
@@ -390,15 +388,11 @@ def cmd_did(args, config) -> int:
         "treatment_date": spec.treatment_date.isoformat(),
         "treated": treated,
         "control": sorted(spec.control_units),
-        "time_trend": spec.time_trend,
-        "alpha": fit.alpha,
         "beta0": fit.beta0,
         "stderr_beta0": fit.stderr_beta0,
         "p_value": fit.p_value,
         "confidence_interval": list(fit.confidence_interval),
         "n_obs": fit.n_obs,
-        "covariate_betas": dict(fit.covariate_betas),
-        "gamma": fit.gamma,
         "parallel_trends": trends,
         "effect": fit.beta0,
         "chassis": chassis,

@@ -1,16 +1,39 @@
-"""Two-way difference-in-differences on merged usage panels.
+"""Difference in differences with unit and date fixed effects.
 
-The estimating equation is Y_it = a + b0*D_i(t) + b1*X_i + g*t + e_it,
-where D_i(t) = 1 exactly when unit i is treated and t is on or after the
-treatment date. Group and post-period main effects are always included
-alongside the interaction; without them the interaction coefficient
-absorbs level differences between groups and periods instead of the
-effect. The time trend is shared across groups, matching the single g*t
-term of the model.
+The estimating equation, over the observed (unmasked) cells of the spec's
+units, is
 
-Standard errors are classical homoskedastic ones. Serial-correlation and
-cluster corrections are deliberately out of scope; the reported p-values
-are exact only under i.i.d. errors.
+    Y_it = a_i + b_t + beta0 * D_it + e_it,
+
+where a_i is a unit effect, b_t a date effect, and D_it = 1 exactly when
+unit i is treated and date t is on or after the treatment date. The fixed
+effects absorb each unit's level and each day's shock shared by all units,
+so anything constant within a unit (a covariate, a region tag) or common
+to all units on a day (a shared trend, seasonality) needs no term of its
+own.
+
+The solve is exact and never builds the unit and date dummies. With W the
+0/1 observed-cell matrix (units x dates), n_i the number of observed cells
+of unit i and m_t that of date t, eliminating the date effects from the
+normal equations of the fixed effects leaves one units x units system,
+
+    (diag(n) - W diag(1/m) W') a = r,
+
+where r_i is unit i's sum less the sum of its cells' date means. The
+system is solved through its SVD with solve_ols's rank cutoff, and then
+b_t = (sum of date t's cells - (W'a)_t) / m_t. Doing so for Y and for D
+gives their two-way residuals; by the Frisch-Waugh-Lovell theorem beta0
+and its stderr are those of the regression of Y's residual on D's. The
+fit takes O(N*T + N^3) time for N units and T dates, on balanced and
+masked panels alike.
+
+The degrees of freedom are n_obs - rank(FE) - 1. rank(FE), the rank of
+the unit and date dummies over the observed cells, is the number of
+dates observed plus the rank of the units x units matrix: N - 1 when
+shared dates connect every unit to every other. Standard errors are
+classical homoskedastic ones. Serial-correlation and cluster corrections
+are deliberately out of scope; the reported p-values are exact only under
+i.i.d. errors.
 """
 
 from __future__ import annotations
@@ -19,14 +42,13 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DiagnosticUnavailableError,
     NumericalError,
-    SchemaError,
     SingularDesignError,
     SpecError,
     ValidationError,
@@ -40,20 +62,17 @@ RANK_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class DidSpec:
-    """Which units form the treatment contrast and what enters the design."""
+    """Which units form the treatment contrast, and when treatment starts."""
 
     treated_units: frozenset[str]
     control_units: frozenset[str]
     treatment_date: date
-    covariate_names: tuple[str, ...] = ()
-    time_trend: bool = False
 
     def __post_init__(self):
         treated = frozenset(self.treated_units)
         control = frozenset(self.control_units)
         object.__setattr__(self, "treated_units", treated)
         object.__setattr__(self, "control_units", control)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         if not treated or not control:
             raise ValidationError("treated and control sets must be non-empty")
         overlap = treated & control
@@ -65,13 +84,10 @@ class DidSpec:
 
 @dataclass(frozen=True)
 class DidFit:
-    """Fitted two-way design. beta0 is the treated-x-post interaction,
-    i.e. the causal effect under parallel trends."""
+    """Fitted two-way fixed-effects design. beta0 is the coefficient of
+    the treatment indicator, i.e. the causal effect under parallel trends."""
 
-    alpha: float
     beta0: float
-    covariate_betas: Mapping[str, float]
-    gamma: float | None
     stderr_beta0: float
     p_value: float
     confidence_interval: tuple[float, float]
@@ -301,11 +317,9 @@ def _invert_tail(upper_tail, density, target: float, lo: float, hi: float) -> fl
 def _t_pvalue_and_ci(
     estimate: float, stderr: float, dof: int
 ) -> tuple[float, tuple[float, float]]:
-    """Two-sided p-value and 95% interval from the t distribution. A zero
-    stderr (perfect fit) degenerates to p=0 for nonzero estimates and a
-    point interval."""
-    if not np.isfinite(stderr) or dof <= 0:
-        return float("nan"), (float("-inf"), float("inf"))
+    """Two-sided p-value and 95% interval from the t distribution with
+    ``dof`` >= 1. A zero stderr (perfect fit) degenerates to p=0 for
+    nonzero estimates and a point interval."""
     if stderr == 0.0:
         p = 1.0 if estimate == 0.0 else 0.0
         return p, (estimate, estimate)
@@ -314,117 +328,87 @@ def _t_pvalue_and_ci(
     return min(p, 1.0), (estimate - half, estimate + half)
 
 
-def _covariate_columns(
-    panel: PanelDataset, units: Sequence[str], names: Sequence[str]
-) -> tuple[list[str], np.ndarray]:
-    """Per-unit covariate block. Numeric names map straight to panel
-    covariates; categorical tag names expand to k-1 dummies with the
-    alphabetically first level as baseline."""
-    columns: list[np.ndarray] = []
-    labels: list[str] = []
-    for name in names:
-        if name in panel.covariate_names:
-            j = panel.covariate_names.index(name)
-            values = np.array([panel.covariates[panel.unit_index(u), j] for u in units])
-            columns.append(values)
-            labels.append(name)
-        elif name in panel.unit_tags:
-            tags = panel.unit_tags[name]
-            values = [tags[panel.unit_index(u)] for u in units]
-            levels = sorted(set(values))
-            for level in levels[1:]:
-                columns.append(np.array([1.0 if v == level else 0.0 for v in values]))
-                labels.append(f"{name}={level}")
-        else:
-            raise SchemaError(f"unknown covariate {name!r}")
-    block = np.column_stack(columns) if columns else np.empty((len(units), 0))
-    return labels, block
-
-
-def _stack_cells(
+def _cells(
     panel: PanelDataset, spec: DidSpec
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unmasked (unit, date) rows in sorted-unit order, so any permutation
-    of the panel's unit axis produces bit-identical designs."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The spec's units' rows of the panel in sorted-unit order, so that
+    any permutation of the panel's unit axis gives bit-identical fits:
+    the observed-cell mask, the outcomes (0 in masked cells), each unit's
+    treated flag, and each date's post-period flag."""
     units = sorted(spec.treated_units | spec.control_units)
     missing = [u for u in units if u not in panel.unit_ids]
     if missing:
         raise ValidationError(f"panel does not contain units: {missing}")
-
-    t_days = np.array([(d - panel.dates[0]).days for d in panel.dates], dtype=float)
+    rows = [panel.unit_index(u) for u in units]
+    observed = ~panel.missing_mask[rows]
+    outcomes = np.where(observed, panel.outcomes[rows], 0.0)
+    treated = np.array([u in spec.treated_units for u in units])
     post = np.array([d >= spec.treatment_date for d in panel.dates])
+    return observed, outcomes, treated, post
 
-    rows_unit: list[int] = []
-    y_parts, t_parts, post_parts, treat_parts = [], [], [], []
-    for k, unit in enumerate(units):
-        i = panel.unit_index(unit)
-        keep = ~panel.missing_mask[i]
-        y_parts.append(panel.outcomes[i, keep])
-        t_parts.append(t_days[keep])
-        post_parts.append(post[keep].astype(float))
-        is_treated = 1.0 if unit in spec.treated_units else 0.0
-        treat_parts.append(np.full(int(keep.sum()), is_treated))
-        rows_unit.extend([k] * int(keep.sum()))
 
-    y = np.concatenate(y_parts)
-    t = np.concatenate(t_parts)
-    post_col = np.concatenate(post_parts)
-    treated_col = np.concatenate(treat_parts)
-    return units, np.asarray(rows_unit), y, t, np.column_stack([treated_col, post_col])
+def _two_way_residuals(
+    observed: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The residuals of each of ``columns`` (k x units x dates, 0 in
+    unobserved cells) on unit and date effects over the observed cells (0
+    elsewhere), and the rank of those effects. Every date has an observed
+    cell. See the module docstring for the elimination."""
+    W = observed.astype(float)
+    n, m = W.sum(axis=1), W.sum(axis=0)
+    unit_sums, date_sums = columns.sum(axis=2), columns.sum(axis=1)
+    U, singular_values, Vt = np.linalg.svd(np.diag(n) - (W / m) @ W.T)
+    keep = singular_values > RANK_TOLERANCE * singular_values[0]
+    rhs = unit_sums - (date_sums / m) @ W.T
+    a = (rhs @ U[:, keep] / singular_values[keep]) @ Vt[keep]
+    b = (date_sums - a @ W) / m
+    residuals = (columns - a[:, :, None] - b[:, None, :]) * W
+    return residuals, m.size + int(keep.sum())
 
 
 def fit_did(panel: PanelDataset, spec: DidSpec) -> DidFit:
-    """Fit the two-way design on all unmasked cells of the spec's units."""
-    units, row_unit, y, t, group_post = _stack_cells(panel, spec)
-    treated_col = group_post[:, 0]
-    post_col = group_post[:, 1]
-
-    if not post_col.any():
-        raise SpecError("no observations on or after the treatment date")
-    if post_col.all():
-        raise SpecError("no observations before the treatment date")
-    for label, mask in (("treated", treated_col == 1.0), ("control", treated_col == 0.0)):
-        pre_n = int(((post_col == 0.0) & mask).sum())
-        post_n = int(((post_col == 1.0) & mask).sum())
+    """Fit the two-way fixed-effects design on all observed cells of the
+    spec's units."""
+    observed, y, treated, post = _cells(panel, spec)
+    for label, group in (("treated", treated), ("control", ~treated)):
+        cells = observed[group]
+        pre_n, post_n = int(cells[:, ~post].sum()), int(cells[:, post].sum())
         if pre_n < 2 or post_n < 2:
             raise SpecError(
                 f"{label} group needs >= 2 observations on each side of the "
                 f"treatment date (has {pre_n} pre, {post_n} post)"
             )
 
-    interaction = treated_col * post_col
-    names = ["intercept", "treated_group", "post_period", "treatment_effect"]
-    columns = [np.ones_like(y), treated_col, post_col, interaction]
+    dates = observed.any(axis=0)
+    observed = observed[:, dates]
+    d = (treated[:, None] & post[dates]) & observed
+    (y_res, d_res), fe_rank = _two_way_residuals(
+        observed, np.stack([y[:, dates], d.astype(float)])
+    )
+    d_ss = float(np.sum(d_res * d_res))
+    if d_ss <= RANK_TOLERANCE**2 * int(d.sum()):
+        raise SingularDesignError(
+            "design is rank deficient; dependent columns: treatment_effect",
+            columns=("treatment_effect",),
+        )
+    n_obs = int(observed.sum())
+    dof = n_obs - fe_rank - 1
+    if dof < 1:
+        raise SpecError(
+            f"no residual degrees of freedom: {n_obs} observations fit "
+            f"exactly by {fe_rank} fixed effects and the treatment effect"
+        )
 
-    cov_labels, cov_block = _covariate_columns(panel, units, spec.covariate_names)
-    for j, label in enumerate(cov_labels):
-        columns.append(cov_block[row_unit, j])
-        names.append(label)
-
-    if spec.time_trend:
-        columns.append(t - t.mean())
-        names.append("time_trend")
-
-    X = np.column_stack(columns)
-    coefficients, _, stderrs = solve_ols(X, y, column_names=names)
-
-    idx = {name: j for j, name in enumerate(names)}
-    beta0 = float(coefficients[idx["treatment_effect"]])
-    stderr_beta0 = float(stderrs[idx["treatment_effect"]])
-    dof = X.shape[0] - X.shape[1]
+    beta0 = float(np.sum(d_res * y_res)) / d_ss
+    residuals = y_res - beta0 * d_res
+    stderr_beta0 = math.sqrt(float(np.sum(residuals * residuals)) / dof / d_ss)
     p_value, ci = _t_pvalue_and_ci(beta0, stderr_beta0, dof)
-
     return DidFit(
-        alpha=float(coefficients[idx["intercept"]]),
         beta0=beta0,
-        covariate_betas={
-            label: float(coefficients[idx[label]]) for label in cov_labels
-        },
-        gamma=float(coefficients[idx["time_trend"]]) if spec.time_trend else None,
         stderr_beta0=stderr_beta0,
         p_value=p_value,
         confidence_interval=ci,
-        n_obs=int(X.shape[0]),
+        n_obs=n_obs,
     )
 
 
@@ -437,14 +421,15 @@ def parallel_trends_diagnostic(
     attached; a gap small against its own uncertainty is what supports
     the parallel-trends reading.
     """
-    units, row_unit, y, t, group_post = _stack_cells(panel, spec)
-    pre = group_post[:, 1] == 0.0
-    if distinct(t[pre]).size < 3:
+    observed, y, treated, post = _cells(panel, spec)
+    pre = observed & ~post
+    t_days = np.array([(d - panel.dates[0]).days for d in panel.dates], dtype=float)
+    tt = np.broadcast_to(t_days, pre.shape)[pre]
+    if distinct(tt).size < 3:
         raise DiagnosticUnavailableError(
             "parallel-trends diagnostic needs at least 3 pre-period dates"
         )
-    treated_col = group_post[pre, 0]
-    tt = t[pre]
+    treated_col = np.broadcast_to(treated[:, None], pre.shape)[pre].astype(float)
     tt = tt - tt.mean()
     X = np.column_stack([np.ones_like(tt), tt, treated_col, treated_col * tt])
     names = ["intercept", "time", "treated_group", "treated_time"]

@@ -133,7 +133,9 @@ def telemetry_violation(chassis, cpu_family, usage_hours, cpu_watts):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    """A read-only view of ``values`` as ``dtype``: no copy is made when
+    the dtype already matches, and the caller's own array stays writable."""
+    arr = np.asarray(values, dtype=dtype).view()
     arr.setflags(write=False)
     return arr
 
@@ -209,10 +211,9 @@ class PanelDataset:
 
     ``missing_mask`` is True where a cell has no observation; masked cells
     are never interpolated and every estimator must honour the mask.
-    ``unit_tags`` holds categorical per-unit labels (e.g. continent) that
-    regression designs may expand to dummies. ``policy_codes`` is attached
-    by :func:`merge_panels`: a code of ``POLICY_CODES`` per cell, or -1
-    where no code is known.
+    ``unit_tags`` holds categorical per-unit labels (e.g. continent).
+    ``policy_codes`` is attached by :func:`merge_panels`: a code of
+    ``POLICY_CODES`` per cell, or -1 where no code is known.
     """
 
     unit_ids: tuple[str, ...]

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceWarning, SchemaError, ValidationError
-from .paneldata import distinct, factorize
+from .paneldata import _frozen_array, distinct, factorize
 
 if TYPE_CHECKING:
     from .changepoint import PenaltyConfig, Segmentation
@@ -118,13 +118,12 @@ class UsageColumns:
     def __post_init__(self):
         ids = tuple(self.device_ids)
         names = tuple(self.feature_names)
-        device = np.asarray(self.device, dtype=np.int64)
-        day = np.asarray(self.day, dtype=np.int64)
+        device = _frozen_array(self.device, np.int64)
+        day = _frozen_array(self.day, np.int64)
         values = np.asarray(self.values, dtype=float)
         if values.size == 0:
             values = values.reshape(len(device), len(names))
-        for arr in (device, day, values):
-            arr.setflags(write=False)
+        values = _frozen_array(values, float)
         object.__setattr__(self, "device_ids", ids)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "device", device)
@@ -297,8 +296,7 @@ class PersonaModel:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=float)
-        c.setflags(write=False)
+        c = _frozen_array(self.centroids, float)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "persona_names", tuple(self.persona_names))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -333,11 +331,9 @@ class PersonaCountSeries:
     persona_names: tuple[str, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        diffs = np.asarray(self.diffs, dtype=np.int64)
-        z = np.asarray(self.zscores, dtype=float)
-        for arr in (counts, diffs, z):
-            arr.setflags(write=False)
+        counts = _frozen_array(self.counts, np.int64)
+        diffs = _frozen_array(self.diffs, np.int64)
+        z = _frozen_array(self.zscores, float)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "zscores", z)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceWarning, SpecError, ValidationError
-from .paneldata import PanelDataset
+from .paneldata import PanelDataset, _frozen_array
 
 DEFAULT_MAX_ITERATIONS = 10_000
 DEFAULT_TOLERANCE = 1e-8
@@ -81,13 +81,10 @@ class SynthFit:
     converged: bool = True
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
+        w = _frozen_array(self.weights, float)
         object.__setattr__(self, "weights", w)
         for name in ("counterfactual", "gap"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
         if w.size and ((w < -1e-9).any() or (w > 1 + 1e-9).any()):
             raise ValidationError("weights outside [0, 1]")
         if w.size and abs(float(w.sum()) - 1.0) > 1e-9:

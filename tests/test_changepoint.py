@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import detect_penalized_capped
@@ -24,6 +24,7 @@ from causalpanel.changepoint import (
     MEDIAN_DIFF_TO_SIGMA,
     PenaltyConfig,
     Segmentation,
+    SeriesCosts,
     detect_known_k,
     detect_penalized,
     effective_penalty,
@@ -560,13 +561,18 @@ class TestInvariants:
         assert abs(seg.total_cost - direct) <= 1e-9 * scale
 
     @given(series=finite_series, k=st.integers(1, 4))
+    @example(series=[61.0, 0.0, 0.0, 6.103515625e-05], k=3)
     @settings(max_examples=60, deadline=None)
     def test_reversal_preserves_optimal_cost(self, series, k):
         if k > len(series):
             return
         fwd = detect_known_k(series, k).total_cost
         rev = detect_known_k(series[::-1], k).total_cost
-        assert abs(fwd - rev) <= 1e-9 * (1.0 + abs(fwd))
+        # each of the K - 1 boundaries is taken within the costs'
+        # round-off bound of the optimum, so either direction's cost may
+        # sit up to (K - 1) * round_off above it
+        slack = (k - 1) * SeriesCosts(series).round_off
+        assert abs(fwd - rev) <= 1e-9 * (1.0 + abs(fwd)) + slack
 
     def test_reversal_maps_breakpoints_without_ties(self):
         rng = np.random.default_rng(31)

@@ -1543,8 +1543,6 @@ CONFIG_CASES = [
     ("ingest", "group_by", "unit_id,chassis", None),
     ("ingest", "outcome", "cpu_watts", None),
     ("ingest", "units", "{data}/units.csv", None),
-    ("did", "covariates", "system_count", None),
-    ("did", "time_trend", True, None),
     ("synth", "covariates", "system_count", None),
     ("synth", "max_iterations", 1, None),
     ("synth", "tolerance", 0.5, None),
@@ -1659,6 +1657,25 @@ class TestConfigKeys:
         assert by_config == by_flag
         assert neither != by_flag
 
+    @pytest.mark.parametrize(
+        "key, value", [("time_trend", True), ("covariates", "system_count")],
+        ids=["time_trend", "covariates"],
+    )
+    def test_removed_did_option_refused(self, tmp_path, capsys, config_inputs, key, value):
+        """did's unit and date fixed effects absorb a shared trend and any
+        unit-level covariate, so it takes neither option: the flag is a
+        usage error (exit 2) and the config key an unknown key (exit 3)."""
+        argv = [a.format(**config_inputs) for a in COMMAND_ARGS["did"]]
+        argv += ["--out", tmp_path, "--quiet"]
+        flag = ["--" + key.replace("_", "-")] + ([] if value is True else [value])
+        with pytest.raises(SystemExit) as exit_info:
+            run("did", *argv, *flag)
+        assert exit_info.value.code == 2
+        cfg = write_json(tmp_path / "cfg.json", {key: value})
+        assert run("did", *argv, "--config", cfg) == 3
+        assert f"{cfg}: not a config key of did: {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "did.json").exists()
+
     def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
         """Each flag of a command is a config key of it, with a case in
         CONFIG_CASES, or a config key for it exits 3: the required flags."""
@@ -1725,8 +1742,9 @@ def test_help_text_is_pinned(monkeypatch, capsys):
     """The text of ``causalpanel --help`` and of each command's ``--help``
     (as argparse formats it for Python 3.11, at 80 columns), recorded in
     cli_help.txt. It was recorded before the parser's defaults moved into
-    the handlers, and again when --format moved to report and --seed to
-    simulate and persona."""
+    the handlers, again when --format moved to report and --seed to
+    simulate and persona, and again when did dropped --covariates and
+    --time-trend."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),

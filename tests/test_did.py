@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr, stdtrit
 
@@ -19,15 +19,16 @@ import causalpanel
 from causalpanel.did import (
     DidFit,
     DidSpec,
+    _cells,
     _t_quantile,
     _t_two_sided,
+    _two_way_residuals,
     fit_did,
     parallel_trends_diagnostic,
     solve_ols,
 )
 from causalpanel.errors import (
     DiagnosticUnavailableError,
-    SchemaError,
     SingularDesignError,
     SpecError,
     ValidationError,
@@ -218,7 +219,6 @@ class TestFitDid:
         panel, t0 = flat_effect_panel(tau=2.0)
         fit = fit_did(panel, DidSpec({"T"}, {"C"}, t0))
         assert fit.beta0 == pytest.approx(2.0, abs=1e-9)
-        assert fit.alpha == pytest.approx(5.0, abs=1e-9)
         assert fit.p_value < 1e-10
         assert fit.n_obs == 20
         lo, hi = fit.confidence_interval
@@ -235,86 +235,48 @@ class TestFitDid:
         control = 5.0 + 0.1 * t
         treated = 5.0 + 0.1 * t + 2.0 * (t >= 6)
         panel = make_panel({"T": list(treated), "C": list(control)})
-        for trend in (False, True):
-            fit = fit_did(panel, DidSpec({"T"}, {"C"}, day(6), time_trend=trend))
-            assert fit.beta0 == pytest.approx(2.0, abs=1e-9)
-        fit = fit_did(panel, DidSpec({"T"}, {"C"}, day(6), time_trend=True))
-        assert fit.gamma == pytest.approx(0.1, abs=1e-9)
+        fit = fit_did(panel, DidSpec({"T"}, {"C"}, day(6)))
+        assert fit.beta0 == pytest.approx(2.0, abs=1e-9)
 
-    def test_gamma_absent_without_trend(self):
-        panel, t0 = flat_effect_panel()
-        fit = fit_did(panel, DidSpec({"T"}, {"C"}, t0))
-        assert fit.gamma is None
-
-    def test_numeric_covariate_passthrough(self):
-        rng = np.random.default_rng(7)
+    def test_unit_levels_absorbed(self):
+        # each unit at its own level and all sharing one daily shock: the
+        # unit and date effects take both, so the fit is exact
         n, t0 = 10, 5
+        shock = np.random.default_rng(7).normal(0.0, 1.0, n)
         series = {}
-        cov = []
         for i, unit in enumerate(["T1", "T2", "C1", "C2"]):
-            base = 5.0 + 0.5 * i
-            bump = 2.0 if unit.startswith("T") else 0.0
-            series[unit] = [base] * t0 + [base + bump] * (n - t0)
-            cov.append([float(i * i)])
-        panel = make_panel(
-            series, covariates=np.array(cov), covariate_names=("system_count",)
-        )
-        fit = fit_did(
-            panel,
-            DidSpec(
-                {"T1", "T2"}, {"C1", "C2"}, day(t0), covariate_names=("system_count",)
-            ),
-        )
-        assert fit.beta0 == pytest.approx(2.0, abs=1e-8)
-        assert set(fit.covariate_betas) == {"system_count"}
+            bump = 2.0 * (np.arange(n) >= t0) if unit.startswith("T") else 0.0
+            series[unit] = list(5.0 + 0.5 * i * i + shock + bump)
+        fit = fit_did(make_panel(series), DidSpec({"T1", "T2"}, {"C1", "C2"}, day(t0)))
+        assert fit.beta0 == pytest.approx(2.0, abs=1e-12)
+        assert fit.stderr_beta0 < 1e-12
+        assert fit.n_obs == 4 * n
 
-    def test_categorical_covariate_expands_to_dummies(self):
-        n, t0 = 10, 5
-        series = {
-            "T1": [5.0] * t0 + [7.0] * (n - t0),
-            "T2": [6.0] * t0 + [8.0] * (n - t0),
-            "C1": [5.0] * n,
-            "C2": [6.0] * n,
-        }
-        tags = {"continent": ("Asia", "Europe", "Europe", "NorthAmerica")}
-        panel = make_panel(series, unit_tags=tags)
-        fit = fit_did(
-            panel,
-            DidSpec(
-                {"T1", "T2"}, {"C1", "C2"}, day(t0), covariate_names=("continent",)
-            ),
-        )
-        # alphabetical baseline Asia dropped; order follows sorted unit ids
-        assert set(fit.covariate_betas) == {
-            "continent=Europe",
-            "continent=NorthAmerica",
-        }
-        assert fit.beta0 == pytest.approx(2.0, abs=1e-8)
+    def test_treatment_absorbed_by_fixed_effects_raises(self):
+        # the treated unit's post dates are observed for it alone, so
+        # their date effects take its whole post-period level
+        series = {"T": [5.0, 5.2, 5.1, 5.3, 7.0, 7.1, 0.0, 0.0],
+                  "C": [4.0, 4.1, 4.3, 4.2, 0.0, 0.0, 4.4, 4.0]}
+        absent = [False] * 4
+        panel = make_panel(series, mask={"T": absent + [False, False, True, True],
+                                         "C": absent + [True, True, False, False]})
+        with pytest.raises(SingularDesignError) as err:  # and no RuntimeWarning
+            fit_did(panel, DidSpec({"T"}, {"C"}, day(4)))
+        assert err.value.columns == ("treatment_effect",)
+        assert str(err.value).endswith("dependent columns: treatment_effect")
 
-    def test_tag_collinear_with_group_raises(self):
-        n, t0 = 10, 5
-        series = {
-            "T1": [7.0] * n,
-            "T2": [7.5] * n,
-            "C1": [5.0] * n,
-            "C2": [5.5] * n,
-        }
-        tags = {"continent": ("Asia", "Asia", "Europe", "Europe")}
-        panel = make_panel(series, unit_tags=tags)
-        with pytest.raises(SingularDesignError) as err:
-            fit_did(
-                panel,
-                DidSpec(
-                    {"T1", "T2"}, {"C1", "C2"}, day(t0), covariate_names=("continent",)
-                ),
-            )
-        # the name LAPACK's pivoted QR reported for this design
-        assert err.value.columns == ("continent=Europe",)
-
-    def test_unknown_covariate(self):
-        panel, t0 = flat_effect_panel()
-        with pytest.raises(SchemaError):
-            fit_did(panel, DidSpec({"T"}, {"C"}, t0, covariate_names=("gdp",)))
+    def test_no_residual_dof_raises(self):
+        # one cycle of shared dates (0 and 4) and every other cell alone
+        # on its date: the fixed effects and the treatment effect fit all
+        # eight cells exactly
+        rng = np.random.default_rng(3)
+        series = {"T": list(rng.normal(5.0, 1.0, 8)), "C": list(rng.normal(4.0, 1.0, 8))}
+        panel = make_panel(series, mask={
+            "T": [False, False, True, True, False, False, True, True],
+            "C": [False, True, True, False, False, True, True, False],
+        })
+        with pytest.raises(SpecError, match="no residual degrees of freedom"):
+            fit_did(panel, DidSpec({"T"}, {"C"}, day(4)))
 
     def test_missing_units_listed(self):
         panel, t0 = flat_effect_panel()
@@ -355,7 +317,6 @@ class TestFitDid:
         base = fit_did(panel, DidSpec({"T"}, {"C"}, t0))
         moved = fit_did(shifted, DidSpec({"T"}, {"C"}, t0))
         assert moved.beta0 == pytest.approx(base.beta0, abs=1e-9)
-        assert moved.alpha == pytest.approx(base.alpha + 11.0, abs=1e-9)
 
     def test_unit_order_invariance_is_exact(self):
         rng = np.random.default_rng(55)
@@ -381,15 +342,86 @@ class TestFitDid:
     def test_fit_validation(self):
         with pytest.raises(ValidationError):
             DidFit(
-                alpha=0.0,
                 beta0=5.0,
-                covariate_betas={},
-                gamma=None,
                 stderr_beta0=1.0,
                 p_value=0.5,
                 confidence_interval=(0.0, 1.0),
                 n_obs=10,
             )
+
+
+def dummy_design_fit(panel, spec):
+    """beta0, its stderr and n_obs from solve_ols on the explicit design:
+    a dummy for each unit, one for each observed date but the first, and
+    the treatment indicator D."""
+    observed, y, treated, post = _cells(panel, spec)
+    dates = np.flatnonzero(observed.any(axis=0))
+    cells = [(i, j) for i in range(observed.shape[0]) for j in dates if observed[i, j]]
+    X = np.zeros((len(cells), observed.shape[0] + dates.size))
+    for r, (i, j) in enumerate(cells):
+        X[r, i] = 1.0
+        k = int(np.searchsorted(dates, j))
+        if k:
+            X[r, observed.shape[0] + k - 1] = 1.0
+        X[r, -1] = float(treated[i] and post[j])
+    coef, _, stderrs = solve_ols(X, np.array([y[i, j] for i, j in cells]))
+    return float(coef[-1]), float(stderrs[-1]), X.shape[0], X.shape[0] - X.shape[1]
+
+
+class TestTwoWayOracle:
+    """The fixed-effects elimination against solve_ols on the explicit
+    unit and date dummy design, on small balanced and masked panels."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_units=st.integers(2, 5),
+        n_dates=st.integers(4, 9),
+        masked=st.sampled_from([0.0, 0.25]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dummy_design(self, seed, n_units, n_dates, masked):
+        rng = np.random.default_rng(seed)
+        t0 = int(rng.integers(2, n_dates - 1))
+        units = [f"U{i}" for i in range(n_units)]
+        values = (
+            rng.normal(5.0, 1.0, (n_units, n_dates))
+            + rng.normal(0.0, 2.0, (n_units, 1))
+            + rng.normal(0.0, 2.0, n_dates)
+        )
+        missing = rng.random((n_units, n_dates)) < masked
+        panel = make_panel(
+            {u: list(values[i]) for i, u in enumerate(units)},
+            mask={u: list(missing[i]) for i, u in enumerate(units)},
+        )
+        n_treated = int(rng.integers(1, n_units))
+        spec = DidSpec(set(units[:n_treated]), set(units[n_treated:]), day(t0))
+        try:
+            beta0, stderr, n_obs, dof = dummy_design_fit(panel, spec)
+        except (SingularDesignError, ValidationError):
+            assume(False)  # no unique fit
+        assume(dof >= 1)
+        try:
+            fit = fit_did(panel, spec)
+        except SpecError as err:
+            assert "observations on each side" in str(err)
+            assume(False)
+        assert math.isclose(fit.beta0, beta0, rel_tol=1e-9)
+        assert math.isclose(fit.stderr_beta0, stderr, rel_tol=1e-9)
+        assert fit.n_obs == n_obs
+
+        # the two-way residuals are orthogonal to every unit and date
+        # indicator, and the fit's residual also to D
+        observed, y, treated, post = _cells(panel, spec)
+        seen = observed.any(axis=0)
+        observed, y = observed[:, seen], y[:, seen]
+        d = (treated[:, None] & post[seen]) & observed
+        (y_res, d_res), _ = _two_way_residuals(observed, np.stack([y, d.astype(float)]))
+        residuals = y_res - fit.beta0 * d_res
+        scale = 1e-9 * float(np.abs(y).sum())
+        for r in (y_res, d_res, residuals):
+            assert np.abs(r.sum(axis=1)).max() <= scale
+            assert np.abs(r.sum(axis=0)).max() <= scale
+        assert abs(float(np.sum(residuals * d))) <= scale
 
 
 class TestParallelTrends:

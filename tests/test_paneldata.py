@@ -325,3 +325,39 @@ class TestMergePanels:
         tl = timeline([0, 0], start=date(2021, 1, 1))
         with pytest.raises(ValidationError, match="no dates"):
             merge_panels(panel, [tl])
+
+
+def _frozen_field_cases():
+    """(build, field, array): each dataclass that holds an array, built
+    around a writable array of the field's dtype."""
+    from causalpanel.paneldata import TelemetryColumns
+    from causalpanel.persona import PersonaCountSeries, PersonaModel, UsageColumns
+    from causalpanel.synthcontrol import SynthFit
+
+    day0 = date(2020, 1, 1)
+    days = (day0, day0 + timedelta(days=1))
+    cases = [
+        (lambda a: PanelDataset(("A",), days, a, np.zeros((1, 2), bool)),
+         "outcomes", np.array([[1.0, 2.0]])),
+        (lambda a: PolicyTimeline("A", day0, a), "codes", np.array([0, 3])),
+        (lambda a: TelemetryColumns(
+            np.array([day0.toordinal()]), ("d",), ("A",), ("Notebook",), ("i5",),
+            np.array([False]), a, np.array([20.0])),
+         "usage_hours", np.array([5.0])),
+        (lambda a: UsageColumns(("d",), np.array([0]), np.array([day0.toordinal()]), a, ("f",)),
+         "values", np.array([[1.0]])),
+        (lambda a: PersonaModel(a, ("p", "q"), ("f",)), "centroids", np.array([[0.0], [1.0]])),
+        (lambda a: PersonaCountSeries(days, a, np.array([[1, -1]]), np.zeros((1, 2)), ("p", "q")),
+         "counts", np.array([[1, 2], [2, 1]])),
+        (lambda a: SynthFit(a, 0.0, np.zeros(3), np.zeros(3), 1.0),
+         "weights", np.array([0.25, 0.75])),
+    ]
+    return [pytest.param(*case, id=type(case[0](case[2])).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("build, name, arr", _frozen_field_cases())
+def test_frozen_field_is_a_read_only_view_of_the_callers_array(build, name, arr):
+    held = getattr(build(arr), name)
+    assert np.shares_memory(held, arr)  # no copy
+    assert not held.flags.writeable
+    assert arr.flags.writeable

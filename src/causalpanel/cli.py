@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treated", required=True)
     p.add_argument("--donors", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
-    p.add_argument("--covariates", help="comma-separated covariate names")
     p.add_argument("--max-iterations", type=int, help="cap on active-set steps")
     p.add_argument(
         "--tolerance", type=float, help="KKT tolerance relative to the worst donor fit"

@@ -440,7 +440,6 @@ def cmd_synth(args, config) -> int:
         args,
         config,
         {
-            "covariates": None,
             "max_iterations": DEFAULT_MAX_ITERATIONS,
             "tolerance": DEFAULT_TOLERANCE,
             "placebo": False,
@@ -453,7 +452,6 @@ def cmd_synth(args, config) -> int:
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
         max_iterations=opts.max_iterations,
         tolerance=opts.tolerance,
-        covariate_names=tuple(_split_list(opts.covariates)) if opts.covariates else (),
     )
     fit = fit_synth(panel, spec)
 

@@ -25,7 +25,8 @@ b_t = (sum of date t's cells - (W'a)_t) / m_t. Doing so for Y and for D
 gives their two-way residuals; by the Frisch-Waugh-Lovell theorem beta0
 and its stderr are those of the regression of Y's residual on D's. The
 fit takes O(N*T + N^3) time for N units and T dates, on balanced and
-masked panels alike.
+masked panels alike. parallel_trends_diagnostic fits the pre-period slope
+gap by the same elimination over the pre-period cells.
 
 The degrees of freedom are n_obs - rank(FE) - 1. rank(FE), the rank of
 the unit and date dummies over the observed cells, is the number of
@@ -53,7 +54,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .paneldata import PanelDataset, distinct
+from .paneldata import PanelDataset
 
 # relative singular-value cutoff below which a design is reported as
 # rank deficient rather than solved
@@ -366,6 +367,32 @@ def _two_way_residuals(
     return residuals, m.size + int(keep.sum())
 
 
+def _fixed_effects_slope(
+    observed: np.ndarray, y: np.ndarray, z: np.ndarray, name: str
+) -> tuple[float, float, int]:
+    """The coefficient of ``z`` in y_it = a_i + b_t + c * z_it + e_it over
+    the observed cells (every date has one), its classical stderr and the
+    residual dof, from the two-way residuals of y and z (Frisch-Waugh-
+    Lovell). Raises SingularDesignError naming ``name`` when the effects
+    absorb z, and SpecError with no residual degrees of freedom."""
+    (y_res, z_res), fe_rank = _two_way_residuals(observed, np.stack([y, z]))
+    z_ss = float(np.sum(z_res * z_res))
+    if z_ss <= RANK_TOLERANCE**2 * float(np.sum(z * z)):
+        raise SingularDesignError(
+            f"design is rank deficient; dependent columns: {name}", columns=(name,)
+        )
+    n_obs = int(observed.sum())
+    dof = n_obs - fe_rank - 1
+    if dof < 1:
+        raise SpecError(
+            f"no residual degrees of freedom: {n_obs} observations fit "
+            f"exactly by {fe_rank} fixed effects and {name}"
+        )
+    coef = float(np.sum(z_res * y_res)) / z_ss
+    residuals = y_res - coef * z_res
+    return coef, math.sqrt(float(np.sum(residuals * residuals)) / dof / z_ss), dof
+
+
 def fit_did(panel: PanelDataset, spec: DidSpec) -> DidFit:
     """Fit the two-way fixed-effects design on all observed cells of the
     spec's units."""
@@ -382,56 +409,48 @@ def fit_did(panel: PanelDataset, spec: DidSpec) -> DidFit:
     dates = observed.any(axis=0)
     observed = observed[:, dates]
     d = (treated[:, None] & post[dates]) & observed
-    (y_res, d_res), fe_rank = _two_way_residuals(
-        observed, np.stack([y[:, dates], d.astype(float)])
+    beta0, stderr_beta0, dof = _fixed_effects_slope(
+        observed, y[:, dates], d.astype(float), "treatment_effect"
     )
-    d_ss = float(np.sum(d_res * d_res))
-    if d_ss <= RANK_TOLERANCE**2 * int(d.sum()):
-        raise SingularDesignError(
-            "design is rank deficient; dependent columns: treatment_effect",
-            columns=("treatment_effect",),
-        )
-    n_obs = int(observed.sum())
-    dof = n_obs - fe_rank - 1
-    if dof < 1:
-        raise SpecError(
-            f"no residual degrees of freedom: {n_obs} observations fit "
-            f"exactly by {fe_rank} fixed effects and the treatment effect"
-        )
-
-    beta0 = float(np.sum(d_res * y_res)) / d_ss
-    residuals = y_res - beta0 * d_res
-    stderr_beta0 = math.sqrt(float(np.sum(residuals * residuals)) / dof / d_ss)
     p_value, ci = _t_pvalue_and_ci(beta0, stderr_beta0, dof)
     return DidFit(
         beta0=beta0,
         stderr_beta0=stderr_beta0,
         p_value=p_value,
         confidence_interval=ci,
-        n_obs=n_obs,
+        n_obs=int(observed.sum()),
     )
 
 
 def parallel_trends_diagnostic(
     panel: PanelDataset, spec: DidSpec
 ) -> tuple[float, float]:
-    """Treated-minus-control difference in pre-period linear slopes.
+    """Treated-minus-control difference in pre-period linear slopes, net
+    of unit and date effects.
 
-    Returns (slope_gap, slope_gap_stderr). No pass/fail verdict is
-    attached; a gap small against its own uncertainty is what supports
-    the parallel-trends reading.
+    Over the observed pre-period cells, the slope gap g is fitted in
+
+        Y_it = a_i + b_t + g * treated_i * (t - mean t) + e_it
+
+    as fit_did fits beta0. Returns (slope_gap, slope_gap_stderr). No
+    pass/fail verdict is attached; a gap small against its own uncertainty
+    is what supports the parallel-trends reading. Raises
+    DiagnosticUnavailableError with fewer than 3 pre-period dates, when the
+    effects absorb the slope term, or with no residual degrees of freedom.
     """
     observed, y, treated, post = _cells(panel, spec)
-    pre = observed & ~post
-    t_days = np.array([(d - panel.dates[0]).days for d in panel.dates], dtype=float)
-    tt = np.broadcast_to(t_days, pre.shape)[pre]
-    if distinct(tt).size < 3:
+    dates = (observed & ~post).any(axis=0)
+    if int(dates.sum()) < 3:
         raise DiagnosticUnavailableError(
             "parallel-trends diagnostic needs at least 3 pre-period dates"
         )
-    treated_col = np.broadcast_to(treated[:, None], pre.shape)[pre].astype(float)
-    tt = tt - tt.mean()
-    X = np.column_stack([np.ones_like(tt), tt, treated_col, treated_col * tt])
-    names = ["intercept", "time", "treated_group", "treated_time"]
-    coefficients, _, stderrs = solve_ols(X, y[pre], column_names=names)
-    return float(coefficients[3]), float(stderrs[3])
+    observed = observed[:, dates]
+    t_days = np.array([(d - panel.dates[0]).days for d in panel.dates], dtype=float)
+    t = t_days[dates]
+    t -= t[np.nonzero(observed)[1]].mean()
+    x = np.where(observed & treated[:, None], t, 0.0)
+    try:
+        gap, stderr, _ = _fixed_effects_slope(observed, y[:, dates], x, "treated_time")
+    except (SingularDesignError, SpecError) as err:
+        raise DiagnosticUnavailableError(f"parallel-trends diagnostic: {err}") from err
+    return gap, stderr

@@ -38,7 +38,6 @@ CPU_FAMILIES = frozenset({"i3", "i5", "i7", "i9", "Other"})
 GROUP_FIELD_ORDER = ("unit_id", "chassis", "cpu_family", "vpro")
 
 SYSTEM_COUNT = "system_count"
-VPRO_PERCENTAGE = "vpro_percentage"
 
 
 class EventKind(enum.Enum):
@@ -380,10 +379,9 @@ def aggregate_telemetry(
     """Aggregate device-day rows to a (group x date) panel of outcome means.
 
     Groups are composite units keyed by the requested fields in canonical
-    order. Cells with no rows are masked. Two covariates are recorded per
+    order. Cells with no rows are masked. One covariate is recorded per
     group: the mean daily device count over the days the group reports
-    (``system_count``) and the share of its rows with vPro enabled
-    (``vpro_percentage``).
+    (``system_count``), which ``report`` shows.
 
     Rows are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
@@ -417,20 +415,15 @@ def aggregate_telemetry(
     # Distinct devices per cell, averaged over the days each group reports.
     cell_devices = distinct(cell * len(device_ids) + device) // len(device_ids)
     day_counts = np.bincount(cell_devices, minlength=shape[0] * shape[1]).reshape(shape)
-    cov = np.column_stack(
-        [
-            day_counts.sum(axis=1) / present.sum(axis=1),
-            np.bincount(group[rows.vpro], minlength=shape[0]) / np.bincount(group),
-        ]
-    )
+    system_count = day_counts.sum(axis=1) / present.sum(axis=1)
     return PanelDataset(
         unit_ids=unit_ids,
         dates=dates,
         outcomes=outcomes,
         missing_mask=~present,
         outcome_name=outcome,
-        covariates=cov,
-        covariate_names=(SYSTEM_COUNT, VPRO_PERCENTAGE),
+        covariates=system_count[:, None],
+        covariate_names=(SYSTEM_COUNT,),
     )
 
 

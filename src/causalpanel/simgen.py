@@ -49,7 +49,6 @@ from .paneldata import (
     CPU_FAMILIES,
     DEFAULT_INDICATOR,
     SYSTEM_COUNT,
-    VPRO_PERCENTAGE,
     PanelDataset,
     PolicyTimeline,
     TelemetryColumns,
@@ -411,7 +410,7 @@ def _unit_streams(config: ScenarioConfig) -> tuple[list[np.random.Generator], np
 def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> PanelDataset:
     """Unit-level panel: mean_matrix plus one N(0, noise_sigma) draw per
     cell, plus outlier spikes, with policy codes, continent tags, and the
-    (system_count, vpro_percentage) covariates attached.
+    system_count covariate (each unit's devices_per_day) attached.
 
     Per-unit draw order: usage_hours normals, cpu_watts normals, outlier
     uniforms. Both outcome panels for the same config therefore see the
@@ -436,10 +435,8 @@ def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> Pane
         outcomes=outcomes,
         missing_mask=np.zeros_like(outcomes, dtype=bool),
         outcome_name=outcome,
-        covariates=np.array(
-            [[float(u.devices_per_day), u.vpro_fraction] for u in config.units]
-        ),
-        covariate_names=(SYSTEM_COUNT, VPRO_PERCENTAGE),
+        covariates=np.array([[float(u.devices_per_day)] for u in config.units]),
+        covariate_names=(SYSTEM_COUNT,),
         unit_tags={"continent": tuple(u.continent for u in config.units)},
         policy_codes=codes,
     )

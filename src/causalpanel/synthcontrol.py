@@ -44,11 +44,9 @@ class SynthSpec:
     treatment_date: date
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     tolerance: float = DEFAULT_TOLERANCE
-    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "donor_units", tuple(self.donor_units))
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         if len(self.donor_units) < 2:
             raise ValidationError("need at least 2 donor units")
         if len(set(self.donor_units)) != len(self.donor_units):
@@ -230,22 +228,6 @@ def fit_weights(
     return w, pre_rmse
 
 
-def _standardized_covariate_rows(
-    panel: PanelDataset, names: Sequence[str], units: Sequence[str]
-) -> np.ndarray:
-    """One row per requested covariate, standardized across the given units
-    (population std; a constant covariate contributes a zero row)."""
-    rows = []
-    for name in names:
-        column = panel.covariate(name)
-        values = np.array([column[panel.unit_index(u)] for u in units])
-        std = float(values.std())
-        rows.append(
-            (values - float(values.mean())) / std if std > 0 else np.zeros_like(values)
-        )
-    return np.array(rows) if rows else np.empty((0, len(units)))
-
-
 def _synth_impl(
     panel: PanelDataset,
     treated_unit: str,
@@ -253,7 +235,6 @@ def _synth_impl(
     treatment_date: date,
     max_iterations: int,
     tolerance: float,
-    covariate_names: Sequence[str],
 ) -> SynthFit:
     donors_sorted = sorted(donor_units)
     treated_row = panel.unit_index(treated_unit)
@@ -273,20 +254,9 @@ def _synth_impl(
     if post_idx.size == 0:
         raise SpecError("no complete post-treatment dates")
 
-    b = y[pre_idx]
-    A = D[:, pre_idx].T
-    cov_rows = _standardized_covariate_rows(
-        panel, covariate_names, [treated_unit, *donors_sorted]
-    )
-    if cov_rows.size:
-        # each standardized covariate joins the fit as one extra "date":
-        # treated value on the response side, donor values as predictors
-        b = np.concatenate([b, cov_rows[:, 0]])
-        A = np.vstack([A, cov_rows[:, 1:]])
-
     w_sorted, pre_rmse, converged, _ = fit_weights(
-        b, A, max_iterations=max_iterations, tolerance=tolerance,
-        return_objectives=True,
+        y[pre_idx], D[:, pre_idx].T, max_iterations=max_iterations,
+        tolerance=tolerance, return_objectives=True,
     )
 
     donor_missing = panel.missing_mask[donor_rows, :].any(axis=0)
@@ -333,7 +303,6 @@ def fit_synth(panel: PanelDataset, spec: SynthSpec) -> SynthFit:
         spec.treatment_date,
         spec.max_iterations,
         spec.tolerance,
-        spec.covariate_names,
     )
 
 
@@ -364,7 +333,6 @@ def randomization_inference(
                 spec.treatment_date,
                 spec.max_iterations,
                 spec.tolerance,
-                spec.covariate_names,
             )
         except (SpecError, ValidationError):
             placebo_gaps[donor] = None

@@ -42,7 +42,6 @@ from causalpanel.changepoint import (
 from causalpanel.paneldata import (
     GROUP_FIELD_ORDER,
     SYSTEM_COUNT,
-    VPRO_PERCENTAGE,
     PanelDataset,
 )
 from causalpanel.errors import ParseError, SchemaError, ValidationError
@@ -210,10 +209,9 @@ def aggregate_telemetry(
     """Aggregate device-day records to a (group x date) panel of outcome means.
 
     Groups are composite units keyed by the requested fields in canonical
-    order. Cells with no records are masked. Two covariates are recorded per
+    order. Cells with no records are masked. One covariate is recorded per
     group: the mean daily device count over the days the group reports
-    (``system_count``) and the share of its records with vPro enabled
-    (``vpro_percentage``).
+    (``system_count``).
 
     Records are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
@@ -247,34 +245,27 @@ def aggregate_telemetry(
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, np.ndarray] = {}
     devices: dict[str, list[set[str]]] = {}
-    vpro_hits: dict[str, int] = {}
-    totals: dict[str, int] = {}
     for r in records:
         label = _group_label(r, group_fields)
         if label not in sums:
             sums[label] = np.zeros(len(dates))
             counts[label] = np.zeros(len(dates), dtype=np.int64)
             devices[label] = [set() for _ in dates]
-            vpro_hits[label] = 0
-            totals[label] = 0
         t = (r.date - first).days
         sums[label][t] += getattr(r, outcome)
         counts[label][t] += 1
         devices[label][t].add(r.device_id)
-        vpro_hits[label] += int(r.vpro)
-        totals[label] += 1
 
     unit_ids = tuple(sorted(sums))
     outcomes = np.zeros((len(unit_ids), len(dates)))
     mask = np.ones((len(unit_ids), len(dates)), dtype=bool)
-    cov = np.zeros((len(unit_ids), 2))
+    cov = np.zeros((len(unit_ids), 1))
     for i, label in enumerate(unit_ids):
         present = counts[label] > 0
         outcomes[i, present] = sums[label][present] / counts[label][present]
         mask[i] = ~present
         day_counts = [len(s) for s, p in zip(devices[label], present) if p]
         cov[i, 0] = float(np.mean(day_counts))
-        cov[i, 1] = vpro_hits[label] / totals[label]
 
     return PanelDataset(
         unit_ids=unit_ids,
@@ -283,7 +274,7 @@ def aggregate_telemetry(
         missing_mask=mask,
         outcome_name=outcome,
         covariates=cov,
-        covariate_names=(SYSTEM_COUNT, VPRO_PERCENTAGE),
+        covariate_names=(SYSTEM_COUNT,),
     )
 
 

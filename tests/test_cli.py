@@ -781,8 +781,7 @@ class TestSynthWorkflow:
         code = run(
             "synth", "--panel", panel,
             "--treated", "T", "--donors", "D1,D2,D3",
-            "--treatment-date", "2020-03-01", "--covariates", "system_count",
-            "--out", work, "--quiet",
+            "--treatment-date", "2020-03-01", "--out", work, "--quiet",
         )
         assert code == 3
         err = capsys.readouterr().err
@@ -1543,7 +1542,6 @@ CONFIG_CASES = [
     ("ingest", "group_by", "unit_id,chassis", None),
     ("ingest", "outcome", "cpu_watts", None),
     ("ingest", "units", "{data}/units.csv", None),
-    ("synth", "covariates", "system_count", None),
     ("synth", "max_iterations", 1, None),
     ("synth", "tolerance", 0.5, None),
     ("synth", "placebo", True, None),
@@ -1658,23 +1656,31 @@ class TestConfigKeys:
         assert neither != by_flag
 
     @pytest.mark.parametrize(
-        "key, value", [("time_trend", True), ("covariates", "system_count")],
-        ids=["time_trend", "covariates"],
+        "command, key, value",
+        [
+            ("did", "time_trend", True),
+            ("did", "covariates", "system_count"),
+            ("synth", "covariates", "system_count"),
+        ],
+        ids=["did-time_trend", "did-covariates", "synth-covariates"],
     )
-    def test_removed_did_option_refused(self, tmp_path, capsys, config_inputs, key, value):
+    def test_removed_option_refused(
+        self, tmp_path, capsys, config_inputs, command, key, value
+    ):
         """did's unit and date fixed effects absorb a shared trend and any
-        unit-level covariate, so it takes neither option: the flag is a
+        unit-level covariate, and synth fits its weights on the pre-period
+        outcomes alone, so neither takes these options: the flag is a
         usage error (exit 2) and the config key an unknown key (exit 3)."""
-        argv = [a.format(**config_inputs) for a in COMMAND_ARGS["did"]]
+        argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
         argv += ["--out", tmp_path, "--quiet"]
         flag = ["--" + key.replace("_", "-")] + ([] if value is True else [value])
         with pytest.raises(SystemExit) as exit_info:
-            run("did", *argv, *flag)
+            run(command, *argv, *flag)
         assert exit_info.value.code == 2
         cfg = write_json(tmp_path / "cfg.json", {key: value})
-        assert run("did", *argv, "--config", cfg) == 3
-        assert f"{cfg}: not a config key of did: {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "did.json").exists()
+        assert run(command, *argv, "--config", cfg) == 3
+        assert f"{cfg}: not a config key of {command}: {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
 
     def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
         """Each flag of a command is a config key of it, with a case in
@@ -1743,8 +1749,8 @@ def test_help_text_is_pinned(monkeypatch, capsys):
     (as argparse formats it for Python 3.11, at 80 columns), recorded in
     cli_help.txt. It was recorded before the parser's defaults moved into
     the handlers, again when --format moved to report and --seed to
-    simulate and persona, and again when did dropped --covariates and
-    --time-trend."""
+    simulate and persona, again when did dropped --covariates and
+    --time-trend, and again when synth dropped --covariates."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),
@@ -1761,7 +1767,9 @@ class TestArtifactDigests:
     """simulate -> ingest -> persona on a small seeded scenario must write
     the same bytes as the row-by-row implementation the column layer
     replaced; the digests were recorded from it. No seasonal term, so no
-    value depends on the platform's sine."""
+    value depends on the platform's sine. panel.txt's digest was
+    re-recorded when its vpro_percentage covariate was dropped; the new
+    file differs from the old one by that column alone."""
 
     SCENARIO = {
         "units": [
@@ -1798,7 +1806,7 @@ class TestArtifactDigests:
         ("data", "persona.csv"):
             "3367cc4fbefcec64205c092d0ac3bf7381a1430728b5b8420d350948e7ad8b35",
         ("work", "panel.txt"):
-            "218dc84f70d574c494efaa4e49b4bcb175538f10064bf506d96d96a408f69d96",
+            "12d4261680fef96d5a882a8f4464e03d201be3db3afcefe58166e16924e844d8",
         ("work", "persona_model.json"):
             "9dcb71b283aff606a197f1de7242a6ab388d410f58cd119bcca02ea329347695",
         ("work", "persona_counts.csv"):

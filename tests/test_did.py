@@ -424,7 +424,87 @@ class TestTwoWayOracle:
         assert abs(float(np.sum(residuals * d))) <= scale
 
 
+def dummy_design_slope_gap(panel, spec):
+    """The pre-period slope gap, its stderr and the residual dof from
+    solve_ols on the explicit design over the pre-period cells: a dummy for
+    each unit with such a cell, one for each of their dates but the first,
+    and treated x (days since the panel's first date)."""
+    observed, y, treated, post = _cells(panel, spec)
+    pre = observed & ~post
+    units, dates = np.flatnonzero(pre.any(axis=1)), np.flatnonzero(pre.any(axis=0))
+    cells = [(i, j) for i in units for j in dates if pre[i, j]]
+    X = np.zeros((len(cells), units.size + dates.size))
+    for r, (i, j) in enumerate(cells):
+        X[r, int(np.searchsorted(units, i))] = 1.0
+        k = int(np.searchsorted(dates, j))
+        if k:
+            X[r, units.size + k - 1] = 1.0
+        X[r, -1] = float(treated[i]) * (panel.dates[j] - panel.dates[0]).days
+    coef, _, stderrs = solve_ols(X, np.array([y[i, j] for i, j in cells]))
+    return float(coef[-1]), float(stderrs[-1]), X.shape[0] - X.shape[1]
+
+
 class TestParallelTrends:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_units=st.integers(2, 5),
+        n_dates=st.integers(5, 10),
+        masked=st.sampled_from([0.0, 0.25]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dummy_design(self, seed, n_units, n_dates, masked):
+        """The slope gap from the fixed-effects elimination equals
+        solve_ols's on the unit and date dummy design, as TestTwoWayOracle
+        checks for beta0."""
+        rng = np.random.default_rng(seed)
+        t0 = int(rng.integers(3, n_dates))
+        units = [f"U{i}" for i in range(n_units)]
+        n_treated = int(rng.integers(1, n_units))
+        values = (
+            rng.normal(5.0, 1.0, (n_units, n_dates))
+            + rng.normal(0.0, 2.0, (n_units, 1))
+            + rng.normal(0.0, 2.0, n_dates)
+            + 0.1 * (np.arange(n_units) < n_treated)[:, None] * np.arange(n_dates)
+        )
+        missing = rng.random((n_units, n_dates)) < masked
+        panel = make_panel(
+            {u: list(values[i]) for i, u in enumerate(units)},
+            mask={u: list(missing[i]) for i, u in enumerate(units)},
+        )
+        spec = DidSpec(set(units[:n_treated]), set(units[n_treated:]), day(t0))
+        try:
+            gap, stderr, dof = dummy_design_slope_gap(panel, spec)
+        except (SingularDesignError, ValidationError):
+            assume(False)  # no unique fit
+        assume(dof >= 1)
+        try:
+            got = parallel_trends_diagnostic(panel, spec)
+        except DiagnosticUnavailableError as err:
+            assert "at least 3 pre-period dates" in str(err)
+            assume(False)
+        assert math.isclose(got[0], gap, rel_tol=1e-9, abs_tol=1e-12)
+        assert math.isclose(got[1], stderr, rel_tol=1e-9)
+
+    def test_slope_absorbed_by_fixed_effects_unavailable(self):
+        """T's pre-period cells on days 0 and 1 are alone on their dates and
+        its day-2 cell sets its unit effect, so the effects absorb treated x
+        time: the diagnostic is unavailable (a pooled design reported a gap
+        here, and an unguarded elimination a stderr of order 1e15), while
+        fit_did still fits."""
+        rng = np.random.default_rng(3)
+        panel = make_panel(
+            {u: list(rng.normal(5.0, 1.0, 12)) for u in ("T", "C", "C2")},
+            mask={
+                "T": [3 <= j <= 5 for j in range(12)],
+                "C": [j < 2 for j in range(12)],
+                "C2": [j < 2 for j in range(12)],
+            },
+        )
+        spec = DidSpec({"T"}, {"C", "C2"}, day(6))
+        fit_did(panel, spec)
+        with pytest.raises(DiagnosticUnavailableError, match="dependent columns: treated_time"):
+            parallel_trends_diagnostic(panel, spec)
+
     def test_shared_slope_zero_gap(self):
         t = np.arange(10.0)
         panel = make_panel({"T": list(1.0 + 0.1 * t), "C": list(3.0 + 0.1 * t)})

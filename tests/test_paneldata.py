@@ -261,17 +261,6 @@ class TestAggregateTelemetry:
         panel = aggregate_telemetry(telemetry(records))
         assert panel.covariate("system_count")[0] == 2.0
 
-    def test_vpro_percentage(self):
-        d = date(2020, 1, 1)
-        records = [
-            record(d, device="a", vpro=True),
-            record(d, device="b", vpro=False),
-            record(d, device="c", vpro=False),
-            record(d, device="d", vpro=True),
-        ]
-        panel = aggregate_telemetry(telemetry(records))
-        assert panel.covariate("vpro_percentage")[0] == 0.5
-
     def test_cpu_watts_outcome(self):
         panel = aggregate_telemetry(
             telemetry([record(date(2020, 1, 1), watts=33.0)]), outcome="cpu_watts"

@@ -272,6 +272,9 @@ class TestFitSynth:
         defined = ~np.isnan(fit.gap)
         assert defined.all()
         assert (fit.gap[defined] == (y - fit.counterfactual)[defined]).all()
+        # pre_rmse is the RMSE of the pre-period gaps: the fit's rows are
+        # those dates and nothing else
+        assert fit.pre_rmse == pytest.approx(np.sqrt(np.mean(fit.gap[:20] ** 2)), rel=1e-12)
 
     def test_null_case_small_gap(self):
         panel = blend_panel(stage=0.0, noise=0.05, seed=9)

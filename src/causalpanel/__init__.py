@@ -25,8 +25,8 @@ _EXPORTS = {
         "DiagnosticUnavailableError",
         "ConvergenceWarning",
     ),
+    "panel": ("PanelDataset", "read_panel", "write_panel"),
     "paneldata": (
-        "PanelDataset",
         "PolicyTimeline",
         "TelemetryColumns",
         "TreatmentEvent",
@@ -34,16 +34,8 @@ _EXPORTS = {
         "extract_treatment_events",
         "merge_panels",
     ),
-    "panelio": (
-        "parse_policy_csv",
-        "write_policy_csv",
-        "parse_telemetry_csv",
-        "write_telemetry_csv",
-        "parse_persona_csv",
-        "write_persona_csv",
-        "read_panel",
-        "write_panel",
-    ),
+    "panelio": ("parse_policy_csv", "parse_telemetry_csv", "parse_persona_csv"),
+    "csvwrite": ("write_policy_csv", "write_telemetry_csv", "write_persona_csv"),
     "did": ("DidSpec", "DidFit", "fit_did", "parallel_trends_diagnostic"),
     "synthcontrol": (
         "SynthSpec",

@@ -54,7 +54,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .paneldata import PanelDataset
+from .panel import PanelDataset
 
 # relative singular-value cutoff below which a design is reported as
 # rank deficient rather than solved

@@ -1,4 +1,7 @@
-"""Panel data model: policy timelines, device telemetry, and aligned panels.
+"""Policy timelines, device telemetry, and the panels made from them
+(:func:`aggregate_telemetry`, :func:`merge_panels`). The panel type,
+:class:`~causalpanel.panel.PanelDataset`, and its file are
+:mod:`causalpanel.panel`, which loads without this module.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions of their inputs.
@@ -19,51 +22,46 @@ with ``np.bincount``, which adds its weights in input order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .panel import (
+    CHASSIS_TYPES,
+    CPU_FAMILIES,
+    POLICY_CODES,
+    SYSTEM_COUNT,
+    PanelDataset,
+    _equal_fields,
+    _frozen_array,
+)
 
-POLICY_CODES = (0, 1, 2, 3)
 # The OxCGRT indicator a policy table is read by when none is named.
 DEFAULT_INDICATOR = "C6_Stay at home requirements"
-CHASSIS_TYPES = frozenset({"Notebook", "Desktop", "TwoInOne", "NUC"})
-CPU_FAMILIES = frozenset({"i3", "i5", "i7", "i9", "Other"})
 
 # Canonical ordering of telemetry grouping fields, used to build stable
 # composite unit labels such as "CHN|Notebook|i7".
 GROUP_FIELD_ORDER = ("unit_id", "chassis", "cpu_family", "vpro")
 
-SYSTEM_COUNT = "system_count"
+# The columns of a telemetry table, in the order written.
+_TELEMETRY_COLUMNS = (
+    "date",
+    "device_id",
+    "unit_id",
+    "chassis",
+    "cpu_family",
+    "vpro",
+    "usage_hours",
+    "cpu_watts",
+)
 
 
 class EventKind(enum.Enum):
     ACTIVATION = "activation"
     DEACTIVATION = "deactivation"
-
-
-def _check_contiguous(dates: Sequence[date], context: str) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if cur <= prev:
-            raise ValidationError(f"{context}: dates not strictly increasing at {cur}")
-        if cur - prev != timedelta(days=1):
-            raise ValidationError(
-                f"{context}: calendar gap between {prev} and {cur}"
-            )
-
-
-def _equal_fields(self, other) -> bool:
-    """Field-by-field equality of two instances of one dataclass, arrays
-    bitwise: the ``__eq__`` of the classes that hold arrays."""
-    if type(other) is not type(self):
-        return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(
-        a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b for a, b in pairs
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +129,6 @@ def telemetry_violation(chassis, cpu_family, usage_hours, cpu_watts):
     return min(problems, key=lambda p: p[0]) if problems else None
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` as ``dtype``: no copy is made when
-    the dtype already matches, and the caller's own array stays writable."""
-    arr = np.asarray(values, dtype=dtype).view()
-    arr.setflags(write=False)
-    return arr
-
-
 def distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array in sorted order: ``np.unique``
     without its options, which under numpy 2 imports ``numpy.ma`` on its
@@ -202,133 +192,6 @@ class TelemetryColumns:
 
     __eq__ = _equal_fields
     __hash__ = None
-
-
-@dataclass(frozen=True)
-class PanelDataset:
-    """Aligned (unit x date) outcome panel with per-unit covariates.
-
-    ``missing_mask`` is True where a cell has no observation; masked cells
-    are never interpolated and every estimator must honour the mask.
-    ``unit_tags`` holds categorical per-unit labels (e.g. continent).
-    ``policy_codes`` is attached by :func:`merge_panels`: a code of
-    ``POLICY_CODES`` per cell, or -1 where no code is known.
-    """
-
-    unit_ids: tuple[str, ...]
-    dates: tuple[date, ...]
-    outcomes: np.ndarray
-    missing_mask: np.ndarray
-    outcome_name: str = "usage_hours"
-    covariates: np.ndarray | None = None
-    covariate_names: tuple[str, ...] = ()
-    unit_tags: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    policy_codes: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        out = _frozen_array(self.outcomes, float)
-        mask = _frozen_array(self.missing_mask, bool)
-        object.__setattr__(self, "outcomes", out)
-        object.__setattr__(self, "missing_mask", mask)
-        shape = (len(self.unit_ids), len(self.dates))
-        if out.shape != shape or mask.shape != shape:
-            raise ValidationError(
-                f"panel shape mismatch: outcomes {out.shape}, mask {mask.shape}, "
-                f"expected {shape}"
-            )
-        if len(set(self.unit_ids)) != len(self.unit_ids):
-            raise ValidationError("panel unit ids not unique")
-        _check_contiguous(self.dates, "panel")
-        bad = np.argwhere(~(np.isfinite(out) | mask))
-        if bad.size:
-            i, j = bad[0]
-            where = f"unit {self.unit_ids[i]!r} on {self.dates[j]}"
-            raise ValidationError(f"panel has an unmasked non-finite outcome for {where}")
-        if self.covariates is not None:
-            cov = _frozen_array(self.covariates, float)
-            object.__setattr__(self, "covariates", cov)
-            if cov.shape != (len(self.unit_ids), len(self.covariate_names)):
-                raise ValidationError(
-                    f"covariate matrix {cov.shape} does not match "
-                    f"{len(self.unit_ids)} units x {len(self.covariate_names)} names"
-                )
-            bad = np.argwhere(~np.isfinite(cov))
-            if bad.size:
-                i, c = bad[0]
-                raise ValidationError(
-                    f"covariate {self.covariate_names[c]!r} is non-finite "
-                    f"for unit {self.unit_ids[i]!r}"
-                )
-        elif self.covariate_names:
-            raise ValidationError("covariate names given without a matrix")
-        object.__setattr__(
-            self,
-            "unit_tags",
-            {k: tuple(v) for k, v in dict(self.unit_tags).items()},
-        )
-        for name, levels in self.unit_tags.items():
-            if len(levels) != len(self.unit_ids):
-                raise ValidationError(
-                    f"tag {name!r} has {len(levels)} entries for "
-                    f"{len(self.unit_ids)} units"
-                )
-        if self.policy_codes is not None:
-            # checked before the cast to int64, which would truncate a
-            # fraction and cannot hold every int
-            codes = np.asarray(self.policy_codes)
-            if codes.shape != shape:
-                raise ValidationError("policy code matrix shape mismatch")
-            bad = np.argwhere(~np.isin(codes, (*POLICY_CODES, -1)))
-            if bad.size:
-                i, j = bad[0]
-                raise ValidationError(
-                    f"panel has a policy code {codes[i, j]} outside 0..3 for "
-                    f"unit {self.unit_ids[i]!r} on {self.dates[j]}"
-                )
-            object.__setattr__(self, "policy_codes", _frozen_array(codes, np.int64))
-
-    @property
-    def n_units(self) -> int:
-        return len(self.unit_ids)
-
-    @property
-    def n_dates(self) -> int:
-        return len(self.dates)
-
-    def unit_index(self, unit_id: str) -> int:
-        try:
-            return self.unit_ids.index(unit_id)
-        except ValueError:
-            raise ValidationError(f"unit {unit_id!r} not in panel") from None
-
-    def date_index(self, day: date) -> int:
-        idx = (day - self.dates[0]).days
-        if idx < 0 or idx >= len(self.dates):
-            raise ValidationError(
-                f"date {day} outside panel range {self.dates[0]}..{self.dates[-1]}"
-            )
-        return idx
-
-    def unit_series(self, unit_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, missing_mask) rows for one unit."""
-        i = self.unit_index(unit_id)
-        return self.outcomes[i], self.missing_mask[i]
-
-    def covariate(self, name: str) -> np.ndarray:
-        if name not in self.covariate_names:
-            raise SchemaError(f"covariate {name!r} not in panel")
-        return self.covariates[:, self.covariate_names.index(name)]
-
-    def timeline(self, unit_id: str) -> PolicyTimeline | None:
-        """The attached policy series of one unit, if merged."""
-        if self.policy_codes is None:
-            return None
-        codes = self.policy_codes[self.unit_index(unit_id)]
-        if (codes < 0).any():
-            return None
-        return PolicyTimeline(unit_id, self.dates[0], codes)
 
 
 def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:

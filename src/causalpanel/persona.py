@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceWarning, SchemaError, ValidationError
-from .paneldata import _frozen_array, distinct, factorize
+from .panel import _frozen_array
+from .paneldata import distinct, factorize
 
 if TYPE_CHECKING:
     from .changepoint import PenaltyConfig, Segmentation

@@ -54,7 +54,7 @@ from .paneldata import (
     TelemetryColumns,
     factorize,
 )
-from .panelio import (
+from .csvwrite import (
     write_persona_csv,
     write_policy_csv,
     write_telemetry_csv,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceWarning, SpecError, ValidationError
-from .paneldata import PanelDataset, _frozen_array
+from .panel import PanelDataset, _frozen_array
 
 DEFAULT_MAX_ITERATIONS = 10_000
 DEFAULT_TOLERANCE = 1e-8
@@ -228,6 +228,20 @@ def fit_weights(
     return w, pre_rmse
 
 
+def _missing_cells(
+    panel: PanelDataset, rows: Sequence[int], period: np.ndarray, name: str
+) -> str:
+    """Why dates of ``period`` (a date mask; ``name`` is "pre" or "post")
+    are not complete, for an error message: each unit of ``rows`` (the
+    treated unit, then the donors) with missing cells there, and how many.
+    Empty where no unit has one."""
+    missing = panel.missing_mask[rows][:, period].sum(axis=1).tolist()
+    units = [f"{panel.unit_ids[r]!r} {k}" for r, k in zip(rows, missing) if k]
+    if not units:
+        return ""
+    return f"; missing {name}-treatment cells by unit: " + ", ".join(units)
+
+
 def _synth_impl(
     panel: PanelDataset,
     treated_unit: str,
@@ -249,10 +263,17 @@ def _synth_impl(
 
     pre_idx = np.nonzero(complete & ~post)[0]
     post_idx = np.nonzero(complete & post)[0]
+    rows = [treated_row, *donor_rows]
     if pre_idx.size < 2:
-        raise SpecError(f"need >= 2 complete pre-treatment dates, have {pre_idx.size}")
+        raise SpecError(
+            f"need >= 2 complete pre-treatment dates, have {pre_idx.size} of "
+            f"{int((~post).sum())}" + _missing_cells(panel, rows, ~post, "pre")
+        )
     if post_idx.size == 0:
-        raise SpecError("no complete post-treatment dates")
+        raise SpecError(
+            f"no complete post-treatment dates of {int(post.sum())}"
+            + _missing_cells(panel, rows, post, "post")
+        )
 
     w_sorted, pre_rmse, converged, _ = fit_weights(
         y[pre_idx], D[:, pre_idx].T, max_iterations=max_iterations,

@@ -46,19 +46,22 @@ from causalpanel.paneldata import (
 )
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.panelio import (
-    _TELEMETRY_COLUMNS,
     _chassis,
     _cpu_family,
     _has_content,
     _lines_left,
-    _map_distinct,
-    _opened,
     _parse_distinct,
     _sniff_delimiter,
     _stacked,
     _vpro_flag,
 )
-from causalpanel.paneldata import PolicyTimeline, TelemetryColumns, telemetry_violation
+from causalpanel.paneldata import (
+    _TELEMETRY_COLUMNS,
+    PolicyTimeline,
+    TelemetryColumns,
+    telemetry_violation,
+)
+from causalpanel.textio import _map_distinct, _opened
 from causalpanel.persona import (
     WINDOW_STRIDE,
     WINDOW_WIDTH,

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import causalpanel
 from causalpanel.cli import main
-from causalpanel.panelio import _csv_table, read_panel, write_panel
+from causalpanel.panel import read_panel, write_panel
+from causalpanel.panelio import _csv_table
 from causalpanel.simgen import (
     PersonaShiftConfig,
     ScenarioConfig,
@@ -605,6 +606,24 @@ class TestDidWorkflow:
         err = capsys.readouterr().err
         assert "panel.txt: tags section has no row for unit 'CTRL'" in err
 
+    def test_panel_second_covariates_row_exits_2(self, tmp_path, capsys):
+        # a second row for a unit used to replace its first without a word
+        _, work = simulate_and_ingest(tmp_path, did_scenario())
+        panel = work / "panel.txt"
+        text = panel.read_text()
+        covariates = text.index("#section covariates\n")
+        row = text.index("CTRL\t", covariates)
+        panel.write_text(text[:row] + "CTRL\t7.0\n" + text[row:], encoding="utf-8")
+        code = run(
+            "did", "--panel", panel,
+            "--treated", "TREAT", "--control", "CTRL",
+            "--treatment-date", "2020-01-31", "--out", work, "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "panel.txt: covariates section has a second row for unit 'CTRL'" in err
+        assert not (work / "did.json").exists()
+
     def test_panel_bad_code_cell_exits_2(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, did_scenario())
         panel = work / "panel.txt"
@@ -773,6 +792,29 @@ class TestSynthWorkflow:
         assert code == 3
         assert "ABSENT" in capsys.readouterr().err
 
+    def test_too_few_complete_dates_exits_3_naming_units(self, tmp_path, capsys):
+        # D1 has no observed day and T misses two of the pre-period: the
+        # message names each unit whose missing cells leave dates incomplete
+        _, work = simulate_and_ingest(tmp_path, synth_scenario())
+        panel = work / "panel.txt"
+        days = [d.isoformat() for d in read_panel(str(panel)).dates]
+        n_pre = sum(day < "2020-03-01" for day in days)
+        for day in days[:2]:
+            edit_panel_row(panel, "outcomes", "T", day, "NA")
+        for day in days:
+            edit_panel_row(panel, "outcomes", "D1", day, "NA")
+        code = run(
+            "synth", "--panel", panel,
+            "--treated", "T", "--donors", "D1,D2,D3",
+            "--treatment-date", "2020-03-01", "--placebo", "--out", work, "--quiet",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (
+            f"need >= 2 complete pre-treatment dates, have 0 of {n_pre}; "
+            f"missing pre-treatment cells by unit: 'T' 2, 'D1' {n_pre}"
+        ) in err
+        assert not (work / "synth.json").exists()
 
     def test_inf_covariate_exits_3(self, tmp_path, capsys):
         _, work = simulate_and_ingest(tmp_path, synth_scenario())

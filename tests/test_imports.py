@@ -1,13 +1,15 @@
 """What a process loads: the CLI's front (``--help``, a command's ``--help``,
 a usage error) loads the parser alone, each CLI command imports only the
-package modules it runs, the package resolves its public names on first
-use, no command pulls in ``numpy.ma`` (which ``np.unique`` without options
-and ``np.median`` import on their first call under numpy 2) or ``logging``,
+package modules it runs and compiles a bounded number of bytes of their
+source, the package resolves its public names on first use, no command
+pulls in ``numpy.ma`` (which ``np.unique`` without options and
+``np.median`` import on their first call under numpy 2) or ``logging``,
 and ``--help`` and ``report`` load no numpy at all.
 
 Each command runs in a fresh child process, since ``sys.modules`` of this
 one already holds every module."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,19 +64,45 @@ SCENARIO = {
 
 # What the CLI's front loads: the parser, the exit codes and the stderr lines.
 FRONT = {"causalpanel", "causalpanel.cli", "causalpanel.errors"}
-# What every command loads: the front, the command handlers and the file commit.
+# What every command loads: the front, the helpers the command handlers
+# share and the file commit.
 BASE = FRONT | {"causalpanel.commands", "causalpanel.files"}
 
-# The package modules each command may load beyond BASE.
+# The package modules each command may load beyond BASE, its handler's
+# module among them. ``cpd`` reads a panel file, ``cpd-series`` a series
+# file.
+# The panel file is ``panel`` (with the panel type), the CSV readers
+# ``panelio`` and the CSV writers ``csvwrite``; all three read or write
+# through ``textio``.
 COMMAND_MODULES = {
-    "simulate": {"simgen", "paneldata", "panelio", "persona"},
-    "ingest": {"paneldata", "panelio"},
-    "did": {"did", "paneldata", "panelio"},
-    "synth": {"synthcontrol", "paneldata", "panelio"},
-    "cpd": {"changepoint", "paneldata", "panelio"},
-    "persona": {"persona", "changepoint", "paneldata", "panelio"},
-    "report": set(),
+    "simulate": {
+        "commands.simulate", "simgen", "paneldata", "panel", "csvwrite", "textio", "persona"
+    },
+    "ingest": {"commands.ingest", "paneldata", "panel", "panelio", "textio"},
+    "did": {"commands.did", "did", "panel", "textio"},
+    "synth": {"commands.synth", "synthcontrol", "panel", "textio"},
+    "cpd": {"commands.cpd", "changepoint", "panel", "textio"},
+    "cpd-series": {"commands.cpd", "changepoint", "panelio", "textio"},
+    "persona": {
+        "commands.persona", "persona", "changepoint", "paneldata", "panel", "panelio", "textio"
+    },
+    "report": {"commands.report"},
 }
+
+# The most source a command's process may compile, in bytes, where no
+# bytecode is cached (a fresh checkout, PYTHONDONTWRITEBYTECODE): the sum
+# of the source files of the package modules it loads. Before each command
+# got its own handler module, and the panel file and the CSV writers their
+# own modules, ``did`` compiled 123 KB and ``report`` 44 KB.
+SOURCE_BOUNDS = {"did": 70_000, "report": 32_000}
+# The seven commands of one benchmark pass, together: 815 KB before.
+PASS_SOURCE_BOUND = 600_000
+PASS = ("simulate", "ingest", "did", "synth", "cpd", "persona", "report")
+
+
+def source_bytes(modules) -> int:
+    """The bytes of the source files of the package modules ``modules``."""
+    return sum(os.path.getsize(importlib.util.find_spec(m).origin) for m in modules)
 
 
 def child(code: str, *args: str, cwd) -> str:
@@ -95,6 +123,10 @@ def loaded(tmp_path_factory):
     """Command -> the probe's record of its process, over one pipeline."""
     tmp = tmp_path_factory.mktemp("imports")
     (tmp / "scenario.json").write_text(json.dumps(SCENARIO), encoding="utf-8")
+    values = [1.0] * 20 + [5.0] * 20
+    (tmp / "series.csv").write_text(
+        "value\n" + "".join(f"{v}\n" for v in values), encoding="utf-8"
+    )
     commands = {
         "simulate": ["simulate", "--scenario", "scenario.json", "--out", "data"],
         "ingest": [
@@ -110,6 +142,7 @@ def loaded(tmp_path_factory):
             "--treatment-date", "2020-02-01", "--placebo", "--out", "work",
         ],
         "cpd": ["cpd", "--panel", "work/panel.txt", "--unit", "T", "--out", "work"],
+        "cpd-series": ["cpd", "--series", "series.csv", "--out", "series"],
         "persona": [
             "persona", "--records", "data/persona.csv", "--width", "14", "--stride", "7",
             "--out", "work",
@@ -147,6 +180,19 @@ def test_front_loads_the_parser_only(tmp_path, argv, code):
 def test_command_loads_only_its_modules(loaded, command):
     modules = {f"causalpanel.{m}" for m in COMMAND_MODULES[command]}
     assert set(loaded[command]["package"]) == BASE | modules
+
+
+@pytest.mark.parametrize("command", sorted(SOURCE_BOUNDS))
+def test_command_compiles_bounded_source(loaded, command):
+    assert source_bytes(loaded[command]["package"]) <= SOURCE_BOUNDS[command]
+
+
+@pytest.mark.parametrize("cpd", ["cpd", "cpd-series"])
+def test_pass_compiles_bounded_source(loaded, cpd):
+    # fleet's cpd reads the treated unit's panel row, donor_pool's a series
+    commands = [cpd if name == "cpd" else name for name in PASS]
+    total = sum(source_bytes(loaded[name]["package"]) for name in commands)
+    assert total <= PASS_SOURCE_BOUND
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
@@ -213,7 +259,8 @@ def test_help_and_report_load_no_numpy(tmp_path, argv):
         (tmp_path / f"{estimator}.json").write_text(json.dumps(artifact), encoding="utf-8")
     record = probe(*argv, cwd=tmp_path)
     assert record["code"] == 0
-    assert record["package"] == sorted(BASE if argv[:1] == ["report"] else FRONT)
+    report = BASE | {"causalpanel.commands.report"}
+    assert record["package"] == sorted(report if argv[:1] == ["report"] else FRONT)
     assert not record["numpy"]
     assert not record["logging"]
     if argv[:1] == ["report"]:

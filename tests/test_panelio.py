@@ -12,18 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalpanel
+from causalpanel.csvwrite import write_persona_csv, write_policy_csv, write_telemetry_csv
 from causalpanel.errors import ParseError, SchemaError, ValidationError
+from causalpanel.panel import read_panel, write_panel
 from causalpanel.paneldata import PanelDataset, PolicyTimeline
 from causalpanel.panelio import (
     _csv_table,
     parse_persona_csv,
     parse_policy_csv,
     parse_telemetry_csv,
-    read_panel,
-    write_panel,
-    write_persona_csv,
-    write_policy_csv,
-    write_telemetry_csv,
 )
 from causalpanel.persona import UsageColumns, UsageFeatureVector
 
@@ -491,7 +488,9 @@ class TestPanelFormat:
         # any string is a valid tag, so a bad cell only fits numeric sections
         + [("covariates", "bad_cell"), ("codes", "bad_cell")]
         # only the codes section repeats the outcomes' date header
-        + [("codes", "bad_header")],
+        + [("codes", "bad_header")]
+        # a unit has one row in each section; a later one used to win
+        + [(section, "second_row") for section in ("outcomes", "covariates", "tags", "codes")],
     )
     def test_damaged_unit_row_named(self, section, damage):
         from causalpanel.paneldata import merge_panels
@@ -514,10 +513,29 @@ class TestPanelFormat:
             lines[row] = lines[row].rsplit("\t", 1)[0] + "\n"
         elif damage == "bad_cell":
             lines[row] = lines[row].rsplit("\t", 1)[0] + "\tx\n"
+        elif damage == "second_row":
+            lines.insert(row + 1, lines[row].rsplit("\t", 1)[0] + "\t7\n")
+            expected = f"{section} section has a second row for unit 'USA'"
         else:
             lines[start + 1] = lines[start + 1].rsplit("\t", 1)[0] + "\t1999-01-01\n"
             expected = "codes section: date header differs from the outcomes'"
         with pytest.raises(ParseError, match=expected):
+            read_panel("".join(lines).encode())
+
+    @pytest.mark.parametrize("section", ["outcomes", "covariates", "tags"])
+    def test_repeated_section_header_named(self, section):
+        # a section's header and rows again at the file's end: read as more
+        # rows of the first, they were a unit 'unit' with bad numbers in the
+        # outcomes, and a second row per unit in the other sections
+        buf = io.StringIO()
+        write_panel(self.full_panel(), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        start = lines.index(f"#section {section}\n")
+        again = len(lines) + 1  # its line number
+        lines += lines[start : start + 3]
+        with pytest.raises(
+            ParseError, match=f"^line {again}: a second '#section {section}' header$"
+        ):
             read_panel("".join(lines).encode())
 
     def test_date_header_of_another_form_refused(self):
@@ -597,13 +615,15 @@ def test_max_rows_of_a_path_bounds_its_rows(tmp_path, ending, final):
 
 
 def test_only_panelio_and_cli_import_csv():
-    # panelio reads every CSV table and writes the input tables; the CLI's
-    # command handlers write their own result tables, so that a command
-    # that writes only those (report) loads no numpy. No other module
-    # touches CSV: not the CLI's front, which --help loads.
+    # panelio reads every CSV table and csvwrite writes the input tables;
+    # the helpers the CLI's command handlers share write their own result
+    # tables, so that a command that writes only those (report) loads no
+    # numpy. No other module touches CSV: not the CLI's front, which
+    # --help loads, nor the panel file, which did, synth and cpd --panel
+    # read.
     package = Path(causalpanel.__file__).parent
     importers = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -612,5 +632,5 @@ def test_only_panelio_and_cli_import_csv():
             else:
                 continue
             if any(name.split(".")[0] == "csv" for name in names):
-                importers.append(path.name)
-    assert sorted(set(importers)) == ["commands.py", "panelio.py"]
+                importers.append(path.relative_to(package).as_posix())
+    assert sorted(set(importers)) == ["commands/__init__.py", "csvwrite.py", "panelio.py"]

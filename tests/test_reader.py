@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from causalpanel import panelio
+from causalpanel.paneldata import _TELEMETRY_COLUMNS
 
 # a warning from the reader (numpy's "input contained no data") would
 # reach the user as a log line
@@ -65,7 +66,7 @@ def persona_table(draw):
 
 @st.composite
 def telemetry_table(draw):
-    header = draw(st.permutations([*panelio._TELEMETRY_COLUMNS, "extra"]))
+    header = draw(st.permutations([*_TELEMETRY_COLUMNS, "extra"]))
     if draw(st.booleans()):
         header.remove("extra")
     rows = []
@@ -247,7 +248,7 @@ def test_error_past_first_block_names_its_row(tmp_path, cell, message):
         panelio.parse_persona_csv(path)
 
 
-TELEMETRY_HEADER = ",".join(panelio._TELEMETRY_COLUMNS)
+TELEMETRY_HEADER = ",".join(_TELEMETRY_COLUMNS)
 
 
 @pytest.mark.parametrize(

@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treated", required=True)
     p.add_argument("--donors", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
-    p.add_argument("--max-iterations", type=int, help="cap on active-set steps")
-    p.add_argument(
-        "--tolerance", type=float, help="KKT tolerance relative to the worst donor fit"
-    )
     p.add_argument(
         "--placebo", action="store_true", default=None, help="run randomization inference"
     )
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", help="CSV with a value column (optional date column)")
     p.add_argument("--panel", help="panel file (use with --unit)")
     p.add_argument("--unit")
-    p.add_argument("--penalty", choices=("aic", "bic", "manual"))
+    p.add_argument("--penalty", choices=("bic", "manual"))
     p.add_argument("--lam", type=float, help="manual penalty value")
     p.add_argument("--noise-scale", type=float, help="override noise scale estimate")
     p.add_argument(

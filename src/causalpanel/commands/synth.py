@@ -20,30 +20,14 @@ def cmd_synth(args, config) -> int:
     import numpy as np
 
     from ..panel import read_panel
-    from ..synthcontrol import (
-        DEFAULT_MAX_ITERATIONS,
-        DEFAULT_TOLERANCE,
-        SynthSpec,
-        fit_synth,
-        randomization_inference,
-    )
+    from ..synthcontrol import SynthSpec, fit_synth, randomization_inference
 
-    opts = _options(
-        args,
-        config,
-        {
-            "max_iterations": DEFAULT_MAX_ITERATIONS,
-            "tolerance": DEFAULT_TOLERANCE,
-            "placebo": False,
-        },
-    )
+    opts = _options(args, config, {"placebo": False})
     panel = _load(read_panel, args.panel)
     spec = SynthSpec(
         treated_unit=args.treated,
         donor_units=tuple(_split_list(args.donors)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
-        max_iterations=opts.max_iterations,
-        tolerance=opts.tolerance,
     )
     fit = fit_synth(panel, spec)
 

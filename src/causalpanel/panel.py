@@ -235,8 +235,8 @@ def write_panel(panel: PanelDataset, target) -> None:
 
 def read_panel(source) -> PanelDataset:
     """Read a panel written by :func:`write_panel`. A section header that
-    comes twice, or a second row for a unit in one section, is a parse
-    error naming it."""
+    comes twice, a second row for a unit in one section, or a row for a
+    unit the outcomes section lacks, is a parse error naming it."""
     with _opened(source) as stream:
         lines = stream.read().splitlines()
     if not lines or lines[0] != PANEL_MAGIC:
@@ -275,6 +275,8 @@ def read_panel(source) -> PanelDataset:
     _one_row_each("outcomes", units)
     mask = np.array([[c == NA for c in row[1:]] for row in body], dtype=bool)
 
+    known = set(units)
+
     def unit_rows(kind: str) -> tuple[list[str], list[list[str]] | None]:
         """Column names and one row of cells per unit, in outcome order; no
         names and None where the file has no such section or its header only."""
@@ -283,6 +285,11 @@ def read_panel(source) -> PanelDataset:
         header, *body = sections[kind]
         _one_row_each(kind, [row[0] for row in body])
         by_unit = {row[0]: row[1:] for row in body}
+        for u in by_unit:
+            if u not in known:
+                raise ParseError(
+                    f"{kind} section has a row for unit {u!r} that the outcomes section lacks"
+                )
         for u in units:
             if u not in by_unit:
                 raise ParseError(f"{kind} section has no row for unit {u!r}")

@@ -32,6 +32,15 @@ from causalpanel.changepoint import (
     segment_cost,
     stability_scan,
 )
+from causalpanel.errors import ValidationError
+
+
+def two_sigma_sq(y):
+    """The manual penalty 2 sigma-hat^2, with sigma-hat cpd's robust noise
+    scale: weaker than bic's 3 sigma-hat^2 ln n, so its optima have many
+    segments and long runs of near-ties for the solver to resolve."""
+    sigma = robust_noise_scale(y)
+    return PenaltyConfig(kind="manual", lam=2.0 * sigma * sigma)
 
 
 def exact_interval_cost(values):
@@ -257,8 +266,9 @@ class TestKnownK:
 
 class TestPenalized:
     def test_constant_series_single_segment(self):
-        for kind in ("aic", "bic"):
-            seg = detect_penalized([2.5] * 50, PenaltyConfig(kind=kind))
+        y = [2.5] * 50
+        for penalty in (two_sigma_sq(y), PenaltyConfig(kind="bic")):
+            seg = detect_penalized(y, penalty)
             assert seg.breakpoints == ()
 
     def test_manual_zero_penalty_overfits_to_cap(self):
@@ -313,15 +323,16 @@ class TestPenalized:
             {"kind": "manual"},
             {"kind": "manual", "lam": -0.5},
             {"kind": "bic", "noise_scale": 0.0},
-            {"kind": "aic", "noise_scale": -1.0},
+            {"kind": "aic"},  # a derived penalty weaker than bic's is a manual lam
             {"kind": "manual", "lam": float("nan")},
             {"kind": "manual", "lam": float("inf")},
             {"kind": "bic", "lam": float("nan")},
             {"kind": "bic", "noise_scale": float("inf")},
+            {"kind": "bic", "noise_scale": -1.0},
         ],
     )
     def test_penalty_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             PenaltyConfig(**kwargs)
 
     @pytest.mark.parametrize("level", [0.0, 1e4, -1e4])
@@ -343,9 +354,6 @@ class TestPenalized:
         y = [0.0, 1.0] * 8
         sigma = robust_noise_scale(y)
         assert sigma == pytest.approx(1.0 / MEDIAN_DIFF_TO_SIGMA)
-        assert effective_penalty(y, PenaltyConfig(kind="aic")) == pytest.approx(
-            2.0 * sigma**2
-        )
         assert effective_penalty(y, PenaltyConfig(kind="bic")) == pytest.approx(
             3.0 * sigma**2 * np.log(16)
         )
@@ -389,14 +397,14 @@ class TestExactPenalized:
             ([9, 8, 9, 14, 9, 11, 7, 8, 5, 8, 9, 9, 10, 10, 12], 2.0),
             # equal scores within one k, which differ in the last bit: an
             # exact == on the float values takes a later boundary
-            ([11, 7, 10, 12, 12, 10, 14, 13, 13, 8, 4, 12, 8, 9, 10], "aic"),
+            ([11, 7, 10, 12, 12, 10, 14, 13, 13, 8, 4, 12, 8, 9, 10], "2sigma2"),
             ([11, 9, 8, 8, 7, 11, 10, 10, 10, 5, 10, 8, 7, 10, 12, 9], 1.0),
         ],
     )
     def test_round_off_ties_resolve_as_exact_ties(self, series, lam):
         y = [float(v) for v in series]
-        if lam == "aic":
-            penalty = PenaltyConfig(kind="aic")
+        if lam == "2sigma2":
+            penalty = two_sigma_sq(y)
         else:
             penalty = PenaltyConfig(kind="manual", lam=lam)
         seg = detect_penalized(y, penalty)
@@ -421,7 +429,7 @@ class TestExactPenalized:
             n = int(rng.integers(13, 40))
             y = rng.integers(0, 3, n).astype(float)
             for penalty in (
-                PenaltyConfig(kind="aic"),
+                two_sigma_sq(y),
                 PenaltyConfig(kind="manual", lam=0.5),
                 PenaltyConfig(kind="manual", lam=1.0),
             ):
@@ -447,7 +455,7 @@ class TestExactPenalized:
             y = y * rng.choice([1e-3, 1.0, 100.0]) + rng.choice([0.0, 15.3, 1e4, -2e5])
             penalty = (
                 PenaltyConfig(kind="bic"),
-                PenaltyConfig(kind="aic"),
+                two_sigma_sq(y),
                 PenaltyConfig(kind="manual", lam=float(rng.choice([0.5, 2.0, 3.7, 10.0]))),
             )[t % 3]
             capped = detect_penalized_capped(y, penalty, k_max=DEFAULT_K_MAX)

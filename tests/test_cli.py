@@ -749,35 +749,39 @@ class TestSynthWorkflow:
         ]
 
     @staticmethod
-    def one_step_synth(tmp_path):
-        """Arguments of a synth run whose weight fit stops uncertified: the
-        treated unit blends three donors, two active-set steps from any
-        vertex, and the run allows one."""
-        rng = np.random.default_rng(6)
-        donors = rng.normal(5.0, 1.0, (6, 80))
-        series = {f"D{j}": donors[j].tolist() for j in range(6)}
-        series["T"] = (np.array([0.0, 0.5, 0.0, 0.3, 0.2, 0.0]) @ donors).tolist()
-        panel = tmp_path / "panel.txt"
-        write_panel(make_panel(series), str(panel))
+    def one_round_persona(tmp_path, monkeypatch):
+        """Arguments of a run whose fit stops uncertified. The synth CLI
+        always solves at the default step cap, which its exact active-set
+        fits never reach, so the warning comes from k-means held to one
+        round: eight devices in two clusters, four windows of counts."""
+        monkeypatch.setattr("causalpanel.persona.MAX_LLOYD_ITERATIONS", 1)
+        records = tmp_path / "persona.csv"
+        records.write_text(
+            "device_id,date,a,b\n"
+            + "".join(
+                f"d{i},{day},{i % 4}.0,{i // 4}.0\n"
+                for day in ("2020-01-01", "2020-03-10")
+                for i in range(8)
+            ),
+            encoding="utf-8",
+        )
         return [
-            "synth", "--panel", panel, "--treated", "T",
-            "--donors", ",".join(f"D{j}" for j in range(6)),
-            "--treatment-date", "2020-03-01", "--max-iterations", "1",
+            "persona", "--records", records, "--k", "2",
             "--out", tmp_path / "work", "--quiet",
         ]
 
-    def test_convergence_warning_is_one_log_line(self, tmp_path, capsys):
-        assert run(*self.one_step_synth(tmp_path)) == 0
+    def test_convergence_warning_is_one_log_line(self, tmp_path, monkeypatch, capsys):
+        assert run(*self.one_round_persona(tmp_path, monkeypatch)) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
-            "WARNING ConvergenceWarning: weight fit stopped after 1 active-set "
-            "steps without KKT certificate at tolerance 1e-08"
+            "WARNING ConvergenceWarning: k-means stopped after 1 rounds before "
+            "the assignments repeated"
         ]
 
-    def test_convergence_warning_logged_on_every_call(self, tmp_path, capsys):
+    def test_convergence_warning_logged_on_every_call(self, tmp_path, monkeypatch, capsys):
         # two runs in one process: the second logs its warning too, as a
         # new process would
-        argv = self.one_step_synth(tmp_path)
+        argv = self.one_round_persona(tmp_path, monkeypatch)
         for _ in range(2):
             assert run(*argv) == 0
             assert capsys.readouterr().err.startswith("WARNING ConvergenceWarning: ")
@@ -1245,6 +1249,99 @@ class TestInputFileErrors:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def valid_panel(tmp_path_factory):
+    """The text of a panel.txt that ingest wrote: units D1, D2, D3 and T
+    over 80 days from 2020-01-01, with covariates and codes sections."""
+    _, work = simulate_and_ingest(tmp_path_factory.mktemp("valid_panel"), synth_scenario())
+    return (work / "panel.txt").read_text(encoding="utf-8")
+
+
+def drop_outcomes(panel):
+    head, rest = panel.read_text().split("#section outcomes\n")
+    panel.write_text(head + rest[rest.index("#section "):], encoding="utf-8")
+
+
+def add_unknown_unit(panel):
+    text = panel.read_text().replace("\nT\t1.0\n", "\nT\t1.0\nZZZ\t99.0\n")
+    panel.write_text(text, encoding="utf-8")
+
+
+def repeat_covariates_header(panel):
+    """Append a second covariates header and column row; the message names
+    the header's line."""
+    text = panel.read_text()
+    panel.write_text(text + "#section covariates\nunit\tsystem_count\n", encoding="utf-8")
+    return text.count("\n") + 1
+
+
+def set_t_cell(section, column, token):
+    return lambda panel: edit_panel_row(panel, section, "T", column, token)
+
+
+NON_FINITE_OUTCOME = "panel has an unmasked non-finite outcome for unit 'T' on 2020-01-01"
+
+
+def code_outside(code):
+    return f"panel has a policy code {code} outside 0..3 for unit 'T' on 2020-01-01"
+
+
+# Each damage to a valid panel.txt: the edit, the exit code and the end of
+# the ERROR line, after the panel's path. An edit that returns a line
+# number fills {line}.
+PANEL_DAMAGES = {
+    "no_outcomes": (drop_outcomes, 2, "panel file has no outcomes section"),
+    "outcome_x": (
+        set_t_cell("outcomes", "2020-01-01", "x"), 2, "outcomes row for 'T': bad number 'x'"
+    ),
+    "outcome_nan": (set_t_cell("outcomes", "2020-01-01", "nan"), 3, NON_FINITE_OUTCOME),
+    "outcome_inf": (set_t_cell("outcomes", "2020-01-01", "inf"), 3, NON_FINITE_OUTCOME),
+    "code_x": (set_t_cell("codes", "2020-01-01", "x"), 2, "codes row for 'T': bad number 'x'"),
+    "code_-1": (set_t_cell("codes", "2020-01-01", "-1"), 3, code_outside(-1)),
+    "code_7": (set_t_cell("codes", "2020-01-01", "7"), 3, code_outside(7)),
+    "code_2**70": (set_t_cell("codes", "2020-01-01", str(2**70)), 3, code_outside(2**70)),
+    "system_count_inf": (
+        set_t_cell("covariates", "system_count", "inf"),
+        3,
+        "covariate 'system_count' is non-finite for unit 'T'",
+    ),
+    "unknown_unit": (
+        add_unknown_unit,
+        2,
+        "covariates section has a row for unit 'ZZZ' that the outcomes section lacks",
+    ),
+    "repeated_header": (
+        repeat_covariates_header, 2, "line {line}: a second '#section covariates' header"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", PANEL_DAMAGES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["did", "--treated", "T", "--control", "D1,D2,D3", "--treatment-date", "2020-03-01"],
+        ["synth", "--treated", "T", "--donors", "D1,D2,D3", "--treatment-date", "2020-03-01",
+         "--placebo"],
+        ["cpd", "--unit", "T"],
+    ],
+    ids=["did", "synth", "cpd"],
+)
+def test_damaged_panel_exits_naming_file(tmp_path, capsys, valid_panel, argv, damage):
+    """Every command that reads panel.txt exits 2 or 3 on a damaged one,
+    with one ERROR line that names the file and the unit or line, and
+    writes no result."""
+    edit, code, message = PANEL_DAMAGES[damage]
+    panel = tmp_path / "panel.txt"
+    panel.write_text(valid_panel, encoding="utf-8")
+    message = message.format(line=edit(panel))
+    assert run(*argv, "--panel", panel, "--out", tmp_path / "out", "--quiet") == code
+    err = capsys.readouterr().err
+    assert err.endswith(f": {panel}: {message}\n")
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     def run_estimates(self, tmp_path):
         _, dwork = simulate_and_ingest(tmp_path, did_scenario())
@@ -1584,14 +1681,13 @@ CONFIG_CASES = [
     ("ingest", "group_by", "unit_id,chassis", None),
     ("ingest", "outcome", "cpu_watts", None),
     ("ingest", "units", "{data}/units.csv", None),
-    ("synth", "max_iterations", 1, None),
-    ("synth", "tolerance", 0.5, None),
     ("synth", "placebo", True, None),
     ("cpd", "series", "{series}", []),
     ("cpd", "panel", "{work}/panel.txt", ["--unit", "T"]),
     ("cpd", "unit", "T", ["--panel", "{work}/panel.txt"]),
-    # the weak aic penalty fits the three-step series 33 segments
-    ("cpd", "penalty", "aic", ["--series", "{series}", "--k-max", "40"]),
+    # a manual lam of 1e9 fits the three-step series one segment; bic,
+    # the default, ignores --lam and finds the steps
+    ("cpd", "penalty", "manual", ["--series", "{series}", "--lam", "1e9"]),
     ("cpd", "lam", 1e9, ["--series", "{series}", "--penalty", "manual"]),
     ("cpd", "noise_scale", 100, None),  # an integer for a float option
     # a zero penalty fits each of the 120 noisy points its own segment,
@@ -1703,16 +1799,22 @@ class TestConfigKeys:
             ("did", "time_trend", True),
             ("did", "covariates", "system_count"),
             ("synth", "covariates", "system_count"),
+            ("synth", "max_iterations", 5),
+            ("synth", "tolerance", 1e-6),
         ],
-        ids=["did-time_trend", "did-covariates", "synth-covariates"],
+        ids=[
+            "did-time_trend", "did-covariates", "synth-covariates",
+            "synth-max_iterations", "synth-tolerance",
+        ],
     )
     def test_removed_option_refused(
         self, tmp_path, capsys, config_inputs, command, key, value
     ):
         """did's unit and date fixed effects absorb a shared trend and any
-        unit-level covariate, and synth fits its weights on the pre-period
-        outcomes alone, so neither takes these options: the flag is a
-        usage error (exit 2) and the config key an unknown key (exit 3)."""
+        unit-level covariate; synth fits its weights on the pre-period
+        outcomes alone, by an exact solve at one step cap and tolerance. So
+        neither takes these options: the flag is a usage error (exit 2) and
+        the config key an unknown key (exit 3)."""
         argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
         argv += ["--out", tmp_path, "--quiet"]
         flag = ["--" + key.replace("_", "-")] + ([] if value is True else [value])
@@ -1723,6 +1825,19 @@ class TestConfigKeys:
         assert run(command, *argv, "--config", cfg) == 3
         assert f"{cfg}: not a config key of {command}: {key!r}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.json").exists()
+
+    def test_aic_penalty_refused(self, tmp_path, capsys, config_inputs):
+        """cpd derives one penalty, bic's; aic is no choice of --penalty,
+        as a flag (exit 2) or as a config value (exit 3)."""
+        argv = ["--series", config_inputs["series"], "--out", tmp_path, "--quiet"]
+        with pytest.raises(SystemExit) as exit_info:
+            run("cpd", *argv, "--penalty", "aic")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'aic'" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json", {"penalty": "aic"})
+        assert run("cpd", *argv, "--config", cfg) == 3
+        assert f'{cfg}: penalty: "aic" is not a value of --penalty' in capsys.readouterr().err
+        assert not (tmp_path / "cpd.json").exists()
 
     def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
         """Each flag of a command is a config key of it, with a case in
@@ -1792,7 +1907,9 @@ def test_help_text_is_pinned(monkeypatch, capsys):
     cli_help.txt. It was recorded before the parser's defaults moved into
     the handlers, again when --format moved to report and --seed to
     simulate and persona, again when did dropped --covariates and
-    --time-trend, and again when synth dropped --covariates."""
+    --time-trend, again when synth dropped --covariates, and again when
+    synth dropped --max-iterations and --tolerance and cpd's --penalty
+    dropped the aic choice."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),

@@ -490,7 +490,9 @@ class TestPanelFormat:
         # only the codes section repeats the outcomes' date header
         + [("codes", "bad_header")]
         # a unit has one row in each section; a later one used to win
-        + [(section, "second_row") for section in ("outcomes", "covariates", "tags", "codes")],
+        + [(section, "second_row") for section in ("outcomes", "covariates", "tags", "codes")]
+        # a row for a unit the outcomes lack is damage, not a unit to skip
+        + [(section, "unknown_row") for section in ("covariates", "tags", "codes")],
     )
     def test_damaged_unit_row_named(self, section, damage):
         from causalpanel.paneldata import merge_panels
@@ -516,6 +518,11 @@ class TestPanelFormat:
         elif damage == "second_row":
             lines.insert(row + 1, lines[row].rsplit("\t", 1)[0] + "\t7\n")
             expected = f"{section} section has a second row for unit 'USA'"
+        elif damage == "unknown_row":
+            lines.insert(row + 1, "ZZZ\t" + lines[row].split("\t", 1)[1])
+            expected = (
+                f"^{section} section has a row for unit 'ZZZ' that the outcomes section lacks$"
+            )
         else:
             lines[start + 1] = lines[start + 1].rsplit("\t", 1)[0] + "\t1999-01-01\n"
             expected = "codes section: date header differs from the outcomes'"

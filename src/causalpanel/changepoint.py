@@ -50,7 +50,9 @@ class PenaltyConfig:
     """Choice of complexity penalty for unknown segment counts.
 
     ``manual`` uses ``lam`` directly as the per-segment penalty; ``bic``
-    derives it from the estimated (or overridden) noise scale.
+    derives it from the estimated (or overridden) noise scale. Each kind
+    refuses the setting it does not read: ``lam`` for ``bic``,
+    ``noise_scale`` for ``manual``.
     """
 
     kind: str = "bic"
@@ -64,6 +66,10 @@ class PenaltyConfig:
             raise ValidationError(f"lam must be finite, not {self.lam}")
         if self.kind == "manual" and (self.lam is None or self.lam < 0):
             raise ValidationError("manual penalty requires lam >= 0")
+        if self.kind == "bic" and self.lam is not None:
+            raise ValidationError("the bic penalty does not read lam")
+        if self.kind == "manual" and self.noise_scale is not None:
+            raise ValidationError("the manual penalty does not read noise_scale")
         if self.noise_scale is not None and not 0 < self.noise_scale < math.inf:
             raise ValidationError(
                 f"noise_scale override must be positive and finite, not {self.noise_scale}"

@@ -14,8 +14,8 @@ that calls :func:`main` as it was.
 
 Exit codes: 0 success, 2 parse errors, 3 validation errors, 4 numerical
 errors, 5 I/O errors. A message names its input: ``<file>: row N: ...``
-for a table cell, the flag or the file and key for an option or scenario
-value, and ``<path>: <strerror>`` for an I/O error.
+for a table cell, the flag for an option, the file and key for a value in
+a scenario or artifact, and ``<path>: <strerror>`` for an I/O error.
 """
 
 from __future__ import annotations
@@ -79,16 +79,13 @@ log = _Log()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser. No option has a default here (a switch is
-    None unless given): each handler resolves its options through
-    :func:`causalpanel.commands._options`, so a config file can set any of
-    them."""
+    """The command-line parser. An option that takes a value defaults to
+    None here: its handler's defaults table, through
+    :func:`causalpanel.commands._options`, holds the value it takes when
+    its flag is not given."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory (default: $CAUSALPANEL_OUT or .)")
-    common.add_argument(
-        "--quiet", action="store_true", default=None, help="suppress info logging"
-    )
-    common.add_argument("--config", help="JSON file with default option values")
+    common.add_argument("--out", help="output directory (default: .)")
+    common.add_argument("--quiet", action="store_true", help="suppress info logging")
 
     parser = argparse.ArgumentParser(
         prog="causalpanel",
@@ -121,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treated", required=True)
     p.add_argument("--donors", required=True, help="comma-separated unit ids")
     p.add_argument("--treatment-date", required=True)
-    p.add_argument(
-        "--placebo", action="store_true", default=None, help="run randomization inference"
-    )
+    p.add_argument("--placebo", action="store_true", help="run randomization inference")
 
     p = sub.add_parser("cpd", parents=[common], help="offline change-point detection")
     p.add_argument("--series", help="CSV with a value column (optional date column)")
@@ -149,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common], help="consolidate artifacts")
     p.add_argument("artifacts", nargs="*", help="estimation artifact JSON files")
     p.add_argument("--format", choices=("json", "csv"), help="report format")
-
-    for p in sub.choices.values():  # for _options, which checks config values
-        p.set_defaults(command_parser=p)
     return parser
 
 

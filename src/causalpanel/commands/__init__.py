@@ -1,17 +1,16 @@
-"""The command layer: :func:`run` loads a parsed command line's
-``--config`` file and runs its handler, ``cmd_<command>`` in the module
-``causalpanel.commands.<command>``, one module per command.
+"""The command layer: :func:`run` runs a parsed command line's handler,
+``cmd_<command>`` in the module ``causalpanel.commands.<command>``, one
+module per command.
 :func:`causalpanel.cli.main` imports this package only once its arguments
 have parsed, so ``--help`` and a usage error compile none of it, and
 :func:`run` imports the one handler module of the command it runs. This
 module holds what the handlers share: options, JSON decoding, file
 loading and the commit of a command's result files.
 
-Option precedence, for every option: command-line flag > --config file
-entry > environment (``CAUSALPANEL_OUT`` for the output directory) >
-built-in default. Each command's defaults are one table in its handler
-(see :func:`_options`); argparse itself defaults every option to None, so
-that a flag that is not given leaves the choice to the config file.
+An option's value is its command-line flag, or else its built-in
+default. Each command's defaults are one table in its handler (see
+:func:`_options`); argparse defaults every option that takes a value to
+None, so that a flag that is not given leaves it to that table.
 
 Each handler imports the modules its command runs, so a command's process
 loads only those: ``did`` reads no simulator and ``cpd`` no estimator. This
@@ -48,8 +47,6 @@ from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_h
 from ..cli import log
 from ..errors import ParseError, SchemaError, ValidationError
 from ..files import committed, parse_date
-
-OUT_ENV = "CAUSALPANEL_OUT"
 
 
 # ---------------------------------------------------------------- helpers
@@ -102,9 +99,9 @@ def _iso_date(token: str, what: str) -> date:
 
 def _is_kind(value, kind: type) -> bool:
     """Whether a value read from JSON is of ``kind``: the one type rule of
-    every JSON input (scenario, config file, report artifact). An integer
-    is an int but not a bool; a number (``float``) is finite, and may be
-    an int that a float holds exactly."""
+    every JSON input (scenario, report artifact). An integer is an int but
+    not a bool; a number (``float``) is finite, and may be an int that a
+    float holds exactly."""
     if kind is int:
         return type(value) is int
     if kind is float:
@@ -197,59 +194,19 @@ def _load(parse, path: str, *args):
         raise OSError(f"{path}: {err.strerror or err}") from None
 
 
-def _resolve(args, config: Mapping, name: str, default=None, env: str | None = None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    if env is not None and os.environ.get(env):
-        return os.environ[env]
-    return default
-
-
 # The options every command takes, with their defaults.
-_COMMON = {"out": ".", "quiet": False}
+_COMMON = {"out": "."}
 
 
-def _config_value(path: str, key: str, value, action: argparse.Action):
-    """A config file's value for an option, checked as the flag's argument
-    would be: a JSON string, integer or number as the flag's type (by
-    :func:`_is_kind`), one of its choices, or true/false for a switch."""
-    kind = bool if action.nargs == 0 else action.type or str
-    if not _is_kind(value, kind) or (
-        action.choices is not None and value not in action.choices
-    ):
-        raise SchemaError(
-            f"{path}: {key}: {json.dumps(value)} is not a value of {action.option_strings[0]}"
-        )
-    return float(value) if kind is float else value
-
-
-def _options(args, config: Mapping, defaults: Mapping) -> SimpleNamespace:
-    """Every option of ``args.command``, each the first there is of its
-    flag, its ``--config`` key, ``$CAUSALPANEL_OUT`` (for ``out``) and its
-    entry in ``defaults`` or ``_COMMON``. The command takes exactly those
-    options from a config file; any other key is a validation error
-    naming the file and the key. Required flags are never config keys."""
-    defaults = {**_COMMON, **defaults}
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise SchemaError(
-            f"{args.config}: not a config key of {args.command}: "
-            + ", ".join(map(repr, unknown))
-        )
-    actions = {a.dest: a for a in args.command_parser._actions}
-    config = {
-        key: _config_value(args.config, key, value, actions[key])
-        for key, value in config.items()
-    }
-    return SimpleNamespace(
-        **{
-            name: _resolve(args, config, name, default, OUT_ENV if name == "out" else None)
-            for name, default in defaults.items()
-        }
-    )
+def _options(args, defaults: Mapping) -> SimpleNamespace:
+    """Each option of ``args.command`` that ``defaults`` or ``_COMMON``
+    lists: its flag when given (not None, so ``--lam 0`` counts), else its
+    default there."""
+    options = {}
+    for name, default in {**_COMMON, **defaults}.items():
+        value = getattr(args, name)
+        options[name] = default if value is None else value
+    return SimpleNamespace(**options)
 
 
 def _emit(outdir: str, texts: Mapping[str, str], stale: Sequence[str] = ()) -> str:
@@ -295,15 +252,8 @@ def _mean_system_count(panel, units: Sequence[str]) -> float | None:
 
 def run(args: argparse.Namespace) -> int:
     """Run the command that ``args`` (from :func:`causalpanel.cli.build_parser`)
-    names, with its ``--config`` file's options, and set ``log.quiet`` from
-    ``--quiet`` or the config file; its exit code. Only that command's
-    module, ``causalpanel.commands.<command>``, is imported."""
-    config: Mapping = {}
-    if args.config:
-        loaded = _load(_read_json, args.config)
-        if not isinstance(loaded, dict):
-            raise SchemaError(f"{args.config}: config file must be a JSON object")
-        config = loaded
-    log.quiet = bool(_resolve(args, config, "quiet", default=False))
+    names, with ``log.quiet`` set from ``--quiet``; its exit code. Only that
+    command's module, ``causalpanel.commands.<command>``, is imported."""
+    log.quiet = args.quiet
     handler = importlib.import_module(f"{__name__}.{args.command}")
-    return getattr(handler, f"cmd_{args.command}")(args, config)
+    return getattr(handler, f"cmd_{args.command}")(args)

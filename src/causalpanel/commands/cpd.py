@@ -7,7 +7,7 @@ from ..errors import ValidationError
 from . import _csv_text, _emit, _json_text, _load, _options
 
 
-def cmd_cpd(args, config) -> int:
+def cmd_cpd(args) -> int:
     from ..changepoint import (
         DEFAULT_K_MAX,
         PenaltyConfig,
@@ -17,7 +17,6 @@ def cmd_cpd(args, config) -> int:
 
     opts = _options(
         args,
-        config,
         {
             "series": None,
             "panel": None,
@@ -50,6 +49,11 @@ def cmd_cpd(args, config) -> int:
 
     if opts.k_max < 1:
         raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {opts.k_max}")
+    # a setting the chosen penalty does not read is refused, not ignored
+    unread = {"bic": ("--lam", opts.lam), "manual": ("--noise-scale", opts.noise_scale)}
+    flag, value = unread[opts.penalty]
+    if value is not None:
+        raise ValidationError(f"the {opts.penalty} penalty does not read {flag}")
     penalty = PenaltyConfig(
         kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
     )

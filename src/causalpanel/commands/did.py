@@ -17,11 +17,11 @@ from . import (
 )
 
 
-def cmd_did(args, config) -> int:
+def cmd_did(args) -> int:
     from ..did import DidSpec, fit_did, parallel_trends_diagnostic
     from ..panel import read_panel
 
-    opts = _options(args, config, {})
+    opts = _options(args, {})
     panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),

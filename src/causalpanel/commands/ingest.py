@@ -8,7 +8,7 @@ from ..cli import EXIT_OK, log
 from . import _load, _options, _split_list
 
 
-def cmd_ingest(args, config) -> int:
+def cmd_ingest(args) -> int:
     from dataclasses import replace
 
     from ..paneldata import DEFAULT_INDICATOR, aggregate_telemetry, merge_panels
@@ -17,7 +17,6 @@ def cmd_ingest(args, config) -> int:
 
     opts = _options(
         args,
-        config,
         {
             "indicator": DEFAULT_INDICATOR,
             "group_by": "unit_id",

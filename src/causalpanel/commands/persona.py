@@ -7,7 +7,7 @@ from ..errors import ValidationError
 from . import _csv_text, _emit, _iso_date, _json_text, _load, _options
 
 
-def cmd_persona(args, config) -> int:
+def cmd_persona(args) -> int:
     from ..panelio import parse_persona_csv
     from ..persona import (
         CATEGORY_TO_PERSONA,
@@ -24,7 +24,6 @@ def cmd_persona(args, config) -> int:
 
     opts = _options(
         args,
-        config,
         {
             "seed": 0,
             "k": DEFAULT_K,

@@ -12,8 +12,8 @@ _REPORT_KEYS = {"estimator": str, "outcome": str, "effect": float, "p_value": fl
 _REPORT_OPTIONAL = {"system_count": float | None, "chassis": str, "cpu_family": str}
 
 
-def cmd_report(args, config) -> int:
-    opts = _options(args, config, {"format": "json"})
+def cmd_report(args) -> int:
+    opts = _options(args, {"format": "json"})
     if not args.artifacts:
         raise ValidationError("report needs at least one artifact file")
     rows = []

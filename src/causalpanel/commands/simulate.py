@@ -10,13 +10,13 @@ from ..files import committed
 from . import _decode, _load, _options, _read_json
 
 
-def cmd_simulate(args, config) -> int:
+def cmd_simulate(args) -> int:
     from dataclasses import replace
 
     from ..paneldata import DEFAULT_INDICATOR
     from ..simgen import ScenarioConfig, describe, stage_scenario
 
-    opts = _options(args, config, {"seed": None, "indicator": DEFAULT_INDICATOR})
+    opts = _options(args, {"seed": None, "indicator": DEFAULT_INDICATOR})
     scenario = _decode(_load(_read_json, args.scenario), ScenarioConfig, args.scenario)
     if opts.seed is not None:
         scenario = replace(scenario, seed=opts.seed)

@@ -16,13 +16,13 @@ from . import (
 )
 
 
-def cmd_synth(args, config) -> int:
+def cmd_synth(args) -> int:
     import numpy as np
 
     from ..panel import read_panel
     from ..synthcontrol import SynthSpec, fit_synth, randomization_inference
 
-    opts = _options(args, config, {"placebo": False})
+    opts = _options(args, {})
     panel = _load(read_panel, args.panel)
     spec = SynthSpec(
         treated_unit=args.treated,
@@ -33,7 +33,7 @@ def cmd_synth(args, config) -> int:
 
     placebo_gaps = None
     p_value = None
-    if opts.placebo:
+    if args.placebo:
         p_value, placebo_gaps = randomization_inference(panel, spec, fit)
         log.info("randomization inference over %d donors", len(spec.donor_units))
 
@@ -74,7 +74,7 @@ def cmd_synth(args, config) -> int:
         ]
         texts["synth_placebo.csv"] = _csv_text(["date", "treated"] + donors, rows)
     # without --placebo, an earlier run's placebo gaps would sit beside this fit
-    path = _emit(opts.out, texts, stale=() if opts.placebo else ("synth_placebo.csv",))
+    path = _emit(opts.out, texts, stale=() if args.placebo else ("synth_placebo.csv",))
 
     ptxt = "n/a" if p_value is None else f"{p_value:.4g}"
     print(

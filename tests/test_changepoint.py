@@ -329,6 +329,9 @@ class TestPenalized:
             {"kind": "bic", "lam": float("nan")},
             {"kind": "bic", "noise_scale": float("inf")},
             {"kind": "bic", "noise_scale": -1.0},
+            # a setting the kind does not read
+            {"kind": "bic", "lam": 1e9},
+            {"kind": "manual", "lam": 50.0, "noise_scale": 3.0},
         ],
     )
     def test_penalty_config_validation(self, kwargs):

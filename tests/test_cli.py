@@ -971,6 +971,13 @@ class TestCpdWorkflow:
                 ["--series", "two.csv", "--noise-scale", "inf"],
                 "noise_scale override must be positive and finite, not inf",
             ),
+            # a setting the chosen penalty does not read is refused, not ignored
+            (["--series", "two.csv", "--lam", "1e9"], "the bic penalty does not read --lam"),
+            (
+                ["--series", "two.csv", "--penalty", "manual", "--lam", "50",
+                 "--noise-scale", "3"],
+                "the manual penalty does not read --noise-scale",
+            ),
         ],
     )
     def test_estimator_input_checks_exit_3(self, tmp_path, capsys, argv, message):
@@ -1087,19 +1094,14 @@ class TestPersonaWorkflow:
             blocks = list(body(len(header), exact=True))
         assert sum(len(rownos) for _, rownos in blocks) == 2
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_negative_seed_exits_3(self, tmp_path, capsys, via):
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
         records = tmp_path / "persona.csv"
         records.write_text(
             "device_id,date,a,b\nd0,2020-01-01,0.0,1.0\nd1,2020-01-01,1.0,0.0\n",
             encoding="utf-8",
         )
         argv = ["persona", "--records", records, "--k", "2", "--width", "1", "--out", tmp_path]
-        if via == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            argv += ["--config", write_json(tmp_path / "cfg.json", {"seed": -1})]
-        assert run(*argv) == 3
+        assert run(*argv, "--seed", "-1") == 3
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err
         assert "Traceback" not in err
@@ -1492,13 +1494,9 @@ class TestStderrLines:
             f"ERROR io error: {tmp_path / 'absent.json'}: No such file or directory\n"
         )
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_quiet_holds_for_its_call_only(self, tmp_path, capsys, via):
+    def test_quiet_holds_for_its_call_only(self, tmp_path, capsys):
         argv = report_argv(tmp_path)
-        quiet = ["--quiet"] if via == "flag" else [
-            "--config", write_json(tmp_path / "cfg.json", {"quiet": True})
-        ]
-        assert run(*argv, *quiet) == 0
+        assert run(*argv, "--quiet") == 0
         assert capsys.readouterr().err == ""
         assert run(*argv) == 0
         assert capsys.readouterr().err.startswith("INFO wrote ")
@@ -1579,42 +1577,6 @@ class TestStderrLines:
 
 
 class TestOptionResolution:
-    def test_config_file_supplies_out(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n1.0\n1.0\n", encoding="utf-8")
-        cfg = write_json(tmp_path / "cfg.json", {"out": str(tmp_path / "cfgout")})
-        assert run("cpd", "--series", series, "--config", cfg, "--quiet") == 0
-        assert (tmp_path / "cfgout" / "cpd.json").exists()
-
-    def test_flag_beats_config(self, tmp_path):
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n1.0\n1.0\n", encoding="utf-8")
-        cfg = write_json(tmp_path / "cfg.json", {"out": str(tmp_path / "cfgout")})
-        assert (
-            run(
-                "cpd", "--series", series, "--config", cfg,
-                "--out", tmp_path / "flagout", "--quiet",
-            )
-            == 0
-        )
-        assert (tmp_path / "flagout" / "cpd.json").exists()
-        assert not (tmp_path / "cfgout").exists()
-
-    def test_env_var_default_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAUSALPANEL_OUT", str(tmp_path / "envout"))
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n1.0\n1.0\n", encoding="utf-8")
-        assert run("cpd", "--series", series, "--quiet") == 0
-        assert (tmp_path / "envout" / "cpd.json").exists()
-
-    def test_config_must_be_object(self, tmp_path):
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n", encoding="utf-8")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]\n", encoding="utf-8")
-        assert run("cpd", "--series", series, "--config", cfg, "--quiet") == 3
-
     def test_no_tmp_leftovers_after_run(self, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
@@ -1622,35 +1584,8 @@ class TestOptionResolution:
         assert run("cpd", "--series", series, "--out", out, "--quiet") == 0
         assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
 
-    def test_unknown_config_key_exits_3(self, tmp_path, capsys):
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
-        cfg = write_json(tmp_path / "cfg.json", {"k_maxx": 1, "format": "csv"})
-        assert run("cpd", "--series", series, "--config", cfg, "--out", tmp_path) == 3
-        err = capsys.readouterr().err
-        assert f"{cfg}: not a config key of cpd: 'format', 'k_maxx'" in err
-        assert not (tmp_path / "cpd.json").exists()
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("k_max", "1"), ("k_max", 1.5), ("k_max", True), ("lam", "x"),
-         ("penalty", "mdl"), ("series", 3), ("quiet", "yes"),
-         pytest.param("lam", 10**400, id="lam-beyond-float"),
-         pytest.param("lam", float("nan"), id="lam-nan"),
-         pytest.param("noise_scale", float("inf"), id="noise-scale-inf")],
-    )
-    def test_bad_config_value_exits_3(self, tmp_path, capsys, key, value):
-        series = tmp_path / "series.csv"
-        series.write_text("value\n1.0\n2.0\n", encoding="utf-8")
-        cfg = write_json(tmp_path / "cfg.json", {key: value})
-        assert run("cpd", "--series", series, "--config", cfg, "--out", tmp_path) == 3
-        flag = "--" + key.replace("_", "-")
-        assert f"{cfg}: {key}: {json.dumps(value)} is not a value of {flag}" in (
-            capsys.readouterr().err
-        )
-
-
-# A run of each command on the ``config_inputs`` fixture's files ("{root}",
+# A run of each command on the ``command_inputs`` fixture's files ("{root}",
 # "{data}", "{c1}", "{work}" and "{series}" name them).
 COMMAND_ARGS = {
     "simulate": ["--scenario", "{root}/scenario.json"],
@@ -1668,10 +1603,10 @@ COMMAND_ARGS = {
     "report": ["{work}/did.json", "{work}/synth.json"],
 }
 
-# Each option each command takes from a config file: a value that changes
-# the command's outcome, and the other arguments of the run (those of
-# COMMAND_ARGS when None).
-CONFIG_CASES = [
+# Each optional flag of each command: a value that changes the command's
+# outcome, and the other arguments of the run (those of COMMAND_ARGS when
+# None).
+OPTION_CASES = [
     *((command, "out", "sub", None) for command in COMMAND_ARGS),
     *((command, "quiet", True, None) for command in COMMAND_ARGS),
     ("simulate", "seed", 99, None),
@@ -1686,10 +1621,10 @@ CONFIG_CASES = [
     ("cpd", "panel", "{work}/panel.txt", ["--unit", "T"]),
     ("cpd", "unit", "T", ["--panel", "{work}/panel.txt"]),
     # a manual lam of 1e9 fits the three-step series one segment; bic,
-    # the default, ignores --lam and finds the steps
+    # the default, does not read --lam and exits 3
     ("cpd", "penalty", "manual", ["--series", "{series}", "--lam", "1e9"]),
     ("cpd", "lam", 1e9, ["--series", "{series}", "--penalty", "manual"]),
-    ("cpd", "noise_scale", 100, None),  # an integer for a float option
+    ("cpd", "noise_scale", 100, None),
     # a zero penalty fits each of the 120 noisy points its own segment,
     # more than the default limit of 20
     ("cpd", "k_max", 200, ["--series", "{series}", "--penalty", "manual", "--lam", "0"]),
@@ -1703,11 +1638,11 @@ CONFIG_CASES = [
 
 
 @pytest.fixture(scope="module")
-def config_inputs(tmp_path_factory):
+def command_inputs(tmp_path_factory):
     """Inputs for every command: a simulated scenario (also written with
     the indicator C1), its panel, a did and a synth result, and a series
     with three clear steps."""
-    root = tmp_path_factory.mktemp("config_inputs")
+    root = tmp_path_factory.mktemp("command_inputs")
     scenario = synth_scenario()
     scenario["units"][3]["devices_per_day"] = 2  # system_count varies by unit
     scenario.update(persona_devices=24, persona_noise=0.2)
@@ -1748,15 +1683,13 @@ def test_format_and_seed_only_where_read(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-class TestConfigKeys:
+class TestOptionFlags:
     @staticmethod
-    def outcome(run_dir, monkeypatch, capsys, command, argv, config=None):
+    def outcome(run_dir, monkeypatch, capsys, command, argv):
         """Exit code, every file written, stdout and stderr of one run in
         ``run_dir``, a new directory."""
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
-        if config is not None:
-            argv = [*argv, "--config", write_json(run_dir.with_suffix(".json"), config)]
         capsys.readouterr()
         code = run(command, *argv)
         out, err = capsys.readouterr()
@@ -1767,30 +1700,24 @@ class TestConfigKeys:
         return code, files, out, err
 
     @pytest.mark.parametrize(
-        "command, option, value, argv", CONFIG_CASES, ids=[f"{c}-{o}" for c, o, *_ in CONFIG_CASES]
+        "command, option, value, argv", OPTION_CASES, ids=[f"{c}-{o}" for c, o, *_ in OPTION_CASES]
     )
-    def test_config_key_acts_as_its_flag(
-        self, tmp_path, monkeypatch, capsys, config_inputs, command, option, value, argv
+    def test_flag_changes_outcome(
+        self, tmp_path, monkeypatch, capsys, command_inputs, command, option, value, argv
     ):
-        """Run with the option as a flag, as a config key, and not at all:
-        the exit code, the files, stdout and stderr are the same the first
-        two ways and differ the third."""
-        monkeypatch.delenv("CAUSALPANEL_OUT", raising=False)
+        """Run with the option's flag and without it: the run with the flag
+        exits 0, and the exit code, the files, stdout or stderr differ."""
         if isinstance(value, str):
-            value = value.format(**config_inputs)
+            value = value.format(**command_inputs)
         argv = COMMAND_ARGS[command] if argv is None else argv
-        argv = [a.format(**config_inputs) for a in argv]
+        argv = [a.format(**command_inputs) for a in argv]
         if option != "quiet":
             argv.append("--quiet")
         flag = ["--" + option.replace("_", "-")] + ([] if value is True else [str(value)])
 
         by_flag = self.outcome(tmp_path / "flag", monkeypatch, capsys, command, [*argv, *flag])
-        by_config = self.outcome(
-            tmp_path / "config", monkeypatch, capsys, command, argv, {option: value}
-        )
         neither = self.outcome(tmp_path / "neither", monkeypatch, capsys, command, argv)
         assert by_flag[0] == 0
-        assert by_config == by_flag
         assert neither != by_flag
 
     @pytest.mark.parametrize(
@@ -1808,63 +1735,66 @@ class TestConfigKeys:
         ],
     )
     def test_removed_option_refused(
-        self, tmp_path, capsys, config_inputs, command, key, value
+        self, tmp_path, capsys, command_inputs, command, key, value
     ):
         """did's unit and date fixed effects absorb a shared trend and any
         unit-level covariate; synth fits its weights on the pre-period
         outcomes alone, by an exact solve at one step cap and tolerance. So
-        neither takes these options: the flag is a usage error (exit 2) and
-        the config key an unknown key (exit 3)."""
-        argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
+        neither takes these options: the flag is a usage error (exit 2)."""
+        argv = [a.format(**command_inputs) for a in COMMAND_ARGS[command]]
         argv += ["--out", tmp_path, "--quiet"]
         flag = ["--" + key.replace("_", "-")] + ([] if value is True else [value])
         with pytest.raises(SystemExit) as exit_info:
             run(command, *argv, *flag)
         assert exit_info.value.code == 2
-        cfg = write_json(tmp_path / "cfg.json", {key: value})
-        assert run(command, *argv, "--config", cfg) == 3
-        assert f"{cfg}: not a config key of {command}: {key!r}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.json").exists()
 
-    def test_aic_penalty_refused(self, tmp_path, capsys, config_inputs):
-        """cpd derives one penalty, bic's; aic is no choice of --penalty,
-        as a flag (exit 2) or as a config value (exit 3)."""
-        argv = ["--series", config_inputs["series"], "--out", tmp_path, "--quiet"]
+    def test_aic_penalty_refused(self, tmp_path, capsys, command_inputs):
+        """cpd derives one penalty, bic's; aic is no choice of --penalty
+        (exit 2)."""
+        argv = ["--series", command_inputs["series"], "--out", tmp_path, "--quiet"]
         with pytest.raises(SystemExit) as exit_info:
             run("cpd", *argv, "--penalty", "aic")
         assert exit_info.value.code == 2
         assert "invalid choice: 'aic'" in capsys.readouterr().err
-        cfg = write_json(tmp_path / "cfg.json", {"penalty": "aic"})
-        assert run("cpd", *argv, "--config", cfg) == 3
-        assert f'{cfg}: penalty: "aic" is not a value of --penalty' in capsys.readouterr().err
         assert not (tmp_path / "cpd.json").exists()
 
-    def test_every_option_is_a_case_or_refused(self, tmp_path, capsys, config_inputs):
-        """Each flag of a command is a config key of it, with a case in
-        CONFIG_CASES, or a config key for it exits 3: the required flags."""
+    def test_every_optional_flag_is_a_case(self):
+        """Each flag of a command that is not required has a case in
+        OPTION_CASES."""
         from causalpanel.cli import build_parser
 
-        cases = {(c, o) for c, o, *_ in CONFIG_CASES}
+        cases = {(c, o) for c, o, *_ in OPTION_CASES}
         (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
         for command, sub in commands.choices.items():
             for action in sub._actions:
-                name = action.dest
-                if not action.option_strings or name in ("help", "config"):
-                    continue
-                if (command, name) in cases:
-                    continue
-                cfg = write_json(tmp_path / "cfg.json", {name: None})
-                argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command]]
-                assert run(command, *argv, "--config", cfg, "--out", tmp_path) == 3
-                assert f"not a config key of {command}: '{name}'" in capsys.readouterr().err
+                if action.option_strings and action.dest != "help" and not action.required:
+                    assert (command, action.dest) in cases
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_no_config_file_or_out_variable(
+        self, tmp_path, monkeypatch, capsys, command_inputs, command
+    ):
+        """An option is set by its flag alone: --config is an unknown flag
+        (exit 2), and $CAUSALPANEL_OUT leaves a run's outputs in ".", the
+        default of --out."""
+        argv = [a.format(**command_inputs) for a in COMMAND_ARGS[command]]
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, *argv, "--config", "x.json")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        monkeypatch.setenv("CAUSALPANEL_OUT", str(tmp_path / "env"))
+        code, files, _, _ = self.outcome(tmp_path / "cwd", monkeypatch, capsys, command, argv)
+        assert code == 0
+        assert files
+        assert not (tmp_path / "env").exists()
 
 
 # Each input file a command reads, with the run that reads it: a file of
-# the ``config_inputs`` fixture named by its COMMAND_ARGS template, or
-# (None) a --config file.
+# the ``command_inputs`` fixture named by its COMMAND_ARGS template.
 INPUT_FILES = [
     ("simulate", "{root}/scenario.json", []),
-    ("cpd", None, []),
     ("ingest", "{data}/policy.csv", []),
     ("ingest", "{data}/telemetry.csv", []),
     ("ingest", "{data}/units.csv", ["--units", "{data}/units.csv"]),
@@ -1877,21 +1807,16 @@ INPUT_FILES = [
 
 @pytest.mark.parametrize(
     "command, target, extra", INPUT_FILES,
-    ids=[f"{c}-{Path(t).name.strip('{}') if t else 'config'}" for c, t, _ in INPUT_FILES],
+    ids=[f"{c}-{Path(t).name.strip('{}')}" for c, t, _ in INPUT_FILES],
 )
 def test_non_utf8_input_exits_2_naming_file(
-    tmp_path, capsys, config_inputs, command, target, extra
+    tmp_path, capsys, command_inputs, command, target, extra
 ):
     """One byte that is not UTF-8, in the middle of any input file, is a
     parse error that names the file."""
-    argv = [a.format(**config_inputs) for a in COMMAND_ARGS[command] + extra]
-    if target is None:
-        data = b'{"quiet": true}\n'
-        argv += ["--config", "cfg.json"]
-        target = "cfg.json"
-    else:
-        target = target.format(**config_inputs)
-        data = Path(target).read_bytes()
+    argv = [a.format(**command_inputs) for a in COMMAND_ARGS[command] + extra]
+    target = target.format(**command_inputs)
+    data = Path(target).read_bytes()
     bad = tmp_path / Path(target).name
     bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
     argv = [str(bad) if a == target else a for a in argv]
@@ -1907,9 +1832,11 @@ def test_help_text_is_pinned(monkeypatch, capsys):
     cli_help.txt. It was recorded before the parser's defaults moved into
     the handlers, again when --format moved to report and --seed to
     simulate and persona, again when did dropped --covariates and
-    --time-trend, again when synth dropped --covariates, and again when
+    --time-trend, again when synth dropped --covariates, again when
     synth dropped --max-iterations and --tolerance and cpd's --penalty
-    dropped the aic choice."""
+    dropped the aic choice, and again when every command dropped --config
+    and --out's default stopped reading $CAUSALPANEL_OUT (that diff is the
+    --config lines and the --out help text alone)."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),

@@ -172,7 +172,8 @@ def _split_list(token: str) -> list[str]:
 
 
 def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte order mark, as spreadsheet programs write, is dropped
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as err:
@@ -239,12 +240,9 @@ def _grid_labels(units: Sequence[str]) -> tuple[str, str]:
 
 
 def _mean_system_count(panel, units: Sequence[str]) -> float | None:
-    from ..panel import SYSTEM_COUNT
-
-    if SYSTEM_COUNT not in panel.covariate_names:
+    if panel.system_count is None:
         return None
-    col = panel.covariate(SYSTEM_COUNT)
-    return float(col[[panel.unit_index(u) for u in units]].mean())
+    return float(panel.system_count[[panel.unit_index(u) for u in units]].mean())
 
 
 # ---------------------------------------------------------------- dispatch

@@ -27,8 +27,19 @@ def cmd_cpd(args) -> int:
             "k_max": DEFAULT_K_MAX,
         },
     )
+    # every flag is checked before an input file is opened
     if bool(opts.series) == bool(opts.panel):
         raise ValidationError("cpd needs exactly one of --series or --panel")
+    if opts.k_max < 1:
+        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {opts.k_max}")
+    # a setting the chosen penalty does not read is refused, not ignored
+    unread = {"bic": ("--lam", opts.lam), "manual": ("--noise-scale", opts.noise_scale)}
+    flag, value = unread[opts.penalty]
+    if value is not None:
+        raise ValidationError(f"the {opts.penalty} penalty does not read {flag}")
+    penalty = PenaltyConfig(
+        kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
+    )
     if opts.panel:
         from ..panel import read_panel
 
@@ -47,16 +58,6 @@ def cmd_cpd(args) -> int:
 
         series, dates = _load(parse_series_csv, opts.series)
 
-    if opts.k_max < 1:
-        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {opts.k_max}")
-    # a setting the chosen penalty does not read is refused, not ignored
-    unread = {"bic": ("--lam", opts.lam), "manual": ("--noise-scale", opts.noise_scale)}
-    flag, value = unread[opts.penalty]
-    if value is not None:
-        raise ValidationError(f"the {opts.penalty} penalty does not read {flag}")
-    penalty = PenaltyConfig(
-        kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
-    )
     seg = detect_penalized(series, penalty)
     lam_eff = effective_penalty(series, penalty)
     if seg.k > opts.k_max:

@@ -40,10 +40,7 @@ def cmd_ingest(args) -> int:
         def continent_of(unit: str) -> str:
             return continents.get(unit, continents.get(unit.split("|", 1)[0], ""))
 
-        panel = replace(
-            panel,
-            unit_tags={"continent": tuple(continent_of(u) for u in panel.unit_ids)},
-        )
+        panel = replace(panel, continent=[continent_of(u) for u in panel.unit_ids])
 
     path = os.path.join(opts.out, "panel.txt")
     write_panel(panel, path)  # a commit of one file

@@ -32,13 +32,21 @@ def cmd_persona(args) -> int:
             "fit_until": None,
         },
     )
+    # every flag is checked before the records are read
+    for flag, value, least in (
+        ("--k", opts.k, 2), ("--width", opts.width, 1), ("--stride", opts.stride, 1),
+        ("--seed", opts.seed, 0),
+    ):
+        if value < least:
+            raise ValidationError(f"{flag} must be >= {least}, got {value}")
+    fit_until = opts.fit_until and _iso_date(opts.fit_until, "--fit-until")
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
 
     # the personas are fitted on the rows before --fit-until, else on all
     fit_rows = None
-    if opts.fit_until:
-        fit_rows = records.day < _iso_date(opts.fit_until, "--fit-until").toordinal()
+    if fit_until:
+        fit_rows = records.day < fit_until.toordinal()
     means = device_means(records, where=fit_rows)
     if not len(means):
         raise ValidationError("no usage rows before --fit-until to fit on")

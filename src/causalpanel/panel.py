@@ -1,11 +1,20 @@
 """The panel type and its file: :class:`PanelDataset`, an aligned
-(unit x date) outcome panel, and ``panel.txt``, the self-describing text
-format that :func:`write_panel` writes and :func:`read_panel` reads.
+(unit x date) outcome panel, and ``panel.txt``, the text format that
+:func:`write_panel` writes and :func:`read_panel` reads.
 
-A panel file is a magic line, a header naming the outcome, then
-tab-separated sections (``outcomes``, ``covariates``, ``tags``,
-``codes``), each a header row and one row per unit, with masked cells
-written as the sentinel ``NA``.
+A panel file is a magic line, a header naming the outcome, then up to
+four tab-separated sections in this order, each a header row and one row
+per unit:
+
+* ``outcomes`` (header ``unit`` and the dates): masked cells are ``NA``;
+* ``covariates`` (header exactly ``unit``, ``system_count``);
+* ``tags`` (header exactly ``unit``, ``continent``);
+* ``codes`` (the outcomes' header): one policy code of 0..3 per cell.
+
+Only ``outcomes`` is required; the others are written when the panel
+holds them. The reader accepts this layout and nothing else: another
+section, a section out of order, another header, or an ``NA`` code is
+an error naming the line, section or unit.
 
 ``did``, ``synth`` and ``cpd --panel`` read a panel and no other input
 file, so this module holds what they run and no more: no CSV
@@ -16,13 +25,13 @@ reader or writer (:mod:`causalpanel.panelio`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, ValidationError
 from .files import parse_date
 from .textio import _float_cells, _opened
 
@@ -35,10 +44,12 @@ POLICY_CODES = (0, 1, 2, 3)
 CHASSIS_TYPES = frozenset({"Notebook", "Desktop", "TwoInOne", "NUC"})
 CPU_FAMILIES = frozenset({"i3", "i5", "i7", "i9", "Other"})
 
-SYSTEM_COUNT = "system_count"
-
 PANEL_MAGIC = "#causalpanel-panel v1"
 NA = "NA"
+# A panel file's sections in the order they come, and the fixed header of
+# each per-unit one; the codes section repeats the outcomes' header.
+SECTIONS = ("outcomes", "covariates", "tags", "codes")
+_HEADERS = {"covariates": ["unit", "system_count"], "tags": ["unit", "continent"]}
 
 
 def _check_contiguous(dates: Sequence[date], context: str) -> None:
@@ -72,13 +83,15 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """Aligned (unit x date) outcome panel with per-unit covariates.
+    """Aligned (unit x date) outcome panel.
 
     ``missing_mask`` is True where a cell has no observation; masked cells
     are never interpolated and every estimator must honour the mask.
-    ``unit_tags`` holds categorical per-unit labels (e.g. continent).
+    ``system_count`` is each unit's mean daily device count (a read-only
+    float array, which ``report`` shows) and ``continent`` each unit's
+    continent (from ``ingest --units``); either may be None.
     ``policy_codes`` is attached by :func:`~causalpanel.paneldata.merge_panels`:
-    a code of ``POLICY_CODES`` per cell, or -1 where no code is known.
+    a code of ``POLICY_CODES`` per cell.
     """
 
     unit_ids: tuple[str, ...]
@@ -86,9 +99,8 @@ class PanelDataset:
     outcomes: np.ndarray
     missing_mask: np.ndarray
     outcome_name: str = "usage_hours"
-    covariates: np.ndarray | None = None
-    covariate_names: tuple[str, ...] = ()
-    unit_tags: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    system_count: np.ndarray | None = None
+    continent: tuple[str, ...] | None = None
     policy_codes: np.ndarray | None = None
 
     def __post_init__(self):
@@ -112,33 +124,23 @@ class PanelDataset:
             i, j = bad[0]
             where = f"unit {self.unit_ids[i]!r} on {self.dates[j]}"
             raise ValidationError(f"panel has an unmasked non-finite outcome for {where}")
-        if self.covariates is not None:
-            cov = _frozen_array(self.covariates, float)
-            object.__setattr__(self, "covariates", cov)
-            if cov.shape != (len(self.unit_ids), len(self.covariate_names)):
+        if self.system_count is not None:
+            counts = _frozen_array(self.system_count, float)
+            object.__setattr__(self, "system_count", counts)
+            if counts.shape != (len(self.unit_ids),):
                 raise ValidationError(
-                    f"covariate matrix {cov.shape} does not match "
-                    f"{len(self.unit_ids)} units x {len(self.covariate_names)} names"
+                    f"system_count has shape {counts.shape} for {len(self.unit_ids)} units"
                 )
-            bad = np.argwhere(~np.isfinite(cov))
+            bad = np.flatnonzero(~np.isfinite(counts))
             if bad.size:
-                i, c = bad[0]
                 raise ValidationError(
-                    f"covariate {self.covariate_names[c]!r} is non-finite "
-                    f"for unit {self.unit_ids[i]!r}"
+                    f"covariate 'system_count' is non-finite for unit {self.unit_ids[bad[0]]!r}"
                 )
-        elif self.covariate_names:
-            raise ValidationError("covariate names given without a matrix")
-        object.__setattr__(
-            self,
-            "unit_tags",
-            {k: tuple(v) for k, v in dict(self.unit_tags).items()},
-        )
-        for name, levels in self.unit_tags.items():
-            if len(levels) != len(self.unit_ids):
+        if self.continent is not None:
+            object.__setattr__(self, "continent", tuple(self.continent))
+            if len(self.continent) != len(self.unit_ids):
                 raise ValidationError(
-                    f"tag {name!r} has {len(levels)} entries for "
-                    f"{len(self.unit_ids)} units"
+                    f"continent has {len(self.continent)} entries for {len(self.unit_ids)} units"
                 )
         if self.policy_codes is not None:
             # checked before the cast to int64, which would truncate a
@@ -146,7 +148,7 @@ class PanelDataset:
             codes = np.asarray(self.policy_codes)
             if codes.shape != shape:
                 raise ValidationError("policy code matrix shape mismatch")
-            bad = np.argwhere(~np.isin(codes, (*POLICY_CODES, -1)))
+            bad = np.argwhere(~np.isin(codes, POLICY_CODES))
             if bad.size:
                 i, j = bad[0]
                 raise ValidationError(
@@ -182,28 +184,23 @@ class PanelDataset:
         i = self.unit_index(unit_id)
         return self.outcomes[i], self.missing_mask[i]
 
-    def covariate(self, name: str) -> np.ndarray:
-        if name not in self.covariate_names:
-            raise SchemaError(f"covariate {name!r} not in panel")
-        return self.covariates[:, self.covariate_names.index(name)]
-
     def timeline(self, unit_id: str) -> PolicyTimeline | None:
         """The attached policy series of one unit, if merged."""
         from .paneldata import PolicyTimeline
 
         if self.policy_codes is None:
             return None
-        codes = self.policy_codes[self.unit_index(unit_id)]
-        if (codes < 0).any():
-            return None
-        return PolicyTimeline(unit_id, self.dates[0], codes)
+        return PolicyTimeline(unit_id, self.dates[0], self.policy_codes[self.unit_index(unit_id)])
 
 
 def write_panel(panel: PanelDataset, target) -> None:
-    """Write a panel in the self-describing interchange format."""
-    for u in panel.unit_ids:
-        if "\t" in u:
-            raise ValidationError(f"unit id {u!r} contains a tab")
+    """Write a panel in the format :func:`read_panel` reads. A unit id or
+    continent must read back as one cell: one with a tab or a line break
+    is a validation error."""
+    for what, texts in (("unit id", panel.unit_ids), ("continent", panel.continent or ())):
+        for text in texts:
+            if "\t" in text or text.splitlines() not in ([], [text]):
+                raise ValidationError(f"{what} {text!r} contains a tab or a line break")
     with _opened(target, "w") as stream:
         w = stream.write
         w(PANEL_MAGIC + "\n")
@@ -215,28 +212,23 @@ def write_panel(panel: PanelDataset, target) -> None:
             for j in np.flatnonzero(panel.missing_mask[i]).tolist():
                 cells[j] = NA
             w("\t".join([u] + cells) + "\n")
-        if panel.covariates is not None and panel.covariate_names:
-            w("#section covariates\n")
-            w("\t".join(["unit"] + list(panel.covariate_names)) + "\n")
-            for i, u in enumerate(panel.unit_ids):
-                w("\t".join([u] + _float_cells(panel.covariates[i])) + "\n")
-        if panel.unit_tags:
-            names = sorted(panel.unit_tags)
-            w("#section tags\n")
-            w("\t".join(["unit"] + names) + "\n")
-            for i, u in enumerate(panel.unit_ids):
-                w("\t".join([u] + [panel.unit_tags[n][i] for n in names]) + "\n")
+        counts = None if panel.system_count is None else _float_cells(panel.system_count)
+        for section, cells in (("covariates", counts), ("tags", panel.continent)):
+            if cells is not None:
+                w(f"#section {section}\n" + "\t".join(_HEADERS[section]) + "\n")
+                w("".join(f"{u}\t{c}\n" for u, c in zip(panel.unit_ids, cells)))
         if panel.policy_codes is not None:
             w("#section codes\n" + date_header)
-            for i, u in enumerate(panel.unit_ids):
-                cells = [NA if c < 0 else str(c) for c in panel.policy_codes[i].tolist()]
-                w("\t".join([u] + cells) + "\n")
+            for u, codes in zip(panel.unit_ids, panel.policy_codes.tolist()):
+                w("\t".join([u, *map(str, codes)]) + "\n")
 
 
 def read_panel(source) -> PanelDataset:
-    """Read a panel written by :func:`write_panel`. A section header that
-    comes twice, a second row for a unit in one section, or a row for a
-    unit the outcomes section lacks, is a parse error naming it."""
+    """Read a panel written by :func:`write_panel`. Anything else is a
+    parse error naming the line, section or unit: a section not in
+    :data:`SECTIONS`, out of their order or twice, a header other than
+    the section's, a unit's second row in a section or its row missing,
+    or a row for a unit the outcomes section lacks."""
     with _opened(source) as stream:
         lines = stream.read().splitlines()
     if not lines or lines[0] != PANEL_MAGIC:
@@ -253,6 +245,12 @@ def read_panel(source) -> PanelDataset:
             name = line[len("#section ") :].strip()
             if name in sections:
                 raise ParseError(f"line {lineno}: a second '#section {name}' header")
+            after = SECTIONS.index(list(sections)[-1]) + 1 if sections else 0
+            if name not in SECTIONS[after:]:
+                raise ParseError(
+                    f"line {lineno}: unexpected '#section {name}'; a panel's sections "
+                    f"are {', '.join(SECTIONS)}, in this order"
+                )
             current = sections[name] = []
         elif current is None:
             raise ParseError(f"line {lineno}: content outside any section")
@@ -277,12 +275,19 @@ def read_panel(source) -> PanelDataset:
 
     known = set(units)
 
-    def unit_rows(kind: str) -> tuple[list[str], list[list[str]] | None]:
-        """Column names and one row of cells per unit, in outcome order; no
-        names and None where the file has no such section or its header only."""
-        if len(sections.get(kind, ())) < 2:
-            return [], None
-        header, *body = sections[kind]
+    def unit_rows(kind: str) -> list[list[str]] | None:
+        """One row of cells per unit, in outcome order, or None where the
+        file has no such section."""
+        if kind not in sections:
+            return None
+        if not sections[kind]:
+            raise ParseError(f"{kind} section has no header")
+        own_header, *body = sections[kind]
+        if kind == "codes" and own_header != header:
+            raise ParseError("codes section: date header differs from the outcomes'")
+        if own_header != _HEADERS.get(kind, header):
+            got, want = ("\t".join(h) for h in (own_header, _HEADERS[kind]))
+            raise ParseError(f"{kind} section: header {got!r} where a panel has {want!r}")
         _one_row_each(kind, [row[0] for row in body])
         by_unit = {row[0]: row[1:] for row in body}
         for u in by_unit:
@@ -293,37 +298,28 @@ def read_panel(source) -> PanelDataset:
         for u in units:
             if u not in by_unit:
                 raise ParseError(f"{kind} section has no row for unit {u!r}")
-            if len(by_unit[u]) != len(header) - 1:
+            if len(by_unit[u]) != len(own_header) - 1:
                 raise ParseError(
                     f"{kind} row for {u!r}: {len(by_unit[u])} cells for "
-                    f"{len(header) - 1} columns"
+                    f"{len(own_header) - 1} columns"
                 )
-        return header[1:], [by_unit[u] for u in units]
+        return [by_unit[u] for u in units]
 
-    names, rows = unit_rows("covariates")
-    covariates = None if rows is None else np.array(
-        [[_parse_number(c, "covariates", u) for c in row] for u, row in zip(units, rows)]
-    )
-    tag_names, tag_rows = unit_rows("tags")
-    tags = {name: tuple(row[k] for row in tag_rows) for k, name in enumerate(tag_names)}
-    code_dates, code_rows = unit_rows("codes")
-    if code_rows is not None and code_dates != header[1:]:
-        raise ParseError("codes section: date header differs from the outcomes'")
-    # Python ints: PanelDataset checks their range before it casts them
-    codes = None if code_rows is None else [
-        [-1 if c == NA else _parse_code(c, u, day) for c, day in zip(row, dates)]
-        for u, row in zip(units, code_rows)
-    ]
+    counts, tags, codes = map(unit_rows, SECTIONS[1:])
     return PanelDataset(
         unit_ids=tuple(units),
         dates=dates,
         outcomes=np.array(outcomes),
         missing_mask=mask,
         outcome_name=lines[1][len("#outcome ") :].strip(),
-        covariates=covariates,
-        covariate_names=tuple(names),
-        unit_tags=tags,
-        policy_codes=codes,
+        system_count=None if counts is None else [
+            _parse_number(c, "covariates", u) for u, (c,) in zip(units, counts)
+        ],
+        continent=None if tags is None else [c for (c,) in tags],
+        # Python ints: PanelDataset checks their range before it casts them
+        policy_codes=None if codes is None else [
+            [_parse_number(c, "codes", u, int) for c in row] for u, row in zip(units, codes)
+        ],
     )
 
 
@@ -342,14 +338,3 @@ def _parse_number(token: str, section: str, unit: str, kind=float):
         return kind(token)
     except ValueError:
         raise ParseError(f"{section} row for {unit!r}: bad number {token!r}") from None
-
-
-def _parse_code(token: str, unit: str, day: date) -> int:
-    """A ``codes`` cell other than ``NA``. A negative one is out of range
-    here, -1 too: -1 is the panel's "no code", which the file writes NA."""
-    code = _parse_number(token, "codes", unit, int)
-    if code < 0:
-        raise ValidationError(
-            f"panel has a policy code {code} outside 0..3 for unit {unit!r} on {day}"
-        )
-    return code

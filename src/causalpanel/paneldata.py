@@ -1,7 +1,10 @@
 """Policy timelines, device telemetry, and the panels made from them
 (:func:`aggregate_telemetry`, :func:`merge_panels`). The panel type,
 :class:`~causalpanel.panel.PanelDataset`, and its file are
-:mod:`causalpanel.panel`, which loads without this module.
+:mod:`causalpanel.panel`, which loads without this module. A panel from
+telemetry gets its ``system_count`` from :func:`aggregate_telemetry` and
+its policy codes from :func:`merge_panels`; ``ingest --units`` adds its
+``continent``.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions of their inputs.
@@ -33,7 +36,6 @@ from .panel import (
     CHASSIS_TYPES,
     CPU_FAMILIES,
     POLICY_CODES,
-    SYSTEM_COUNT,
     PanelDataset,
     _equal_fields,
     _frozen_array,
@@ -242,9 +244,10 @@ def aggregate_telemetry(
     """Aggregate device-day rows to a (group x date) panel of outcome means.
 
     Groups are composite units keyed by the requested fields in canonical
-    order. Cells with no rows are masked. One covariate is recorded per
-    group: the mean daily device count over the days the group reports
-    (``system_count``), which ``report`` shows.
+    order. Cells with no rows are masked. The panel's ``system_count`` is
+    each group's mean daily device count over the days it reports, which
+    ``report`` shows; it has no ``continent`` (``ingest --units`` adds it)
+    and no policy codes (:func:`merge_panels` adds them).
 
     Rows are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
@@ -285,8 +288,7 @@ def aggregate_telemetry(
         outcomes=outcomes,
         missing_mask=~present,
         outcome_name=outcome,
-        covariates=system_count[:, None],
-        covariate_names=(SYSTEM_COUNT,),
+        system_count=system_count,
     )
 
 

@@ -48,7 +48,6 @@ from .paneldata import (
     CHASSIS_TYPES,
     CPU_FAMILIES,
     DEFAULT_INDICATOR,
-    SYSTEM_COUNT,
     PanelDataset,
     PolicyTimeline,
     TelemetryColumns,
@@ -409,8 +408,8 @@ def _unit_streams(config: ScenarioConfig) -> tuple[list[np.random.Generator], np
 
 def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> PanelDataset:
     """Unit-level panel: mean_matrix plus one N(0, noise_sigma) draw per
-    cell, plus outlier spikes, with policy codes, continent tags, and the
-    system_count covariate (each unit's devices_per_day) attached.
+    cell, plus outlier spikes, with policy codes, each unit's continent,
+    and its devices_per_day as ``system_count`` attached.
 
     Per-unit draw order: usage_hours normals, cpu_watts normals, outlier
     uniforms. Both outcome panels for the same config therefore see the
@@ -435,9 +434,8 @@ def generate_panel(config: ScenarioConfig, outcome: str = "usage_hours") -> Pane
         outcomes=outcomes,
         missing_mask=np.zeros_like(outcomes, dtype=bool),
         outcome_name=outcome,
-        covariates=np.array([[float(u.devices_per_day)] for u in config.units]),
-        covariate_names=(SYSTEM_COUNT,),
-        unit_tags={"continent": tuple(u.continent for u in config.units)},
+        system_count=[float(u.devices_per_day) for u in config.units],
+        continent=[u.continent for u in config.units],
         policy_codes=codes,
     )
 

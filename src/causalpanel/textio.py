@@ -20,19 +20,22 @@ def _opened(source, mode: str = "r"):
     """A text stream over a path, bytes, or file object; a path opened
     here is closed on exit, a caller's stream is left open. A path opened
     to write is a commit of one file (:func:`~causalpanel.files.committed`):
-    a failed write leaves the earlier file as it was."""
+    a failed write leaves the earlier file as it was. Bytes are read as
+    UTF-8 with or without a leading byte order mark (``utf-8-sig``), which
+    spreadsheet programs write; none is written."""
     if isinstance(source, (str, os.PathLike)) and mode == "w":
         with committed() as files:
             yield files.open(source)
     elif isinstance(source, (str, os.PathLike)):
-        with open(source, mode, encoding="utf-8", newline="") as stream:
+        with open(source, mode, encoding="utf-8-sig", newline="") as stream:
             yield stream
     elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"), newline="")
+        yield io.StringIO(source.decode("utf-8-sig"), newline="")
     elif isinstance(source, io.TextIOBase):
         yield source
     elif hasattr(source, "read"):  # binary stream
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        encoding = "utf-8" if mode == "w" else "utf-8-sig"
+        stream = io.TextIOWrapper(source, encoding=encoding, newline="")
         try:
             yield stream
         finally:

@@ -11,9 +11,8 @@ def make_panel(
     series,
     start=date(2020, 1, 1),
     mask=None,
-    covariates=None,
-    covariate_names=(),
-    unit_tags=None,
+    system_count=None,
+    continent=None,
     outcome_name="usage_hours",
 ):
     """Build a PanelDataset from {unit_id: list of daily values}.
@@ -40,9 +39,8 @@ def make_panel(
         outcomes=outcomes,
         missing_mask=missing,
         outcome_name=outcome_name,
-        covariates=covariates,
-        covariate_names=tuple(covariate_names),
-        unit_tags=unit_tags or {},
+        system_count=system_count,
+        continent=continent,
     )
 
 

@@ -39,11 +39,7 @@ from causalpanel.changepoint import (
     _suffix_costs,
     effective_penalty,
 )
-from causalpanel.paneldata import (
-    GROUP_FIELD_ORDER,
-    SYSTEM_COUNT,
-    PanelDataset,
-)
+from causalpanel.paneldata import GROUP_FIELD_ORDER, PanelDataset
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.panelio import (
     _chassis,
@@ -212,9 +208,8 @@ def aggregate_telemetry(
     """Aggregate device-day records to a (group x date) panel of outcome means.
 
     Groups are composite units keyed by the requested fields in canonical
-    order. Cells with no records are masked. One covariate is recorded per
-    group: the mean daily device count over the days the group reports
-    (``system_count``).
+    order. Cells with no records are masked. The panel's ``system_count`` is
+    each group's mean daily device count over the days it reports.
 
     Records are canonically sorted before accumulation so that the output is
     bit-identical under any input permutation.
@@ -262,13 +257,13 @@ def aggregate_telemetry(
     unit_ids = tuple(sorted(sums))
     outcomes = np.zeros((len(unit_ids), len(dates)))
     mask = np.ones((len(unit_ids), len(dates)), dtype=bool)
-    cov = np.zeros((len(unit_ids), 1))
+    system_count = np.zeros(len(unit_ids))
     for i, label in enumerate(unit_ids):
         present = counts[label] > 0
         outcomes[i, present] = sums[label][present] / counts[label][present]
         mask[i] = ~present
         day_counts = [len(s) for s, p in zip(devices[label], present) if p]
-        cov[i, 0] = float(np.mean(day_counts))
+        system_count[i] = float(np.mean(day_counts))
 
     return PanelDataset(
         unit_ids=unit_ids,
@@ -276,8 +271,7 @@ def aggregate_telemetry(
         outcomes=outcomes,
         missing_mask=mask,
         outcome_name=outcome,
-        covariates=cov,
-        covariate_names=(SYSTEM_COUNT,),
+        system_count=system_count,
     )
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import causalpanel
 from causalpanel.cli import main
-from causalpanel.panel import read_panel, write_panel
+from causalpanel.panel import read_panel
 from causalpanel.panelio import _csv_table
 from causalpanel.simgen import (
     PersonaShiftConfig,
@@ -29,8 +29,6 @@ from causalpanel.simgen import (
     TreatmentConfig,
     UnitConfig,
 )
-
-from _builders import make_panel
 
 
 def write_json(path, payload):
@@ -570,7 +568,7 @@ class TestDidWorkflow:
 
     def continents(self, work):
         panel = read_panel(str(work / "panel.txt"))
-        return dict(zip(panel.unit_ids, panel.unit_tags["continent"]))
+        return dict(zip(panel.unit_ids, panel.continent))
 
     def test_units_cells_with_commas_round_trip(self, tmp_path):
         scenario = did_scenario()
@@ -578,6 +576,22 @@ class TestDidWorkflow:
         scenario["units"][1]["unit_id"] = "DE,U"
         _, work = simulate_and_ingest(tmp_path, scenario, with_units=True)
         assert self.continents(work) == {"TREAT": "Asia, East", "DE,U": "Europe"}
+
+    def test_units_cell_with_line_break_exits_3(self, tmp_path, capsys):
+        # a quoted line break is one CSV cell, but it would split the
+        # continent's row of panel.txt in two
+        data, _ = simulate_and_ingest(tmp_path, did_scenario())
+        units = data / "units.csv"
+        units.write_text('unit_id,continent\nTREAT,"Eur\nope"\nCTRL,Asia\n', encoding="utf-8")
+        work = tmp_path / "again"
+        assert run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--units", units,
+            "--out", work, "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "continent 'Eur\\nope' contains a tab or a line break" in err
+        assert not work.exists()
 
     def test_units_header_with_spaces(self, tmp_path):
         data, _ = simulate_and_ingest(tmp_path, did_scenario())
@@ -1254,8 +1268,10 @@ class TestInputFileErrors:
 @pytest.fixture(scope="module")
 def valid_panel(tmp_path_factory):
     """The text of a panel.txt that ingest wrote: units D1, D2, D3 and T
-    over 80 days from 2020-01-01, with covariates and codes sections."""
-    _, work = simulate_and_ingest(tmp_path_factory.mktemp("valid_panel"), synth_scenario())
+    over 80 days from 2020-01-01, with all four sections."""
+    _, work = simulate_and_ingest(
+        tmp_path_factory.mktemp("valid_panel"), synth_scenario(), with_units=True
+    )
     return (work / "panel.txt").read_text(encoding="utf-8")
 
 
@@ -1275,6 +1291,30 @@ def repeat_covariates_header(panel):
     text = panel.read_text()
     panel.write_text(text + "#section covariates\nunit\tsystem_count\n", encoding="utf-8")
     return text.count("\n") + 1
+
+
+def replace_line(old, new):
+    """Replace one whole line; the message names its line."""
+
+    def edit(panel):
+        lines = panel.read_text().splitlines(True)
+        k = lines.index(old + "\n")
+        lines[k] = new + "\n"
+        panel.write_text("".join(lines), encoding="utf-8")
+        return k + 1
+
+    return edit
+
+
+def add_covariates_column(panel):
+    """A second column in the covariates section, a cell in every row."""
+    head, rest = panel.read_text().split("#section covariates\n")
+    body, tail = rest.split("#section tags\n")
+    body = "".join(line[:-1] + "\t0.5\n" for line in body.splitlines(True))
+    body = body.replace("\tsystem_count\t0.5\n", "\tsystem_count\tvpro_percentage\n")
+    panel.write_text(
+        head + "#section covariates\n" + body + "#section tags\n" + tail, encoding="utf-8"
+    )
 
 
 def set_t_cell(section, column, token):
@@ -1299,6 +1339,8 @@ PANEL_DAMAGES = {
     "outcome_nan": (set_t_cell("outcomes", "2020-01-01", "nan"), 3, NON_FINITE_OUTCOME),
     "outcome_inf": (set_t_cell("outcomes", "2020-01-01", "inf"), 3, NON_FINITE_OUTCOME),
     "code_x": (set_t_cell("codes", "2020-01-01", "x"), 2, "codes row for 'T': bad number 'x'"),
+    # a panel has a code for every cell: NA is no code
+    "code_NA": (set_t_cell("codes", "2020-01-01", "NA"), 2, "codes row for 'T': bad number 'NA'"),
     "code_-1": (set_t_cell("codes", "2020-01-01", "-1"), 3, code_outside(-1)),
     "code_7": (set_t_cell("codes", "2020-01-01", "7"), 3, code_outside(7)),
     "code_2**70": (set_t_cell("codes", "2020-01-01", str(2**70)), 3, code_outside(2**70)),
@@ -1314,6 +1356,24 @@ PANEL_DAMAGES = {
     ),
     "repeated_header": (
         repeat_covariates_header, 2, "line {line}: a second '#section covariates' header"
+    ),
+    # a panel holds the sections and columns that ingest writes, no others
+    "section_covariate": (
+        replace_line("#section covariates", "#section covariate"),
+        2,
+        "line {line}: unexpected '#section covariate'; a panel's sections are "
+        "outcomes, covariates, tags, codes, in this order",
+    ),
+    "second_covariate": (
+        add_covariates_column,
+        2,
+        "covariates section: header 'unit\\tsystem_count\\tvpro_percentage' where a panel "
+        "has 'unit\\tsystem_count'",
+    ),
+    "tag_region": (
+        replace_line("unit\tcontinent", "unit\tregion"),
+        2,
+        "tags section: header 'unit\\tregion' where a panel has 'unit\\tcontinent'",
     ),
 }
 
@@ -1824,6 +1884,54 @@ def test_non_utf8_input_exits_2_naming_file(
     err = capsys.readouterr().err
     assert f"parse error: {bad}: not UTF-8 text: invalid start byte 0xff" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, target, extra", INPUT_FILES,
+    ids=[f"{c}-{Path(t).name.strip('{}')}" for c, t, _ in INPUT_FILES],
+)
+def test_byte_order_mark_input_reads_as_without(
+    tmp_path, command_inputs, command, target, extra
+):
+    """Any input file that starts with a UTF-8 byte order mark, as a
+    spreadsheet's "CSV UTF-8" export does, gives the same result files as
+    the file without it."""
+    argv = [a.format(**command_inputs) for a in COMMAND_ARGS[command] + extra]
+    target = target.format(**command_inputs)
+    marked = tmp_path / Path(target).name
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(target).read_bytes())
+    marked_argv = [str(marked) if a == target else a for a in argv]
+    outputs = []
+    for args, out in ((argv, tmp_path / "plain"), (marked_argv, tmp_path / "marked")):
+        assert run(command, *args, "--out", out, "--quiet") == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cpd", "--series", "{missing}", "--k-max", "0"], "must be at least 1, got 0"),
+        (["cpd", "--series", "{missing}", "--lam", "5"], "the bic penalty does not read --lam"),
+        (
+            ["cpd", "--series", "{missing}", "--penalty", "manual", "--lam", "1",
+             "--noise-scale", "2"],
+            "the manual penalty does not read --noise-scale",
+        ),
+        (["persona", "--records", "{missing}", "--width", "0"], "--width must be >= 1, got 0"),
+        (["persona", "--records", "{missing}", "--stride", "0"], "--stride must be >= 1, got 0"),
+        (["persona", "--records", "{missing}", "--k", "1"], "--k must be >= 2, got 1"),
+        (["persona", "--records", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+    ids=["k_max", "lam", "noise_scale", "width", "stride", "k", "seed"],
+)
+def test_flag_checked_before_input_opened(tmp_path, capsys, argv, message):
+    """A bad flag value exits 3 naming it before any input is read: the
+    input here does not exist, which would exit 5."""
+    argv = [a.format(missing=tmp_path / "missing.csv") for a in argv]
+    assert run(*argv, "--out", tmp_path / "out", "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR validation error: ") and err.endswith(message + "\n")
 
 
 def test_help_text_is_pinned(monkeypatch, capsys):

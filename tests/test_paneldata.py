@@ -141,41 +141,41 @@ class TestPanelDataset:
             )
 
     def test_covariate_shape_checked(self):
-        with pytest.raises(ValidationError, match="covariate"):
-            make_panel(
-                {"A": [1.0]},
-                covariates=np.array([[1.0, 2.0]]),
-                covariate_names=("only_one",),
-            )
+        with pytest.raises(ValidationError, match="system_count has shape \\(2,\\) for 1 units"):
+            make_panel({"A": [1.0]}, system_count=[1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_covariate_rejected(self, bad):
-        with pytest.raises(ValidationError, match="'vpro_percentage'.*'B'"):
-            make_panel(
-                {"A": [1.0], "B": [2.0]},
-                covariates=np.array([[3.0, 0.5], [4.0, bad]]),
-                covariate_names=("system_count", "vpro_percentage"),
-            )
+        with pytest.raises(ValidationError, match="'system_count' is non-finite for unit 'B'"):
+            make_panel({"A": [1.0], "B": [2.0]}, system_count=[3.0, bad])
 
-    @pytest.mark.parametrize("bad", [7, 4, -2, -3, 2**70, 1.5])
+    def test_system_count_read_only_float(self):
+        panel = make_panel({"A": [1.0], "B": [2.0]}, system_count=[3, 4])
+        assert panel.system_count.dtype == np.float64
+        assert panel.system_count.tolist() == [3.0, 4.0]
+        with pytest.raises(ValueError):
+            panel.system_count[0] = 2.0
+
+    # -1 is no "no code known": a panel has a code of 0..3 for every cell
+    @pytest.mark.parametrize("bad", [7, 4, -1, -2, -3, 2**70, 1.5])
     def test_policy_code_outside_range_rejected(self, bad):
         panel = make_panel({"A": [1.0, 2.0], "B": [3.0, 4.0]})
         with pytest.raises(
             ValidationError, match=f"policy code {bad} outside 0..3 for unit 'B' on 2020-01-02"
         ):
-            replace(panel, policy_codes=[[0, 3], [-1, bad]])
+            replace(panel, policy_codes=[[0, 3], [0, bad]])
 
-    def test_policy_codes_read_only_int64_with_minus_one_unknown(self):
-        panel = replace(make_panel({"A": [1.0, 2.0]}), policy_codes=[[-1, 3]])
+    def test_policy_codes_read_only_int64(self):
+        panel = replace(make_panel({"A": [1.0, 2.0]}), policy_codes=[[0, 3]])
         assert panel.policy_codes.dtype == np.int64
-        assert panel.policy_codes.tolist() == [[-1, 3]]
-        assert panel.timeline("A") is None
+        assert panel.policy_codes.tolist() == [[0, 3]]
+        assert panel.timeline("A").codes.tolist() == [0, 3]
         with pytest.raises(ValueError):
             panel.policy_codes[0, 0] = 2
 
     def test_tag_length_checked(self):
-        with pytest.raises(ValidationError, match="tag"):
-            make_panel({"A": [1.0]}, unit_tags={"continent": ("Europe", "Asia")})
+        with pytest.raises(ValidationError, match="continent has 2 entries for 1 units"):
+            make_panel({"A": [1.0]}, continent=("Europe", "Asia"))
 
     def test_arrays_frozen(self):
         panel = make_panel({"A": [1.0, 2.0]})
@@ -248,7 +248,7 @@ class TestAggregateTelemetry:
         shuffled = aggregate_telemetry(telemetry(records))
         assert base.unit_ids == shuffled.unit_ids
         assert np.array_equal(base.outcomes, shuffled.outcomes)
-        assert np.array_equal(base.covariates, shuffled.covariates)
+        assert np.array_equal(base.system_count, shuffled.system_count)
 
     def test_system_count_is_mean_daily_devices(self):
         d1, d2 = date(2020, 1, 1), date(2020, 1, 2)
@@ -259,7 +259,7 @@ class TestAggregateTelemetry:
             record(d2, device="a"),
         ]
         panel = aggregate_telemetry(telemetry(records))
-        assert panel.covariate("system_count")[0] == 2.0
+        assert panel.system_count.tolist() == [2.0]
 
     def test_cpu_watts_outcome(self):
         panel = aggregate_telemetry(

@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -14,15 +15,18 @@ from hypothesis import strategies as st
 import causalpanel
 from causalpanel.csvwrite import write_persona_csv, write_policy_csv, write_telemetry_csv
 from causalpanel.errors import ParseError, SchemaError, ValidationError
-from causalpanel.panel import read_panel, write_panel
-from causalpanel.paneldata import PanelDataset, PolicyTimeline
+from causalpanel.panel import POLICY_CODES, read_panel, write_panel
+from causalpanel.paneldata import DEFAULT_INDICATOR, PanelDataset, PolicyTimeline
 from causalpanel.panelio import (
     _csv_table,
     parse_persona_csv,
     parse_policy_csv,
+    parse_series_csv,
     parse_telemetry_csv,
+    parse_units_csv,
 )
 from causalpanel.persona import UsageColumns, UsageFeatureVector
+from causalpanel.simgen import ScenarioConfig, UnitConfig, generate_panel, write_scenario
 
 import _reference as ref
 from _builders import make_panel, telemetry
@@ -423,9 +427,8 @@ class TestPanelFormat:
         return make_panel(
             {"CHN|Notebook": [1.5, np.nan, 3.25], "USA": [0.0, 4.0, 5.0]},
             mask={"CHN|Notebook": [False, True, False]},
-            covariates=np.array([[12.0, 0.5], [30.0, 0.25]]),
-            covariate_names=("system_count", "vpro_percentage"),
-            unit_tags={"continent": ("Asia", "NorthAmerica")},
+            system_count=[12.0, 30.25],
+            continent=("Asia", "NorthAmerica"),
             outcome_name="cpu_watts",
         )
 
@@ -442,8 +445,8 @@ class TestPanelFormat:
         assert np.array_equal(
             back.outcomes[~back.missing_mask], panel.outcomes[~panel.missing_mask]
         )
-        assert np.array_equal(back.covariates, panel.covariates)
-        assert back.unit_tags == panel.unit_tags
+        assert np.array_equal(back.system_count, panel.system_count)
+        assert back.continent == panel.continent
 
     def test_codes_section_round_trip(self):
         panel = make_panel({"A": [1.0, 2.0]})
@@ -470,9 +473,9 @@ class TestPanelFormat:
         write_panel(merged, buf)
         text = buf.getvalue()
         assert text.endswith("B\t0\t3\n")
-        # NA is the one cell outside 0..3 allowed: the panel's -1, "no code"
-        unknown = read_panel(text.replace("B\t0\t3", "B\tNA\tNA").encode())
-        assert unknown.policy_codes[1].tolist() == [-1, -1]
+        # a panel has a code of 0..3 for every cell: NA is none
+        with pytest.raises(ParseError, match="^codes row for 'B': bad number 'NA'$"):
+            read_panel(text.replace("B\t0\t3", "B\tNA\t3").encode())
         with pytest.raises(
             ValidationError, match=f"policy code {cell} outside 0..3 for unit 'B' on 2020-01-02"
         ):
@@ -545,6 +548,35 @@ class TestPanelFormat:
         ):
             read_panel("".join(lines).encode())
 
+    def test_section_out_of_order_named(self):
+        buf = io.StringIO()
+        write_panel(self.full_panel(), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        start = lines.index("#section covariates\n")
+        moved = lines[:start] + lines[start + 4 :] + lines[start : start + 4]
+        with pytest.raises(
+            ParseError,
+            match="^line 11: unexpected '#section covariates'; a panel's sections are "
+            "outcomes, covariates, tags, codes, in this order$",
+        ):
+            read_panel("".join(moved).encode())
+
+    @pytest.mark.parametrize("keep", ["header", "nothing"])
+    @pytest.mark.parametrize("section", ["covariates", "tags"])
+    def test_section_of_header_only_names_first_unit(self, section, keep):
+        # a section of its header alone, or of nothing, is not an absent one
+        buf = io.StringIO()
+        write_panel(self.full_panel(), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        start = lines.index(f"#section {section}\n")
+        del lines[start + (2 if keep == "header" else 1) : start + 4]
+        expected = {
+            "header": f"{section} section has no row for unit 'CHN\\|Notebook'",
+            "nothing": f"{section} section has no header",
+        }[keep]
+        with pytest.raises(ParseError, match=f"^{expected}$"):
+            read_panel("".join(lines).encode())
+
     def test_date_header_of_another_form_refused(self):
         buf = io.StringIO()
         write_panel(make_panel({"A": [1.0, 2.0]}), buf)
@@ -566,33 +598,52 @@ class TestPanelFormat:
         with pytest.raises(ValidationError, match="tab"):
             write_panel(panel, io.StringIO())
 
+    @pytest.mark.parametrize("text", ["A\tB", "A\nB", "A\r\nB", "A\x1cB", "A\u2028B", "A\n"])
+    @pytest.mark.parametrize("part", ["unit id", "continent"])
+    def test_cell_that_would_not_read_back_refused_on_write(self, part, text):
+        # the reader splits rows on every line break of str.splitlines and
+        # cells on tabs
+        units = {"unit id": {text: [1.0]}, "continent": {"A": [1.0]}}[part]
+        panel = make_panel(units, continent=[text] if part == "continent" else None)
+        with pytest.raises(ValidationError, match=f"^{part} .* contains a tab or a line break$"):
+            write_panel(panel, io.StringIO())
+
     @given(
         data=st.lists(
-            st.lists(
-                st.one_of(
-                    st.floats(
-                        min_value=-1e6,
-                        max_value=1e6,
-                        allow_nan=False,
-                        allow_infinity=False,
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.floats(
+                            min_value=-1e6,
+                            max_value=1e6,
+                            allow_nan=False,
+                            allow_infinity=False,
+                        ),
+                        st.none(),
                     ),
-                    st.none(),
+                    min_size=3,
+                    max_size=3,
                 ),
-                min_size=3,
-                max_size=3,
+                st.floats(min_value=0.0, max_value=1e4),
+                # a continent is any text without a tab or a line break
+                st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs"))),
+                st.lists(st.sampled_from(POLICY_CODES), min_size=3, max_size=3),
             ),
             min_size=1,
             max_size=4,
-        )
+        ),
+        parts=st.sets(st.sampled_from(["system_count", "continent", "policy_codes"])),
     )
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, data):
-        series = {}
-        mask = {}
-        for i, row in enumerate(data):
-            series[f"u{i}"] = [0.0 if v is None else v for v in row]
-            mask[f"u{i}"] = [v is None for v in row]
+    def test_round_trip_property(self, data, parts):
+        """Every panel reads back as written, with or without each of the
+        covariates, tags and codes sections."""
+        series = {f"u{i}": [0.0 if v is None else v for v in row[0]] for i, row in enumerate(data)}
+        mask = {f"u{i}": [v is None for v in row[0]] for i, row in enumerate(data)}
         panel = make_panel(series, mask=mask)
+        _, counts, continents, codes = zip(*data)
+        given_parts = {"system_count": counts, "continent": continents, "policy_codes": codes}
+        panel = replace(panel, **{name: given_parts[name] for name in parts})
         buf = io.StringIO()
         write_panel(panel, buf)
         back = read_panel(buf.getvalue().encode())
@@ -600,6 +651,10 @@ class TestPanelFormat:
         assert np.array_equal(
             back.outcomes[~back.missing_mask], panel.outcomes[~panel.missing_mask]
         )
+        for name in ("system_count", "continent", "policy_codes"):
+            got, want = getattr(back, name), getattr(panel, name)
+            assert (got is None) == (name not in parts)
+            assert got is None or np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("final", [True, False], ids=["terminated", "unterminated"])
@@ -641,3 +696,51 @@ def test_only_panelio_and_cli_import_csv():
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.append(path.relative_to(package).as_posix())
     assert sorted(set(importers)) == ["commands/__init__.py", "csvwrite.py", "panelio.py"]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def same(a, b) -> bool:
+    """Whether two parsed results are equal, arrays bitwise and of one dtype."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, PanelDataset):
+        return same(*([getattr(p, f.name) for f in fields(p)] for p in (a, b)))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("source", ["path", "bytes", "stream"])
+def test_byte_order_mark_read_past(tmp_path, source):
+    """The five tables and panel.txt read the same with a leading UTF-8 byte
+    order mark, which spreadsheet programs write ("CSV UTF-8"), as without."""
+    config = ScenarioConfig(
+        units=(UnitConfig("A", devices_per_day=2), UnitConfig("B", continent="Asia")),
+        n_days=30,
+        persona_devices=4,
+        seed=1,
+    )
+    write_scenario(config, tmp_path)
+    write_panel(generate_panel(config), str(tmp_path / "panel.txt"))
+    (tmp_path / "series.csv").write_text("date,value\n2020-01-01,1.5\n2020-01-02,2.5\n")
+    readers = {
+        "policy.csv": lambda s: parse_policy_csv(s, DEFAULT_INDICATOR),
+        "telemetry.csv": parse_telemetry_csv,
+        "units.csv": parse_units_csv,
+        "persona.csv": parse_persona_csv,
+        "series.csv": parse_series_csv,
+        "panel.txt": read_panel,
+    }
+    as_source = {
+        "path": str,
+        "bytes": lambda path: path.read_bytes(),
+        "stream": lambda path: io.BytesIO(path.read_bytes()),
+    }[source]
+    for name, read in readers.items():
+        plain = tmp_path / name
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert not plain.read_bytes().startswith(BOM)
+        assert same(read(as_source(marked)), read(as_source(plain))), name

@@ -197,15 +197,14 @@ class TestRouteAgreement:
 
     def test_device_count_and_vpro_covariates(self):
         """system_count is each unit's devices_per_day; the vPro share is
-        no covariate (no estimator reads one)."""
+        not kept (no estimator reads one)."""
         config = ScenarioConfig(
             units=(UnitConfig("A", devices_per_day=10, vpro_fraction=0.3),),
             n_days=5,
             seed=0,
         )
         agg = aggregate_telemetry(generate(config).telemetry)
-        assert agg.covariate_names == ("system_count",)
-        assert agg.covariate("system_count")[0] == 10.0
+        assert agg.system_count.tolist() == [10.0]
 
 
 class TestPolicyFiles:

@@ -52,7 +52,6 @@ _EXPORTS = {
         "effective_penalty",
         "detect_known_k",
         "detect_penalized",
-        "stability_scan",
     ),
     "persona": (
         "UsageColumns",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -371,17 +371,3 @@ def detect_penalized(
     # the same scale on the penalty, which each segment adds once
     slack = costs.round_off + 1024.0 * float(np.finfo(float).eps) * costs.n * lam
     return _build_segmentation(costs, _optimal_partition(costs, lam, slack))
-
-
-def stability_scan(
-    series: Sequence[float], lambdas: Iterable[float]
-) -> Mapping[float, Segmentation]:
-    """Segmentations under a manual penalty sweep, for post-hoc sensitivity
-    checks of detected breakpoints."""
-    lams = list(lambdas)
-    if not lams:
-        raise ValidationError("stability scan needs at least one penalty value")
-    return {
-        lam: detect_penalized(series, PenaltyConfig(kind="manual", lam=lam))
-        for lam in lams
-    }

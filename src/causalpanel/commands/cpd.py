@@ -57,6 +57,11 @@ def cmd_cpd(args) -> int:
         from ..panelio import parse_series_csv
 
         series, dates = _load(parse_series_csv, opts.series)
+    if len(series) < 2:
+        source = opts.series or f"unit {opts.unit!r} of {opts.panel}"
+        raise ValidationError(
+            f"need at least 2 points to segment; {source} has {len(series)}"
+        )
 
     seg = detect_penalized(series, penalty)
     lam_eff = effective_penalty(series, penalty)

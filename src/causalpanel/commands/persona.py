@@ -42,6 +42,8 @@ def cmd_persona(args) -> int:
     fit_until = opts.fit_until and _iso_date(opts.fit_until, "--fit-until")
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
+    if not len(records):
+        raise ValidationError(f"{args.records}: no usage rows after the header")
 
     # the personas are fitted on the rows before --fit-until, else on all
     fit_rows = None

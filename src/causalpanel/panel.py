@@ -196,11 +196,18 @@ class PanelDataset:
 def write_panel(panel: PanelDataset, target) -> None:
     """Write a panel in the format :func:`read_panel` reads. A unit id or
     continent must read back as one cell: one with a tab or a line break
-    is a validation error."""
+    is a validation error, and so is a unit id that starts a row the way
+    a section header does."""
     for what, texts in (("unit id", panel.unit_ids), ("continent", panel.continent or ())):
         for text in texts:
             if "\t" in text or text.splitlines() not in ([], [text]):
                 raise ValidationError(f"{what} {text!r} contains a tab or a line break")
+    for u in panel.unit_ids:
+        if u.startswith("#section "):
+            raise ValidationError(
+                f"unit id {u!r} starts with '#section ', which a panel file reads "
+                "as a section header"
+            )
     with _opened(target, "w") as stream:
         w = stream.write
         w(PANEL_MAGIC + "\n")

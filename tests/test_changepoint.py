@@ -30,7 +30,6 @@ from causalpanel.changepoint import (
     effective_penalty,
     robust_noise_scale,
     segment_cost,
-    stability_scan,
 )
 from causalpanel.errors import ValidationError
 
@@ -362,6 +361,22 @@ class TestPenalized:
         )
         assert effective_penalty(y, PenaltyConfig(kind="manual", lam=7.5)) == 7.5
 
+    def test_large_lambda_collapses_to_one_segment(self):
+        rng = np.random.default_rng(23)
+        y = rng.normal(0, 1, 40)
+        total, _ = two_pass_cost(list(y))
+        for lam in (total + 1.0, total * 10):
+            assert detect_penalized(y, PenaltyConfig(kind="manual", lam=lam)).k == 1
+
+    def test_crossover_threshold(self):
+        # [0]*5 + [5]*5: k=1 cost is 10 * 2.5^2 = 62.5, k=2 cost is 0, so
+        # the penalized optimum flips from k=2 to k=1 exactly at lam=62.5
+        y = [0.0] * 5 + [5.0] * 5
+        below = detect_penalized(y, PenaltyConfig(kind="manual", lam=60.0))
+        assert below.k == 2
+        assert below.breakpoints == (5,)
+        assert detect_penalized(y, PenaltyConfig(kind="manual", lam=65.0)).k == 1
+
 
 class TestExactPenalized:
     """The optimal-partitioning solve against exact oracles and against the
@@ -520,35 +535,6 @@ class TestNoiseScale:
     def test_too_short(self):
         with pytest.raises(ValueError):
             robust_noise_scale([1.0])
-
-
-class TestStabilityScan:
-    def test_large_lambda_collapses_to_one_segment(self):
-        rng = np.random.default_rng(23)
-        y = rng.normal(0, 1, 40)
-        total, _ = two_pass_cost(list(y))
-        scan = stability_scan(y, [total + 1.0, total * 10])
-        assert all(seg.k == 1 for seg in scan.values())
-
-    def test_crossover_threshold(self):
-        # [0]*5 + [5]*5: k=1 cost is 10 * 2.5^2 = 62.5, k=2 cost is 0, so
-        # the penalized optimum flips from k=2 to k=1 exactly at lam=62.5
-        y = [0.0] * 5 + [5.0] * 5
-        scan = stability_scan(y, [60.0, 65.0])
-        assert scan[60.0].k == 2
-        assert scan[60.0].breakpoints == (5,)
-        assert scan[65.0].k == 1
-
-    def test_single_lambda_matches_detect_penalized(self):
-        rng = np.random.default_rng(29)
-        y = rng.normal(0, 1, 30)
-        scan = stability_scan(y, [3.0])
-        direct = detect_penalized(y, PenaltyConfig(kind="manual", lam=3.0))
-        assert scan[3.0] == direct
-
-    def test_empty_lambda_list(self):
-        with pytest.raises(ValueError):
-            stability_scan([1.0, 2.0], [])
 
 
 class TestInvariants:

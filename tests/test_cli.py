@@ -593,6 +593,23 @@ class TestDidWorkflow:
         assert "continent 'Eur\\nope' contains a tab or a line break" in err
         assert not work.exists()
 
+    def test_unit_id_read_as_section_header_exits_3(self, tmp_path, capsys):
+        # panel.txt starts each unit's row with its id, so this one would
+        # read back as a section header
+        scenario = did_scenario()
+        scenario["units"][1]["unit_id"] = "#section x"
+        cfg = write_json(tmp_path / "scenario.json", scenario)
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+        assert run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--out", work, "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "validation error: unit id '#section x' starts with '#section '" in err
+        assert "Traceback" not in err
+        assert not (work / "panel.txt").exists()
+
     def test_units_header_with_spaces(self, tmp_path):
         data, _ = simulate_and_ingest(tmp_path, did_scenario())
         units = data / "units.csv"
@@ -1002,6 +1019,25 @@ class TestCpdWorkflow:
         err = capsys.readouterr().err
         assert f"validation error: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("by_unit", [False, True], ids=["series", "panel"])
+    def test_too_short_series_names_its_source(self, tmp_path, capsys, by_unit):
+        if by_unit:
+            panel = tmp_path / "panel.txt"
+            panel.write_text(
+                "#causalpanel-panel v1\n#outcome usage_hours\n"
+                "#section outcomes\nunit\t2020-01-01\nA\t1.0\n",
+                encoding="utf-8",
+            )
+            argv, source = ["--panel", panel, "--unit", "A"], f"unit 'A' of {panel}"
+        else:
+            series = tmp_path / "one.csv"
+            series.write_text("value\n1.0\n", encoding="utf-8")
+            argv, source = ["--series", series], str(series)
+        assert run("cpd", *argv, "--out", tmp_path, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert f"need at least 2 points to segment; {source} has 1" in err
+        assert "Traceback" not in err
+
     def test_value_error_of_the_program_is_not_exit_3(self, tmp_path, monkeypatch):
         # an input-free ValueError is a fault to fix, not an input to name:
         # main lets it out with its traceback
@@ -1130,6 +1166,18 @@ class TestPersonaWorkflow:
             )
             == 3
         )
+
+    @pytest.mark.parametrize(
+        "fit_until", [[], ["--fit-until", "2020-02-26"]], ids=["all-rows", "fit-until"]
+    )
+    def test_header_only_records_exit_3_naming_file(self, tmp_path, capsys, fit_until):
+        records = tmp_path / "persona.csv"
+        records.write_text("device_id,date,a,b\n", encoding="utf-8")
+        assert run("persona", "--records", records, *fit_until, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"validation error: {records}: no usage rows after the header" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "persona_model.json").exists()
 
     def test_fit_until_week_date_exits_2(self, tmp_path, capsys):
         data, work = simulate_and_ingest(tmp_path, persona_scenario())

@@ -608,6 +608,18 @@ class TestPanelFormat:
         with pytest.raises(ValidationError, match=f"^{part} .* contains a tab or a line break$"):
             write_panel(panel, io.StringIO())
 
+    def test_unit_id_read_as_section_header_refused_on_write(self):
+        # each row starts with its unit id; the reader takes a line that
+        # starts with '#section ' for a section header
+        panel = make_panel({"#section x": [1.0], "B": [2.0]})
+        with pytest.raises(ValidationError, match=r"^unit id '#section x' starts with '#section '"):
+            write_panel(panel, io.StringIO())
+        # '#section' with no space after it reads back as a unit id
+        for unit in ("#section", "#sectionx", " #section x"):
+            stream = io.StringIO()
+            write_panel(make_panel({unit: [1.0]}), stream)
+            assert read_panel(stream.getvalue().encode()).unit_ids == (unit,)
+
     @given(
         data=st.lists(
             st.tuples(

@@ -60,7 +60,6 @@ _EXPORTS = {
         "PersonaCountSeries",
         "fit_kmeans",
         "rename_personas",
-        "assign_personas",
         "device_means",
         "windowed_counts",
         "persona_changepoint",

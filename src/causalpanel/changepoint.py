@@ -160,11 +160,6 @@ class SeriesCosts:
         return np.maximum(costs, 0.0)
 
 
-def segment_cost(series: Sequence[float], start: int, end: int) -> tuple[float, float]:
-    """(cost, mean) of the interval [start, end); see :class:`SeriesCosts`."""
-    return SeriesCosts(series).cost(start, end)
-
-
 def _suffix_costs(costs: SeriesCosts, k_max: int) -> np.ndarray:
     """suffix[k][i] = optimal cost of splitting [i, n) into k segments.
 

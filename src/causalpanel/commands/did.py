@@ -22,12 +22,12 @@ def cmd_did(args) -> int:
     from ..panel import read_panel
 
     opts = _options(args, {})
-    panel = _load(read_panel, args.panel)
     spec = DidSpec(
         treated_units=frozenset(_split_list(args.treated)),
         control_units=frozenset(_split_list(args.control)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
     )
+    panel = _load(read_panel, args.panel)
     fit = fit_did(panel, spec)
 
     try:

@@ -27,8 +27,8 @@ def cmd_persona(args) -> int:
         {
             "seed": 0,
             "k": DEFAULT_K,
-            "width": WINDOW_WIDTH.days,
-            "stride": WINDOW_STRIDE.days,
+            "width": WINDOW_WIDTH,
+            "stride": WINDOW_STRIDE,
             "fit_until": None,
         },
     )

@@ -6,6 +6,7 @@ import os
 import sys
 
 from ..cli import EXIT_OK, log
+from ..errors import ValidationError
 from ..files import committed
 from . import _decode, _load, _options, _read_json
 
@@ -17,6 +18,8 @@ def cmd_simulate(args) -> int:
     from ..simgen import ScenarioConfig, describe, stage_scenario
 
     opts = _options(args, {"seed": None, "indicator": DEFAULT_INDICATOR})
+    if (opts.seed or 0) < 0:  # every flag is checked before the scenario is read
+        raise ValidationError(f"--seed must be >= 0, got {opts.seed}")
     scenario = _decode(_load(_read_json, args.scenario), ScenarioConfig, args.scenario)
     if opts.seed is not None:
         scenario = replace(scenario, seed=opts.seed)

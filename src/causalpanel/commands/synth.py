@@ -23,12 +23,12 @@ def cmd_synth(args) -> int:
     from ..synthcontrol import SynthSpec, fit_synth, randomization_inference
 
     opts = _options(args, {})
-    panel = _load(read_panel, args.panel)
     spec = SynthSpec(
         treated_unit=args.treated,
         donor_units=tuple(_split_list(args.donors)),
         treatment_date=_iso_date(args.treatment_date, "--treatment-date"),
     )
+    panel = _load(read_panel, args.panel)
     fit = fit_synth(panel, spec)
 
     placebo_gaps = None

@@ -3,12 +3,13 @@ reads back, written by the simulator (policy, telemetry, persona and
 units tables). Only ``simulate`` writes CSV input tables, and it reads
 none, so it loads this module without the readers.
 
-The telemetry and persona writers take a table as one block of columns or
-as a sequence of pieces, so that the simulator can make and write it a
-piece at a time. Every writer formats a block of rows at a time (each
-date once per file), floats with ``repr`` over ``tolist()`` values, so a
-file written from columns is byte-identical to one written row by row
-with ``csv.writer``. A path written is a commit of one file
+The telemetry and persona writers take a table as an iterable of pieces
+of columns, written one after another, so that the simulator can make and
+write it a piece at a time; a table held whole is a list of one piece.
+Every writer formats a block of rows at a time (each date once per
+file), floats with ``repr`` over ``tolist()`` values, so a file written
+from columns is byte-identical to one written row by row with
+``csv.writer``. A path written is a commit of one file
 (:func:`~causalpanel.files.committed`).
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -88,13 +88,11 @@ def _day_cells(days: np.ndarray, cells: dict[int, str], form=date.isoformat) -> 
     return _map_distinct(days.tolist(), lambda d: form(date.fromordinal(d)), cells)
 
 
-def write_telemetry_csv(rows, target) -> None:
-    """Write telemetry columns in the shape
-    :func:`~causalpanel.panelio.parse_telemetry_csv` reads back: one
-    :class:`TelemetryColumns`, or an iterable of them written one after
-    another, so that a table can be made and written a piece at a time.
+def write_telemetry_csv(pieces: Iterable[TelemetryColumns], target) -> None:
+    """Write telemetry in the shape
+    :func:`~causalpanel.panelio.parse_telemetry_csv` reads back, from an
+    iterable of :class:`TelemetryColumns` pieces written one after another.
     Floats are written with ``repr``."""
-    pieces = [rows] if isinstance(rows, TelemetryColumns) else rows
     # each text value's cell, kept from one piece to the next
     text = {name: {} for name in ("device_id", "unit_id", "chassis", "cpu_family")}
     iso = {}
@@ -119,35 +117,27 @@ def write_telemetry_csv(rows, target) -> None:
             _write_rows(stream, len(piece), block)
 
 
-def write_persona_csv(records, target) -> None:
-    """Serialize usage-feature rows: a :class:`UsageColumns`, an iterable
-    of them written one after another (a table made and written a piece at
-    a time; every piece has the first one's feature names), or an iterable
-    of :class:`UsageFeatureVector`. One column per feature category, in
-    sorted name order, floats written with ``repr``."""
-    from .persona import UsageColumns, as_usage_columns
-
-    pieces = iter([records] if isinstance(records, UsageColumns) else records)
-    first = next(pieces, None)
-    if isinstance(first, UsageColumns):
-        pieces = itertools.chain([first], pieces)
-    else:  # rows as UsageFeatureVector
-        first = as_usage_columns(itertools.chain([] if first is None else [first], pieces))
-        pieces = [first]
-    names = sorted(first.feature_names)
-    # the stored column of each written one: each block's cells are
-    # reordered, so the value matrix is never copied in written order
-    cols = [first.feature_names.index(n) for n in names]
-    ids, iso, written = {}, {}, 0
+def write_persona_csv(pieces, target) -> None:
+    """Serialize usage-feature rows from an iterable of
+    :class:`~causalpanel.persona.UsageColumns` pieces written one after
+    another; every piece has the first one's feature names. One column per
+    feature category, in sorted name order, floats written with ``repr``.
+    A table of no rows is a validation error."""
+    ids, iso, written, first = {}, {}, 0, None
     with _opened(target, "w") as stream:
         for piece in pieces:
+            first = piece if first is None else first
             if piece.feature_names != first.feature_names:
                 raise SchemaError(
                     f"persona pieces differ in feature names: {list(piece.feature_names)} "
                     f"after {list(first.feature_names)}"
                 )
+            names = sorted(piece.feature_names)
             if len(piece) and not written:  # a table of no rows writes nothing
                 csv.writer(stream, lineterminator="\n").writerow(["device_id", "date"] + names)
+            # the stored column of each written one: each block's cells are
+            # reordered, so the value matrix is never copied in written order
+            cols = [piece.feature_names.index(n) for n in names]
             id_cells = list(map(_csv_cells(piece.device_ids, ids).get, piece.device_ids))
 
             def block(lo, hi):

@@ -43,7 +43,6 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
@@ -105,9 +104,7 @@ class DidFit:
 
 
 def solve_ols(
-    design: np.ndarray,
-    response: np.ndarray,
-    column_names: Sequence[str] | None = None,
+    design: np.ndarray, response: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares via one thin SVD with a rank guard.
 
@@ -116,8 +113,7 @@ def solve_ols(
     (coefficients, residuals, stderrs); stderrs come from the classical
     homoskedastic covariance s^2 (X'X)^-1 and are NaN when there are no
     residual degrees of freedom. Rank deficiency (smallest singular value
-    below RANK_TOLERANCE times the largest) raises SingularDesignError
-    naming the dependent columns (see :func:`_dependent_columns`).
+    below RANK_TOLERANCE times the largest) raises SingularDesignError.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -133,10 +129,7 @@ def solve_ols(
 
     U, singular_values, Vt = np.linalg.svd(X, full_matrices=False)
     if singular_values[0] == 0.0 or singular_values[-1] < RANK_TOLERANCE * singular_values[0]:
-        raise SingularDesignError(
-            _describe_dependent_columns(X, column_names),
-            columns=_dependent_columns(X, column_names),
-        )
+        raise SingularDesignError("design is rank deficient")
 
     v_scaled = Vt.T / singular_values
     coefficients = v_scaled @ (U.T @ y)
@@ -149,47 +142,6 @@ def solve_ols(
     else:
         stderrs = np.full(p, np.nan)
     return coefficients, residuals, stderrs
-
-
-def _dependent_columns(
-    X: np.ndarray, column_names: Sequence[str] | None
-) -> tuple[str, ...]:
-    """Columns that are (numerically) linear combinations of others.
-
-    Greedy column pivoting with modified Gram-Schmidt, the pivot rule of
-    LAPACK's pivoted QR (geqp3): each step takes the column whose residual
-    norm is largest, the first in the current order on a tie, swaps it
-    into place and projects it out of the rest. Once the largest residual
-    norm falls below RANK_TOLERANCE times the first pivot's, every column
-    not yet pivoted is dependent; if none does, the last pivot is named.
-    """
-    residual = np.array(X, dtype=float)
-    order = list(range(residual.shape[1]))
-    scale = None
-    for i in range(len(order)):
-        norms = np.linalg.norm(residual[:, order[i:]], axis=0)
-        k = int(np.argmax(norms))
-        if scale is None:
-            scale = norms[k] if norms[k] > 0 else 1.0
-        if norms[k] < RANK_TOLERANCE * scale:
-            bad = order[i:]
-            break
-        order[i], order[i + k] = order[i + k], order[i]
-        q = residual[:, order[i]] / norms[k]
-        rest = order[i + 1 :]
-        residual[:, rest] -= np.outer(q, q @ residual[:, rest])
-    else:
-        bad = order[-1:]
-    if column_names is None:
-        return tuple(f"column {j}" for j in sorted(bad))
-    return tuple(column_names[j] for j in sorted(bad))
-
-
-def _describe_dependent_columns(
-    X: np.ndarray, column_names: Sequence[str] | None
-) -> str:
-    names = _dependent_columns(X, column_names)
-    return "design is rank deficient; dependent columns: " + ", ".join(names)
 
 
 def _log_gamma_half_ratio(a: float) -> float:
@@ -378,9 +330,7 @@ def _fixed_effects_slope(
     (y_res, z_res), fe_rank = _two_way_residuals(observed, np.stack([y, z]))
     z_ss = float(np.sum(z_res * z_res))
     if z_ss <= RANK_TOLERANCE**2 * float(np.sum(z * z)):
-        raise SingularDesignError(
-            f"design is rank deficient; dependent columns: {name}", columns=(name,)
-        )
+        raise SingularDesignError(f"design is rank deficient; dependent columns: {name}")
     n_obs = int(observed.sum())
     dof = n_obs - fe_rank - 1
     if dof < 1:

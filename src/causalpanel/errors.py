@@ -35,11 +35,7 @@ class NumericalError(CausalPanelError):
 
 
 class SingularDesignError(NumericalError):
-    """Design matrix is rank deficient; message names the offending columns."""
-
-    def __init__(self, message: str, columns: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.columns = columns
+    """A design matrix is rank deficient."""
 
 
 class DiagnosticUnavailableError(ValidationError):

@@ -27,16 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .files import parse_date
 from .textio import _float_cells, _opened
-
-if TYPE_CHECKING:
-    from .paneldata import PolicyTimeline
 
 POLICY_CODES = (0, 1, 2, 3)
 # The parts of a composite unit label such as "CHN|Notebook|i7" that name
@@ -183,14 +180,6 @@ class PanelDataset:
         """Return (values, missing_mask) rows for one unit."""
         i = self.unit_index(unit_id)
         return self.outcomes[i], self.missing_mask[i]
-
-    def timeline(self, unit_id: str) -> PolicyTimeline | None:
-        """The attached policy series of one unit, if merged."""
-        from .paneldata import PolicyTimeline
-
-        if self.policy_codes is None:
-            return None
-        return PolicyTimeline(unit_id, self.dates[0], self.policy_codes[self.unit_index(unit_id)])
 
 
 def write_panel(panel: PanelDataset, target) -> None:

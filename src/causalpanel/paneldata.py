@@ -141,6 +141,12 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _unit_label(cells: tuple[str, str]) -> str:
+    """The unit of a policy row's (unit, region) cells."""
+    unit, region = map(str.strip, cells)
+    return f"{unit}/{region}" if region else unit
+
+
 def factorize(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct values in sorted order, and each value's index among them
     (so index order is string order)."""
@@ -212,12 +218,12 @@ def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:
     ]
 
 
-def _group_index(rows: TelemetryColumns, group_fields: tuple[str, ...]):
+def _group_index(rows: TelemetryColumns, fields: tuple[str, ...]):
     """Sorted composite labels such as "CHN|Notebook|i7", and each row's
     index among them."""
     key = np.zeros(len(rows), dtype=np.int64)
     field_levels = []
-    for f in group_fields:
+    for f in fields:
         if f == "vpro":
             levels, codes = ("novpro", "vpro"), rows.vpro.astype(np.int64)
         else:
@@ -234,6 +240,20 @@ def _group_index(rows: TelemetryColumns, group_fields: tuple[str, ...]):
         combo_labels.append("|".join(reversed(parts)))
     labels, label_of_combo = factorize(combo_labels)
     return labels, label_of_combo[combo_of_row]
+
+
+def group_fields(group_by: Iterable[str]) -> tuple[str, ...]:
+    """``group_by`` in canonical order; an unknown field is a SchemaError."""
+    unknown = set(group_by) - set(GROUP_FIELD_ORDER)
+    if unknown:
+        raise SchemaError(f"cannot group by {sorted(unknown)}")
+    return tuple(f for f in GROUP_FIELD_ORDER if f in set(group_by))
+
+
+def check_outcome(outcome: str) -> None:
+    """A SchemaError unless ``outcome`` names a telemetry measurement."""
+    if outcome not in ("usage_hours", "cpu_watts"):
+        raise SchemaError(f"no outcome field {outcome!r} in telemetry records")
 
 
 def aggregate_telemetry(
@@ -254,14 +274,10 @@ def aggregate_telemetry(
     """
     if not len(rows):
         raise ValidationError("no telemetry records to aggregate")
-    group_fields = tuple(f for f in GROUP_FIELD_ORDER if f in set(group_by))
-    unknown = set(group_by) - set(GROUP_FIELD_ORDER)
-    if unknown:
-        raise SchemaError(f"cannot group by {sorted(unknown)}")
-    if outcome not in ("usage_hours", "cpu_watts"):
-        raise SchemaError(f"no outcome field {outcome!r} in telemetry records")
+    fields = group_fields(group_by)
+    check_outcome(outcome)
 
-    unit_ids, group = _group_index(rows, group_fields)
+    unit_ids, group = _group_index(rows, fields)
     device_ids, device = factorize(rows.device_id)
     first = int(rows.day.min())
     n_dates = int(rows.day.max()) - first + 1

@@ -311,7 +311,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
     is read; flag and other columns are ignored. The first unit with a
     fault names it: a duplicate date, else its first bad code, else a gap.
     """
-    from .paneldata import PolicyTimeline, factorize
+    from .paneldata import PolicyTimeline, _unit_label, factorize
 
     with _csv_table(source, "policy") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
@@ -378,12 +378,6 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         codes = codes[np.maximum.accumulate(np.where(codes >= 0, np.arange(len(codes)), 0))]
         timelines.append(PolicyTimeline(u, date.fromordinal(days[0]), codes[1:]))
     return timelines
-
-
-def _unit_label(cells: tuple[str, str]) -> str:
-    """The unit of a row's (unit, region) cells."""
-    unit, region = map(str.strip, cells)
-    return f"{unit}/{region}" if region else unit
 
 
 def _policy_code(raw: str) -> int:

@@ -11,16 +11,17 @@ detector.
 Usage rows are held as columns (:class:`UsageColumns`): the sorted
 distinct device ids, an int64 device index and an int64 day ordinal per
 row, and one float64 matrix with a column per feature.
-:class:`UsageFeatureVector` is the per-row view of the same data; every
-function that accepts vectors converts them to columns once on entry, so
-each computation has one code path. The column code reproduces the
-per-row arithmetic bitwise: a window mean is a sum over each device's
-rows in day order, taken as ``X[rows].sum(axis=1) / m`` over blocks of
-devices with the same row count ``m`` (the sequential sum ``np.mean``
-does along axis 0), and a per-device fit mean is a contiguous per-feature
-row sum divided by ``m`` (the pairwise sum of a 1-D ``np.mean``). Each
-block is gathered at most ``_GATHER_ROWS`` rows at a time; every mean is
-summed alone, so the split does not change a bit.
+:class:`UsageFeatureVector` is the per-row view of the same data;
+:func:`device_means`, :func:`fit_kmeans` and :func:`windowed_counts`
+convert vectors to columns once on entry, so each computation has one
+code path. The column code reproduces the per-row arithmetic bitwise: a
+window mean is a sum over each device's rows in day order, taken as
+``X[rows].sum(axis=1) / m`` over blocks of devices with the same row
+count ``m`` (the sequential sum ``np.mean`` does along axis 0), and a
+per-device fit mean is a contiguous per-feature row sum divided by ``m``
+(the pairwise sum of a 1-D ``np.mean``). Each block is gathered at most
+``_GATHER_ROWS`` rows at a time; every mean is summed alone, so the
+split does not change a bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,13 +39,14 @@ from .panel import _frozen_array
 from .paneldata import distinct, factorize
 
 if TYPE_CHECKING:
-    from .changepoint import PenaltyConfig, Segmentation
+    from .changepoint import Segmentation
 
 DEFAULT_K = 6
 MAX_LLOYD_ITERATIONS = 300
 
-WINDOW_WIDTH = timedelta(days=28)
-WINDOW_STRIDE = timedelta(days=14)
+# Sliding windows, in days.
+WINDOW_WIDTH = 28
+WINDOW_STRIDE = 14
 
 # Rows gathered at once when runs of rows are averaged (per-device and
 # per-window means).
@@ -201,18 +203,6 @@ class UsageColumns:
 
     __hash__ = None
 
-    def take(self, rows) -> UsageColumns:
-        """The rows selected by an index array or boolean mask."""
-        device = self.device[rows]
-        present = np.bincount(device, minlength=len(self.device_ids)) > 0
-        return UsageColumns(
-            tuple(self.device_ids[d] for d in np.flatnonzero(present).tolist()),
-            (np.cumsum(present) - 1)[device],
-            self.day[rows],
-            self.values[rows],
-            self.feature_names,
-        )
-
     def columns_of(self, feature_names: Sequence[str]) -> list[int]:
         """The stored column of each of ``feature_names``, which must be
         the stored names in some order."""
@@ -254,8 +244,8 @@ def device_means(records, where: np.ndarray | None = None) -> UsageColumns:
     """One row per device: the mean of each feature over the device's
     rows, dated on the device's first row. Features in sorted name order.
     With ``where``, a boolean mask over the rows, only the rows where it
-    is True are averaged (and a device with none has no row): the result
-    of ``device_means(records.take(where))`` without that copy of the rows.
+    is True are averaged (and a device with none has no row), without a
+    copy of the rows.
 
     Each mean is bitwise equal to ``np.mean`` over the device's values of
     that feature in row order.
@@ -465,7 +455,6 @@ def fit_kmeans(
     k: int = DEFAULT_K,
     seed: int = 0,
     *,
-    persona_names: Sequence[str] | None = None,
     return_history: bool = False,
 ):
     """Lloyd's k-means with deterministic seeded initialization, one point
@@ -476,8 +465,10 @@ def fit_kmeans(
     assigned centroid. Iteration stops when assignments repeat, or after
     ``MAX_LLOYD_ITERATIONS`` rounds with a ConvergenceWarning. The first
     center is the row ``np.random.default_rng(seed).integers(n)`` picks,
-    for ``seed`` >= 0. With ``return_history`` the per-iteration SSE path
-    is returned alongside the model; it is non-increasing by construction.
+    for ``seed`` >= 0. Each persona is named after its dominant feature
+    (:func:`rename_personas` relabels them). With ``return_history`` the
+    per-iteration SSE path is returned alongside the model; it is
+    non-increasing by construction.
     """
     rows = as_usage_columns(vectors)
     if not len(rows):
@@ -523,11 +514,7 @@ def fit_kmeans(
             stacklevel=2,
         )
 
-    names = (
-        tuple(persona_names)
-        if persona_names is not None
-        else _derive_names(C, feature_names)
-    )
+    names = _derive_names(C, feature_names)
     model = PersonaModel(centroids=C, persona_names=names, feature_names=feature_names)
     if return_history:
         return model, np.asarray(sse_path)
@@ -543,32 +530,6 @@ def rename_personas(model: PersonaModel, mapping: Mapping[str, str]) -> PersonaM
         persona_names=names,
         feature_names=model.feature_names,
     )
-
-
-def assign_personas(vectors, model: PersonaModel) -> dict[str, int]:
-    """Nearest-centroid assignment against frozen centroids, one device per
-    row of ``vectors`` (a :class:`UsageColumns` or a sequence of
-    :class:`UsageFeatureVector`); ties go to the lowest persona index."""
-    rows = as_usage_columns(vectors)
-    _, first = np.unique(rows.device, return_index=True)
-    repeats = np.setdiff1d(np.arange(len(rows)), first)
-    if repeats.size:
-        raise ValidationError(
-            f"duplicate device id {rows.device_ids[rows.device[repeats[0]]]!r}"
-        )
-    if not len(rows):
-        return {}
-    X = rows.matrix(model.feature_names)
-    assign = np.argmin(_squared_distances(X, model.centroids), axis=1)
-    return {
-        rows.device_ids[d]: int(a) for d, a in zip(rows.device.tolist(), assign)
-    }
-
-
-def _as_days(value) -> timedelta:
-    if isinstance(value, timedelta):
-        return value
-    return timedelta(days=int(value))
 
 
 def _window_means(rows: UsageColumns, X: np.ndarray, offsets: np.ndarray, width: int):
@@ -605,10 +566,11 @@ def _window_means(rows: UsageColumns, X: np.ndarray, offsets: np.ndarray, width:
 def windowed_counts(
     records,
     model: PersonaModel,
-    width: timedelta | int = WINDOW_WIDTH,
-    stride: timedelta | int = WINDOW_STRIDE,
+    width: int = WINDOW_WIDTH,
+    stride: int = WINDOW_STRIDE,
 ) -> PersonaCountSeries:
-    """Count devices per persona over sliding windows.
+    """Count devices per persona over sliding windows of ``width`` days,
+    one starting every ``stride`` days from the first record day.
 
     ``records`` are daily feature rows, a :class:`UsageColumns` or a
     sequence of :class:`UsageFeatureVector` whose ``window_start`` is the
@@ -618,27 +580,25 @@ def windowed_counts(
     count differences; z-scores standardize each persona's diff column
     by its population std (zero-std columns give all-zero z-scores).
     """
-    width = _as_days(width)
-    stride = _as_days(stride)
-    if width <= timedelta(0) or stride <= timedelta(0):
-        raise ValidationError("width and stride must be positive durations")
+    if width <= 0 or stride <= 0:
+        raise ValidationError("width and stride must be positive day counts")
     rows = as_usage_columns(records)
     if not len(rows):
         raise ValidationError("no usage records")
     columns = rows.columns_of(model.feature_names)
     first, last = int(rows.day.min()), int(rows.day.max())
     span = last - first + 1
-    if width.days > span:
+    if width > span:
         raise ValidationError(
             f"records span {date.fromordinal(first)}..{date.fromordinal(last)}, "
-            f"less than one {width.days}-day window"
+            f"less than one {width}-day window"
         )
-    offsets = np.arange(0, span - width.days + 1, stride.days)
+    offsets = np.arange(0, span - width + 1, stride)
     starts = tuple(date.fromordinal(first + int(o)) for o in offsets)
 
     # means of the stored columns, then reordered: each column sums alike
     # in either order, and the value matrix is not copied to reorder it
-    window, _, means = _window_means(rows, rows.values, offsets, width.days)
+    window, _, means = _window_means(rows, rows.values, offsets, width)
     means = means[:, columns]
     active = means.any(axis=1)
     persona = np.argmin(_squared_distances(means[active], model.centroids), axis=1)
@@ -661,19 +621,13 @@ def windowed_counts(
     )
 
 
-def persona_changepoint(
-    series: PersonaCountSeries,
-    penalty: PenaltyConfig | None = None,
-) -> dict[str, Segmentation]:
-    """Penalized change-point detection on each persona's z-score column,
-    with ``penalty`` (default BIC)."""
+def persona_changepoint(series: PersonaCountSeries) -> dict[str, Segmentation]:
+    """Change-point detection with the bic penalty on each persona's z-score column."""
     from .changepoint import PenaltyConfig, detect_penalized
 
-    if penalty is None:
-        penalty = PenaltyConfig(kind="bic")
     if len(series.window_starts) < 4:
         raise ValidationError("need at least 4 windows for change-point analysis")
     return {
-        name: detect_penalized(series.zscores[:, j], penalty)
+        name: detect_penalized(series.zscores[:, j], PenaltyConfig(kind="bic"))
         for j, name in enumerate(series.persona_names)
     }

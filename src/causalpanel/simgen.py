@@ -51,6 +51,7 @@ from .paneldata import (
     PanelDataset,
     PolicyTimeline,
     TelemetryColumns,
+    _unit_label,
     factorize,
 )
 from .csvwrite import (
@@ -113,6 +114,15 @@ class UnitConfig:
     def __post_init__(self):
         if not self.unit_id:
             raise ValidationError("unit_id must be non-empty")
+        # a policy table holds the id as a country and a region cell
+        read_back = _unit_label(self.unit_id.partition("/")[::2])
+        if read_back != self.unit_id:
+            raise ValidationError(
+                f"unit_id {self.unit_id!r} reads back from a policy table as {read_back!r}"
+            )
+        # csv.writer leaves a lone \r unquoted, and csv.reader refuses NUL before 3.11
+        if not self.unit_id.isprintable():
+            raise ValidationError(f"unit_id {self.unit_id!r} holds an unprintable character")
         if not 0.0 <= self.baseline_hours <= 24.0:
             raise ValidationError(
                 f"unit {self.unit_id}: baseline_hours {self.baseline_hours} "

@@ -29,7 +29,6 @@ from causalpanel.changepoint import (
     detect_penalized,
     effective_penalty,
     robust_noise_scale,
-    segment_cost,
 )
 from causalpanel.errors import ValidationError
 
@@ -137,12 +136,12 @@ finite_series = st.lists(
 
 class TestSegmentCost:
     def test_constant_segment(self):
-        cost, mean = segment_cost([3.0, 3.0, 3.0], 0, 3)
+        cost, mean = SeriesCosts([3.0, 3.0, 3.0]).cost(0, 3)
         assert cost == 0.0
         assert mean == 3.0
 
     def test_two_point_variance_identity(self):
-        cost, mean = segment_cost([1.0, 3.0], 0, 2)
+        cost, mean = SeriesCosts([1.0, 3.0]).cost(0, 2)
         assert cost == 2.0
         assert mean == 2.0
 
@@ -151,7 +150,7 @@ class TestSegmentCost:
         y = rng.normal(2.0, 3.0, 10)
         for start in range(10):
             for end in range(start + 1, 11):
-                cost, mean = segment_cost(y, start, end)
+                cost, mean = SeriesCosts(y).cost(start, end)
                 ref_cost, ref_mean = two_pass_cost(list(y[start:end]))
                 assert cost == pytest.approx(ref_cost, abs=1e-12)
                 assert mean == pytest.approx(ref_mean, abs=1e-12)
@@ -159,11 +158,11 @@ class TestSegmentCost:
     @pytest.mark.parametrize("start,end", [(2, 2), (3, 2), (-1, 2), (0, 9)])
     def test_empty_or_out_of_range_interval(self, start, end):
         with pytest.raises(IndexError):
-            segment_cost([1.0, 2.0, 3.0, 4.0], start, end)
+            SeriesCosts([1.0, 2.0, 3.0, 4.0]).cost(start, end)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            segment_cost([1.0, np.nan, 2.0], 0, 3)
+            SeriesCosts([1.0, np.nan, 2.0]).cost(0, 3)
 
     def test_large_common_offset_keeps_precision(self):
         # a series hovering near 1e6 must still resolve sub-unit segment
@@ -171,8 +170,8 @@ class TestSegmentCost:
         # variation scale instead of the level scale
         rng = np.random.default_rng(8)
         noise = rng.normal(0.0, 0.5, 50)
-        base_cost, _ = segment_cost(noise, 10, 40)
-        off_cost, off_mean = segment_cost(noise + 1e6, 10, 40)
+        base_cost, _ = SeriesCosts(noise).cost(10, 40)
+        off_cost, off_mean = SeriesCosts(noise + 1e6).cost(10, 40)
         assert off_cost == pytest.approx(base_cost, abs=1e-9)
         assert off_mean == pytest.approx(1e6 + np.mean(noise[10:40]), abs=1e-9)
 

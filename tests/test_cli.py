@@ -197,6 +197,26 @@ class TestSimulate:
         assert run("simulate", "--scenario", cfg, "--out", tmp_path) == 3
 
     @pytest.mark.parametrize(
+        "unit_id, read_back", [("A/", "A"), ("A/ B", "A/B"), (" A", "A")]
+    )
+    def test_unit_id_a_policy_table_reads_as_another_exits_3(
+        self, tmp_path, capsys, unit_id, read_back
+    ):
+        """simulate refuses a unit id that its policy table would read back
+        as another id, names the file, the key and the unit, and writes no
+        file; ingest of its tables would fail, or rename the unit."""
+        payload = did_scenario()
+        payload["units"][1]["unit_id"] = unit_id
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path / "data") == 3
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"s.json: units[1]: unit_id {unit_id!r} reads back from a policy table "
+            f"as {read_back!r}\n"
+        )
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             (None, "start", 5),
@@ -1970,8 +1990,40 @@ def test_byte_order_mark_input_reads_as_without(
         (["persona", "--records", "{missing}", "--stride", "0"], "--stride must be >= 1, got 0"),
         (["persona", "--records", "{missing}", "--k", "1"], "--k must be >= 2, got 1"),
         (["persona", "--records", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (
+            ["ingest", "--policy", "{missing}", "--telemetry", "{missing}", "--outcome", "foo"],
+            "--outcome: no outcome field 'foo' in telemetry records",
+        ),
+        (
+            ["ingest", "--policy", "{missing}", "--telemetry", "{missing}", "--group-by", "foo"],
+            "--group-by: cannot group by ['foo']",
+        ),
+        (
+            ["ingest", "--policy", "{missing}", "--telemetry", "{missing}",
+             "--group-by", "chassis"],
+            "--group-by 'chassis' lacks unit_id, by which policy timelines are merged",
+        ),
+        (
+            ["ingest", "--policy", "{missing}", "--telemetry", "{missing}", "--group-by", ""],
+            "--group-by '' lacks unit_id, by which policy timelines are merged",
+        ),
+        (["simulate", "--scenario", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (
+            ["did", "--panel", "{missing}", "--treated", "T", "--control", "T",
+             "--treatment-date", "2020-02-01"],
+            "units cannot be both treated and control: ['T']",
+        ),
+        (
+            ["synth", "--panel", "{missing}", "--treated", "T", "--donors", "D1",
+             "--treatment-date", "2020-02-01"],
+            "need at least 2 donor units",
+        ),
     ],
-    ids=["k_max", "lam", "noise_scale", "width", "stride", "k", "seed"],
+    ids=[
+        "k_max", "lam", "noise_scale", "width", "stride", "k", "seed", "outcome", "group_by",
+        "group_by_without_unit_id", "group_by_empty", "simulate_seed", "did_units",
+        "synth_donors",
+    ],
 )
 def test_flag_checked_before_input_opened(tmp_path, capsys, argv, message):
     """A bad flag value exits 3 naming it before any input is read: the

@@ -164,7 +164,13 @@ class TestPersonaAgainstReference:
         cols = UsageColumns.from_vectors(vectors)
         where = cols.day < (START + timedelta(days=cutoff)).toordinal()
         got = device_means(cols, where=where)
-        expected = device_means(cols.take(where))
+        taken = UsageColumns.from_rows(
+            [cols.device_ids[d] for d in cols.device[where].tolist()],
+            cols.day[where],
+            cols.values[where],
+            cols.feature_names,
+        )
+        expected = device_means(taken)
         assert got == expected and got.device_ids == expected.device_ids
         assert list(got) == ref.device_means([v for v, keep in zip(vectors, where) if keep])
 
@@ -361,9 +367,9 @@ class TestUsageColumns:
         flipped[0] = UsageFeatureVector("p2", START, {"b": 1.5, "a": -0.0})
         assert cols != UsageColumns.from_vectors(flipped)
 
-    def test_take_drops_unused_devices(self):
+    def test_from_rows_keeps_only_devices_present(self):
         cols = UsageColumns.from_vectors(self.vectors())
-        first = cols.take(np.array([True, False]))
+        first = UsageColumns.from_rows(["p2"], cols.day[:1], cols.values[:1], cols.feature_names)
         assert first.device_ids == ("p2",)
         assert list(first) == self.vectors()[:1]
 

@@ -169,7 +169,6 @@ class TestPanelDataset:
         panel = replace(make_panel({"A": [1.0, 2.0]}), policy_codes=[[0, 3]])
         assert panel.policy_codes.dtype == np.int64
         assert panel.policy_codes.tolist() == [[0, 3]]
-        assert panel.timeline("A").codes.tolist() == [0, 3]
         with pytest.raises(ValueError):
             panel.policy_codes[0, 0] = 2
 
@@ -184,11 +183,9 @@ class TestPanelDataset:
 
     def test_timeline_reconstruction(self):
         panel = make_panel({"A": [1.0, 2.0]})
-        assert panel.timeline("A") is None
+        assert panel.policy_codes is None
         merged = merge_panels(panel, [timeline([0, 3], unit="A")])
-        tl = merged.timeline("A")
-        assert tl is not None
-        assert tl.codes.tolist() == [0, 3]
+        assert merged.policy_codes[merged.unit_index("A")].tolist() == [0, 3]
 
 
 class TestAggregateTelemetry:

@@ -265,7 +265,7 @@ class TestTelemetryCsv:
 
     def test_round_trip(self):
         buf = io.StringIO()
-        write_telemetry_csv(self.rows(), buf)
+        write_telemetry_csv([self.rows()], buf)
         parsed = parse_telemetry_csv(buf.getvalue().encode())
         assert parsed == self.rows()
 
@@ -277,7 +277,7 @@ class TestTelemetryCsv:
             (date(2020, 1, 1), "g,1", "USA", "Desktop", "i5", False, 1 / 3, 2.5),
         ]
         whole, pieces = io.StringIO(), io.StringIO()
-        write_telemetry_csv(telemetry(rows), whole)
+        write_telemetry_csv([telemetry(rows)], whole)
         write_telemetry_csv((telemetry(part) for part in (rows[:2], rows[2:])), pieces)
         assert pieces.getvalue() == whole.getvalue()
         assert '"g,1"' in whole.getvalue()
@@ -325,21 +325,22 @@ class TestPersonaCsv:
             ),
         ]
         buf = io.StringIO()
-        write_persona_csv(records, buf)
+        write_persona_csv([UsageColumns.from_vectors(records)], buf)
         parsed = parse_persona_csv(buf.getvalue().encode())
         assert parsed == UsageColumns.from_vectors(records)
         assert list(parsed) == records
 
     def test_pieces_write_the_bytes_of_the_whole(self):
-        rows = UsageColumns.from_rows(
-            ["p,1", "p2", "p,1", "p3"],
-            [date(2020, 1, d).toordinal() for d in (1, 1, 2, 2)],
-            [[1.5, 0.25], [0.0, 4.0], [1 / 3, 2.0], [0.5, 0.5]],
-            ("office", "gaming"),
-        )
+        ids = ["p,1", "p2", "p,1", "p3"]
+        days = [date(2020, 1, d).toordinal() for d in (1, 1, 2, 2)]
+        values = [[1.5, 0.25], [0.0, 4.0], [1 / 3, 2.0], [0.5, 0.5]]
+
+        def rows(part):
+            return UsageColumns.from_rows(ids[part], days[part], values[part], ("office", "gaming"))
+
         whole, pieces = io.StringIO(), io.StringIO()
-        write_persona_csv(rows, whole)
-        write_persona_csv((rows.take(part) for part in ([0, 1], [2], [3])), pieces)
+        write_persona_csv([rows(slice(0, 4))], whole)
+        write_persona_csv((rows(part) for part in (slice(0, 2), slice(2, 3), slice(3, 4))), pieces)
         assert pieces.getvalue() == whole.getvalue()
         assert whole.getvalue().startswith('device_id,date,gaming,office\n"p,1",')
 
@@ -350,13 +351,13 @@ class TestPersonaCsv:
         with pytest.raises(SchemaError, match="differ in feature names"):
             write_persona_csv(iter([piece(("a",)), piece(("b",))]), io.StringIO())
 
-    @pytest.mark.parametrize("form", ["vectors", "pieces", "columns", "empty-piece"])
+    @pytest.mark.parametrize("form", ["list", "pieces", "columns", "empty-piece"])
     def test_no_rows_write_nothing(self, tmp_path, form):
         empty = UsageColumns.from_rows([], [], [], ("a",))
         records = {
-            "vectors": lambda: [],
+            "list": lambda: [],
             "pieces": lambda: iter([]),
-            "columns": lambda: empty,
+            "columns": lambda: [empty],
             "empty-piece": lambda: iter([empty]),
         }[form]
         stream = io.StringIO()
@@ -419,7 +420,7 @@ class TestPersonaCsv:
             UsageFeatureVector("p2", date(2020, 1, 1), {"b": 1.0}),
         ]
         with pytest.raises(SchemaError, match="differ"):
-            write_persona_csv(records, io.StringIO())
+            write_persona_csv([UsageColumns.from_vectors([r]) for r in records], io.StringIO())
 
 
 class TestPanelFormat:

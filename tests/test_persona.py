@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpanel import persona
-from causalpanel.changepoint import PenaltyConfig
+from causalpanel.changepoint import PenaltyConfig, detect_penalized
 from causalpanel.errors import ConvergenceWarning, SchemaError, ValidationError
 from causalpanel.persona import (
     DEFAULT_FEATURE_CATEGORIES,
@@ -18,9 +18,9 @@ from causalpanel.persona import (
     PersonaModel,
     UsageFeatureVector,
     _seeded_index,
-    assign_personas,
     fit_kmeans,
     persona_changepoint,
+    rename_personas,
     windowed_counts,
 )
 
@@ -118,9 +118,14 @@ class TestFitKmeans:
                 fit_kmeans(vectors_from_matrix(X, names=("a", "b")), k=3, seed=seed)
 
     def test_explicit_persona_names(self):
+        # names are derived; a caller gives its own through rename_personas
         X = np.array([[0.0, 0, 0], [9, 0, 0], [0, 9, 0]])
-        model = fit_kmeans(vectors_from_matrix(X), k=3, seed=0, persona_names=("a", "b", "c"))
-        assert model.persona_names == ("a", "b", "c")
+        model = fit_kmeans(vectors_from_matrix(X), k=3, seed=0)
+        mapping = dict(zip(model.persona_names, ("a", "b", "c")))
+        renamed = rename_personas(model, mapping)
+        assert renamed.persona_names == ("a", "b", "c")
+        assert np.array_equal(renamed.centroids, model.centroids)
+        assert renamed.feature_names == model.feature_names
 
     def test_derived_names_use_dominant_feature(self):
         X = np.array([[9.0, 0, 0], [9.1, 0, 0], [0, 9, 0], [0, 9.1, 0]])
@@ -217,50 +222,48 @@ def simple_model():
 
 
 class TestAssignPersonas:
+    """Nearest-centroid assignment against frozen centroids, as
+    :func:`windowed_counts` makes it for each device's window mean."""
+
     def test_exact_centroid_match(self):
-        model = simple_model()
-        out = assign_personas([vec("d1", [0.0, 10.0, 0.0])], model)
-        assert out == {"d1": 2}
+        series = windowed_counts([vec("d1", [0.0, 10.0, 0.0])], simple_model(), 1, 1)
+        assert series.counts.tolist() == [[0, 0, 1]]
 
     def test_tie_goes_to_lowest_index(self):
-        model = simple_model()
-        # Equidistant between centroid 0 and centroid 1.
-        out = assign_personas([vec("d1", [5.0, 0.0, 0.0])], model)
-        assert out == {"d1": 0}
+        # The window mean (5, 0, 0) is equidistant from centroid 0 (the
+        # origin) and centroid 1 (10, 0, 0).
+        d0 = date(2020, 1, 1)
+        records = [
+            vec("d1", [0.0, 0.0, 0.0], day=d0),
+            vec("d1", [10.0, 0.0, 0.0], day=d0 + timedelta(days=27)),
+        ]
+        series = windowed_counts(records, simple_model(), width=28, stride=28)
+        assert series.counts.tolist() == [[1, 0, 0]]
 
     def test_matches_argmin_oracle_on_seeded_batch(self):
+        # one row per device on one day: a one-day window's mean is the row
         model = simple_model()
         rng = np.random.default_rng(123)
         X = np.abs(rng.normal(4.0, 3.0, size=(1000, 3)))
-        vs = vectors_from_matrix(X)
-        got = assign_personas(vs, model)
-        for v, row in zip(vs, X):
+        series = windowed_counts(vectors_from_matrix(X), model, width=1, stride=1)
+        expected = [0, 0, 0]
+        for row in X:
             dists = [np.sqrt(((row - c) ** 2).sum()) for c in model.centroids]
-            best = min(range(3), key=lambda j: (dists[j], j))
-            assert got[v.device_id] == best
+            expected[min(range(3), key=lambda j: (dists[j], j))] += 1
+        assert series.counts.tolist() == [expected]
+
+    def test_feature_mismatch_is_schema_error(self):
+        bad = UsageFeatureVector("d1", date(2020, 1, 1), {"alpha": 1.0, "wrong": 2.0})
+        with pytest.raises(SchemaError):
+            windowed_counts([bad], simple_model(), width=1, stride=1)
 
     def test_never_mutates_model(self):
         model = simple_model()
         before = model.centroids.copy()
         rng = np.random.default_rng(5)
-        assign_personas(vectors_from_matrix(np.abs(rng.normal(size=(50, 3)))), model)
+        windowed_counts(vectors_from_matrix(np.abs(rng.normal(size=(50, 3)))), model, 1, 1)
         assert np.array_equal(model.centroids, before)
         assert not model.centroids.flags.writeable
-
-    def test_feature_mismatch_is_schema_error(self):
-        model = simple_model()
-        bad = UsageFeatureVector("d1", date(2020, 1, 1), {"alpha": 1.0, "wrong": 2.0})
-        with pytest.raises(SchemaError):
-            assign_personas([bad], model)
-
-    def test_duplicate_device_ids_rejected(self):
-        model = simple_model()
-        vs = [vec("d1", [1.0, 0, 0]), vec("d1", [2.0, 0, 0], day=date(2020, 1, 2))]
-        with pytest.raises(ValidationError, match="duplicate"):
-            assign_personas(vs, model)
-
-    def test_empty_input(self):
-        assert assign_personas([], simple_model()) == {}
 
 
 class TestUsageFeatureVector:
@@ -479,11 +482,12 @@ class TestPersonaChangepoint:
         with pytest.raises(ValueError, match="4 windows"):
             persona_changepoint(series)
 
-    def test_penalty_config_forwarded(self):
-        p0 = [100] * 6 + [40] * 6
-        series = self.build_series([p0, [7] * 12])
-        strict = persona_changepoint(series, PenaltyConfig(kind="manual", lam=1e9))
-        assert all(seg.breakpoints == () for seg in strict.values())
+    def test_each_column_segmented_with_bic(self):
+        series = self.build_series([[100] * 6 + [40] * 6, [7] * 6 + [9, 7] * 3])
+        result = persona_changepoint(series)
+        for j, name in enumerate(series.persona_names):
+            expected = detect_penalized(series.zscores[:, j], PenaltyConfig(kind="bic"))
+            assert result[name] == expected
 
 
 class TestCountSeriesValidation:

@@ -2,13 +2,17 @@
 and file round-trips."""
 
 import hashlib
+import io
 import json
 from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causalpanel.csvwrite import write_policy_csv, write_telemetry_csv
 from causalpanel.errors import ValidationError
 from causalpanel.paneldata import (
     EventKind,
@@ -44,6 +48,9 @@ from causalpanel.simgen import (
 from causalpanel.synthcontrol import SynthSpec, fit_synth
 
 START = date(2020, 1, 1)
+# any character, weighted towards those that a CSV cell or the policy
+# table's country/region split treats specially
+UNIT_ID_CHARS = st.sampled_from(' /,;"\t\r\n\x00\x85A') | st.characters()
 
 
 def two_unit_config(**kwargs):
@@ -481,6 +488,39 @@ class TestValidation:
     def test_duplicate_unit_ids(self):
         with pytest.raises(ValidationError, match="unique"):
             ScenarioConfig(units=(UnitConfig("A"), UnitConfig("A")))
+
+    @pytest.mark.parametrize(
+        "unit_id, read_back",
+        [("A/", "'A'"), ("A/ B", "'A/B'"), (" A", "'A'"), ("A ", "'A'"), ("/", "''")],
+    )
+    def test_unit_id_a_policy_table_reads_as_another_refused(self, unit_id, read_back):
+        with pytest.raises(
+            ValidationError,
+            match=f"^unit_id {unit_id!r} reads back from a policy table as {read_back}$",
+        ):
+            UnitConfig(unit_id)
+
+    @pytest.mark.parametrize("unit_id", ["A\rB", "A\tB", "A\nB", "A\x00", "A\u00a0B"])
+    def test_unit_id_not_printable_refused(self, unit_id):
+        with pytest.raises(ValidationError, match="holds an unprintable character"):
+            UnitConfig(unit_id)
+
+    @given(st.text(UNIT_ID_CHARS, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_unit_id_reads_back_from_written_tables(self, unit_id):
+        """Every unit id a scenario accepts reads back as itself from the
+        policy and telemetry tables that simulate writes."""
+        try:
+            unit = UnitConfig(unit_id, devices_per_day=2)
+        except ValidationError:
+            return
+        data = generate(ScenarioConfig(units=(unit,), start=START, n_days=3))
+        policy, telemetry = io.StringIO(), io.StringIO()
+        write_policy_csv(data.timelines, policy, "C6")
+        write_telemetry_csv([data.telemetry], telemetry)
+        timelines = parse_policy_csv(policy.getvalue().encode(), "C6")
+        assert [t.unit_id for t in timelines] == [unit_id]
+        assert parse_telemetry_csv(telemetry.getvalue().encode()) == data.telemetry
 
     def test_negative_sigma(self):
         with pytest.raises(ValidationError, match="noise_sigma"):

@@ -40,6 +40,7 @@ from .errors import ValidationError
 # median absolute difference into a jump-robust noise-scale estimate.
 MEDIAN_DIFF_TO_SIGMA = 0.9539
 
+# The most segments cpd reports (a larger optimum exits 3); no solver is capped.
 DEFAULT_K_MAX = 20
 
 PENALTY_KINDS = ("bic", "manual")
@@ -50,14 +51,12 @@ class PenaltyConfig:
     """Choice of complexity penalty for unknown segment counts.
 
     ``manual`` uses ``lam`` directly as the per-segment penalty; ``bic``
-    derives it from the estimated (or overridden) noise scale. Each kind
-    refuses the setting it does not read: ``lam`` for ``bic``,
-    ``noise_scale`` for ``manual``.
+    derives it from the series' estimated noise scale and refuses a
+    ``lam``.
     """
 
     kind: str = "bic"
     lam: float | None = None
-    noise_scale: float | None = None
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -68,12 +67,6 @@ class PenaltyConfig:
             raise ValidationError("manual penalty requires lam >= 0")
         if self.kind == "bic" and self.lam is not None:
             raise ValidationError("the bic penalty does not read lam")
-        if self.kind == "manual" and self.noise_scale is not None:
-            raise ValidationError("the manual penalty does not read noise_scale")
-        if self.noise_scale is not None and not 0 < self.noise_scale < math.inf:
-            raise ValidationError(
-                f"noise_scale override must be positive and finite, not {self.noise_scale}"
-            )
 
 
 @dataclass(frozen=True)
@@ -271,11 +264,7 @@ def effective_penalty(series: Sequence[float], penalty: PenaltyConfig) -> float:
     """
     if penalty.kind == "manual":
         return float(penalty.lam)
-    sigma = (
-        penalty.noise_scale
-        if penalty.noise_scale is not None
-        else robust_noise_scale(series)
-    )
+    sigma = robust_noise_scale(series)
     if sigma == 0.0:
         return _round_off_penalty_floor(series)
     # Classical BIC (sigma^2 ln n per segment) is far too weak for

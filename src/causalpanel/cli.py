@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="generate a scenario")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
-    p.add_argument("--indicator")
-    p.add_argument("--seed", type=int, help="override the scenario's seed")
 
     p = sub.add_parser("ingest", parents=[common], help="build a panel from files")
     p.add_argument("--policy", required=True)
@@ -124,26 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", help="CSV with a value column (optional date column)")
     p.add_argument("--panel", help="panel file (use with --unit)")
     p.add_argument("--unit")
-    p.add_argument("--penalty", choices=("bic", "manual"))
-    p.add_argument("--lam", type=float, help="manual penalty value")
-    p.add_argument("--noise-scale", type=float, help="override noise scale estimate")
-    p.add_argument(
-        "--k-max", type=int, help="most segments accepted (exit 3 above it)"
-    )
+    p.add_argument("--lam", type=float, help="manual penalty per segment (default: bic)")
 
     p = sub.add_parser("persona", parents=[common], help="persona pipeline")
     p.add_argument("--records", required=True, help="persona usage CSV")
-    p.add_argument("--k", type=int)
     p.add_argument("--width", type=int, help="window width in days")
     p.add_argument("--stride", type=int, help="window stride in days")
     p.add_argument(
         "--fit-until", help="fit centroids only on rows before this ISO date"
     )
-    p.add_argument("--seed", type=int, help="k-means seed")
 
     p = sub.add_parser("report", parents=[common], help="consolidate artifacts")
     p.add_argument("artifacts", nargs="*", help="estimation artifact JSON files")
-    p.add_argument("--format", choices=("json", "csv"), help="report format")
     return parser
 
 

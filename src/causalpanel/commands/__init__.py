@@ -24,8 +24,7 @@ never embed input paths or timestamps, so re-running the same command over
 unchanged inputs reproduces them byte for byte. A run's files are one
 commit (:func:`causalpanel.files.committed`): all of them and the removal
 of its stale outputs (``synth_placebo.csv`` without ``--placebo``,
-``persona.csv`` without persona devices, the report of the other
-``--format``), or none. A date, in a flag, a scenario key or a file, is
+``persona.csv`` without persona devices), or none. A date, in a flag, a scenario key or a file, is
 ``YYYY-MM-DD`` or ``YYYYMMDD``.
 """
 
@@ -75,7 +74,7 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A result table (plot, count and report CSVs): floats with ``repr``,
+    """A result table (plot and count CSVs): floats with ``repr``,
     None and NaN as empty cells, other values with ``str``; a cell that
     holds the delimiter or a quote is quoted."""
     buf = io.StringIO()

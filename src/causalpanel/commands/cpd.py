@@ -15,31 +15,11 @@ def cmd_cpd(args) -> int:
         effective_penalty,
     )
 
-    opts = _options(
-        args,
-        {
-            "series": None,
-            "panel": None,
-            "unit": None,
-            "penalty": "bic",
-            "lam": None,
-            "noise_scale": None,
-            "k_max": DEFAULT_K_MAX,
-        },
-    )
+    opts = _options(args, {"series": None, "panel": None, "unit": None, "lam": None})
     # every flag is checked before an input file is opened
     if bool(opts.series) == bool(opts.panel):
         raise ValidationError("cpd needs exactly one of --series or --panel")
-    if opts.k_max < 1:
-        raise ValidationError(f"k_max (cpd --k-max) must be at least 1, got {opts.k_max}")
-    # a setting the chosen penalty does not read is refused, not ignored
-    unread = {"bic": ("--lam", opts.lam), "manual": ("--noise-scale", opts.noise_scale)}
-    flag, value = unread[opts.penalty]
-    if value is not None:
-        raise ValidationError(f"the {opts.penalty} penalty does not read {flag}")
-    penalty = PenaltyConfig(
-        kind=opts.penalty, lam=opts.lam, noise_scale=opts.noise_scale
-    )
+    penalty = PenaltyConfig(kind="bic" if opts.lam is None else "manual", lam=opts.lam)
     if opts.panel:
         from ..panel import read_panel
 
@@ -65,11 +45,11 @@ def cmd_cpd(args) -> int:
 
     seg = detect_penalized(series, penalty)
     lam_eff = effective_penalty(series, penalty)
-    if seg.k > opts.k_max:
+    if seg.k > DEFAULT_K_MAX:
         raise ValidationError(
             f"the optimal segmentation has {seg.k} segments at penalty "
-            f"lambda_eff={lam_eff:.6g}, more than --k-max {opts.k_max}; "
-            "raise --k-max or the penalty"
+            f"lambda_eff={lam_eff:.6g}, more than the {DEFAULT_K_MAX} cpd reports; "
+            "raise --lam"
         )
 
     def bp_date(b: int) -> str | None:
@@ -81,7 +61,7 @@ def cmd_cpd(args) -> int:
     )
     payload = {
         "estimator": "cpd",
-        "penalty": opts.penalty,
+        "penalty": penalty.kind,
         "lambda_eff": lam_eff,
         "n": seg.n,
         "k": seg.k,

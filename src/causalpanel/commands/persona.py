@@ -12,7 +12,6 @@ def cmd_persona(args) -> int:
     from ..persona import (
         CATEGORY_TO_PERSONA,
         DEFAULT_FEATURE_CATEGORIES,
-        DEFAULT_K,
         WINDOW_STRIDE,
         WINDOW_WIDTH,
         device_means,
@@ -23,22 +22,12 @@ def cmd_persona(args) -> int:
     )
 
     opts = _options(
-        args,
-        {
-            "seed": 0,
-            "k": DEFAULT_K,
-            "width": WINDOW_WIDTH,
-            "stride": WINDOW_STRIDE,
-            "fit_until": None,
-        },
+        args, {"width": WINDOW_WIDTH, "stride": WINDOW_STRIDE, "fit_until": None}
     )
     # every flag is checked before the records are read
-    for flag, value, least in (
-        ("--k", opts.k, 2), ("--width", opts.width, 1), ("--stride", opts.stride, 1),
-        ("--seed", opts.seed, 0),
-    ):
-        if value < least:
-            raise ValidationError(f"{flag} must be >= {least}, got {value}")
+    for flag, value in (("--width", opts.width), ("--stride", opts.stride)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
     fit_until = opts.fit_until and _iso_date(opts.fit_until, "--fit-until")
     records = _load(parse_persona_csv, args.records)
     log.info("parsed %d persona usage row(s)", len(records))
@@ -52,7 +41,7 @@ def cmd_persona(args) -> int:
     means = device_means(records, where=fit_rows)
     if not len(means):
         raise ValidationError("no usage rows before --fit-until to fit on")
-    model = fit_kmeans(means, k=opts.k, seed=opts.seed)
+    model = fit_kmeans(means)  # DEFAULT_K personas, first center from seed 0
     if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
         model = rename_personas(model, CATEGORY_TO_PERSONA)
 
@@ -61,7 +50,7 @@ def cmd_persona(args) -> int:
     payload = {
         "estimator": "persona",
         "k": model.k,
-        "seed": opts.seed,
+        "seed": 0,
         "persona_names": list(model.persona_names),
         "feature_names": list(model.feature_names),
         "centroids": [[float(v) for v in row] for row in model.centroids],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..cli import EXIT_OK
 from ..errors import ValidationError
-from . import _csv_text, _decode, _emit, _json_text, _load, _options, _read_json
+from . import _decode, _emit, _json_text, _load, _options, _read_json
 
 
 # The keys report reads from an artifact, with their kinds: required, then optional.
@@ -13,7 +13,7 @@ _REPORT_OPTIONAL = {"system_count": float | None, "chassis": str, "cpu_family": 
 
 
 def cmd_report(args) -> int:
-    opts = _options(args, {"format": "json"})
+    opts = _options(args, {})
     if not args.artifacts:
         raise ValidationError("report needs at least one artifact file")
     rows = []
@@ -45,13 +45,7 @@ def cmd_report(args) -> int:
         )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     header = ["chassis", "cpu_family", "estimator", "effect", "system_count", "p_value"]
-
-    if opts.format == "csv":
-        text = _csv_text(header, rows)
-    else:
-        text = _json_text({"outcome": outcomes.pop(), "rows": [dict(zip(header, r)) for r in rows]})
-    # one report per --out: an earlier run's report of the other format goes
-    other = "json" if opts.format == "csv" else "csv"
-    path = _emit(opts.out, {f"report.{opts.format}": text}, stale=(f"report.{other}",))
+    text = _json_text({"outcome": outcomes.pop(), "rows": [dict(zip(header, r)) for r in rows]})
+    path = _emit(opts.out, {"report.json": text})
     print(f"report: {len(rows)} row(s) -> {path}")
     return EXIT_OK

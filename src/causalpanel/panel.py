@@ -182,21 +182,25 @@ class PanelDataset:
         return self.outcomes[i], self.missing_mask[i]
 
 
+def check_cell(what: str, text: str) -> None:
+    """Refuse a unit id or continent (``what``) that a panel file would not
+    read back as the one cell it was: one with a tab or a line break, or a
+    unit id that starts its row the way a section header does."""
+    if "\t" in text or text.splitlines() not in ([], [text]):
+        raise ValidationError(f"{what} {text!r} contains a tab or a line break")
+    if what == "unit id" and text.startswith("#section "):
+        raise ValidationError(
+            f"unit id {text!r} starts with '#section ', which a panel file reads "
+            "as a section header"
+        )
+
+
 def write_panel(panel: PanelDataset, target) -> None:
-    """Write a panel in the format :func:`read_panel` reads. A unit id or
-    continent must read back as one cell: one with a tab or a line break
-    is a validation error, and so is a unit id that starts a row the way
-    a section header does."""
+    """Write a panel in the format :func:`read_panel` reads. Each unit id
+    and continent must pass :func:`check_cell`."""
     for what, texts in (("unit id", panel.unit_ids), ("continent", panel.continent or ())):
         for text in texts:
-            if "\t" in text or text.splitlines() not in ([], [text]):
-                raise ValidationError(f"{what} {text!r} contains a tab or a line break")
-    for u in panel.unit_ids:
-        if u.startswith("#section "):
-            raise ValidationError(
-                f"unit id {u!r} starts with '#section ', which a panel file reads "
-                "as a section header"
-            )
+            check_cell(what, text)
     with _opened(target, "w") as stream:
         w = stream.write
         w(PANEL_MAGIC + "\n")

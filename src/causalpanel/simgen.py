@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .files import Commit, committed
+from .panel import check_cell
 from .paneldata import (
     CHASSIS_TYPES,
     CPU_FAMILIES,
@@ -120,9 +121,17 @@ class UnitConfig:
             raise ValidationError(
                 f"unit_id {self.unit_id!r} reads back from a policy table as {read_back!r}"
             )
-        # csv.writer leaves a lone \r unquoted, and csv.reader refuses NUL before 3.11
-        if not self.unit_id.isprintable():
-            raise ValidationError(f"unit_id {self.unit_id!r} holds an unprintable character")
+        # csv.writer leaves a lone \r unquoted, csv.reader refuses NUL before
+        # 3.11, and panel.txt holds no tab or line break
+        for key, text in (("unit_id", self.unit_id), ("continent", self.continent)):
+            if not text.isprintable():
+                raise ValidationError(f"{key} {text!r} holds an unprintable character")
+        check_cell("unit id", self.unit_id)  # not read back as a section header
+        if self.continent.strip() != self.continent:
+            raise ValidationError(
+                f"continent {self.continent!r} reads back from a units table as "
+                f"{self.continent.strip()!r}"
+            )
         if not 0.0 <= self.baseline_hours <= 24.0:
             raise ValidationError(
                 f"unit {self.unit_id}: baseline_hours {self.baseline_hours} "
@@ -565,12 +574,11 @@ def generate(config: ScenarioConfig) -> SimulatedData:
     )
 
 
-def write_scenario(
-    config: ScenarioConfig, outdir, indicator_column: str = DEFAULT_INDICATOR
-) -> dict[str, str]:
+def write_scenario(config: ScenarioConfig, outdir) -> dict[str, str]:
     """Emit the scenario as the files the ingestion layer consumes:
-    policy.csv, telemetry.csv, persona.csv (when devices exist),
-    units.csv (unit descriptors), and manifest.json. Returns the paths.
+    policy.csv (codes in the ``DEFAULT_INDICATOR`` column), telemetry.csv,
+    persona.csv (when devices exist), units.csv (unit descriptors), and
+    manifest.json. Returns the paths.
 
     The files hold what :func:`generate` returns, but each table is
     written a piece at a time as its pieces are generated, so no table is
@@ -579,11 +587,11 @@ def write_scenario(
     a persona.csv of a previous run is removed when this scenario has none.
     """
     with committed() as files:  # committed as the function returns
-        return stage_scenario(files, config, outdir, indicator_column)[0]
+        return stage_scenario(files, config, outdir)[0]
 
 
 def stage_scenario(
-    files: Commit, config: ScenarioConfig, outdir, indicator_column: str
+    files: Commit, config: ScenarioConfig, outdir
 ) -> tuple[dict[str, str], GroundTruthManifest]:
     """Write the files of :func:`write_scenario` on the commit ``files``,
     and name a persona.csv of a previous run stale when this scenario
@@ -593,7 +601,7 @@ def stage_scenario(
     paths = {key: os.path.join(outdir, f"{key}.csv") for key in tables}
     paths["manifest"] = os.path.join(outdir, "manifest.json")
 
-    write_policy_csv(build_timelines(config), files.open(paths["policy"]), indicator_column)
+    write_policy_csv(build_timelines(config), files.open(paths["policy"]), DEFAULT_INDICATOR)
     write_telemetry_csv(_generate_telemetry(config, unit_rngs), files.open(paths["telemetry"]))
     if config.persona_devices:
         write_persona_csv(

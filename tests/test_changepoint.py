@@ -291,18 +291,12 @@ class TestPenalized:
         seg = detect_penalized([0.0, 0.0, 1.0, 1.0], PenaltyConfig(kind="manual", lam=1.0))
         assert seg.breakpoints == ()
 
-    def test_noise_scale_override(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(0, 1, 100)
-        lam = effective_penalty(y, PenaltyConfig(kind="bic", noise_scale=2.0))
-        assert lam == pytest.approx(3.0 * 4.0 * np.log(100))
-
     def test_too_short(self):
         with pytest.raises(ValueError):
             detect_penalized([1.0], PenaltyConfig(kind="bic"))
 
     def test_k_max_one_is_single_segment(self):
-        # the solver takes no k_max (cpd --k-max is a limit on its answer):
+        # the solver takes no k_max (cpd's DEFAULT_K_MAX limits its answer):
         # one segment comes from a penalty above what the split saves
         y = [0.0] * 10 + [9.0] * 10
         one = exact_interval_cost(y)
@@ -320,16 +314,13 @@ class TestPenalized:
             {"kind": "mdl"},
             {"kind": "manual"},
             {"kind": "manual", "lam": -0.5},
-            {"kind": "bic", "noise_scale": 0.0},
             {"kind": "aic"},  # a derived penalty weaker than bic's is a manual lam
             {"kind": "manual", "lam": float("nan")},
             {"kind": "manual", "lam": float("inf")},
             {"kind": "bic", "lam": float("nan")},
-            {"kind": "bic", "noise_scale": float("inf")},
-            {"kind": "bic", "noise_scale": -1.0},
-            # a setting the kind does not read
+            # a setting the kind does not read, zero included
             {"kind": "bic", "lam": 1e9},
-            {"kind": "manual", "lam": 50.0, "noise_scale": 3.0},
+            {"kind": "bic", "lam": 0.0},
         ],
     )
     def test_penalty_config_validation(self, kwargs):

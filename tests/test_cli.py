@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import causalpanel
 from causalpanel.cli import main
 from causalpanel.panel import read_panel
+from causalpanel.paneldata import DEFAULT_INDICATOR
 from causalpanel.panelio import _csv_table
 from causalpanel.simgen import (
     PersonaShiftConfig,
@@ -160,18 +161,13 @@ class TestSimulate:
             "manifest.json", "policy.csv", "telemetry.csv", "truth.txt", "units.csv",
         ]
 
-    def test_seed_flag_overrides_scenario_seed(self, tmp_path):
+    def test_scenario_seed_key_sets_the_seed(self, tmp_path):
         payload = did_scenario()
         payload["noise_sigma"] = 0.5
         cfg = write_json(tmp_path / "s.json", payload)
         assert run("simulate", "--scenario", cfg, "--out", tmp_path / "a", "--quiet") == 0
-        assert (
-            run(
-                "simulate", "--scenario", cfg,
-                "--out", tmp_path / "b", "--seed", 99, "--quiet",
-            )
-            == 0
-        )
+        cfg = write_json(tmp_path / "s99.json", {**payload, "seed": 99})
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path / "b", "--quiet") == 0
         hash_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
         hash_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert hash_a["scenario_hash"] != hash_b["scenario_hash"]
@@ -213,6 +209,21 @@ class TestSimulate:
         assert err.endswith(
             f"s.json: units[1]: unit_id {unit_id!r} reads back from a policy table "
             f"as {read_back!r}\n"
+        )
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("continent", ["Eur\rope", "Eu\trope"], ids=["cr", "tab"])
+    def test_continent_that_would_not_read_back_exits_3(self, tmp_path, capsys, continent):
+        """simulate refuses a continent that ingest --units would truncate
+        (a lone carriage return) or refuse (a tab), names the file, the key
+        and the value, and writes no file."""
+        payload = did_scenario()
+        payload["units"][1]["continent"] = continent
+        cfg = write_json(tmp_path / "s.json", payload)
+        assert run("simulate", "--scenario", cfg, "--out", tmp_path / "data") == 3
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"s.json: units[1]: continent {continent!r} holds an unprintable character\n"
         )
         assert not (tmp_path / "data").exists()
 
@@ -615,12 +626,29 @@ class TestDidWorkflow:
 
     def test_unit_id_read_as_section_header_exits_3(self, tmp_path, capsys):
         # panel.txt starts each unit's row with its id, so this one would
-        # read back as a section header
+        # read back as a section header: simulate refuses it, naming the
+        # key, and writes no file
         scenario = did_scenario()
         scenario["units"][1]["unit_id"] = "#section x"
         cfg = write_json(tmp_path / "scenario.json", scenario)
-        data, work = tmp_path / "data", tmp_path / "work"
-        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
+        data = tmp_path / "data"
+        assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "scenario.json: units[1]: unit id '#section x' starts with '#section ', "
+            "which a panel file reads as a section header\n"
+        )
+        assert "Traceback" not in err
+        assert not data.exists()
+
+    def test_ingest_refuses_unit_id_read_as_section_header(self, tmp_path, capsys):
+        # the same id in tables written by hand: ingest exits 3, names the
+        # unit and writes no panel
+        data, _ = simulate_and_ingest(tmp_path, did_scenario())
+        for name in ("policy.csv", "telemetry.csv"):
+            text = (data / name).read_text(encoding="utf-8")
+            (data / name).write_text(text.replace("CTRL", "#section x"), encoding="utf-8")
+        work = tmp_path / "again"
         assert run(
             "ingest", "--policy", data / "policy.csv",
             "--telemetry", data / "telemetry.csv", "--out", work, "--quiet",
@@ -817,8 +845,7 @@ class TestSynthWorkflow:
             encoding="utf-8",
         )
         return [
-            "persona", "--records", records, "--k", "2",
-            "--out", tmp_path / "work", "--quiet",
+            "persona", "--records", records, "--out", tmp_path / "work", "--quiet",
         ]
 
     def test_convergence_warning_is_one_log_line(self, tmp_path, monkeypatch, capsys):
@@ -919,15 +946,13 @@ class TestCpdWorkflow:
         series = tmp_path / "series.csv"
         series.write_text("value\n" + "".join(f"{v}\n" for v in [0, 0, 9, 9]), encoding="utf-8")
         assert (
-            run(
-                "cpd", "--series", series, "--penalty", "manual",
-                "--lam", "1e9", "--out", tmp_path, "--quiet",
-            )
+            run("cpd", "--series", series, "--lam", "1e9", "--out", tmp_path, "--quiet")
             == 0
         )
         payload = json.loads((tmp_path / "cpd.json").read_text())
         assert payload["breakpoints"] == []
         assert payload["lambda_eff"] == 1e9
+        assert payload["penalty"] == "manual"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, token):
@@ -975,16 +1000,6 @@ class TestCpdWorkflow:
         assert payload["n"] == 20
         assert payload["breakpoint_dates"] == ["2020-01-11"]
 
-    @pytest.mark.parametrize("k_max", ["0", "-1"])
-    def test_k_max_below_one_exits_3(self, tmp_path, capsys, k_max):
-        series = tmp_path / "series.csv"
-        series.write_text("value\n" + "".join(f"{v}\n" for v in [0, 0, 9, 9]), encoding="utf-8")
-        assert run("cpd", "--series", series, "--k-max", k_max, "--out", tmp_path) == 3
-        err = capsys.readouterr().err
-        assert "--k-max" in err and f"got {k_max}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "cpd.json").exists()
-
     def test_k_max_is_a_limit_not_a_cap(self, tmp_path, capsys):
         # 30 alternating 20-point segments, steps of 10, noise sigma 0.5
         rng = np.random.default_rng(600)
@@ -996,14 +1011,14 @@ class TestCpdWorkflow:
         out = tmp_path / "out"
         assert run("cpd", "--series", series, "--out", out) == 3
         err = capsys.readouterr().err
-        assert "30 segments" in err and "more than --k-max 20" in err
+        assert "30 segments" in err and "more than the 20 cpd reports; raise --lam" in err
         assert "lambda_eff=" in err and "Traceback" not in err
         assert not (out / "cpd.json").exists()
-        assert run("cpd", "--series", series, "--k-max", "40", "--out", out, "--quiet") == 0
+        # one segment costs about 600 * 5**2 = 15000 more than thirty, so a
+        # penalty well past 15000 / 29 per segment leaves one
+        assert run("cpd", "--series", series, "--lam", "2000", "--out", out, "--quiet") == 0
         payload = json.loads((out / "cpd.json").read_text())
-        assert payload["k"] == 30
-        assert payload["breakpoints"] == list(range(20, 600, 20))
-        assert run("cpd", "--series", series, "--k-max", "30", "--out", out, "--quiet") == 0
+        assert payload["k"] == 1
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("cpd", "--out", tmp_path, "--quiet") == 3
@@ -1012,23 +1027,9 @@ class TestCpdWorkflow:
         "argv, message",
         [
             (["--series", "one.csv"], "need at least 2 points to segment"),
-            (["--series", "two.csv", "--penalty", "manual"], "manual penalty requires lam >= 0"),
-            (["--series", "two.csv", "--noise-scale", "-1"], "noise_scale override must be positive"),
-            (
-                ["--series", "two.csv", "--penalty", "manual", "--lam", "nan"],
-                "lam must be finite, not nan",
-            ),
-            (
-                ["--series", "two.csv", "--noise-scale", "inf"],
-                "noise_scale override must be positive and finite, not inf",
-            ),
-            # a setting the chosen penalty does not read is refused, not ignored
-            (["--series", "two.csv", "--lam", "1e9"], "the bic penalty does not read --lam"),
-            (
-                ["--series", "two.csv", "--penalty", "manual", "--lam", "50",
-                 "--noise-scale", "3"],
-                "the manual penalty does not read --noise-scale",
-            ),
+            (["--series", "two.csv", "--lam", "-0.5"], "manual penalty requires lam >= 0"),
+            (["--series", "two.csv", "--lam", "inf"], "lam must be finite, not inf"),
+            (["--series", "two.csv", "--lam", "nan"], "lam must be finite, not nan"),
         ],
     )
     def test_estimator_input_checks_exit_3(self, tmp_path, capsys, argv, message):
@@ -1076,7 +1077,7 @@ class TestCpdWorkflow:
         _, work = simulate_and_ingest(tmp_path, did_scenario())
         code = run(
             "cpd", "--panel", work / "panel.txt", "--unit", "TREAT",
-            "--penalty", "manual", "--lam", "0.5", "--out", work, "--quiet",
+            "--lam", "0.5", "--out", work, "--quiet",
         )
         # noiseless treated series is a clean step: exactly one break
         assert code == 0
@@ -1135,47 +1136,37 @@ class TestPersonaWorkflow:
             "device_id,date,a,b\n"
             "d0,2020-01-01,0.0,0.0\n"
             "d1,2020-01-01,0.0,6.3e-218\n"
-            "d2,2020-01-01,0.0,0.5\n",
+            + "".join(f"d{i},2020-01-01,0.0,{i / 2}\n" for i in range(2, 6)),
             encoding="utf-8",
         )
-        code = run("persona", "--records", records, "--k", "3", "--out", tmp_path, "--quiet")
+        code = run("persona", "--records", records, "--out", tmp_path, "--quiet")
         assert code == 3
         err = capsys.readouterr().err
-        assert "need at least 3 distinct vectors, have 2" in err
+        assert "need at least 6 distinct vectors, have 5" in err
         assert "Traceback" not in err
 
     def test_feature_name_with_comma_round_trips(self, tmp_path):
         records = tmp_path / "persona.csv"
         records.write_text(
             'device_id,date,gaming,"web, mail"\n'
-            "d0,2020-01-01,1.0,0.0\n"
-            "d1,2020-01-01,0.0,1.0\n"
-            "d0,2020-01-02,1.0,0.0\n"
-            "d1,2020-01-02,0.0,1.0\n",
+            + "".join(
+                f"d{i},{day},{i}.0,{5 - i}.0\n"
+                for day in ("2020-01-01", "2020-01-02")
+                for i in range(6)
+            ),
             encoding="utf-8",
         )
         assert run(
-            "persona", "--records", records, "--k", "2", "--width", "1",
+            "persona", "--records", records, "--width", "1",
             "--stride", "1", "--out", tmp_path, "--quiet",
         ) == 0
         with _csv_table(tmp_path / "persona_counts.csv", "counts") as (header, body):
             assert header[0] == "window_start"
-            assert sorted(header[1:]) == ["gaming", "web, mail"]
+            # six personas, each named after its dominant feature
+            assert len(header) == 7
+            assert {h.split("/")[0] for h in header[1:]} == {"gaming", "web, mail"}
             blocks = list(body(len(header), exact=True))
         assert sum(len(rownos) for _, rownos in blocks) == 2
-
-    def test_negative_seed_exits_3(self, tmp_path, capsys):
-        records = tmp_path / "persona.csv"
-        records.write_text(
-            "device_id,date,a,b\nd0,2020-01-01,0.0,1.0\nd1,2020-01-01,1.0,0.0\n",
-            encoding="utf-8",
-        )
-        argv = ["persona", "--records", records, "--k", "2", "--width", "1", "--out", tmp_path]
-        assert run(*argv, "--seed", "-1") == 3
-        err = capsys.readouterr().err
-        assert "seed must be >= 0" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "persona_model.json").exists()
 
     def test_fit_until_before_data_exits_3(self, tmp_path):
         data, work = simulate_and_ingest(tmp_path, persona_scenario())
@@ -1517,14 +1508,6 @@ class TestReport:
         # synth ran without --placebo, so its p-value stays null
         assert payload["rows"][1]["p_value"] is None
 
-    def test_csv_format(self, tmp_path):
-        did_art, _ = self.run_estimates(tmp_path)
-        rep = tmp_path / "rep"
-        assert run("report", did_art, "--format", "csv", "--out", rep, "--quiet") == 0
-        lines = (rep / "report.csv").read_text().splitlines()
-        assert lines[0] == "chassis,cpu_family,estimator,effect,system_count,p_value"
-        assert lines[1].startswith("all,all,did,")
-
     def test_empty_artifact_list_exits_3(self, tmp_path):
         assert run("report", "--out", tmp_path, "--quiet") == 3
 
@@ -1583,20 +1566,6 @@ class TestReport:
         assert run("report", b, a, "--out", tmp_path, "--quiet") == 3
         assert f"a.json: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize("first, second", [("json", "csv"), ("csv", "json")])
-    def test_other_format_of_an_earlier_run_is_removed(self, tmp_path, first, second):
-        # one report per --out: the earlier report, of other rows, would
-        # sit beside the new one
-        rep = tmp_path / "rep"
-        for fmt, effect in ((first, 2.0), (second, 5.0)):
-            art = write_json(
-                tmp_path / f"{fmt}.json",
-                {"estimator": "did", "outcome": "u", "effect": effect, "p_value": None},
-            )
-            assert run("report", art, "--format", fmt, "--out", rep, "--quiet") == 0
-        assert os.listdir(rep) == [f"report.{second}"]
-        assert "5.0" in (rep / f"report.{second}").read_text()
 
 
 def report_argv(tmp_path):
@@ -1737,8 +1706,6 @@ COMMAND_ARGS = {
 OPTION_CASES = [
     *((command, "out", "sub", None) for command in COMMAND_ARGS),
     *((command, "quiet", True, None) for command in COMMAND_ARGS),
-    ("simulate", "seed", 99, None),
-    ("simulate", "indicator", "C1_School closing", None),
     ("ingest", "indicator", "C1_School closing",
      ["--policy", "{c1}/policy.csv", "--telemetry", "{data}/telemetry.csv"]),
     ("ingest", "group_by", "unit_id,chassis", None),
@@ -1749,27 +1716,19 @@ OPTION_CASES = [
     ("cpd", "panel", "{work}/panel.txt", ["--unit", "T"]),
     ("cpd", "unit", "T", ["--panel", "{work}/panel.txt"]),
     # a manual lam of 1e9 fits the three-step series one segment; bic,
-    # the default, does not read --lam and exits 3
-    ("cpd", "penalty", "manual", ["--series", "{series}", "--lam", "1e9"]),
-    ("cpd", "lam", 1e9, ["--series", "{series}", "--penalty", "manual"]),
-    ("cpd", "noise_scale", 100, None),
-    # a zero penalty fits each of the 120 noisy points its own segment,
-    # more than the default limit of 20
-    ("cpd", "k_max", 200, ["--series", "{series}", "--penalty", "manual", "--lam", "0"]),
-    ("persona", "seed", 5, None),
-    ("persona", "k", 3, None),
+    # the default without --lam, finds the steps
+    ("cpd", "lam", 1e9, None),
     ("persona", "width", 21, None),
     ("persona", "stride", 7, None),
     ("persona", "fit_until", "2020-02-15", None),
-    ("report", "format", "csv", None),
 ]
 
 
 @pytest.fixture(scope="module")
 def command_inputs(tmp_path_factory):
-    """Inputs for every command: a simulated scenario (also written with
-    the indicator C1), its panel, a did and a synth result, and a series
-    with three clear steps."""
+    """Inputs for every command: a simulated scenario (and its policy table
+    with the indicator column named C1), its panel, a did and a synth
+    result, and a series with three clear steps."""
     root = tmp_path_factory.mktemp("command_inputs")
     scenario = synth_scenario()
     scenario["units"][3]["devices_per_day"] = 2  # system_count varies by unit
@@ -1777,10 +1736,12 @@ def command_inputs(tmp_path_factory):
     cfg = write_json(root / "scenario.json", scenario)
     data, c1, work = root / "data", root / "c1", root / "work"
     assert run("simulate", "--scenario", cfg, "--out", data, "--quiet") == 0
-    assert run(
-        "simulate", "--scenario", cfg, "--indicator", "C1_School closing",
-        "--out", c1, "--quiet",
-    ) == 0
+    c1.mkdir()
+    policy = (data / "policy.csv").read_text(encoding="utf-8")
+    assert DEFAULT_INDICATOR in policy.partition("\n")[0]
+    (c1 / "policy.csv").write_text(
+        policy.replace(DEFAULT_INDICATOR, "C1_School closing", 1), encoding="utf-8"
+    )
     assert run(
         "ingest", "--policy", data / "policy.csv", "--telemetry", data / "telemetry.csv",
         "--out", work, "--quiet",
@@ -1796,13 +1757,13 @@ def command_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "command, flag",
-    [(c, "--format") for c in COMMAND_ARGS if c != "report"]
-    + [(c, "--seed") for c in COMMAND_ARGS if c not in ("simulate", "persona")],
+    "command, flag", [(c, f) for f in ("--format", "--seed") for c in COMMAND_ARGS]
 )
 def test_format_and_seed_only_where_read(capsys, command, flag):
-    """--format is an option of report only, --seed of simulate and
-    persona only; any other command refuses them as unknown flags."""
+    """No command reads a format or a seed from its flags: the report is
+    JSON only, a scenario's seed is its ``seed`` key and k-means starts
+    from seed 0. So every command refuses --format and --seed as unknown
+    flags."""
     names = dict(root="r", data="d", c1="c", work="w", series="s")
     argv = [a.format(**names) for a in COMMAND_ARGS[command]]
     with pytest.raises(SystemExit) as exit_info:
@@ -1856,10 +1817,15 @@ class TestOptionFlags:
             ("synth", "covariates", "system_count"),
             ("synth", "max_iterations", 5),
             ("synth", "tolerance", 1e-6),
+            ("simulate", "indicator", "C1_School closing"),
+            ("cpd", "noise_scale", 2.0),
+            ("cpd", "k_max", 40),
+            ("persona", "k", 3),
         ],
         ids=[
             "did-time_trend", "did-covariates", "synth-covariates",
-            "synth-max_iterations", "synth-tolerance",
+            "synth-max_iterations", "synth-tolerance", "simulate-indicator",
+            "cpd-noise_scale", "cpd-k_max", "persona-k",
         ],
     )
     def test_removed_option_refused(
@@ -1867,8 +1833,11 @@ class TestOptionFlags:
     ):
         """did's unit and date fixed effects absorb a shared trend and any
         unit-level covariate; synth fits its weights on the pre-period
-        outcomes alone, by an exact solve at one step cap and tolerance. So
-        neither takes these options: the flag is a usage error (exit 2)."""
+        outcomes alone, by an exact solve at one step cap and tolerance;
+        simulate writes its policy codes under the default indicator; cpd's
+        bic penalty reads the series' own noise scale and its one limit is
+        DEFAULT_K_MAX segments; persona fits DEFAULT_K personas. So none
+        takes these options: the flag is a usage error (exit 2)."""
         argv = [a.format(**command_inputs) for a in COMMAND_ARGS[command]]
         argv += ["--out", tmp_path, "--quiet"]
         flag = ["--" + key.replace("_", "-")] + ([] if value is True else [value])
@@ -1876,16 +1845,16 @@ class TestOptionFlags:
             run(command, *argv, *flag)
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
-        assert not (tmp_path / f"{command}.json").exists()
+        assert not any(tmp_path.iterdir())  # no result file written
 
     def test_aic_penalty_refused(self, tmp_path, capsys, command_inputs):
-        """cpd derives one penalty, bic's; aic is no choice of --penalty
-        (exit 2)."""
+        """cpd derives one penalty, bic's, unless --lam sets it: there is
+        no --penalty to choose aic, or any other kind, with (exit 2)."""
         argv = ["--series", command_inputs["series"], "--out", tmp_path, "--quiet"]
         with pytest.raises(SystemExit) as exit_info:
             run("cpd", *argv, "--penalty", "aic")
         assert exit_info.value.code == 2
-        assert "invalid choice: 'aic'" in capsys.readouterr().err
+        assert "unrecognized arguments: --penalty" in capsys.readouterr().err
         assert not (tmp_path / "cpd.json").exists()
 
     def test_every_optional_flag_is_a_case(self):
@@ -1979,17 +1948,9 @@ def test_byte_order_mark_input_reads_as_without(
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["cpd", "--series", "{missing}", "--k-max", "0"], "must be at least 1, got 0"),
-        (["cpd", "--series", "{missing}", "--lam", "5"], "the bic penalty does not read --lam"),
-        (
-            ["cpd", "--series", "{missing}", "--penalty", "manual", "--lam", "1",
-             "--noise-scale", "2"],
-            "the manual penalty does not read --noise-scale",
-        ),
+        (["cpd", "--series", "{missing}", "--lam", "-5"], "manual penalty requires lam >= 0"),
         (["persona", "--records", "{missing}", "--width", "0"], "--width must be >= 1, got 0"),
         (["persona", "--records", "{missing}", "--stride", "0"], "--stride must be >= 1, got 0"),
-        (["persona", "--records", "{missing}", "--k", "1"], "--k must be >= 2, got 1"),
-        (["persona", "--records", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (
             ["ingest", "--policy", "{missing}", "--telemetry", "{missing}", "--outcome", "foo"],
             "--outcome: no outcome field 'foo' in telemetry records",
@@ -2007,7 +1968,6 @@ def test_byte_order_mark_input_reads_as_without(
             ["ingest", "--policy", "{missing}", "--telemetry", "{missing}", "--group-by", ""],
             "--group-by '' lacks unit_id, by which policy timelines are merged",
         ),
-        (["simulate", "--scenario", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (
             ["did", "--panel", "{missing}", "--treated", "T", "--control", "T",
              "--treatment-date", "2020-02-01"],
@@ -2020,9 +1980,8 @@ def test_byte_order_mark_input_reads_as_without(
         ),
     ],
     ids=[
-        "k_max", "lam", "noise_scale", "width", "stride", "k", "seed", "outcome", "group_by",
-        "group_by_without_unit_id", "group_by_empty", "simulate_seed", "did_units",
-        "synth_donors",
+        "lam", "width", "stride", "outcome", "group_by", "group_by_without_unit_id",
+        "group_by_empty", "did_units", "synth_donors",
     ],
 )
 def test_flag_checked_before_input_opened(tmp_path, capsys, argv, message):
@@ -2044,7 +2003,11 @@ def test_help_text_is_pinned(monkeypatch, capsys):
     synth dropped --max-iterations and --tolerance and cpd's --penalty
     dropped the aic choice, and again when every command dropped --config
     and --out's default stopped reading $CAUSALPANEL_OUT (that diff is the
-    --config lines and the --out help text alone)."""
+    --config lines and the --out help text alone), and again when
+    simulate dropped --indicator and --seed, cpd --penalty, --noise-scale
+    and --k-max, persona --k and --seed, and report --format (that diff
+    is those options' lines, cpd's --lam help text, and the help column
+    that argparse narrows when a long option goes)."""
     monkeypatch.setenv("COLUMNS", "80")
     texts = []
     for command in ((), ("simulate",), ("ingest",), ("did",), ("synth",), ("cpd",),

@@ -4,6 +4,7 @@ and file round-trips."""
 import hashlib
 import io
 import json
+import re
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpanel.csvwrite import write_policy_csv, write_telemetry_csv
+from causalpanel.csvwrite import write_policy_csv, write_telemetry_csv, write_units_csv
 from causalpanel.errors import ValidationError
+from causalpanel.panel import read_panel, write_panel
 from causalpanel.paneldata import (
     EventKind,
     aggregate_telemetry,
@@ -23,6 +25,7 @@ from causalpanel.panelio import (
     parse_persona_csv,
     parse_policy_csv,
     parse_telemetry_csv,
+    parse_units_csv,
 )
 from causalpanel.persona import (
     DEFAULT_PERSONA_NAMES,
@@ -504,6 +507,54 @@ class TestValidation:
     def test_unit_id_not_printable_refused(self, unit_id):
         with pytest.raises(ValidationError, match="holds an unprintable character"):
             UnitConfig(unit_id)
+
+    @pytest.mark.parametrize("unit_id", ["#section x", "#section outcomes"])
+    def test_unit_id_read_as_section_header_refused(self, unit_id):
+        with pytest.raises(
+            ValidationError,
+            match=f"^unit id {unit_id!r} starts with '#section ', which a panel file",
+        ):
+            UnitConfig(unit_id)
+
+    @pytest.mark.parametrize("unit_id", ["#section", "#sectionx", "x #section y"])
+    def test_unit_id_like_a_section_header_accepted(self, unit_id):
+        assert UnitConfig(unit_id).unit_id == unit_id
+
+    @pytest.mark.parametrize("continent", ["Eur\rope", "Eu\trope", "Eur\nope", "Eur\x85ope"])
+    def test_continent_not_printable_refused(self, continent):
+        with pytest.raises(
+            ValidationError,
+            match=f"^continent {re.escape(repr(continent))} holds an unprintable character$",
+        ):
+            UnitConfig("A", continent=continent)
+
+    @pytest.mark.parametrize("continent", [" Europe", "Europe "])
+    def test_continent_a_units_table_reads_as_another_refused(self, continent):
+        with pytest.raises(
+            ValidationError,
+            match=f"^continent {continent!r} reads back from a units table as 'Europe'$",
+        ):
+            UnitConfig("A", continent=continent)
+
+    @given(st.text(UNIT_ID_CHARS, min_size=1, max_size=8), st.text(UNIT_ID_CHARS, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_unit_reads_back_from_units_table_and_panel(self, unit_id, continent):
+        """Every unit id and continent a scenario accepts reads back as
+        itself from the units table that simulate writes and from the
+        panel.txt that ingest --units writes."""
+        try:
+            unit = UnitConfig(unit_id, continent=continent)
+        except ValidationError:
+            return
+        units = io.StringIO()
+        write_units_csv([(unit_id, continent, 1, 0.0)], units)
+        assert parse_units_csv(units.getvalue().encode()) == {unit_id: continent}
+        config = ScenarioConfig(units=(unit,), start=START, n_days=2)
+        panel = replace(generate_panel(config), continent=(continent,))
+        text = io.StringIO()
+        write_panel(panel, text)
+        back = read_panel(text.getvalue().encode())
+        assert back.unit_ids == (unit_id,) and back.continent == (continent,)
 
     @given(st.text(UNIT_ID_CHARS, min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .files import parse_date
-from .textio import _float_cells, _opened
+from .textio import _opened
 
 POLICY_CODES = (0, 1, 2, 3)
 # The parts of a composite unit label such as "CHN|Notebook|i7" that name
@@ -196,27 +196,39 @@ def check_cell(what: str, text: str) -> None:
 
 
 def write_panel(panel: PanelDataset, target) -> None:
-    """Write a panel in the format :func:`read_panel` reads. Each unit id
-    and continent must pass :func:`check_cell`."""
+    """Write a panel in the format :func:`read_panel` reads, floats as
+    ``repr``. Each unit id and continent must pass :func:`check_cell`."""
+    from .tablefmt import BLOCK_ROWS, SLOT, CellTable, float_cells, padded, write_rows
+
     for what, texts in (("unit id", panel.unit_ids), ("continent", panel.continent or ())):
         for text in texts:
             check_cell(what, text)
+    units = CellTable()
+    unit = units.codes(panel.unit_ids)
+
+    def outcomes(lo, hi):
+        cells = float_cells(panel.outcomes[lo:hi])
+        cells[panel.missing_mask[lo:hi]] = padded([NA.encode()], SLOT)
+        return [units.take(unit[lo:hi]), cells]
+
+    def counts(lo, hi):
+        return [units.take(unit[lo:hi]), float_cells(panel.system_count[lo:hi])]
+
     with _opened(target, "w") as stream:
         w = stream.write
         w(PANEL_MAGIC + "\n")
         w(f"#outcome {panel.outcome_name}\n")
         date_header = "\t".join(["unit"] + [d.isoformat() for d in panel.dates]) + "\n"
         w("#section outcomes\n" + date_header)
-        for i, u in enumerate(panel.unit_ids):
-            cells = _float_cells(panel.outcomes[i])
-            for j in np.flatnonzero(panel.missing_mask[i]).tolist():
-                cells[j] = NA
-            w("\t".join([u] + cells) + "\n")
-        counts = None if panel.system_count is None else _float_cells(panel.system_count)
-        for section, cells in (("covariates", counts), ("tags", panel.continent)):
-            if cells is not None:
-                w(f"#section {section}\n" + "\t".join(_HEADERS[section]) + "\n")
-                w("".join(f"{u}\t{c}\n" for u, c in zip(panel.unit_ids, cells)))
+        # about BLOCK_ROWS * 6 floats a block, as the persona table's
+        rows = max(1, BLOCK_ROWS * 6 // max(1, len(panel.dates)))
+        write_rows(stream, len(panel.unit_ids), outcomes, "\t", rows)
+        if panel.system_count is not None:
+            w("#section covariates\n" + "\t".join(_HEADERS["covariates"]) + "\n")
+            write_rows(stream, len(panel.unit_ids), counts, "\t")
+        if panel.continent is not None:
+            w("#section tags\n" + "\t".join(_HEADERS["tags"]) + "\n")
+            w("".join(f"{u}\t{c}\n" for u, c in zip(panel.unit_ids, panel.continent)))
         if panel.policy_codes is not None:
             w("#section codes\n" + date_header)
             for u, codes in zip(panel.unit_ids, panel.policy_codes.tolist()):

@@ -1,10 +1,10 @@
 """What the readers and writers of the package's text files share: the
-stream they read or write (:func:`_opened`), the conversion of a column's
-cells once per distinct value (:func:`_map_distinct`) and the float cell
-(:func:`_float_cells`). No numpy and no CSV: the CSV readers
-(:mod:`causalpanel.panelio`), the CSV writers
+stream they read or write (:func:`_opened`) and the conversion of a
+column's cells once per distinct value (:func:`_map_distinct`). No numpy
+and no CSV: the CSV readers (:mod:`causalpanel.panelio`), the CSV writers
 (:mod:`causalpanel.csvwrite`) and the panel file
-(:mod:`causalpanel.panel`) each load this module without the others."""
+(:mod:`causalpanel.panel`) each load this module without the others. The
+writers format their cells through :mod:`causalpanel.tablefmt`."""
 
 from __future__ import annotations
 
@@ -55,6 +55,3 @@ def _map_distinct(cells, convert, table: dict | None = None) -> list:
         table[cell] = convert(cell)
     return list(map(table.__getitem__, cells))
 
-
-def _float_cells(values) -> list[str]:
-    return list(map(repr, values.ravel().tolist()))

@@ -17,6 +17,11 @@ the block tokenizing of ``panelio._body_blocks`` replaced (their
 unchanged helpers are imported from ``panelio``; ``_BLOCK_ROWS`` is this
 module's own, so a test can set both block sizes, and so is the date
 rule, a regular expression checked one row at a time).
+
+And the CSV table writers that write every row with ``csv.writer`` and
+every float with ``repr``, which the block layout of
+``tablefmt.write_rows`` and the digits of ``tablefmt.float_cells``
+replaced.
 """
 
 import csv
@@ -607,3 +612,68 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
         if cur <= prev:
             raise ValidationError(f"row {rowno}: date {cur} not after the previous date {prev}")
     return columns["value"], dates
+
+
+# ---------------------------------------------------------- CSV writers
+
+
+def _csv_writer(stream):
+    return csv.writer(stream, lineterminator="\n")
+
+
+def write_policy_csv(timelines, target, indicator_column: str) -> None:
+    with _opened(target, "w") as stream:
+        writer = _csv_writer(stream)
+        writer.writerow(["CountryName", "RegionName", "Date", indicator_column])
+        for tl in timelines:
+            country, _, region = tl.unit_id.partition("/")
+            for k, code in enumerate(tl.codes.tolist()):
+                day = tl.start + timedelta(days=k)
+                writer.writerow(
+                    [country, region, f"{day.year:04d}{day.month:02d}{day.day:02d}", code]
+                )
+
+
+def write_telemetry_csv(pieces, target) -> None:
+    with _opened(target, "w") as stream:
+        writer = _csv_writer(stream)
+        writer.writerow(_TELEMETRY_COLUMNS)
+        for piece in pieces:
+            for i in range(len(piece)):
+                writer.writerow(
+                    [
+                        date.fromordinal(int(piece.day[i])).isoformat(),
+                        piece.device_id[i],
+                        piece.unit_id[i],
+                        piece.chassis[i],
+                        piece.cpu_family[i],
+                        int(piece.vpro[i]),
+                        repr(float(piece.usage_hours[i])),
+                        repr(float(piece.cpu_watts[i])),
+                    ]
+                )
+
+
+def write_persona_csv(pieces, target) -> None:
+    written, first = 0, None
+    with _opened(target, "w") as stream:
+        writer = _csv_writer(stream)
+        for piece in pieces:
+            first = piece if first is None else first
+            if piece.feature_names != first.feature_names:
+                raise SchemaError("persona pieces differ in feature names")
+            names = sorted(piece.feature_names)
+            if len(piece) and not written:
+                writer.writerow(["device_id", "date"] + names)
+            cols = [piece.feature_names.index(n) for n in names]
+            for i in range(len(piece)):
+                writer.writerow(
+                    [
+                        piece.device_ids[piece.device[i]],
+                        date.fromordinal(int(piece.day[i])).isoformat(),
+                        *(repr(float(piece.values[i, j])) for j in cols),
+                    ]
+                )
+            written += len(piece)
+        if not written:
+            raise ValidationError("no persona records to write")

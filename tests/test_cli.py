@@ -148,6 +148,16 @@ class TestSimulate:
         assert "effect_hours=2.0" in out
         assert (tmp_path / "d" / "truth.txt").read_text() == out
 
+    def test_dates_before_year_1000_read_back(self, tmp_path):
+        # the policy table's YYYYMMDD pads the year to four digits, also
+        # across the turn into year 1000
+        scenario = dict(did_scenario(), start="0999-12-30", n_days=5)
+        del scenario["treatment"]
+        data, work = simulate_and_ingest(tmp_path, scenario)
+        days = [line.split(",")[2] for line in (data / "policy.csv").read_text().splitlines()[1:]]
+        assert days[:3] == ["09991230", "09991231", "10000101"]
+        assert read_panel(work / "panel.txt").dates[0].isoformat() == "0999-12-30"
+
     def test_scenario_without_persona_removes_earlier_persona_table(self, tmp_path):
         payload = did_scenario()
         payload["persona_devices"] = 5

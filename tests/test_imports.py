@@ -73,12 +73,14 @@ BASE = FRONT | {"causalpanel.commands", "causalpanel.files"}
 # file.
 # The panel file is ``panel`` (with the panel type), the CSV readers
 # ``panelio`` and the CSV writers ``csvwrite``; all three read or write
-# through ``textio``.
+# through ``textio``. The commands that write a table (``simulate`` its CSV
+# tables, ``ingest`` its panel file) format it through ``tablefmt``.
 COMMAND_MODULES = {
     "simulate": {
-        "commands.simulate", "simgen", "paneldata", "panel", "csvwrite", "textio", "persona"
+        "commands.simulate", "simgen", "paneldata", "panel", "csvwrite", "textio", "persona",
+        "tablefmt",
     },
-    "ingest": {"commands.ingest", "paneldata", "panel", "panelio", "textio"},
+    "ingest": {"commands.ingest", "paneldata", "panel", "panelio", "textio", "tablefmt"},
     "did": {"commands.did", "did", "panel", "textio"},
     "synth": {"commands.synth", "synthcontrol", "panel", "textio"},
     "cpd": {"commands.cpd", "changepoint", "panel", "textio"},

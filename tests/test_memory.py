@@ -88,9 +88,11 @@ def traced_peak(step, *args) -> int:
 #                      one gathered piece; as much with the model's
 #                      features in another order than the stored one
 #                      (1.64 when the value matrix was copied to reorder)
-#   write_scenario     0.33, bound 0.5: one piece of the persona stream
+#   write_scenario     0.40, bound 0.5: one piece of the persona stream
 #                      (4096 rows) with its noise, and one block of 512
-#                      formatted rows (1.87 while the whole stream, 1.33,
+#                      rows laid out as bytes with the float digits'
+#                      working arrays (0.33 while each cell of a block was
+#                      a Python string; 1.87 while the whole stream, 1.33,
 #                      was made before any of it was written)
 
 

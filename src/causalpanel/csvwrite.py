@@ -76,7 +76,7 @@ def write_policy_csv(
 
 
 def _device_cells(key: tuple) -> str:
-    """A telemetry row's cells from device_id to vpro, from their values."""
+    """A telemetry row's cells from device_id to vpro, from its device key."""
     *texts, vpro = key
     return ",".join([*map(_csv_cell, texts), "1" if vpro else "0"])
 
@@ -85,21 +85,20 @@ def write_telemetry_csv(pieces: Iterable[TelemetryColumns], target) -> None:
     """Write telemetry in the shape
     :func:`~causalpanel.panelio.parse_telemetry_csv` reads back, from an
     iterable of :class:`TelemetryColumns` pieces written one after another.
-    Floats are written as ``repr``."""
-    texts = ("device_id", "unit_id", "chassis", "cpu_family")
+    A device key's cells are formatted once per file, and a row's are
+    gathered by its device code. Floats are written as ``repr``."""
     devices, days = CellTable(_device_cells), CellTable(_iso_day)
     with _opened(target, "w") as stream:
         csv.writer(stream, lineterminator="\n").writerow(_TELEMETRY_COLUMNS)
         for piece in pieces:
+            device = devices.codes(piece.devices)[piece.device]
             day = days.int_codes(piece.day)
             floats = np.stack([piece.usage_hours, piece.cpu_watts], axis=1)
 
             def block(lo, hi):
-                # a block's keys at a time: a piece's would be one tuple a row
-                keys = zip(*(getattr(piece, k)[lo:hi] for k in texts), piece.vpro[lo:hi].tolist())
                 return [
                     days.take(day[lo:hi]),
-                    devices.take(devices.codes(list(keys))),
+                    devices.take(device[lo:hi]),
                     float_cells(floats[lo:hi]),
                 ]
 

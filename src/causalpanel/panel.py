@@ -184,8 +184,10 @@ class PanelDataset:
 
 def check_cell(what: str, text: str) -> None:
     """Refuse a unit id or continent (``what``) that a panel file would not
-    read back as the one cell it was: one with a tab or a line break, or a
-    unit id that starts its row the way a section header does."""
+    read back as the one cell it was (a tab or a line break, a unit id that
+    starts like a section header), or an empty unit id, which no flag names."""
+    if what == "unit id" and not text.strip():
+        raise ValidationError(f"unit id {text!r} is empty")
     if "\t" in text or text.splitlines() not in ([], [text]):
         raise ValidationError(f"{what} {text!r} contains a tab or a line break")
     if what == "unit id" and text.startswith("#section "):

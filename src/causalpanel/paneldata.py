@@ -13,9 +13,10 @@ A policy timeline (:class:`PolicyTimeline`) is one unit's start date and
 one code per day, so its days are contiguous by construction.
 
 Device telemetry is held as columns only (:class:`TelemetryColumns`):
-one int64 array of day ordinals, one tuple of strings per text field
-(device, unit, chassis, CPU family), a bool array for vPro and one
-float64 array per measurement. There is no per-row object.
+one int64 array of day ordinals, one int64 device code per row, the
+sorted device keys the codes index (device id, unit, chassis, CPU
+family, vPro: the columns that describe a device, held once per device)
+and one float64 array per measurement. There is no per-row object.
 Aggregation is bitwise equal to accumulating the rows one by one in
 canonical order (group label, date, device, usage hours, watts): rows
 are put in that order with a stable ``np.lexsort`` and summed per cell
@@ -105,30 +106,37 @@ class TreatmentEvent:
     date: date
 
 
-def telemetry_violation(chassis, cpu_family, usage_hours, cpu_watts):
+def device_fault(key) -> str | None:
+    """What is wrong with a device key (see :class:`TelemetryColumns`), or
+    None: an empty unit id (after stripping), or an unknown chassis or CPU family."""
+    _, unit_id, chassis, cpu_family, _ = key
+    return (
+        "empty unit_id" if not unit_id.strip()
+        else f"unknown chassis {chassis!r}" if chassis not in CHASSIS_TYPES
+        else f"unknown cpu_family {cpu_family!r}" if cpu_family not in CPU_FAMILIES
+        else None
+    )
+
+
+def telemetry_violation(device, faults: dict, hours: np.ndarray, watts: np.ndarray):
     """The first row that breaks the telemetry schema, as (row index,
-    what is wrong), or None. Chassis and CPU family must be known names,
-    usage hours within [0, 24], watts finite and non-negative."""
-    hours = np.asarray(usage_hours, dtype=float)
-    watts = np.asarray(cpu_watts, dtype=float)
-    problems = []
-    for name, values, allowed in (
-        ("chassis", chassis, CHASSIS_TYPES),
-        ("cpu_family", cpu_family, CPU_FAMILIES),
-    ):
-        unknown = set(values) - allowed
-        if unknown:
-            i = next(i for i, v in enumerate(values) if v in unknown)
-            problems.append((i, f"unknown {name} {values[i]!r}"))
-    bad = np.flatnonzero(~((hours >= 0.0) & (hours <= 24.0)))
-    if bad.size:
-        i = int(bad[0])
-        problems.append((i, f"usage_hours {hours[i]} outside [0, 24]"))
-    bad = np.flatnonzero(~(np.isfinite(watts) & (watts >= 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        problems.append((i, f"cpu_watts {watts[i]} must be finite and non-negative"))
-    return min(problems, key=lambda p: p[0]) if problems else None
+    what is wrong), or None: a row whose device code ``faults`` maps to
+    its key's :func:`device_fault` (so a key is checked once, however many
+    rows use it), usage hours outside [0, 24], or watts not finite and
+    non-negative. Of one row's faults, the first of these is named."""
+    checks = (
+        (np.isin(device, list(faults)), lambda i: faults[int(device[i])]),
+        (~((hours >= 0.0) & (hours <= 24.0)), lambda i: f"usage_hours {hours[i]} outside [0, 24]"),
+        (
+            ~(np.isfinite(watts) & (watts >= 0.0)),
+            lambda i: f"cpu_watts {watts[i]} must be finite and non-negative",
+        ),
+    )
+    firsts = [(int(np.argmax(bad)), what) for bad, what in checks if bad.any()]
+    if not firsts:
+        return None
+    i, what = min(firsts, key=lambda p: p[0])
+    return i, what(i)
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -142,14 +150,14 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _unit_label(cells: tuple[str, str]) -> str:
-    """The unit of a policy row's (unit, region) cells."""
+    """The unit of a policy row's (unit, region) cells; empty if its unit cell is."""
     unit, region = map(str.strip, cells)
-    return f"{unit}/{region}" if region else unit
+    return f"{unit}/{region}" if region and unit else unit
 
 
-def factorize(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
     """Distinct values in sorted order, and each value's index among them
-    (so index order is string order)."""
+    (so index order is value order)."""
     levels = sorted(set(values))
     index = {v: i for i, v in enumerate(levels)}
     codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
@@ -158,42 +166,43 @@ def factorize(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TelemetryColumns:
-    """Device-day usage reports as columns; row ``i`` of every field is one
-    report. ``day`` holds date ordinals (``date.toordinal()``).
+    """Device-day usage reports as columns. Row ``i`` is device
+    ``devices[device[i]]`` on day ``date.fromordinal(day[i])``, with
+    ``usage_hours[i]`` and ``cpu_watts[i]``. A device key is ``(device_id,
+    unit_id, chassis, cpu_family, vpro)``; ``devices`` holds those the rows
+    use, sorted and distinct (:func:`factorize` of one key per row), so a
+    device id reported with two attribute sets is two keys.
 
     Equality is field by field, floats bitwise.
     """
 
     day: np.ndarray
-    device_id: tuple[str, ...]
-    unit_id: tuple[str, ...]
-    chassis: tuple[str, ...]
-    cpu_family: tuple[str, ...]
-    vpro: np.ndarray
+    device: np.ndarray
+    devices: tuple[tuple[str, str, str, str, bool], ...]
     usage_hours: np.ndarray
     cpu_watts: np.ndarray
 
     def __post_init__(self):
-        for name in ("device_id", "unit_id", "chassis", "cpu_family"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "day", _frozen_array(self.day, np.int64))
-        object.__setattr__(self, "vpro", _frozen_array(self.vpro, bool))
-        for name in ("usage_hours", "cpu_watts"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
-        n = len(self.device_id)
-        arrays = (self.day, self.vpro, self.usage_hours, self.cpu_watts)
-        texts = (self.unit_id, self.chassis, self.cpu_family)
-        if any(a.shape != (n,) for a in arrays) or any(len(t) != n for t in texts):
+        devices = tuple(map(tuple, self.devices))
+        object.__setattr__(self, "devices", devices)
+        for name, dtype in (
+            ("day", np.int64), ("device", np.int64), ("usage_hours", float), ("cpu_watts", float)
+        ):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+        device, n = self.device, len(self.day)
+        if any(a.shape != (n,) for a in (device, self.usage_hours, self.cpu_watts)):
             raise ValidationError("telemetry columns differ in length")
-        problem = telemetry_violation(
-            self.chassis, self.cpu_family, self.usage_hours, self.cpu_watts
-        )
+        if list(devices) != sorted(set(devices)):
+            raise ValidationError("device keys must be sorted and distinct")
+        used = np.bincount(device[device >= 0], minlength=len(devices))
+        if (device < 0).any() or used.size != len(devices) or not used.all():
+            raise ValidationError("device codes must index every device key and no other")
+        faults = {k: f for k, key in enumerate(devices) if (f := device_fault(key))}
+        problem = telemetry_violation(device, faults, self.usage_hours, self.cpu_watts)
         if problem is not None:
             i, what = problem
-            raise ValidationError(
-                f"device {self.device_id[i]} on {date.fromordinal(int(self.day[i]))}: "
-                f"{what}"
-            )
+            day = date.fromordinal(int(self.day[i]))
+            raise ValidationError(f"device {devices[device[i]][0]} on {day}: {what}")
 
     def __len__(self) -> int:
         return self.day.shape[0]
@@ -220,26 +229,17 @@ def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:
 
 def _group_index(rows: TelemetryColumns, fields: tuple[str, ...]):
     """Sorted composite labels such as "CHN|Notebook|i7", and each row's
-    index among them."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    field_levels = []
-    for f in fields:
-        if f == "vpro":
-            levels, codes = ("novpro", "vpro"), rows.vpro.astype(np.int64)
-        else:
-            levels, codes = factorize(getattr(rows, f))
-        key = key * len(levels) + codes
-        field_levels.append(levels)
-    combos, combo_of_row = np.unique(key, return_inverse=True)
-    combo_labels = []
-    for k in combos.tolist():
-        parts = []
-        for levels in reversed(field_levels):
-            k, digit = divmod(k, len(levels))
-            parts.append(levels[digit])
-        combo_labels.append("|".join(reversed(parts)))
-    labels, label_of_combo = factorize(combo_labels)
-    return labels, label_of_combo[combo_of_row]
+    index among them: a label per device key, gathered by the rows."""
+
+    def label(key) -> str:  # a key is the device id, then the GROUP_FIELD_ORDER fields
+        return "|".join(
+            ("vpro" if v else "novpro") if f == "vpro" else v
+            for f, v in zip(GROUP_FIELD_ORDER, key[1:])
+            if f in fields
+        )
+
+    labels, group = factorize(list(map(label, rows.devices)))
+    return labels, group[rows.device]
 
 
 def group_fields(group_by: Iterable[str]) -> tuple[str, ...]:
@@ -278,7 +278,8 @@ def aggregate_telemetry(
     check_outcome(outcome)
 
     unit_ids, group = _group_index(rows, fields)
-    device_ids, device = factorize(rows.device_id)
+    device_ids, device_of_key = factorize([key[0] for key in rows.devices])
+    device = device_of_key[rows.device]
     first = int(rows.day.min())
     n_dates = int(rows.day.max()) - first + 1
     dates = tuple(date.fromordinal(first + t) for t in range(n_dates))

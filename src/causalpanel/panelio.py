@@ -68,8 +68,8 @@ if TYPE_CHECKING:
     from .persona import UsageColumns
 
 _CHASSIS_ALIASES = {"2-in-1": "TwoInOne", "2in1": "TwoInOne"}
-_TRUE_TOKENS = {"1", "true", "yes", "y"}
-_FALSE_TOKENS = {"0", "false", "no", "n"}
+_VPRO_FLAGS = {"1": True, "true": True, "yes": True, "y": True,
+               "0": False, "false": False, "no": False, "n": False}
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -315,12 +315,11 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
 
     with _csv_table(source, "policy") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
-        if "CountryName" in cols:
-            unit_col, region_col = cols["CountryName"], cols.get("RegionName")
-        elif "unit_id" in cols:
-            unit_col, region_col = cols["unit_id"], None
-        else:
+        unit_name = next((c for c in ("CountryName", "unit_id") if c in cols), None)
+        if unit_name is None:
             raise SchemaError("policy header has no CountryName or unit_id column")
+        unit_col = cols[unit_name]
+        region_col = cols.get("RegionName") if unit_name == "CountryName" else None
         date_col = cols.get("Date", cols.get("date"))
         if date_col is None:
             raise SchemaError("policy header has no Date column")
@@ -338,8 +337,11 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
             for columns, rownos in body(used[-1] + 1, usecols=used):
                 regions = itertools.repeat("") if region_col is None else columns[region_col]
                 pairs = list(zip(columns[unit_col], regions))
+                units = _map_distinct(pairs, _unit_label, unit_table)
+                if "" in units:
+                    raise ValidationError(f"row {rownos[units.index('')]}: empty {unit_name}")
                 yield {
-                    "unit": _map_distinct(pairs, _unit_label, unit_table),
+                    "unit": units,
                     "day": _day_ordinals(columns[date_col], rownos, day_table),
                     "cell": _map_distinct(columns[ind_col], str.strip),
                 }
@@ -430,15 +432,6 @@ def _finite_floats(cells, rownos, what: str) -> np.ndarray:
     return values
 
 
-def _vpro_flag(token: str) -> bool:
-    token = token.strip().lower()
-    if token in _TRUE_TOKENS:
-        return True
-    if token in _FALSE_TOKENS:
-        return False
-    raise ValueError(token)
-
-
 def _day_ordinals(cells, rownos, table: dict) -> np.ndarray:
     """Day ordinal of every date cell (by :func:`~causalpanel.files.parse_date`,
     stripped); ``table`` keeps the file's parsed dates (see
@@ -453,52 +446,56 @@ def _day_ordinals(cells, rownos, table: dict) -> np.ndarray:
     return np.array(days, dtype=np.int64)
 
 
-def _chassis(cell: str) -> str:
-    cell = cell.strip()
-    return _CHASSIS_ALIASES.get(cell, cell)
-
-
-def _cpu_family(cell: str) -> str:
-    cell = cell.strip()
-    return cell if cell == "Other" else cell.lower()
-
-
 def parse_telemetry_csv(source) -> TelemetryColumns:
     """Parse device-day telemetry rows into columns; unknown columns are
     ignored. Unparseable or non-finite cells are parse errors, rows that
-    break the telemetry schema validation errors, each naming its row."""
-    from .paneldata import _TELEMETRY_COLUMNS, TelemetryColumns, telemetry_violation
+    break the schema validation errors, each naming its row; a block's
+    first bad date is named before its vpro, float and schema faults."""
+    from .paneldata import (
+        _TELEMETRY_COLUMNS, TelemetryColumns, device_fault, factorize, telemetry_violation
+    )
 
     with _csv_table(source, "telemetry") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
-        day_table = {}
+        day_table, cell_table = {}, {}  # date cell -> day, a row's device cells -> code
+        codes, faults = {}, {}  # device key -> code, in the order met; code -> fault
+
+        def code(cells) -> int:  # of the device key of a row's cells device_id..vpro
+            device_id, unit_id, chassis, family, vpro = map(str.strip, cells)
+            flag = _VPRO_FLAGS.get(vpro.lower())
+            if flag is None:
+                raise ValueError(vpro)
+            family = family if family == "Other" else family.lower()
+            key = device_id, unit_id, _CHASSIS_ALIASES.get(chassis, chassis), family, flag
+            if key not in codes:
+                codes[key] = len(codes)
+                if fault := device_fault(key):
+                    faults[codes[key]] = fault
+            return codes[key]
 
         def blocks():
             floats = (cols["usage_hours"], cols["cpu_watts"])
             for columns, rownos in body(len(header), floats=floats):
                 cells = {name: columns[cols[name]] for name in _TELEMETRY_COLUMNS}
+                device_cells = list(zip(*(cells[name] for name in _TELEMETRY_COLUMNS[1:6])))
                 block = {
                     "day": _day_ordinals(cells["date"], rownos, day_table),
-                    "device_id": _map_distinct(cells["device_id"], str.strip),
-                    "unit_id": _map_distinct(cells["unit_id"], str.strip),
-                    "chassis": _map_distinct(cells["chassis"], _chassis),
-                    "cpu_family": _map_distinct(cells["cpu_family"], _cpu_family),
-                    "vpro": np.array(
+                    "device": np.array(
                         _parse_distinct(
-                            cells["vpro"], _vpro_flag, rownos,
-                            lambda c: f"bad vpro value {c.strip().lower()!r}",
+                            device_cells, code, rownos,
+                            lambda c: f"bad vpro value {c[4].strip().lower()!r}", cell_table,
                         ),
-                        dtype=bool,
+                        dtype=np.int64,
                     ),
                     "usage_hours": _finite_floats(cells["usage_hours"], rownos, "usage_hours"),
                     "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
                 }
-                del cells  # see _body_blocks
+                del cells, device_cells  # see _body_blocks
                 problem = telemetry_violation(
-                    block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
+                    block["device"], faults, block["usage_hours"], block["cpu_watts"]
                 )
                 if problem is not None:
                     raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
@@ -509,16 +506,16 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
             blocks(),
             {
                 "day": np.empty(n, np.int64),
-                "device_id": [],
-                "unit_id": [],
-                "chassis": [],
-                "cpu_family": [],
-                "vpro": np.empty(n, bool),
+                "device": np.empty(n, np.int64),
                 "usage_hours": np.empty(n),
                 "cpu_watts": np.empty(n),
             },
         )
-    return TelemetryColumns(**columns)
+    devices, rank = factorize(list(codes))  # the keys are distinct: rank is a renumbering
+    return TelemetryColumns(
+        columns["day"], rank[columns["device"]], devices,
+        columns["usage_hours"], columns["cpu_watts"],
+    )
 
 
 def parse_persona_csv(source) -> UsageColumns:

@@ -33,10 +33,9 @@ file written from them, is bitwise equal to a row-by-row build.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from typing import Iterator, Mapping
 
@@ -476,14 +475,14 @@ def _generate_telemetry(config: ScenarioConfig, unit_rngs) -> Iterator[Telemetry
         spikes = rng.uniform(size=config.n_days) < config.outlier_probability
         spike = np.where(spikes, config.outlier_magnitude, 0.0)
         n_vpro = int(np.floor(u.vpro_fraction * d + 0.5))
-        ids = [f"{u.unit_id}-{k:04d}" for k in range(d)]
+        devices, device = factorize(
+            [(f"{u.unit_id}-{k:04d}", u.unit_id, u.chassis, u.cpu_family, k < n_vpro)
+             for k in range(d)]
+        )
         yield TelemetryColumns(
             day=np.tile(days, d),
-            device_id=[name for name in ids for _ in range(config.n_days)],
-            unit_id=[u.unit_id] * (d * config.n_days),
-            chassis=[u.chassis] * (d * config.n_days),
-            cpu_family=[u.cpu_family] * (d * config.n_days),
-            vpro=np.repeat(np.arange(d) < n_vpro, config.n_days),
+            device=np.repeat(device, config.n_days),
+            devices=devices,
             usage_hours=np.clip(hours[i] + h_noise + spike, 0.0, 24.0).ravel(),
             cpu_watts=np.maximum(watts[i] + w_noise + spike, 0.0).ravel(),
         )
@@ -541,14 +540,15 @@ def _generate_persona_stream(
 
 
 def _joined_telemetry(pieces: list[TelemetryColumns]) -> TelemetryColumns:
-    joined = {}
-    for f in fields(TelemetryColumns):
-        parts = [getattr(p, f.name) for p in pieces]
-        if isinstance(parts[0], np.ndarray):
-            joined[f.name] = np.concatenate(parts)
-        else:
-            joined[f.name] = list(itertools.chain.from_iterable(parts))
-    return TelemetryColumns(**joined)
+    devices, code = factorize([key for p in pieces for key in p.devices])
+    starts = np.cumsum([0, *(len(p.devices) for p in pieces)])
+    return TelemetryColumns(
+        day=np.concatenate([p.day for p in pieces]),
+        device=np.concatenate([code[start + p.device] for start, p in zip(starts, pieces)]),
+        devices=devices,
+        usage_hours=np.concatenate([p.usage_hours for p in pieces]),
+        cpu_watts=np.concatenate([p.cpu_watts for p in pieces]),
+    )
 
 
 def _joined_usage(pieces: list[UsageColumns]) -> UsageColumns:

@@ -241,17 +241,14 @@ class CellTable:
         self._slots: np.ndarray | None = None
 
     def codes(self, keys) -> np.ndarray:
-        """The code of each key of the sequence ``keys``, new keys added."""
-        code = self.index.__getitem__
-        try:
-            return np.fromiter(map(code, keys), np.intp, len(keys))
-        except KeyError:
-            for key in dict.fromkeys(keys):  # new keys numbered in the order met
-                if key not in self.index:
-                    self.index[key] = len(self.cells)
-                    self.cells.append(self.form(key).encode())
-                    self._slots = None
-            return np.fromiter(map(code, keys), np.intp, len(keys))
+        """The code of each key of the sequence ``keys``, new keys numbered
+        in the order met."""
+        for key in keys:
+            if key not in self.index:
+                self.index[key] = len(self.cells)
+                self.cells.append(self.form(key).encode())
+                self._slots = None
+        return np.fromiter(map(self.index.__getitem__, keys), np.intp, len(keys))
 
     def int_codes(self, keys: np.ndarray) -> np.ndarray:
         """:meth:`codes` of an integer array, each distinct key looked up once."""

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from causalpanel.paneldata import PanelDataset, TelemetryColumns
+from causalpanel.paneldata import PanelDataset, TelemetryColumns, factorize
 
 
 def make_panel(
@@ -48,9 +48,16 @@ def day(offset, start=date(2020, 1, 1)):
     return start + timedelta(days=offset)
 
 
+def telemetry_columns(day, device_id, unit_id, chassis, cpu_family, vpro, usage_hours, cpu_watts):
+    """Build TelemetryColumns from one column per telemetry CSV column,
+    days as ordinals: one device key per row, factorized."""
+    devices, device = factorize(list(zip(device_id, unit_id, chassis, cpu_family, vpro)))
+    return TelemetryColumns(day, device, devices, usage_hours, cpu_watts)
+
+
 def telemetry(rows):
     """Build TelemetryColumns from rows of (date, device_id, unit_id,
     chassis, cpu_family, vpro, usage_hours, cpu_watts), in row order."""
     rows = list(rows)
     day, *rest = zip(*rows) if rows else [()] * 8
-    return TelemetryColumns([d.toordinal() for d in day], *rest)
+    return telemetry_columns([d.toordinal() for d in day], *rest)

@@ -47,21 +47,15 @@ from causalpanel.changepoint import (
 from causalpanel.paneldata import GROUP_FIELD_ORDER, PanelDataset
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.panelio import (
-    _chassis,
-    _cpu_family,
     _has_content,
     _lines_left,
     _parse_distinct,
     _sniff_delimiter,
     _stacked,
-    _vpro_flag,
 )
-from causalpanel.paneldata import (
-    _TELEMETRY_COLUMNS,
-    PolicyTimeline,
-    TelemetryColumns,
-    telemetry_violation,
-)
+from causalpanel.panel import CHASSIS_TYPES, CPU_FAMILIES
+from causalpanel.paneldata import _TELEMETRY_COLUMNS, PolicyTimeline, TelemetryColumns
+from _builders import telemetry_columns
 from causalpanel.textio import _map_distinct, _opened
 from causalpanel.persona import (
     WINDOW_STRIDE,
@@ -378,9 +372,9 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
     with _csv_table(source, "policy") as (header, body):
         cols = {name: i for i, name in enumerate(header)}
         if "CountryName" in cols:
-            unit_col, region_col = cols["CountryName"], cols.get("RegionName")
+            unit_name, unit_col, region_col = "CountryName", cols["CountryName"], cols.get("RegionName")
         elif "unit_id" in cols:
-            unit_col, region_col = cols["unit_id"], None
+            unit_name, unit_col, region_col = "unit_id", cols["unit_id"], None
         else:
             raise SchemaError("policy header has no CountryName or unit_id column")
         date_col = cols.get("Date", cols.get("date"))
@@ -392,7 +386,10 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         used_cols = (unit_col, region_col, date_col, ind_col)
 
         for columns, rownos in body(max(c for c in used_cols if c is not None) + 1):
-            units = map(str.strip, columns[unit_col])
+            units = list(map(str.strip, columns[unit_col]))
+            for unit, rowno in zip(units, rownos):
+                if not unit:
+                    raise ValidationError(f"row {rowno}: empty {unit_name}")
             if region_col is not None:
                 units = (
                     f"{unit}/{region}" if region else unit
@@ -467,6 +464,47 @@ def _finite_floats(cells, rownos, what: str) -> np.ndarray:
     return values
 
 
+_CHASSIS_ALIASES = {"2-in-1": "TwoInOne", "2in1": "TwoInOne"}
+
+
+def _chassis(cell: str) -> str:
+    cell = cell.strip()
+    return _CHASSIS_ALIASES.get(cell, cell)
+
+
+def _cpu_family(cell: str) -> str:
+    cell = cell.strip()
+    return cell if cell == "Other" else cell.lower()
+
+
+def _vpro_flag(token: str) -> bool:
+    token = token.strip().lower()
+    if token in {"1", "true", "yes", "y"}:
+        return True
+    if token in {"0", "false", "no", "n"}:
+        return False
+    raise ValueError(token)
+
+
+def _telemetry_violation(unit_id, chassis, cpu_family, usage_hours, cpu_watts):
+    """The first row that breaks the telemetry schema, as (row index,
+    what is wrong), or None, one row at a time per check; of the faults
+    of one row, the first check's."""
+    problems = []
+    for check in (
+        lambda r: not unit_id[r] and "empty unit_id",
+        lambda r: chassis[r] not in CHASSIS_TYPES and f"unknown chassis {chassis[r]!r}",
+        lambda r: cpu_family[r] not in CPU_FAMILIES
+        and f"unknown cpu_family {cpu_family[r]!r}",
+        lambda r: not 0.0 <= usage_hours[r] <= 24.0
+        and f"usage_hours {usage_hours[r]} outside [0, 24]",
+        lambda r: not (np.isfinite(cpu_watts[r]) and cpu_watts[r] >= 0.0)
+        and f"cpu_watts {cpu_watts[r]} must be finite and non-negative",
+    ):
+        problems += [(r, what) for r in range(len(unit_id)) if (what := check(r))][:1]
+    return min(problems, key=lambda p: p[0]) if problems else None
+
+
 def parse_telemetry_csv(source) -> TelemetryColumns:
     """Parse device-day telemetry rows into columns; unknown columns are
     ignored. Unparseable or non-finite cells are parse errors, rows that
@@ -497,8 +535,9 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
                     "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
                 }
                 del cells  # see _body_blocks
-                problem = telemetry_violation(
-                    block["chassis"], block["cpu_family"], block["usage_hours"], block["cpu_watts"]
+                problem = _telemetry_violation(
+                    block["unit_id"], block["chassis"], block["cpu_family"],
+                    block["usage_hours"], block["cpu_watts"],
                 )
                 if problem is not None:
                     raise ValidationError(f"row {rownos[problem[0]]}: {problem[1]}")
@@ -518,7 +557,8 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
                 "cpu_watts": np.empty(n),
             },
         )
-    return TelemetryColumns(**columns)
+    columns["vpro"] = columns["vpro"].tolist()
+    return telemetry_columns(**columns)
 
 
 def parse_persona_csv(source) -> UsageColumns:
@@ -640,14 +680,15 @@ def write_telemetry_csv(pieces, target) -> None:
         writer.writerow(_TELEMETRY_COLUMNS)
         for piece in pieces:
             for i in range(len(piece)):
+                device_id, unit_id, chassis, cpu_family, vpro = piece.devices[piece.device[i]]
                 writer.writerow(
                     [
                         date.fromordinal(int(piece.day[i])).isoformat(),
-                        piece.device_id[i],
-                        piece.unit_id[i],
-                        piece.chassis[i],
-                        piece.cpu_family[i],
-                        int(piece.vpro[i]),
+                        device_id,
+                        unit_id,
+                        chassis,
+                        cpu_family,
+                        int(vpro),
                         repr(float(piece.usage_hours[i])),
                         repr(float(piece.cpu_watts[i])),
                     ]

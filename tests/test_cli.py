@@ -668,6 +668,55 @@ class TestDidWorkflow:
         assert "Traceback" not in err
         assert not (work / "panel.txt").exists()
 
+    @pytest.mark.parametrize(
+        "emptied, message",
+        [
+            # no flag could name the unit "": ingest wrote it to panel.txt
+            (("policy.csv", "telemetry.csv"), "policy.csv: row 2: empty CountryName"),
+            # the merge then failed with "no policy timeline for unit(s): "
+            (("telemetry.csv",), "telemetry.csv: row 2: empty unit_id"),
+        ],
+        ids=["both_tables", "telemetry"],
+    )
+    def test_ingest_refuses_an_empty_unit_id(self, tmp_path, capsys, emptied, message):
+        data, _ = simulate_and_ingest(tmp_path, did_scenario())
+        for name in emptied:
+            path = data / name
+            rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+            column = rows[0].index("CountryName" if name == "policy.csv" else "unit_id")
+            for row in rows[1:]:
+                row[column] = ""
+            path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        work = tmp_path / "again"
+        assert run(
+            "ingest", "--policy", data / "policy.csv",
+            "--telemetry", data / "telemetry.csv", "--out", work, "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.endswith(f"{message}\n")
+        assert "Traceback" not in err
+        assert not (work / "panel.txt").exists()
+
+    def test_group_by_keeps_a_device_in_each_chassis_it_reports(self, tmp_path):
+        # device d1 is a Notebook on day 1 and a Desktop on day 2: two
+        # groups of one device each
+        policy = tmp_path / "policy.csv"
+        policy.write_text("unit_id,Date,C6\nA,20200101,0\nA,20200102,3\n", encoding="utf-8")
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(
+            "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours,cpu_watts\n"
+            "2020-01-01,d1,A,Notebook,i5,0,4.0,10.0\n"
+            "2020-01-02,d1,A,Desktop,i5,0,6.0,12.0\n",
+            encoding="utf-8",
+        )
+        assert run(
+            "ingest", "--policy", policy, "--telemetry", telemetry, "--indicator", "C6",
+            "--group-by", "unit_id,chassis", "--out", tmp_path, "--quiet",
+        ) == 0
+        panel = read_panel(tmp_path / "panel.txt")
+        assert panel.unit_ids == ("A|Desktop", "A|Notebook")
+        assert panel.system_count.tolist() == [1.0, 1.0]
+
     def test_units_header_with_spaces(self, tmp_path):
         data, _ = simulate_and_ingest(tmp_path, did_scenario())
         units = data / "units.csv"
@@ -1323,8 +1372,11 @@ class TestInputFileErrors:
             ("cpu_watts", "-3.5", "cpu_watts -3.5 must be finite and non-negative"),
             ("chassis", "Toaster", "unknown chassis 'Toaster'"),
             ("cpu_family", "pentium", "unknown cpu_family 'pentium'"),
+            ("unit_id", " ", "empty unit_id"),
         ],
-        ids=["hours_high", "hours_negative", "watts_negative", "chassis", "cpu_family"],
+        ids=[
+            "hours_high", "hours_negative", "watts_negative", "chassis", "cpu_family", "unit_id"
+        ],
     )
     def test_invalid_telemetry_row_exits_3(self, tmp_path, capsys, column, value, message):
         argv = edit_data_file(tmp_path, "telemetry.csv", 6, set_cell(column, value))

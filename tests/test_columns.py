@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import _reference as ref
 from causalpanel.errors import SchemaError, ValidationError
 from causalpanel.paneldata import (
+    _TELEMETRY_COLUMNS,
     GROUP_FIELD_ORDER,
     TelemetryColumns,
     aggregate_telemetry,
 )
-from causalpanel import persona
+from causalpanel import paneldata, persona
 from causalpanel.persona import (
     PersonaModel,
     _window_means,
@@ -345,6 +346,19 @@ class TestAggregateAgainstReference:
         assert bits(got.outcomes) == bits(expected.outcomes)
         assert bits(got.system_count) == bits(expected.system_count)
 
+    def test_labels_and_device_indices_come_from_the_keys(self, monkeypatch):
+        # 100 rows of 2 devices: no factorize runs over the rows
+        rows = telemetry(
+            (START + timedelta(days=t), f"d{d}", "CHN", "Notebook", "i5", False, 1.0, 2.0)
+            for t in range(50) for d in range(2)
+        )
+        sizes, factorize = [], paneldata.factorize
+        monkeypatch.setattr(
+            paneldata, "factorize", lambda values: sizes.append(len(values)) or factorize(values)
+        )
+        aggregate_telemetry(rows, group_by=GROUP_FIELD_ORDER)
+        assert sizes and max(sizes) == len(rows.devices) == 2
+
 
 class TestUsageColumns:
     def vectors(self):
@@ -395,15 +409,27 @@ class TestUsageColumns:
 
 
 class TestTelemetryColumns:
+    ROWS = [
+        (START, "g-1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
+        (START, "g-0", "USA", "NUC", "Other", False, 0.0, 0.0),
+    ]
+
     def columns(self):
-        return telemetry([
-            (START, "g-1", "CHN", "Notebook", "i7", True, 7.25, 21.5),
-            (START, "g-0", "USA", "NUC", "Other", False, 0.0, 0.0),
-        ])
+        return telemetry(self.ROWS)
+
+    def test_one_key_per_device_sorted(self):
+        cols = self.columns()
+        assert cols.devices == (
+            ("g-0", "USA", "NUC", "Other", False), ("g-1", "CHN", "Notebook", "i7", True)
+        )
+        assert cols.device.tolist() == [1, 0]
+        for name in ("day", "device", "usage_hours", "cpu_watts"):
+            assert getattr(cols, name).dtype != object
 
     @pytest.mark.parametrize(
         "field,value,message",
         [
+            ("unit_id", " ", "empty unit_id"),
             ("chassis", "Toaster", "unknown chassis 'Toaster'"),
             ("cpu_family", "pentium", "unknown cpu_family 'pentium'"),
             ("usage_hours", 24.5, "usage_hours 24.5 outside"),
@@ -413,19 +439,43 @@ class TestTelemetryColumns:
         ],
     )
     def test_bad_row_names_device_and_day(self, field, value, message):
-        cols = self.columns()
-        columns = {name: list(getattr(cols, name)) for name in (
-            "day", "device_id", "unit_id", "chassis", "cpu_family", "vpro",
-            "usage_hours", "cpu_watts",
-        )}
-        columns[field][1] = value
+        row = list(self.ROWS[1])
+        row[_TELEMETRY_COLUMNS.index(field)] = value
         with pytest.raises(ValidationError, match=f"device g-0 on 2020-01-01: {message}"):
-            TelemetryColumns(**columns)
+            telemetry([self.ROWS[0], row])
+
+    def test_bad_key_named_at_its_first_row(self):
+        bad = (START, "g-2", "USA", "Toaster", "i5", False, 1.0, 1.0)
+        later = (START, "g-3", "USA", "NUC", "i5", False, 25.0, 1.0)
+        rows = [self.ROWS[0], later, bad, bad]
+        with pytest.raises(ValidationError, match="device g-3 on 2020-01-01: usage_hours"):
+            telemetry(rows)
+        with pytest.raises(ValidationError, match="device g-2 on 2020-01-01: unknown chassis"):
+            telemetry(rows[:1] + rows[2:] + rows[1:2])
 
     def test_lengths_checked(self):
         cols = self.columns()
         with pytest.raises(ValidationError, match="length"):
             TelemetryColumns(
-                cols.day, cols.device_id, cols.unit_id[:1], cols.chassis,
-                cols.cpu_family, cols.vpro, cols.usage_hours, cols.cpu_watts,
+                cols.day, cols.device[:1], cols.devices, cols.usage_hours, cols.cpu_watts
             )
+
+    @pytest.mark.parametrize(
+        "device, devices, message",
+        [
+            ([1, 0], "reversed", "sorted and distinct"),
+            ([0, 0], "repeated", "sorted and distinct"),
+            ([0, 2], "as built", "index every device key and no other"),
+            ([0, -1], "as built", "index every device key and no other"),
+            ([0, 0], "as built", "index every device key and no other"),
+        ],
+    )
+    def test_device_keys_checked(self, device, devices, message):
+        cols = self.columns()
+        keys = {
+            "as built": cols.devices,
+            "reversed": cols.devices[::-1],
+            "repeated": cols.devices[:1] * 2,
+        }[devices]
+        with pytest.raises(ValidationError, match=message):
+            TelemetryColumns(cols.day, device, keys, cols.usage_hours, cols.cpu_watts)

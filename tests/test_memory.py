@@ -1,7 +1,8 @@
 """Working-memory bounds of the steps whose data grows with the row count,
 on a persona stream the size of the benchmark's ``fleet`` workload (180
-devices x 365 days x 6 features, a 3.15 MB value matrix), and on a policy
-table of 100 units x 1000 days.
+devices x 365 days x 6 features, a 3.15 MB value matrix), on a policy
+table of 100 units x 1000 days, and on a telemetry table the size of
+``fleet``'s (8 units x 12 devices x 365 days).
 
 Each persona bound is a multiple of that matrix's ``nbytes``, the policy
 bound a number of bytes per table row. tracemalloc counts
@@ -18,7 +19,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from causalpanel.panelio import parse_persona_csv, parse_policy_csv
+from causalpanel.panelio import parse_persona_csv, parse_policy_csv, parse_telemetry_csv
 from causalpanel.persona import device_means, fit_kmeans, windowed_counts
 from causalpanel.simgen import (
     PersonaShiftConfig,
@@ -162,3 +163,30 @@ def test_parse_policy_holds_columns(tmp_path):
     )
     peak = traced_peak(parse_policy_csv, path, "C6")
     assert peak <= 50 * 100 * 1000
+
+
+def test_parsed_telemetry_holds_columns_of_numbers(tmp_path):
+    # What the parsed table keeps, the result held: four 8-byte columns
+    # (day, device code, usage hours, watts) and one key per device, 32.9
+    # bytes a row. Holding device id, unit, chassis and CPU family as one
+    # tuple entry a row each, and vpro as a bool array, kept 57.3.
+    config = ScenarioConfig(
+        units=tuple(UnitConfig(f"U{u}", devices_per_day=12) for u in range(8)),
+        start=START,
+        n_days=365,
+        persona_devices=0,
+        seed=1,
+    )
+    path = write_scenario(config, tmp_path)["telemetry"]
+    parse_telemetry_csv(path)  # its imports are not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = parse_telemetry_csv(path)
+        gc.collect()  # frees the interpreter's spare tuples, which no one holds
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 8 * 12 * 365
+    assert kept <= 40 * len(rows)
+    assert len(rows.devices) == 96

@@ -327,8 +327,8 @@ def _frozen_field_cases():
          "outcomes", np.array([[1.0, 2.0]])),
         (lambda a: PolicyTimeline("A", day0, a), "codes", np.array([0, 3])),
         (lambda a: TelemetryColumns(
-            np.array([day0.toordinal()]), ("d",), ("A",), ("Notebook",), ("i5",),
-            np.array([False]), a, np.array([20.0])),
+            np.array([day0.toordinal()]), np.array([0]), (("d", "A", "Notebook", "i5", False),),
+            a, np.array([20.0])),
          "usage_hours", np.array([5.0])),
         (lambda a: UsageColumns(("d",), np.array([0]), np.array([day0.toordinal()]), a, ("f",)),
          "values", np.array([[1.0]])),

@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import re
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -16,7 +17,15 @@ import causalpanel
 from causalpanel.csvwrite import write_persona_csv, write_policy_csv, write_telemetry_csv
 from causalpanel.errors import ParseError, SchemaError, ValidationError
 from causalpanel.panel import POLICY_CODES, read_panel, write_panel
-from causalpanel.paneldata import DEFAULT_INDICATOR, PanelDataset, PolicyTimeline
+from causalpanel.panel import CHASSIS_TYPES, CPU_FAMILIES
+from causalpanel.paneldata import (
+    _TELEMETRY_COLUMNS,
+    DEFAULT_INDICATOR,
+    PanelDataset,
+    PolicyTimeline,
+    TelemetryColumns,
+    factorize,
+)
 from causalpanel.panelio import (
     _csv_table,
     parse_persona_csv,
@@ -113,6 +122,21 @@ class TestPolicyCsv:
     def test_missing_indicator_column(self):
         with pytest.raises(SchemaError, match="C9"):
             parse_policy_csv(OXCGRT_STYLE.encode(), "C9")
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("CountryName,RegionName,Date,C6", "  ,,20200102,1"),
+            ("CountryName,RegionName,Date,C6", ",Alaska,20200102,1"),
+            ("unit_id,Date,C6", ",20200102,1"),
+        ],
+    )
+    def test_empty_unit_names_its_row(self, header, row):
+        first = "CHN,,20200101,1" if "RegionName" in header else "CHN,20200101,1"
+        text = f"{header}\n{first}\n{row}\n".encode()
+        column = header.split(",")[0]
+        with pytest.raises(ValidationError, match=f"^row 3: empty {column}$"):
+            parse_policy_csv(text, "C6")
 
     def test_missing_unit_column(self):
         with pytest.raises(SchemaError, match="CountryName"):
@@ -288,9 +312,7 @@ class TestTelemetryCsv:
             "2020-01-01,d,CHN,2-in-1,I7,yes,3.5,12.0\n"
         )
         rows = parse_telemetry_csv(text.encode())
-        assert rows.chassis == ("TwoInOne",)
-        assert rows.cpu_family == ("i7",)
-        assert rows.vpro.tolist() == [True]
+        assert rows.devices == (("d", "CHN", "TwoInOne", "i7", True),)
 
     def test_missing_column_named(self):
         text = "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours\nx\n"
@@ -312,6 +334,88 @@ class TestTelemetryCsv:
         )
         with pytest.raises(ParseError, match="numeric"):
             parse_telemetry_csv(text.encode())
+
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_empty_unit_id_names_its_row(self, cell):
+        text = (
+            "date,device_id,unit_id,chassis,cpu_family,vpro,usage_hours,cpu_watts\n"
+            "2020-01-01,d,CHN,Notebook,i5,0,1.0,12.0\n"
+            f"2020-01-01,e,{cell},Notebook,i5,0,1.0,12.0\n"
+        )
+        with pytest.raises(ValidationError, match="^row 3: empty unit_id$"):
+            parse_telemetry_csv(text.encode())
+
+    @pytest.mark.parametrize(
+        "cells, error",
+        [
+            # date, then vpro, then floats, then the schema, whatever their rows
+            (["2020-01-01,d,,Toaster,i5,0,1.0,1.0", "x,d,CHN,Notebook,i5,0,1.0,1.0"],
+             "row 3: malformed date 'x'"),
+            (["2020-01-01,d,CHN,Notebook,i5,0,nan,1.0", "2020-01-01,d,CHN,Notebook,i5,?,1.0,1.0"],
+             "row 3: bad vpro value '?'"),
+            (["2020-01-01,d,CHN,Toaster,i5,0,1.0,1.0", "2020-01-01,d,CHN,Notebook,i5,0,1.0,x"],
+             "row 3: non-numeric cpu_watts 'x'"),
+            (["2020-01-01,d,CHN,Notebook,i5,0,25.0,1.0", "2020-01-01,e,CHN,Toaster,i5,0,1.0,1.0"],
+             "row 2: usage_hours 25.0 outside"),
+            (["2020-01-01,d,CHN,Notebook,i5,0,1.0,1.0", "2020-01-01,e,CHN,Toaster,pentium,0,1.0,-1.0"],
+             "row 3: unknown chassis 'Toaster'"),
+            (["2020-01-01,e,CHN,Notebook,pentium,0,1.0,1.0", "2020-01-01,d,,Toaster,i5,0,1.0,1.0"],
+             "row 2: unknown cpu_family 'pentium'"),
+        ],
+    )
+    def test_order_of_faults(self, cells, error):
+        text = "\n".join([",".join(_TELEMETRY_COLUMNS), *cells, ""])
+        with pytest.raises((ParseError, ValidationError), match=f"^{re.escape(error)}"):
+            parse_telemetry_csv(text.encode())
+
+    def test_a_device_with_two_attribute_sets_is_two_keys(self):
+        rows = telemetry([
+            (date(2020, 1, 1), "d1", "A", "Notebook", "i5", False, 1.0, 1.0),
+            (date(2020, 1, 2), "d1", "A", "Desktop", "i5", False, 2.0, 1.0),
+        ])
+        buf = io.StringIO()
+        write_telemetry_csv([rows], buf)
+        parsed = parse_telemetry_csv(buf.getvalue().encode())
+        assert parsed == rows
+        assert parsed.devices == (
+            ("d1", "A", "Desktop", "i5", False), ("d1", "A", "Notebook", "i5", False)
+        )
+        assert parsed.device.tolist() == [1, 0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["d", "p,1", 'q"x', "東京", 'a,"b"']),
+                st.sampled_from(["A", "B,C", '"U"', "東京"]),
+                st.sampled_from(sorted(CHASSIS_TYPES)),
+                st.sampled_from(sorted(CPU_FAMILIES)),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+        st.lists(st.sampled_from([0, 1, 511, 512, 513]), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, drawn, sizes, seed):
+        # both vpro values, and one id under two keys, in every table
+        keys = sorted({*drawn, ("d", "A", "NUC", "Other", False), ("d", "A", "NUC", "i5", True)})
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        code = rng.integers(0, len(keys), n)
+        code[: len(keys)] = np.arange(len(keys))[:n]
+        rows = [keys[k] for k in code.tolist()]
+        day = rng.integers(1, 800_000, n)
+        hours, watts = rng.uniform(0.0, 24.0, n), rng.uniform(0.0, 300.0, n)
+
+        def table(lo, hi):
+            devices, device = factorize(rows[lo:hi])
+            return TelemetryColumns(day[lo:hi], device, devices, hours[lo:hi], watts[lo:hi])
+
+        ends = np.cumsum(sizes).tolist()
+        buf = io.StringIO()
+        write_telemetry_csv([table(hi - m, hi) for m, hi in zip(sizes, ends)], buf)
+        assert parse_telemetry_csv(buf.getvalue().encode()) == table(0, n)
 
 
 class TestPersonaCsv:
@@ -608,6 +712,13 @@ class TestPanelFormat:
         panel = make_panel(units, continent=[text] if part == "continent" else None)
         with pytest.raises(ValidationError, match=f"^{part} .* contains a tab or a line break$"):
             write_panel(panel, io.StringIO())
+
+    @pytest.mark.parametrize("text", ["", " ", "\u3000"])
+    def test_empty_unit_id_refused_on_write(self, text):
+        # no flag could name it: an empty name in --treated, --donors or
+        # --unit is dropped
+        with pytest.raises(ValidationError, match=f"^unit id {re.escape(repr(text))} is empty$"):
+            write_panel(make_panel({text: [1.0]}), io.StringIO())
 
     def test_unit_id_read_as_section_header_refused_on_write(self):
         # each row starts with its unit id; the reader takes a line that

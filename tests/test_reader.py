@@ -146,9 +146,9 @@ def parsed(module, kind: str, data: bytes):
         if kind == "telemetry":
             rows = module.parse_telemetry_csv(data)
             return [
-                (rows.day.tobytes(), rows.vpro.tobytes()),
+                (rows.day.tobytes(), rows.device.tobytes()),
                 (rows.usage_hours.tobytes(), rows.cpu_watts.tobytes()),
-                (rows.device_id, rows.unit_id, rows.chassis, rows.cpu_family),
+                rows.devices,
             ]
         if kind == "series":
             values, dates = module.parse_series_csv(data)

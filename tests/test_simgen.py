@@ -192,9 +192,8 @@ class TestRouteAgreement:
         telemetry = generate(config).telemetry
         agg = aggregate_telemetry(telemetry)
         sums, counts = {}, {}
-        for unit, day, hours in zip(
-            telemetry.unit_id, telemetry.day.tolist(), telemetry.usage_hours.tolist()
-        ):
+        units = [telemetry.devices[d][1] for d in telemetry.device]
+        for unit, day, hours in zip(units, telemetry.day.tolist(), telemetry.usage_hours.tolist()):
             key = (unit, date.fromordinal(day))
             sums[key] = sums.get(key, 0.0) + hours
             counts[key] = counts.get(key, 0) + 1
@@ -494,7 +493,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "unit_id, read_back",
-        [("A/", "'A'"), ("A/ B", "'A/B'"), (" A", "'A'"), ("A ", "'A'"), ("/", "''")],
+        [("A/", "'A'"), ("A/ B", "'A/B'"), (" A", "'A'"), ("A ", "'A'"), ("/", "''"), ("/B", "''")],
     )
     def test_unit_id_a_policy_table_reads_as_another_refused(self, unit_id, read_back):
         with pytest.raises(

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
+from _builders import telemetry_columns
 from causalpanel import tablefmt
 from causalpanel.csvwrite import write_persona_csv, write_policy_csv, write_telemetry_csv
 from causalpanel.errors import ValidationError
 from causalpanel.panel import NA, CHASSIS_TYPES, CPU_FAMILIES, PanelDataset, write_panel
-from causalpanel.paneldata import PolicyTimeline, TelemetryColumns
+from causalpanel.paneldata import PolicyTimeline
 from causalpanel.persona import UsageColumns
 from causalpanel.tablefmt import BLOCK_ROWS, float_cells, write_rows
 
@@ -132,7 +133,8 @@ def test_policy_writer_matches_reference(sizes, pool, start, seed):
     ids = TEXT + ["a/b", "/x", "c/"] + pool
     timelines = [
         PolicyTimeline(
-            str(rng.choice(ids)), start + timedelta(days=int(rng.integers(0, 400))),
+            # not rng.choice: a numpy str array drops a trailing NUL
+            ids[int(rng.integers(len(ids)))], start + timedelta(days=int(rng.integers(0, 400))),
             rng.integers(0, 4, n),
         )
         for n in sizes
@@ -147,16 +149,16 @@ def test_telemetry_writer_matches_reference(sizes, pool, seed):
     ids = TEXT + pool
 
     def piece(n):
-        def texts(choices):
-            return [str(c) for c in rng.choice(choices, n)]
+        def texts(choices):  # not rng.choice, as above
+            return [choices[k] for k in rng.integers(0, len(choices), n).tolist()]
 
-        return TelemetryColumns(
+        return telemetry_columns(
             day=rng.integers(1, 800_000, n),
             device_id=texts(ids),
-            unit_id=texts(ids),
+            unit_id=texts([i for i in ids if i.strip()]),  # an empty one is refused
             chassis=texts(sorted(CHASSIS_TYPES)),
             cpu_family=texts(sorted(CPU_FAMILIES)),
-            vpro=rng.random(n) < 0.5,
+            vpro=(rng.random(n) < 0.5).tolist(),
             usage_hours=drawn_floats(rng, n, 24.0, FLOATS[:4]),
             cpu_watts=drawn_floats(rng, n, 300.0),
         )

@@ -19,6 +19,8 @@ def cmd_cpd(args) -> int:
     # every flag is checked before an input file is opened
     if bool(opts.series) == bool(opts.panel):
         raise ValidationError("cpd needs exactly one of --series or --panel")
+    if opts.series and opts.unit is not None:
+        raise ValidationError("--unit requires --panel: a series file holds one series")
     penalty = PenaltyConfig(kind="bic" if opts.lam is None else "manual", lam=opts.lam)
     if opts.panel:
         from ..panel import read_panel

@@ -38,14 +38,16 @@ def cmd_persona(args) -> int:
     fit_rows = None
     if fit_until:
         fit_rows = records.day < fit_until.toordinal()
-    means = device_means(records, where=fit_rows)
-    if not len(means):
-        raise ValidationError("no usage rows before --fit-until to fit on")
-    model = fit_kmeans(means)  # DEFAULT_K personas, first center from seed 0
-    if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
-        model = rename_personas(model, CATEGORY_TO_PERSONA)
-
-    series = windowed_counts(records, model, width=opts.width, stride=opts.stride)
+    try:
+        means = device_means(records, where=fit_rows)
+        if not len(means):
+            raise ValidationError("no usage rows before --fit-until to fit on")
+        model = fit_kmeans(means)  # DEFAULT_K personas, first center from seed 0
+        if set(model.feature_names) == set(DEFAULT_FEATURE_CATEGORIES):
+            model = rename_personas(model, CATEGORY_TO_PERSONA)
+        series = windowed_counts(records, model, width=opts.width, stride=opts.stride)
+    except ValidationError as err:
+        raise type(err)(f"{args.records}: {err}") from None
 
     payload = {
         "estimator": "persona",

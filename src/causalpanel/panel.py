@@ -61,13 +61,25 @@ def _check_contiguous(dates: Sequence[date], context: str) -> None:
 
 def _equal_fields(self, other) -> bool:
     """Field-by-field equality of two instances of one dataclass, arrays
-    bitwise: the ``__eq__`` of the classes that hold arrays."""
+    bitwise (same shape and bytes; an array never equals None)."""
     if type(other) is not type(self):
         return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(
-        a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b for a, b in pairs
-    )
+    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b
+
+
+class _ArrayFields:
+    """The base of every frozen dataclass that holds arrays, declared with
+    ``eq=False`` so that it keeps this equality: :func:`_equal_fields`.
+    Its instances are not hashable."""
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -78,8 +90,8 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PanelDataset:
+@dataclass(frozen=True, eq=False)
+class PanelDataset(_ArrayFields):
     """Aligned (unit x date) outcome panel.
 
     ``missing_mask`` is True where a cell has no observation; masked cells

@@ -38,7 +38,7 @@ from .panel import (
     CPU_FAMILIES,
     POLICY_CODES,
     PanelDataset,
-    _equal_fields,
+    _ArrayFields,
     _frozen_array,
 )
 
@@ -68,7 +68,7 @@ class EventKind(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class PolicyTimeline:
+class PolicyTimeline(_ArrayFields):
     """Daily ordinal policy level for one unit (country or region): the
     code of day ``start + k`` is ``codes[k]``, a read-only int64 array.
     Equality is field by field."""
@@ -91,9 +91,6 @@ class PolicyTimeline:
     @property
     def dates(self) -> tuple[date, ...]:
         return tuple(self.start + timedelta(days=k) for k in range(len(self.codes)))
-
-    __eq__ = _equal_fields
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -139,6 +136,14 @@ def telemetry_violation(device, faults: dict, hours: np.ndarray, watts: np.ndarr
     return i, what(i)
 
 
+def check_codes(device: np.ndarray, n: int, what: str) -> None:
+    """Refuse device codes that leave one of the ``n`` entries (each a
+    ``what``) unused or index outside them, with no array of their length."""
+    inside = not device.size or (device.min() >= 0 and device.max() < n)
+    if not inside or np.count_nonzero(np.bincount(device, minlength=n)) != n:
+        raise ValidationError(f"device codes must index every {what} and no other")
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array in sorted order: ``np.unique``
     without its options, which under numpy 2 imports ``numpy.ma`` on its
@@ -165,7 +170,7 @@ def factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class TelemetryColumns:
+class TelemetryColumns(_ArrayFields):
     """Device-day usage reports as columns. Row ``i`` is device
     ``devices[device[i]]`` on day ``date.fromordinal(day[i])``, with
     ``usage_hours[i]`` and ``cpu_watts[i]``. A device key is ``(device_id,
@@ -194,9 +199,7 @@ class TelemetryColumns:
             raise ValidationError("telemetry columns differ in length")
         if list(devices) != sorted(set(devices)):
             raise ValidationError("device keys must be sorted and distinct")
-        used = np.bincount(device[device >= 0], minlength=len(devices))
-        if (device < 0).any() or used.size != len(devices) or not used.all():
-            raise ValidationError("device codes must index every device key and no other")
+        check_codes(device, len(devices), "device key")
         faults = {k: f for k, key in enumerate(devices) if (f := device_fault(key))}
         problem = telemetry_violation(device, faults, self.usage_hours, self.cpu_watts)
         if problem is not None:
@@ -206,9 +209,6 @@ class TelemetryColumns:
 
     def __len__(self) -> int:
         return self.day.shape[0]
-
-    __eq__ = _equal_fields
-    __hash__ = None
 
 
 def extract_treatment_events(timeline: PolicyTimeline) -> list[TreatmentEvent]:

@@ -281,6 +281,15 @@ def _csv_table(source, kind: str):
         yield header, _Body(stream, delim, max_rows)
 
 
+def _check_read_once(header: list[str], read, kind: str) -> None:
+    """Refuse a header that names a column of ``read`` more than once: the
+    table does not say which copy is meant. A repeated column that is not
+    read, such as the empty names of trailing delimiters, is accepted."""
+    for name in read:
+        if header.count(name) > 1:
+            raise SchemaError(f"{kind} header names the column {name!r} more than once")
+
+
 def _stacked(blocks, columns: dict) -> dict:
     """Whole columns from the per-block parts that ``blocks`` yields (one
     dict of parts per block, in row order). ``columns`` maps each name to
@@ -328,6 +337,7 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         ind_col = cols[indicator_column]
         # only the columns read become cells; a row must still reach the last
         used = sorted({unit_col, region_col, date_col, ind_col} - {None})
+        _check_read_once(header, [header[i] for i in used], "policy")
         unit_col, date_col, ind_col = map(used.index, (unit_col, date_col, ind_col))
         region_col = None if region_col is None else used.index(region_col)
 
@@ -460,6 +470,7 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
+        _check_read_once(header, _TELEMETRY_COLUMNS, "telemetry")
         day_table, cell_table = {}, {}  # date cell -> day, a row's device cells -> code
         codes, faults = {}, {}  # device key -> code, in the order met; code -> fault
 
@@ -530,6 +541,7 @@ def parse_persona_csv(source) -> UsageColumns:
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
+        _check_read_once(header, header, "persona")
         day_table = {}
 
         def blocks():
@@ -573,6 +585,7 @@ def parse_units_csv(source) -> dict[str, str]:
     with _csv_table(source, "units") as (header, body):
         if "unit_id" not in header or "continent" not in header:
             raise SchemaError("units header needs unit_id and continent columns")
+        _check_read_once(header, ("unit_id", "continent"), "units")
         id_col, cont_col = header.index("unit_id"), header.index("continent")
         for columns, _ in body(max(id_col, cont_col) + 1):
             continents.update(
@@ -590,6 +603,7 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     with _csv_table(source, "series") as (header, body):
         if "value" not in header:
             raise SchemaError("series file needs a value column")
+        _check_read_once(header, ("value", "date"), "series")
         v_col = header.index("value")
         d_col = header.index("date") if "date" in header else None
         day_table = {}

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceWarning, SchemaError, ValidationError
-from .panel import _frozen_array
-from .paneldata import distinct, factorize
+from .panel import _ArrayFields, _frozen_array
+from .paneldata import check_codes, distinct, factorize
 
 if TYPE_CHECKING:
     from .changepoint import Segmentation
@@ -91,24 +91,15 @@ class UsageFeatureVector:
                     "must be finite and non-negative"
                 )
 
-    def as_array(self, feature_names: Sequence[str]) -> np.ndarray:
-        missing = set(feature_names) ^ set(self.features)
-        if missing:
-            raise SchemaError(
-                f"device {self.device_id}: feature names do not align "
-                f"(mismatch on {sorted(missing)})"
-            )
-        return np.array([self.features[n] for n in feature_names], dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
-class UsageColumns:
+class UsageColumns(_ArrayFields):
     """Usage rows as columns. Row ``i`` is device ``device_ids[device[i]]``
     on day ``date.fromordinal(day[i])`` with feature values ``values[i]``,
-    whose columns follow ``feature_names``. ``device_ids`` is sorted, so
-    device index order is device-id order.
+    whose columns follow ``feature_names``. ``device_ids`` holds the ids
+    the rows use, sorted and distinct: device index order is id order.
 
-    Equality compares the rows, floats bitwise. Iterating yields one
+    Equality is field by field, floats bitwise. Iterating yields one
     :class:`UsageFeatureVector` per row.
     """
 
@@ -143,8 +134,7 @@ class UsageColumns:
                 f"values matrix {values.shape} does not match {len(device)} rows "
                 f"x {len(names)} features"
             )
-        if device.size and not (0 <= device.min() and device.max() < len(ids)):
-            raise ValidationError("device index outside the device id list")
+        check_codes(device, len(ids), "device id")
         # min and max propagate NaN, and neither makes a temporary array
         if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             i, j = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
@@ -189,19 +179,6 @@ class UsageColumns:
             yield UsageFeatureVector(
                 self.device_ids[d], date.fromordinal(day), dict(zip(names, row))
             )
-
-    def __eq__(self, other):
-        if not isinstance(other, UsageColumns):
-            return NotImplemented
-        return (
-            self.feature_names == other.feature_names
-            and [self.device_ids[d] for d in self.device]
-            == [other.device_ids[d] for d in other.device]
-            and np.array_equal(self.day, other.day)
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    __hash__ = None
 
     def columns_of(self, feature_names: Sequence[str]) -> list[int]:
         """The stored column of each of ``feature_names``, which must be
@@ -278,8 +255,8 @@ def device_means(records, where: np.ndarray | None = None) -> UsageColumns:
     )
 
 
-@dataclass(frozen=True)
-class PersonaModel:
+@dataclass(frozen=True, eq=False)
+class PersonaModel(_ArrayFields):
     """k distinct centroids with stable names."""
 
     centroids: np.ndarray
@@ -310,24 +287,22 @@ class PersonaModel:
         return self.centroids.shape[0]
 
 
-@dataclass(frozen=True)
-class PersonaCountSeries:
-    """Device counts per persona over sliding windows, with consecutive
-    differences and their per-persona z-scores."""
+@dataclass(frozen=True, eq=False)
+class PersonaCountSeries(_ArrayFields):
+    """Device counts per persona over sliding windows. ``diffs`` (the
+    consecutive count differences) and ``zscores`` (each persona's diff
+    column standardized by its population std; a column of std 0 gives
+    all-zero z-scores) are derived from ``counts``."""
 
     window_starts: tuple[date, ...]
     counts: np.ndarray
-    diffs: np.ndarray
-    zscores: np.ndarray
     persona_names: tuple[str, ...]
+    diffs: np.ndarray = field(init=False)
+    zscores: np.ndarray = field(init=False)
 
     def __post_init__(self):
         counts = _frozen_array(self.counts, np.int64)
-        diffs = _frozen_array(self.diffs, np.int64)
-        z = _frozen_array(self.zscores, float)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "diffs", diffs)
-        object.__setattr__(self, "zscores", z)
         object.__setattr__(self, "window_starts", tuple(self.window_starts))
         object.__setattr__(self, "persona_names", tuple(self.persona_names))
         w = len(self.window_starts)
@@ -336,10 +311,15 @@ class PersonaCountSeries:
             raise ValidationError(f"counts shape {counts.shape}, expected {(w, k)}")
         if (counts < 0).any():
             raise ValidationError("negative persona counts")
-        if w and (diffs.shape != (w - 1, k) or z.shape != (w - 1, k)):
-            raise ValidationError("diffs/zscores must have windows-1 rows")
-        if not np.array_equal(diffs, counts[1:] - counts[:-1]):
-            raise ValidationError("diffs do not match count differences")
+        diffs = counts[1:] - counts[:-1]
+        z = np.zeros_like(diffs, dtype=float)
+        if diffs.shape[0] > 0:
+            means = diffs.mean(axis=0)
+            stds = diffs.std(axis=0)
+            nonzero = stds > 0
+            z[:, nonzero] = (diffs[:, nonzero] - means[nonzero]) / stds[nonzero]
+        object.__setattr__(self, "diffs", _frozen_array(diffs, np.int64))
+        object.__setattr__(self, "zscores", _frozen_array(z, float))
 
 
 def _squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -576,9 +556,8 @@ def windowed_counts(
     sequence of :class:`UsageFeatureVector` whose ``window_start`` is the
     record day. Per window, each device's rows inside the window are averaged
     to one vector, zero-usage devices are dropped, and the rest are
-    assigned to their nearest frozen centroid. Diffs are consecutive
-    count differences; z-scores standardize each persona's diff column
-    by its population std (zero-std columns give all-zero z-scores).
+    assigned to their nearest frozen centroid; the series derives its
+    diffs and z-scores from the counts.
     """
     if width <= 0 or stride <= 0:
         raise ValidationError("width and stride must be positive day counts")
@@ -604,21 +583,7 @@ def windowed_counts(
     persona = np.argmin(_squared_distances(means[active], model.centroids), axis=1)
     counts = np.zeros((len(starts), model.k), dtype=np.int64)
     np.add.at(counts, (window[active], persona), 1)
-
-    diffs = counts[1:] - counts[:-1]
-    z = np.zeros_like(diffs, dtype=float)
-    if diffs.shape[0] > 0:
-        means = diffs.mean(axis=0)
-        stds = diffs.std(axis=0)
-        nonzero = stds > 0
-        z[:, nonzero] = (diffs[:, nonzero] - means[nonzero]) / stds[nonzero]
-    return PersonaCountSeries(
-        window_starts=starts,
-        counts=counts,
-        diffs=diffs,
-        zscores=z,
-        persona_names=model.persona_names,
-    )
+    return PersonaCountSeries(starts, counts, model.persona_names)
 
 
 def persona_changepoint(series: PersonaCountSeries) -> dict[str, Segmentation]:

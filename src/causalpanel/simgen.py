@@ -552,9 +552,13 @@ def _joined_telemetry(pieces: list[TelemetryColumns]) -> TelemetryColumns:
 
 
 def _joined_usage(pieces: list[UsageColumns]) -> UsageColumns:
+    device_ids, code = factorize([i for p in pieces for i in p.device_ids])
+    starts = np.cumsum([0, *(len(p.device_ids) for p in pieces)])
+    device = (code[start + p.device] for start, p in zip(starts, pieces))
     k = len(DEFAULT_FEATURE_CATEGORIES)
-    return UsageColumns.from_rows(
-        [p.device_ids[d] for p in pieces for d in p.device.tolist()],
+    return UsageColumns(
+        device_ids,
+        np.concatenate([np.empty(0, np.int64), *device]),
         np.concatenate([np.empty(0, np.int64), *(p.day for p in pieces)]),
         np.concatenate([np.empty((0, k)), *(p.values for p in pieces)]),
         DEFAULT_FEATURE_CATEGORIES,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceWarning, SpecError, ValidationError
-from .panel import PanelDataset, _frozen_array
+from .panel import PanelDataset, _ArrayFields, _frozen_array
 
 DEFAULT_MAX_ITERATIONS = 10_000
 DEFAULT_TOLERANCE = 1e-8
@@ -63,8 +63,8 @@ class SynthSpec:
             )
 
 
-@dataclass(frozen=True)
-class SynthFit:
+@dataclass(frozen=True, eq=False)
+class SynthFit(_ArrayFields):
     """Fitted weights plus the derived series.
 
     ``counterfactual`` and ``gap`` are full-length date series with NaN

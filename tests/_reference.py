@@ -28,7 +28,7 @@ import csv
 import io
 import itertools
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from datetime import date, timedelta
 from typing import Iterable
@@ -60,7 +60,6 @@ from causalpanel.textio import _map_distinct, _opened
 from causalpanel.persona import (
     WINDOW_STRIDE,
     WINDOW_WIDTH,
-    PersonaCountSeries,
     PersonaModel,
     UsageColumns,
     UsageFeatureVector,
@@ -74,12 +73,21 @@ def _as_days(value) -> timedelta:
     return timedelta(days=int(value))
 
 
+# What ``windowed_counts`` below returns: the fields of a
+# ``PersonaCountSeries``, its diffs and z-scores computed here.
+CountSeries = namedtuple("CountSeries", "window_starts counts diffs zscores")
+
+
+def _feature_array(record: UsageFeatureVector, feature_names) -> np.ndarray:
+    return np.array([record.features[n] for n in feature_names], dtype=float)
+
+
 def windowed_counts(
     records: Iterable[UsageFeatureVector],
     model: PersonaModel,
     width: timedelta | int = WINDOW_WIDTH,
     stride: timedelta | int = WINDOW_STRIDE,
-) -> PersonaCountSeries:
+) -> CountSeries:
     """Count devices per persona over sliding windows.
 
     ``records`` are daily feature rows (``window_start`` is the record
@@ -119,7 +127,7 @@ def windowed_counts(
         for r in records:
             if start <= r.window_start < end:
                 per_device.setdefault(r.device_id, []).append(
-                    r.as_array(model.feature_names)
+                    _feature_array(r, model.feature_names)
                 )
         for device in sorted(per_device):
             mean_vec = np.mean(per_device[device], axis=0)
@@ -137,13 +145,7 @@ def windowed_counts(
         stds = diffs.std(axis=0)
         nonzero = stds > 0
         z[:, nonzero] = (diffs[:, nonzero] - means[nonzero]) / stds[nonzero]
-    return PersonaCountSeries(
-        window_starts=tuple(starts),
-        counts=counts,
-        diffs=diffs,
-        zscores=z,
-        persona_names=model.persona_names,
-    )
+    return CountSeries(tuple(starts), counts, diffs, z)
 
 
 def window_means(records, feature_names, width, stride):
@@ -158,7 +160,7 @@ def window_means(records, feature_names, width, stride):
         for r in records:
             if start <= r.window_start < start + width:
                 per_device.setdefault(r.device_id, []).append(
-                    r.as_array(feature_names)
+                    _feature_array(r, feature_names)
                 )
         for device in sorted(per_device):
             out[(w, device)] = np.mean(per_device[device], axis=0)
@@ -361,6 +363,15 @@ def _csv_table(source, kind: str):
         yield header, _Body(stream, delim)
 
 
+def _refuse_repeated(header, read, kind: str) -> None:
+    """A header that names a column of ``read`` more than once is a
+    schema error naming the column."""
+    counts = Counter(header)
+    for name in read:
+        if counts[name] > 1:
+            raise SchemaError(f"{kind} header names the column {name!r} more than once")
+
+
 def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
     """Parse a policy table into one timeline per unit.
 
@@ -382,6 +393,9 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
             raise SchemaError("policy header has no Date column")
         if indicator_column not in cols:
             raise SchemaError(f"policy header has no column {indicator_column!r}")
+        date_name = "Date" if "Date" in cols else "date"
+        read = [unit_name, date_name, indicator_column]
+        _refuse_repeated(header, read + ["RegionName"] * (unit_name == "CountryName"), "policy")
         ind_col = cols[indicator_column]
         used_cols = (unit_col, region_col, date_col, ind_col)
 
@@ -514,6 +528,7 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
         missing = [c for c in _TELEMETRY_COLUMNS if c not in cols]
         if missing:
             raise SchemaError(f"telemetry header missing column(s): {', '.join(missing)}")
+        _refuse_repeated(header, _TELEMETRY_COLUMNS, "telemetry")
 
         def blocks():
             for columns, rownos in body(len(header)):
@@ -571,6 +586,7 @@ def parse_persona_csv(source) -> UsageColumns:
         names = header[2:]
         if not names:
             raise SchemaError("persona header has no feature columns")
+        _refuse_repeated(header, header, "persona")
 
         def blocks():
             for columns, rownos in body(len(header), exact=True):
@@ -613,6 +629,7 @@ def parse_units_csv(source) -> dict[str, str]:
     with _csv_table(source, "units") as (header, body):
         if "unit_id" not in header or "continent" not in header:
             raise SchemaError("units header needs unit_id and continent columns")
+        _refuse_repeated(header, ("unit_id", "continent"), "units")
         id_col, cont_col = header.index("unit_id"), header.index("continent")
         for columns, _ in body(max(id_col, cont_col) + 1):
             continents.update(
@@ -630,6 +647,7 @@ def parse_series_csv(source) -> tuple[np.ndarray, list[date] | None]:
     with _csv_table(source, "series") as (header, body):
         if "value" not in header:
             raise SchemaError("series file needs a value column")
+        _refuse_repeated(header, ("value", "date"), "series")
         v_col = header.index("value")
         d_col = header.index("date") if "date" in header else None
 

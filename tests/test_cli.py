@@ -2011,6 +2011,10 @@ def test_byte_order_mark_input_reads_as_without(
     "argv, message",
     [
         (["cpd", "--series", "{missing}", "--lam", "-5"], "manual penalty requires lam >= 0"),
+        (
+            ["cpd", "--series", "{missing}", "--unit", "T"],
+            "--unit requires --panel: a series file holds one series",
+        ),
         (["persona", "--records", "{missing}", "--width", "0"], "--width must be >= 1, got 0"),
         (["persona", "--records", "{missing}", "--stride", "0"], "--stride must be >= 1, got 0"),
         (
@@ -2042,7 +2046,7 @@ def test_byte_order_mark_input_reads_as_without(
         ),
     ],
     ids=[
-        "lam", "width", "stride", "outcome", "group_by", "group_by_without_unit_id",
+        "lam", "cpd_unit", "width", "stride", "outcome", "group_by", "group_by_without_unit_id",
         "group_by_empty", "did_units", "synth_donors",
     ],
 )

@@ -398,6 +398,11 @@ class TestUsageColumns:
         with pytest.raises(ValidationError, match="device p1: feature 'b'"):
             UsageColumns(("p0", "p1"), [0, 1], [1, 1], [[1.0, 0.0], [0.0, bad]], ("a", "b"))
 
+    @pytest.mark.parametrize("device", [[0, 0], [0, 2]], ids=["unused", "outside"])
+    def test_device_codes_must_use_every_id(self, device):
+        with pytest.raises(ValidationError, match="every device id and no other"):
+            UsageColumns(("p0", "p1"), device, [1, 1], [[1.0], [2.0]], ("a",))
+
     def test_device_ids_must_be_sorted(self):
         with pytest.raises(ValidationError, match="sorted"):
             UsageColumns(("p1", "p0"), [0], [1], [[1.0]], ("a",))

@@ -118,6 +118,12 @@ class TestPanelDataset:
         assert values.tolist() == [1.0, 2.0, 3.0]
         assert not mask.any()
 
+    def test_equality_tells_a_part_held_from_one_not_held(self):
+        panel = make_panel({"A": [1.0, 2.0]})
+        counted = make_panel({"A": [1.0, 2.0]}, system_count=[3.0])
+        assert panel != counted and counted != panel
+        assert counted == make_panel({"A": [1.0, 2.0]}, system_count=[3.0])
+
     def test_unknown_unit_and_date(self):
         panel = make_panel({"A": [1.0, 2.0]})
         with pytest.raises(ValidationError, match="'Z'"):
@@ -333,8 +339,7 @@ def _frozen_field_cases():
         (lambda a: UsageColumns(("d",), np.array([0]), np.array([day0.toordinal()]), a, ("f",)),
          "values", np.array([[1.0]])),
         (lambda a: PersonaModel(a, ("p", "q"), ("f",)), "centroids", np.array([[0.0], [1.0]])),
-        (lambda a: PersonaCountSeries(days, a, np.array([[1, -1]]), np.zeros((1, 2)), ("p", "q")),
-         "counts", np.array([[1, 2], [2, 1]])),
+        (lambda a: PersonaCountSeries(days, a, ("p", "q")), "counts", np.array([[1, 2], [2, 1]])),
         (lambda a: SynthFit(a, 0.0, np.zeros(3), np.zeros(3), 1.0),
          "weights", np.array([0.25, 0.75])),
     ]
@@ -347,3 +352,15 @@ def test_frozen_field_is_a_read_only_view_of_the_callers_array(build, name, arr)
     assert np.shares_memory(held, arr)  # no copy
     assert not held.flags.writeable
     assert arr.flags.writeable
+
+
+@pytest.mark.parametrize("build, name, arr", _frozen_field_cases())
+def test_array_type_equality_is_field_by_field_bitwise(build, name, arr):
+    # every field's bytes are equal, but no array is shared
+    first, second = build(arr.copy()), build(arr.copy())
+    assert first is not second and first == second and not first != second
+    flipped = arr.copy()
+    flipped.view(np.uint8)[0] ^= 1  # the lowest bit of the first element
+    assert first != build(flipped)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)

@@ -285,7 +285,7 @@ class TestUsageFeatureVector:
     @settings(max_examples=50, deadline=None)
     def test_valid_vectors_accepted(self, values):
         v = vec("d1", values)
-        assert np.array_equal(v.as_array(FEATS), np.array(values))
+        assert [v.features[name] for name in FEATS] == values
 
 
 def daily_records(assignments_by_window, model, start, width=28, stride=28):
@@ -311,15 +311,14 @@ class TestWindowedCounts:
     def test_hand_example_zscores(self):
         # One persona's counts per window [100, 110, 90]: diffs [10, -20],
         # mean -5, population std 15, so zscores [1, -1].
+        # The other persona's diffs have std 0, so its z-scores are 0.
         series = PersonaCountSeries(
             window_starts=(date(2020, 1, 1), date(2020, 1, 15), date(2020, 1, 29)),
             counts=np.array([[100, 5], [110, 5], [90, 5]]),
-            diffs=np.array([[10, 0], [-20, 0]]),
-            zscores=np.array([[1.0, 0.0], [-1.0, 0.0]]),
             persona_names=("p0", "p1"),
         )
-        assert np.array_equal(series.diffs, series.counts[1:] - series.counts[:-1])
-        assert np.allclose(series.zscores[:, 0], [1.0, -1.0])
+        assert series.diffs.tolist() == [[10, 0], [-20, 0]]
+        assert series.zscores.tolist() == [[1.0, 0.0], [-1.0, 0.0]]
 
     def test_windowed_counts_computes_hand_zscores(self):
         model = simple_model()
@@ -436,18 +435,10 @@ class TestWindowedCounts:
 class TestPersonaChangepoint:
     def build_series(self, counts_by_persona, start=date(2020, 1, 1)):
         counts = np.asarray(counts_by_persona).T
-        diffs = counts[1:] - counts[:-1]
-        z = np.zeros_like(diffs, dtype=float)
-        means, stds = diffs.mean(axis=0), diffs.std(axis=0)
-        for j in range(diffs.shape[1]):
-            if stds[j] > 0:
-                z[:, j] = (diffs[:, j] - means[j]) / stds[j]
         starts = tuple(start + timedelta(days=14 * w) for w in range(counts.shape[0]))
         return PersonaCountSeries(
             window_starts=starts,
             counts=counts,
-            diffs=diffs,
-            zscores=z,
             persona_names=tuple(f"p{j}" for j in range(counts.shape[1])),
         )
 
@@ -491,22 +482,21 @@ class TestPersonaChangepoint:
 
 
 class TestCountSeriesValidation:
-    def test_diff_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="diffs"):
-            PersonaCountSeries(
-                window_starts=(date(2020, 1, 1), date(2020, 1, 15)),
-                counts=np.array([[5, 5], [6, 5]]),
-                diffs=np.array([[2, 0]]),
-                zscores=np.array([[0.0, 0.0]]),
-                persona_names=("a", "b"),
-            )
+    @pytest.mark.parametrize("name", ["diffs", "zscores"])
+    def test_derived_field_is_not_an_input(self, name):
+        # counts [1, 2, 3, 5] with z-scores [9, 9, 9] cannot be built
+        starts = tuple(date(2020, 1, 1) + timedelta(days=14 * w) for w in range(4))
+        counts = np.array([[1], [2], [3], [5]])
+        with pytest.raises(TypeError, match=name):
+            PersonaCountSeries(starts, counts, ("a",), **{name: np.full((3, 1), 9)})
+        series = PersonaCountSeries(starts, counts, ("a",))
+        assert series.diffs.tolist() == [[1], [1], [2]]
+        assert not series.zscores.flags.writeable
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             PersonaCountSeries(
                 window_starts=(date(2020, 1, 1),),
                 counts=np.array([[-1, 2]]),
-                diffs=np.zeros((0, 2), dtype=int),
-                zscores=np.zeros((0, 2)),
                 persona_names=("a", "b"),
             )

@@ -7,6 +7,8 @@ class and message. Small block sizes put the block boundaries, refused
 blocks and the switch to ``csv.reader`` at a quote into files of a few
 rows."""
 
+import contextlib
+import io
 from datetime import date, timedelta
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from causalpanel import panelio
+from causalpanel.cli import main
 from causalpanel.paneldata import _TELEMETRY_COLUMNS
 
 # a warning from the reader (numpy's "input contained no data") would
@@ -22,6 +25,7 @@ from causalpanel.paneldata import _TELEMETRY_COLUMNS
 pytestmark = pytest.mark.filterwarnings("error")
 
 START = date(2020, 1, 1)
+TELEMETRY_HEADER = ",".join(_TELEMETRY_COLUMNS)
 
 # Cells injected anywhere: numbers float() or loadtxt refuse, non-finite
 # and out-of-range values, quoted cells (one with a line break, one left
@@ -212,6 +216,75 @@ def test_mutated_table_reads_as_reference(kind, data, block_rows):
         assert parsed(panelio, kind, text) == parsed(ref, kind, text)
 
 
+ROW = {
+    "policy": "A,20200101,1,2",
+    "telemetry": "2020-01-01,d,U,NUC,i5,0,1.0,2.0,x,y",
+    "persona": "d0,2020-01-01,1.0,2.0",
+    "series": "1.0,2.0",
+    "units": "U0,Europe,U1",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, header, column",
+    [
+        ("policy", "unit_id,Date,C6,C6", "C6"),
+        ("telemetry", f"{TELEMETRY_HEADER},usage_hours,extra", "usage_hours"),
+        ("persona", "device_id,date,a,a", "a"),
+        ("series", "value,value", "value"),
+        ("units", "unit_id,continent,unit_id", "unit_id"),
+    ],
+    ids=["policy", "telemetry", "persona", "series", "units"],
+)
+def test_column_read_twice_refused(kind, header, column):
+    # each reader took one of the copies, and the readers disagreed on which
+    text = f"{header}\n{ROW[kind]}\n".encode()
+    got = parsed(panelio, kind, text)
+    assert got == parsed(ref, kind, text)
+    assert got == (
+        panelio.SchemaError, f"{kind} header names the column {column!r} more than once"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [
+        ("policy", "unit_id,Date,C6,,"),
+        ("telemetry", f"{TELEMETRY_HEADER},extra,extra"),
+        ("series", "value,,"),
+        ("units", "unit_id,continent,,"),
+    ],
+    ids=["policy", "telemetry", "series", "units"],
+)
+def test_column_not_read_may_repeat(kind, header):
+    text = f"{header}\n{ROW[kind]}\n".encode()
+    got = parsed(panelio, kind, text)
+    assert got == parsed(ref, kind, text)
+    assert not (isinstance(got, tuple) and isinstance(got[0], type))
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [("persona", ["persona", "--width", "2", "--stride", "1", "--records"]),
+     ("series", ["cpd", "--series"])],
+    ids=["persona", "series"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_table_through_the_cli(tmp_path_factory, kind, argv, data):
+    """Each mutated table, run through the command that reads it, exits 0
+    or exits 2, 3 or 5 with a message that names the file; no exception
+    leaves ``main``."""
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+    path.write_bytes(data.draw(mutated(kind)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path), "--out", str(path.parent / "out"), "--quiet"])
+    assert code in (0, 2, 3, 5), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("ERROR ") and str(path) in err.getvalue()
+
+
 def persona_lines(n: int) -> list[str]:
     return [f"d{i % 7},{day(i % 300)},{i * 0.25!r},{(i % 13) / 3!r}" for i in range(n)]
 
@@ -246,9 +319,6 @@ def test_error_past_first_block_names_its_row(tmp_path, cell, message):
     assert parsed(panelio, "persona", path) == parsed(ref, "persona", path)
     with pytest.raises(panelio.ParseError, match=message):
         panelio.parse_persona_csv(path)
-
-
-TELEMETRY_HEADER = ",".join(_TELEMETRY_COLUMNS)
 
 
 @pytest.mark.parametrize(

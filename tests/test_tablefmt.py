@@ -175,15 +175,16 @@ def test_persona_writer_matches_reference(sizes, pool, seed):
 
     def piece(n):
         values = drawn_floats(rng, 3 * n, 30.0).reshape(n, 3)
-        return UsageColumns(
-            ids, rng.integers(0, len(ids), n), rng.integers(1, 800_000, n), values, names
+        device = rng.integers(0, len(ids), n)
+        return UsageColumns.from_rows(
+            [ids[d] for d in device], rng.integers(1, 800_000, n), values, names
         )
 
     both(write_persona_csv, ref.write_persona_csv, [piece(n) for n in sizes])
 
 
 def test_persona_writer_refuses_a_table_of_no_rows():
-    empty = UsageColumns(("a",), [], [], np.zeros((0, 1)), ("web",))
+    empty = UsageColumns((), [], [], np.zeros((0, 1)), ("web",))
     for write in (write_persona_csv, ref.write_persona_csv):
         with pytest.raises(ValidationError):
             write([empty, empty], io.StringIO())

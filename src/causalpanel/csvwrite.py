@@ -11,8 +11,8 @@ Every writer lays out a block of rows at a time as bytes
 date once per file, floats as ``repr`` computed in numpy
 (:func:`~causalpanel.tablefmt.float_cells`), so a file written from
 columns is byte-identical to one written row by row with ``csv.writer``.
-A path written is a commit of one file
-(:func:`~causalpanel.files.committed`).
+A path is opened as the readers open theirs (:func:`~causalpanel.files._opened`)
+and written as a commit of one file (:func:`~causalpanel.files.committed`).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .files import _opened
 from .paneldata import _TELEMETRY_COLUMNS, PolicyTimeline, TelemetryColumns
 from .tablefmt import CellTable, float_cells, write_rows
-from .textio import _opened
 
 
 def _csv_cell(value: str) -> str:

@@ -1,10 +1,13 @@
-"""How the package commits the files it writes (:func:`committed`) and
-reads the dates in the text it takes in (:func:`parse_date`). No numpy:
-every command loads this module, ``report`` among them."""
+"""How the package commits the files it writes (:func:`committed`),
+opens the text it reads and writes (:func:`_opened`: the CSV readers,
+the CSV writers and the panel file, none of which loads another) and
+reads dates (:func:`parse_date`). No numpy and no CSV: every command
+loads this module, ``report`` among them."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 from datetime import date
 from typing import IO
@@ -64,6 +67,35 @@ def committed():
                 stream.close()
             with contextlib.suppress(FileNotFoundError):
                 os.remove(stream.name)
+
+
+@contextlib.contextmanager
+def _opened(source, mode: str = "r"):
+    """A text stream over a path, bytes, or file object; a path opened
+    here is closed on exit, a caller's stream is left open. A path opened
+    to write is a commit of one file (:func:`committed`): a failed write
+    leaves the earlier file as it was. Bytes are read as UTF-8 with or
+    without a leading byte order mark (``utf-8-sig``), which spreadsheet
+    programs write; none is written."""
+    if isinstance(source, (str, os.PathLike)) and mode == "w":
+        with committed() as files:
+            yield files.open(source)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, mode, encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8-sig"), newline="")
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif hasattr(source, "read"):  # binary stream
+        encoding = "utf-8" if mode == "w" else "utf-8-sig"
+        stream = io.TextIOWrapper(source, encoding=encoding, newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes; a dropped wrapper would close source
+    else:
+        raise TypeError(f"cannot read from {type(source).__name__}")
 
 
 def parse_date(token: str) -> date:

@@ -19,8 +19,10 @@ an error naming the line, section or unit.
 ``did``, ``synth`` and ``cpd --panel`` read a panel and no other input
 file, so this module holds what they run and no more: no CSV
 reader or writer (:mod:`causalpanel.panelio`,
-:mod:`causalpanel.csvwrite`) and no aggregation
-(:mod:`causalpanel.paneldata`, which builds panels from telemetry).
+:mod:`causalpanel.csvwrite`, which open their files through
+:func:`~causalpanel.files._opened` as this module does) and no
+aggregation (:mod:`causalpanel.paneldata`, which builds panels from
+telemetry).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .files import parse_date
-from .textio import _opened
+from .files import _opened, parse_date
 
 POLICY_CODES = (0, 1, 2, 3)
 # The parts of a composite unit label such as "CHN|Notebook|i7" that name

@@ -36,15 +36,16 @@ into columns and converts the columns a reader uses (its numbers to
 floats) in one ``np.loadtxt`` call, and
 ``csv.reader`` splits a block that holds a quote, or one loadtxt
 refuses, so that the refused block's first bad cell is named as before.
-Each column is then converted at once (text cells once per distinct
-value, dates once per file: ``YYYY-MM-DD`` or ``YYYYMMDD`` in any table)
-and validated at once. Each block is copied
-into columns allocated once for as many rows as the file has lines left
-(:func:`_stacked`), so a table is held once, not once in blocks and again
-joined; the lines and cells of one block only are alive at a time. Every
-rejected cell is named by its row: unparseable or non-finite values and
-short rows are parse errors, values outside the schema validation
-errors.
+Each column is then converted and validated at once; a text column
+becomes int64 codes, each distinct cell converted once per file
+(:func:`_parse_distinct`): dates (``YYYY-MM-DD`` or ``YYYYMMDD``) day
+ordinals, other keys codes in the order met, ranked into the sorted key
+table once the file is read. Each block is copied into columns allocated
+once for as many rows as the file has lines left (:func:`_stacked`), so
+a table is held once and no Python object is kept per row; the lines and
+cells of one block only are alive at a time. Every rejected cell is
+named by its row: unparseable or non-finite values and short rows are
+parse errors, values outside the schema validation errors.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
-from .files import parse_date
-from .textio import _map_distinct, _opened
+from .files import _opened, parse_date
 
 if TYPE_CHECKING:
     from .paneldata import PolicyTimeline, TelemetryColumns
@@ -293,21 +293,17 @@ def _check_read_once(header: list[str], read, kind: str) -> None:
 def _stacked(blocks, columns: dict) -> dict:
     """Whole columns from the per-block parts that ``blocks`` yields (one
     dict of parts per block, in row order). ``columns`` maps each name to
-    its output: a list, extended by each part, or an array allocated once
-    with room for every row, each part copied in as it comes, then cut
-    in place to the rows read. No block outlives its copy, so a column is
-    held once, not once in blocks and again joined."""
+    an array allocated once with room for every row; each part is copied
+    in as it comes, then each array is cut in place to the rows read. No
+    block outlives its copy, so a column is held once, not once in blocks
+    and again joined."""
     n = 0
     for block in blocks:
         for name, part in block.items():
-            out = columns[name]
-            if isinstance(out, list):
-                out.extend(part)
-            else:
-                out[n : n + len(part)] = part
+            columns[name][n : n + len(part)] = part
         n += len(part)
     for out in columns.values():
-        if isinstance(out, np.ndarray) and len(out) != n:
+        if len(out) != n:
             out.resize((n, *out.shape[1:]), refcheck=False)  # no views exist
     return columns
 
@@ -341,29 +337,39 @@ def parse_policy_csv(source, indicator_column: str) -> list[PolicyTimeline]:
         unit_col, date_col, ind_col = map(used.index, (unit_col, date_col, ind_col))
         region_col = None if region_col is None else used.index(region_col)
 
-        unit_table, day_table = {}, {}  # each distinct cell's unit or day
+        units, raw_codes = {}, {}  # unit label, stripped cell -> its code, in the order met
+        unit_table, day_table, cell_table = {}, {}, {}  # each distinct cell's code or day
 
         def blocks():
             for columns, rownos in body(used[-1] + 1, usecols=used):
                 regions = itertools.repeat("") if region_col is None else columns[region_col]
-                pairs = list(zip(columns[unit_col], regions))
-                units = _map_distinct(pairs, _unit_label, unit_table)
-                if "" in units:
-                    raise ValidationError(f"row {rownos[units.index('')]}: empty {unit_name}")
+                unit = _parse_distinct(
+                    list(zip(columns[unit_col], regions)),
+                    lambda cells: units.setdefault(_unit_label(cells), len(units)),
+                    unit_table,
+                )
+                if "" in units:  # met in this block: an earlier one would have stopped
+                    k = np.argmax(unit == units[""])
+                    raise ValidationError(f"row {rownos[k]}: empty {unit_name}")
                 yield {
-                    "unit": units,
+                    "unit": unit,
                     "day": _day_ordinals(columns[date_col], rownos, day_table),
-                    "cell": _map_distinct(columns[ind_col], str.strip),
+                    "cell": _parse_distinct(
+                        columns[ind_col],
+                        lambda c: raw_codes.setdefault(c.strip(), len(raw_codes)),
+                        cell_table,
+                    ),
                 }
 
         n = body.max_rows
-        columns = _stacked(blocks(), {"unit": [], "day": np.empty(n, np.int64), "cell": []})
+        columns = _stacked(blocks(), {k: np.empty(n, np.int64) for k in ("unit", "day", "cell")})
 
     # go unit by unit in sorted order, over each unit's rows sorted by day
-    levels, unit = factorize(columns.pop("unit"))
-    raws, cell = factorize(columns.pop("cell"))
+    levels, rank = factorize(list(units))  # the labels are distinct: rank is a renumbering
+    unit = rank[columns.pop("unit")]
+    raws = list(raw_codes)
     order = np.lexsort((columns["day"], unit))
-    day, cell = columns.pop("day")[order], cell[order]
+    day, cell = columns.pop("day")[order], columns.pop("cell")[order]
     ends = np.cumsum(np.bincount(unit)).tolist()
     values = np.array(list(map(_policy_code, raws)), np.int64)
     timelines = []
@@ -406,19 +412,33 @@ def _policy_code(raw: str) -> int:
     return value if value in POLICY_CODES else -2
 
 
-
-def _parse_distinct(cells, convert, rownos, describe, table: dict | None = None) -> list:
-    """:func:`_map_distinct`, where the first cell ``convert`` rejects with
-    ValueError is a parse error naming its row."""
+def _parse_distinct(cells, convert, table: dict, rownos=None, describe=None) -> np.ndarray:
+    """``convert`` (cell -> int) of every cell, as an int64 array.
+    ``convert`` is called once per distinct cell, in the order the cells
+    are first met; ``table`` (cell -> result) keeps the results from one
+    block of a file to the next, so that a column of few distinct values,
+    such as dates, is converted once per file. With ``describe``, the
+    first cell ``convert`` rejects with ValueError is a parse error naming
+    its row (of ``rownos``) and ``describe(cell)``."""
     try:
-        return _map_distinct(cells, convert, table)
+        for cell in dict.fromkeys(cells):
+            if cell not in table:
+                table[cell] = convert(cell)
     except ValueError:
-        for cell, rowno in zip(cells, rownos):
-            try:
-                convert(cell)
-            except ValueError:
-                raise ParseError(f"row {rowno}: {describe(cell)}") from None
+        if describe is not None:
+            _name_rejected(cells, convert, rownos, describe)
         raise
+    return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+
+
+def _name_rejected(cells, convert, rownos, describe) -> None:
+    """Raise a parse error naming the row of the first of ``cells`` that
+    ``convert`` rejects with ValueError, and ``describe(cell)``."""
+    for cell, rowno in zip(cells, rownos):
+        try:
+            convert(cell)
+        except ValueError:
+            raise ParseError(f"row {rowno}: {describe(cell)}") from None
 
 
 def _finite_floats(cells, rownos, what: str) -> np.ndarray:
@@ -433,7 +453,7 @@ def _finite_floats(cells, rownos, what: str) -> np.ndarray:
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        _parse_distinct(cells, float, rownos, lambda c: f"non-numeric {what} {c.strip()!r}")
+        _name_rejected(cells, float, rownos, lambda c: f"non-numeric {what} {c.strip()!r}")
         raise
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -445,15 +465,14 @@ def _finite_floats(cells, rownos, what: str) -> np.ndarray:
 def _day_ordinals(cells, rownos, table: dict) -> np.ndarray:
     """Day ordinal of every date cell (by :func:`~causalpanel.files.parse_date`,
     stripped); ``table`` keeps the file's parsed dates (see
-    :func:`_map_distinct`)."""
-    days = _parse_distinct(
+    :func:`_parse_distinct`)."""
+    return _parse_distinct(
         cells,
         lambda c: parse_date(c.strip()).toordinal(),
+        table,
         rownos,
         lambda c: f"malformed date {c.strip()!r}",
-        table,
     )
-    return np.array(days, dtype=np.int64)
 
 
 def parse_telemetry_csv(source) -> TelemetryColumns:
@@ -494,12 +513,9 @@ def parse_telemetry_csv(source) -> TelemetryColumns:
                 device_cells = list(zip(*(cells[name] for name in _TELEMETRY_COLUMNS[1:6])))
                 block = {
                     "day": _day_ordinals(cells["date"], rownos, day_table),
-                    "device": np.array(
-                        _parse_distinct(
-                            device_cells, code, rownos,
-                            lambda c: f"bad vpro value {c[4].strip().lower()!r}", cell_table,
-                        ),
-                        dtype=np.int64,
+                    "device": _parse_distinct(
+                        device_cells, code, cell_table, rownos,
+                        lambda c: f"bad vpro value {c[4].strip().lower()!r}",
                     ),
                     "usage_hours": _finite_floats(cells["usage_hours"], rownos, "usage_hours"),
                     "cpu_watts": _finite_floats(cells["cpu_watts"], rownos, "cpu_watts"),
@@ -533,6 +549,7 @@ def parse_persona_csv(source) -> UsageColumns:
     """Parse usage-feature rows written by :func:`write_persona_csv` into
     columns. Unparseable or non-finite cells are parse errors, negative
     ones validation errors, each naming its row."""
+    from .paneldata import factorize
     from .persona import UsageColumns
 
     with _csv_table(source, "persona") as (header, body):
@@ -542,7 +559,8 @@ def parse_persona_csv(source) -> UsageColumns:
         if not names:
             raise SchemaError("persona header has no feature columns")
         _check_read_once(header, header, "persona")
-        day_table = {}
+        ids = {}  # stripped device id -> code, in the order met
+        id_table, day_table = {}, {}  # each distinct cell's code or day
 
         def blocks():
             for columns, rownos in body(len(header), exact=True, floats=range(2, len(header))):
@@ -559,7 +577,9 @@ def parse_persona_csv(source) -> UsageColumns:
                         f"row {rownos[i]}: feature {names[j]!r} = {values[i, j]} is negative"
                     )
                 yield {
-                    "device_id": _map_distinct(columns[0], str.strip),
+                    "device": _parse_distinct(
+                        columns[0], lambda c: ids.setdefault(c.strip(), len(ids)), id_table
+                    ),
                     "day": _day_ordinals(columns[1], rownos, day_table),
                     "values": values,
                 }
@@ -568,13 +588,14 @@ def parse_persona_csv(source) -> UsageColumns:
         columns = _stacked(
             blocks(),
             {
-                "device_id": [],
+                "device": np.empty(n, np.int64),
                 "day": np.empty(n, np.int64),
                 "values": np.empty((n, len(names))),
             },
         )
-    return UsageColumns.from_rows(
-        columns["device_id"], columns["day"], columns["values"], names
+    device_ids, rank = factorize(list(ids))  # the ids are distinct: rank is a renumbering
+    return UsageColumns(
+        device_ids, rank[columns["device"]], columns["day"], columns["values"], names
     )
 
 

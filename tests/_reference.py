@@ -13,10 +13,15 @@ Also kept: the penalized change-point selection over k <= k_max by the
 segment-neighbourhood table, which the exact optimal partitioning of
 ``detect_penalized`` replaced; and the CSV table readers that split every
 row with ``csv.reader`` and convert every number with ``float``, which
-the block tokenizing of ``panelio._body_blocks`` replaced (their
-unchanged helpers are imported from ``panelio``; ``_BLOCK_ROWS`` is this
+the block tokenizing of ``panelio._body_blocks`` replaced, and that keep
+a Python object per row for each text column, where ``panelio`` codes
+them as it reads. Their helpers that ``panelio`` has changed since
+(``_opened``, ``_map_distinct``, ``_parse_distinct`` and ``_stacked``)
+are copied here as they were, so the readers under test share no code
+with these but the unchanged ``panelio`` helpers they import (the header
+sniffing, blank-row test and line count). ``_BLOCK_ROWS`` is this
 module's own, so a test can set both block sizes, and so is the date
-rule, a regular expression checked one row at a time).
+rule, a regular expression checked one row at a time.
 
 And the CSV table writers that write every row with ``csv.writer`` and
 every float with ``repr``, which the block layout of
@@ -27,6 +32,7 @@ replaced.
 import csv
 import io
 import itertools
+import os
 import re
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -46,17 +52,11 @@ from causalpanel.changepoint import (
 )
 from causalpanel.paneldata import GROUP_FIELD_ORDER, PanelDataset
 from causalpanel.errors import ParseError, SchemaError, ValidationError
-from causalpanel.panelio import (
-    _has_content,
-    _lines_left,
-    _parse_distinct,
-    _sniff_delimiter,
-    _stacked,
-)
+from causalpanel.files import committed
+from causalpanel.panelio import _has_content, _lines_left, _sniff_delimiter
 from causalpanel.panel import CHASSIS_TYPES, CPU_FAMILIES
 from causalpanel.paneldata import _TELEMETRY_COLUMNS, PolicyTimeline, TelemetryColumns
 from _builders import telemetry_columns
-from causalpanel.textio import _map_distinct, _opened
 from causalpanel.persona import (
     WINDOW_STRIDE,
     WINDOW_WIDTH,
@@ -304,6 +304,83 @@ def detect_penalized_capped(
 # Rows handled per read or write step: bounds the cells held as Python
 # strings at once.
 _BLOCK_ROWS = 2048
+
+
+@contextmanager
+def _opened(source, mode: str = "r"):
+    """A text stream over a path, bytes, or file object; a path opened
+    here is closed on exit, a caller's stream is left open. A path opened
+    to write is a commit of one file (:func:`~causalpanel.files.committed`):
+    a failed write leaves the earlier file as it was. Bytes are read as
+    UTF-8 with or without a leading byte order mark (``utf-8-sig``), which
+    spreadsheet programs write; none is written."""
+    if isinstance(source, (str, os.PathLike)) and mode == "w":
+        with committed() as files:
+            yield files.open(source)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, mode, encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8-sig"), newline="")
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif hasattr(source, "read"):  # binary stream
+        encoding = "utf-8" if mode == "w" else "utf-8-sig"
+        stream = io.TextIOWrapper(source, encoding=encoding, newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes; a dropped wrapper would close source
+    else:
+        raise TypeError(f"cannot read from {type(source).__name__}")
+
+
+def _map_distinct(cells, convert, table: dict | None = None) -> list:
+    """``convert`` applied to every cell, once per distinct value, so
+    equal cells share one result object. A ``table`` (cell -> result)
+    passed in keeps the results from one block of a file to the next, so
+    that a column of few distinct values, such as dates, is converted
+    once per file."""
+    table = {} if table is None else table
+    for cell in set(cells).difference(table):
+        table[cell] = convert(cell)
+    return list(map(table.__getitem__, cells))
+
+
+def _parse_distinct(cells, convert, rownos, describe, table: dict | None = None) -> list:
+    """:func:`_map_distinct`, where the first cell ``convert`` rejects with
+    ValueError is a parse error naming its row."""
+    try:
+        return _map_distinct(cells, convert, table)
+    except ValueError:
+        for cell, rowno in zip(cells, rownos):
+            try:
+                convert(cell)
+            except ValueError:
+                raise ParseError(f"row {rowno}: {describe(cell)}") from None
+        raise
+
+
+def _stacked(blocks, columns: dict) -> dict:
+    """Whole columns from the per-block parts that ``blocks`` yields (one
+    dict of parts per block, in row order). ``columns`` maps each name to
+    its output: a list, extended by each part, or an array allocated once
+    with room for every row, each part copied in as it comes, then cut
+    in place to the rows read. No block outlives its copy, so a column is
+    held once, not once in blocks and again joined."""
+    n = 0
+    for block in blocks:
+        for name, part in block.items():
+            out = columns[name]
+            if isinstance(out, list):
+                out.extend(part)
+            else:
+                out[n : n + len(part)] = part
+        n += len(part)
+    for out in columns.values():
+        if isinstance(out, np.ndarray) and len(out) != n:
+            out.resize((n, *out.shape[1:]), refcheck=False)  # no views exist
+    return columns
 
 
 def _body_blocks(reader, width: int, exact: bool = False):

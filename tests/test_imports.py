@@ -65,29 +65,27 @@ SCENARIO = {
 # What the CLI's front loads: the parser, the exit codes and the stderr lines.
 FRONT = {"causalpanel", "causalpanel.cli", "causalpanel.errors"}
 # What every command loads: the front, the helpers the command handlers
-# share and the file commit.
+# share, and the file commit and stream opener.
 BASE = FRONT | {"causalpanel.commands", "causalpanel.files"}
 
 # The package modules each command may load beyond BASE, its handler's
 # module among them. ``cpd`` reads a panel file, ``cpd-series`` a series
 # file.
 # The panel file is ``panel`` (with the panel type), the CSV readers
-# ``panelio`` and the CSV writers ``csvwrite``; all three read or write
-# through ``textio``. The commands that write a table (``simulate`` its CSV
-# tables, ``ingest`` its panel file) format it through ``tablefmt``.
+# ``panelio`` and the CSV writers ``csvwrite``; all three open their
+# streams through ``files``, in BASE. The commands that write a table
+# (``simulate`` its CSV tables, ``ingest`` its panel file) format it
+# through ``tablefmt``.
 COMMAND_MODULES = {
     "simulate": {
-        "commands.simulate", "simgen", "paneldata", "panel", "csvwrite", "textio", "persona",
-        "tablefmt",
+        "commands.simulate", "simgen", "paneldata", "panel", "csvwrite", "persona", "tablefmt",
     },
-    "ingest": {"commands.ingest", "paneldata", "panel", "panelio", "textio", "tablefmt"},
-    "did": {"commands.did", "did", "panel", "textio"},
-    "synth": {"commands.synth", "synthcontrol", "panel", "textio"},
-    "cpd": {"commands.cpd", "changepoint", "panel", "textio"},
-    "cpd-series": {"commands.cpd", "changepoint", "panelio", "textio"},
-    "persona": {
-        "commands.persona", "persona", "changepoint", "paneldata", "panel", "panelio", "textio"
-    },
+    "ingest": {"commands.ingest", "paneldata", "panel", "panelio", "tablefmt"},
+    "did": {"commands.did", "did", "panel"},
+    "synth": {"commands.synth", "synthcontrol", "panel"},
+    "cpd": {"commands.cpd", "changepoint", "panel"},
+    "cpd-series": {"commands.cpd", "changepoint", "panelio"},
+    "persona": {"commands.persona", "persona", "changepoint", "paneldata", "panel", "panelio"},
     "report": {"commands.report"},
 }
 

@@ -78,11 +78,13 @@ def traced_peak(step, *args) -> int:
 # in pieces, the four peaks were 3.2, 3.2, 3.6 and 4.4.
 #
 #   parse_persona_csv  1.75, bound 2.2: the result (values, device and
-#                      day columns: 1.33), the device id of each row, and
-#                      the lines and cells of one block (1.93 when
-#                      csv.reader split every block into cell strings;
-#                      2.30 while the previous block's strings lived on
-#                      into the next read)
+#                      day columns: 1.33), the device codes in the order
+#                      met until they are ranked into the sorted id table
+#                      (0.17), and the lines and cells of one block (1.75
+#                      too while a device id string was kept per row;
+#                      1.93 when csv.reader split every block into cell
+#                      strings; 2.30 while the previous block's strings
+#                      lived on into the next read)
 #   device_means       0.44, bound 0.6: the row order and one gathered
 #                      piece with its transpose
 #   windowed_counts    0.64, bound 0.8: the row order, its sort key and
@@ -149,9 +151,11 @@ def test_write_scenario_peak_does_not_grow_with_the_stream(fleet):
 def test_parse_policy_holds_columns(tmp_path):
     # 100 units x 1000 days, each unit at codes 0 to 3 for 250 days. The
     # bound is the measured peak plus about 15 %. The peak is 43 bytes a
-    # row (4.3 MB; the parse takes 0.13 s untraced on a 2-core x86-64
-    # host): the unit, day and code cell columns (24), the sort order and
-    # one column gathered by it (16), and the result's codes. Holding each
+    # row (4.3 MB; the parse takes 0.1 s untraced on a 2-core x86-64
+    # host): the unit, day and code cell columns, each int64 codes (24),
+    # the sort order and one column gathered by it (16), and the result's
+    # codes; as much while the unit and code cells were kept as one string
+    # reference a row each. Holding each
     # unit's rows as (day, cell) tuples and its timeline as one date object
     # and one int per day took 147 bytes a row (14.7 MB, 0.2 to 0.3 s).
     days = [(START + timedelta(days=k)).strftime("%Y%m%d") for k in range(1000)]

@@ -1,6 +1,7 @@
 """I/O tests: policy/telemetry/persona CSV parsing and the panel format."""
 
 import ast
+import csv
 import io
 import os
 import re
@@ -26,6 +27,7 @@ from causalpanel.paneldata import (
     TelemetryColumns,
     factorize,
 )
+from causalpanel import panelio
 from causalpanel.panelio import (
     _csv_table,
     parse_persona_csv,
@@ -525,6 +527,85 @@ class TestPersonaCsv:
         ]
         with pytest.raises(SchemaError, match="differ"):
             write_persona_csv([UsageColumns.from_vectors([r]) for r in records], io.StringIO())
+
+
+class TestRowOrder:
+    """A reader codes each text cell in the order it meets it and ranks the
+    codes once the file is read, so what it returns does not hang on the
+    order of the rows, on where the blocks end, or on spaces around a key
+    cell. Ids with a comma or a quote send the blocks to ``csv.reader``."""
+
+    START = date(2020, 1, 1)
+
+    @staticmethod
+    def table(header, rows, order, padded: int = 0) -> bytes:
+        """``rows`` in ``order`` below ``header``, the first ``padded``
+        cells of each padded with spaces."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for i in order:
+            writer.writerow([f" {c}  " if j < padded else c for j, c in enumerate(rows[i])])
+        return buf.getvalue().encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["d", "b", "p,1", 'q"x', "東京"]),
+                st.integers(0, 40),
+                st.floats(0.0, 24.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+        block_rows=st.sampled_from([1, 3, 2048]),
+    )
+    def test_persona_rows_in_any_order(self, rows, data, block_rows):
+        order = data.draw(st.permutations(range(len(rows))))
+        rows = [(d, (self.START + timedelta(days=k)).isoformat(), repr(v)) for d, k, v in rows]
+        header = ["device_id", "date", "web"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(panelio, "_BLOCK_ROWS", block_rows)
+            first = parse_persona_csv(self.table(header, rows, range(len(rows))))
+            shuffled = parse_persona_csv(self.table(header, rows, order, padded=2))
+        assert first.device_ids == tuple(sorted({d for d, _, _ in rows}))
+        assert shuffled == UsageColumns(
+            first.device_ids, first.device[order], first.day[order], first.values[order], ("web",)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        units=st.lists(
+            st.tuples(st.sampled_from(["A", "B,C", 'q"x', "東京"]), st.sampled_from(["", "R"])),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        data=st.data(),
+        block_rows=st.sampled_from([1, 3, 2048]),
+    )
+    def test_policy_rows_in_any_order(self, units, data, block_rows):
+        rows = []
+        for country, region in units:
+            start = self.START + timedelta(days=data.draw(st.integers(0, 20)))
+            cells = data.draw(
+                st.lists(st.sampled_from(["", "0", "1", "3", "2.00"]), min_size=1, max_size=6)
+            )
+            rows += [
+                (country, region, (start + timedelta(days=k)).strftime("%Y%m%d"), cell)
+                for k, cell in enumerate(cells)
+            ]
+        order = data.draw(st.permutations(range(len(rows))))
+        header = ["CountryName", "RegionName", "Date", "C6"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(panelio, "_BLOCK_ROWS", block_rows)
+            first = parse_policy_csv(self.table(header, rows, range(len(rows))), "C6")
+            shuffled = parse_policy_csv(self.table(header, rows, order, padded=4), "C6")
+        labels = sorted(f"{c}/{r}" if r else c for c, r in units)
+        assert [tl.unit_id for tl in first] == labels
+        assert shuffled == first
 
 
 class TestPanelFormat:
